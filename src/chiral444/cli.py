@@ -53,6 +53,11 @@ def _parse_m_range(text: str) -> list[int]:
     return sorted(set(out))
 
 
+_CAP_HELP = ("coset cap for the m = 1 enumeration and for the one-time proof of "
+             "the conjugation relations that certifies every m >= 2 member "
+             "(about 16,000 cosets for P and 32,000 for Q); exit 2 when exhausted")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chiral444",
@@ -76,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify family members end to end")
     p_verify.add_argument("--family", choices=["P", "Q"], required=True)
     p_verify.add_argument("--m", default="1", help="range like 1..4, or a comma list")
-    p_verify.add_argument("--max-cosets", type=int, default=1_000_000)
+    p_verify.add_argument("--max-cosets", type=int, default=1_000_000,
+                          help=_CAP_HELP)
     p_verify.add_argument("--strategy", choices=["hlt", "felsch"], default="felsch")
     p_verify.add_argument("--axioms", action="store_true",
                           help="run the axiom suite for every member (default: m = 1 only)")
@@ -91,12 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly = sub.add_parser("polytope", help="build one member's geometry and verify the axioms")
     p_poly.add_argument("--family", choices=["P", "Q"], required=True)
     p_poly.add_argument("--m", type=int, default=1)
-    p_poly.add_argument("--max-cosets", type=int, default=1_000_000)
+    p_poly.add_argument("--max-cosets", type=int, default=1_000_000, help=_CAP_HELP)
     p_poly.add_argument("--dump-geometry", metavar="PATH", help="write the face-incidence dump here")
 
     p_cor = sub.add_parser("corollary", help="verify the 2-power orders 2^(10+2k), 2^(11+2k)")
-    p_cor.add_argument("--k-max", type=int, default=2)
-    p_cor.add_argument("--max-cosets", type=int, default=1_000_000)
+    p_cor.add_argument("--k-max", type=int, default=5,
+                       help="largest k; the default 5 reaches orders 2^20 and 2^21")
+    p_cor.add_argument("--max-cosets", type=int, default=1_000_000, help=_CAP_HELP)
     return parser
 
 

@@ -1,21 +1,38 @@
 """The two quotient families and the per-member verification pipeline.
 
-Family P adds relators (a c^-1)^{4m} and (c^-1 a)^{4m} to the base group;
-family Q adds (b c^-1)^{4m} and (c^-1 b)^{4m}.  Expected orders are
-1024 m^2 and 2048 m^2.  ``verify_member`` runs the full pipeline: order by
-coset enumeration, rotation-triple validation, direct intersection
-condition, quotient criterion against the m = 1 member, solvability,
-mirror test with witness, and (optionally) the polytope axiom suite.
+Family P adds relators x^m = (a c^-1)^{4m} and y^m = (c^-1 a)^{4m} to the
+base group U; family Q adds (b c^-1)^{4m} and (c^-1 b)^{4m}.  Expected orders
+are 1024 m^2 and 2048 m^2.
+
+The m = 1 member G_1 = U/N, N = <x, y>, is built once per family by
+Todd-Coxeter (``reference_triple``).  Every other member
+G_m = U/<x^m, y^m> is a Z_m^2 cover of it: N is normal in U and free abelian
+on x, y, so each element of G_m is x^v1 y^v2 t_c for a point c of G_1's
+regular table, and a generator g sends (c, v) to (c.g, v + phi[g, c] mod m).
+The voltage table phi is derived once per family from U's relator cycles on
+G_1's Cayley graph (``_voltages``).  Each cover member carries a two-sided
+order certificate: the family relators hold on a transitive action of degree
+|G_1| m^2 (lower bound), and the conjugation relations, proved once per
+family by partial enumeration, bound |G_m| by |G_1| m^2 (upper bound).
+
+``verify_member`` runs the full pipeline on a member: rotation-triple
+validation, direct intersection condition, quotient criterion against the
+m = 1 member, solvability, mirror test with witness, and (optionally) the
+polytope axiom suite.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Sequence
+
+import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
-from .perms import PermGroup, evaluate
+from .perms import PermGroup, Permutation, evaluate
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
                        chirality_verdict, intersection_condition,
                        quotient_criterion, validate_rotation_triple,
@@ -34,6 +51,12 @@ class VerificationError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so that the error can
+        # cross a process boundary (the verify --jobs pool)
+        return type(self), (self.stage, self.message)
 
 
 class EnumerationIncomplete(VerificationError):
@@ -43,6 +66,9 @@ class EnumerationIncomplete(VerificationError):
         super().__init__(stage, f"enumeration exhausted the cap of {cap} cosets; "
                                 f"rerun with a larger cap to resume")
         self.cap = cap
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.cap)
 
 
 def _data_text(name: str) -> str:
@@ -126,8 +152,6 @@ class MemberReport:
     witness_order: int | None
     witness_relator: str | None
     axioms: AxiomReport | None
-    action_degree: int
-    action_faithful_small: bool
     timings_ms: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -184,61 +208,263 @@ def _enumerate_member(family: str, m: int, opts: VerifyOptions) -> CosetTable:
     return table
 
 
-def member_triple(family: str, m: int, opts: VerifyOptions | None = None,
-                  _diag: dict | None = None) -> RotationTriple:
-    """Build the member's rotation triple on a faithful permutation action.
-
-    The small action on cosets of the first two generators is preferred when
-    its stabilizer-chain order matches the enumerated group order (that is,
-    when it is faithful); otherwise the regular representation is used.
-    """
-    opts = opts or VerifyOptions()
+def _todd_coxeter_triple(family: str, m: int, opts: VerifyOptions) -> RotationTriple:
+    """The member on the regular representation of its coset table."""
     table = _enumerate_member(family, m, opts)
-    order = table.degree
-    pres = table.presentation
-    small_cfg = EnumerationConfig(strategy=opts.strategy, max_cosets=opts.max_cosets)
-    small = enumerate_cosets(pres, [pres.atom("a"), pres.atom("b")], small_cfg)
-    group = None
-    faithful_small = False
-    if small.is_complete:
-        perms = small.permutation_rep()
-        candidate = PermGroup(perms, known_order=order)
-        if candidate.order() == order:
-            group, sigma = candidate, perms
-            faithful_small = True
-    if group is None:
-        sigma = table.permutation_rep()
-        group = PermGroup(sigma, known_order=order)
-        if group.order() != order:
-            raise VerificationError("action", "regular representation order mismatch")
-    if _diag is not None:
-        _diag["order"] = order
-        _diag["degree"] = group.degree
-        _diag["faithful_small"] = faithful_small
-    return RotationTriple(group, tuple(sigma), pres)
+    sigma = table.permutation_rep()
+    group = PermGroup(sigma, known_order=table.degree)
+    if group.order() != table.degree:
+        raise VerificationError("action", "regular representation order mismatch")
+    return RotationTriple(group, tuple(sigma), table.presentation)
 
 
 _reference_cache: dict[tuple, RotationTriple] = {}
 
 
 def reference_triple(family: str, opts: VerifyOptions | None = None) -> RotationTriple:
-    """The m = 1 member's triple, the reference for the quotient criterion."""
+    """The m = 1 member's triple, built once per family by Todd-Coxeter.
+
+    It is the base of every cover member and the reference for the quotient
+    criterion.
+    """
     opts = opts or VerifyOptions()
     key = (family, opts.strategy, opts.max_cosets)
     t = _reference_cache.get(key)
     if t is None:
-        t = member_triple(family, 1, opts)
+        t = _todd_coxeter_triple(family, 1, opts)
         _reference_cache[key] = t
     return t
+
+
+def _walks(word: Word, base: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The closed walks spelling ``word`` from every point of a Cayley graph.
+
+    ``base[g, c]`` is c.g and ``inv`` its inverse table; edge ``g*n + c`` is
+    c -> c.g.  Row i of the result holds the i-th edge of the walk from each
+    point; ``signs[i]`` is +1 if the walk runs along it, -1 if against it.
+    """
+    n = base.shape[1]
+    start = np.arange(n)
+    pts = start
+    rows, signs = [], []
+    for x in word.letters:
+        g = abs(x) - 1
+        if x > 0:
+            rows.append(g * n + pts)
+            pts = base[g, pts]
+        else:
+            pts = inv[g, pts]
+            rows.append(g * n + pts)
+        signs.append(1 if x > 0 else -1)
+    if not np.array_equal(pts, start):
+        raise VerificationError("voltages", f"{word!r} is not trivial in the m = 1 group")
+    return np.array(rows), signs
+
+
+def _voltages(family: str, base: np.ndarray) -> np.ndarray:
+    """Voltage phi[g, c] in Z^2 of each edge c -> c.g of the m = 1 group.
+
+    phi[g, c] is the (x, y)-coordinate in N = <x, y> = Z^2 of t_c g t_{c.g}^-1,
+    where the transversal words t_c follow a BFS spanning tree from point 0,
+    so tree edges carry 0.  Each relator of U spells a closed walk from every
+    point whose voltages sum to 0; the walks of x and y from point 0 sum to
+    (1, 0) and (0, 1).  A deduction queue solves these cycles: a cycle with
+    exactly one unknown edge fixes it.  Then every cycle is checked.  Raises
+    VerificationError if an edge stays undetermined or a cycle sums wrongly.
+    """
+    ngens, n = base.shape
+    nedges = ngens * n
+    inv = np.empty_like(base)
+    for g in range(ngens):
+        inv[g, base[g]] = np.arange(n)
+    known = np.zeros(nedges, dtype=bool)
+    table = base.tolist()
+    seen = [False] * n
+    seen[0] = True
+    tree = [0]
+    for c in tree:
+        for g in range(ngens):
+            t = table[g][c]
+            if not seen[t]:
+                seen[t] = True
+                known[g * n + c] = True
+                tree.append(t)
+
+    walks = [(_walks(r, base, inv), (0, 0)) for r in presentation_U().relators]
+    for word, target in zip(subgroup_seed_words(family), ((1, 0), (0, 1))):
+        rows, signs = _walks(word, base, inv)
+        walks.append(((rows[:, :1], signs), target))
+    # one term (cycle, edge, net coefficient) per edge a cycle crosses on
+    # balance, sorted by cycle; cycles are the walks' columns in order
+    term_cycle, term_edge, term_coef, targets = [], [], [], []
+    for (rows, signs), target in walks:
+        length, k = rows.shape
+        keys, where = np.unique(np.arange(k) * nedges + rows, return_inverse=True)
+        coef = np.bincount(where.ravel(), weights=np.repeat(signs, k)).astype(np.int64)
+        cycle, edge = np.divmod(keys[coef != 0], nedges)
+        term_cycle.append(cycle + len(targets))
+        term_edge.append(edge)
+        term_coef.append(coef[coef != 0])
+        targets += [target] * k
+    term_cycle, term_edge, coef = (np.concatenate(a) for a in (term_cycle, term_edge, term_coef))
+    term_start = np.searchsorted(term_cycle, np.arange(len(targets) + 1)).tolist()
+    by_edge = np.argsort(term_edge, kind="stable")
+    user_cycles = term_cycle[by_edge]
+    user_start = np.searchsorted(term_edge[by_edge], np.arange(nedges + 1)).tolist()
+    unknown = np.bincount(term_cycle[~known[term_edge]], minlength=len(targets)).tolist()
+
+    edges, coefs = memoryview(term_edge), memoryview(coef)
+    user_cycles = memoryview(user_cycles)
+    known = known.tolist()
+    value = [(0, 0)] * nedges
+    queue = deque(i for i, count in enumerate(unknown) if count == 1)
+    while queue:
+        i = queue.popleft()
+        if unknown[i] != 1:
+            continue
+        tx, ty = targets[i]
+        for t in range(term_start[i], term_start[i + 1]):
+            e, k = edges[t], coefs[t]
+            if known[e]:
+                vx, vy = value[e]
+                tx -= k * vx
+                ty -= k * vy
+            else:
+                edge, edge_coef = e, k
+        if tx % edge_coef or ty % edge_coef:
+            raise VerificationError("voltages", f"cycle {i} has no integral solution")
+        value[edge] = (tx // edge_coef, ty // edge_coef)
+        known[edge] = True
+        for u in range(user_start[edge], user_start[edge + 1]):
+            j = user_cycles[u]
+            unknown[j] -= 1
+            if unknown[j] == 1:
+                queue.append(j)
+    missing = known.count(False)
+    if missing:
+        raise VerificationError("voltages", f"{missing} of {nedges} edge voltages "
+                                            f"are not determined by the relator cycles")
+    phi = np.array(value, dtype=np.int64)
+    for (rows, signs), target in walks:
+        total = sum(s * phi[row] for row, s in zip(rows, signs))
+        if not (total == target).all():
+            raise VerificationError("voltages", "a relator cycle does not sum to its voltage")
+    return phi.reshape(ngens, n, 2)
+
+
+def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> list[np.ndarray]:
+    """Generator images on the points (c, v1, v2), numbered c*m^2 + v1*m + v2:
+    g sends (c, v) to (c.g, v + phi[g, c] mod m)."""
+    v = np.arange(m)
+    images = []
+    for g in range(base.shape[0]):
+        v1 = (v[None, :, None] + phi[g, :, 0, None, None]) % m
+        v2 = (v[None, None, :] + phi[g, :, 1, None, None]) % m
+        img = base[g][:, None, None] * (m * m) + v1 * m + v2
+        images.append(img.reshape(-1))
+    return images
+
+
+def _word_image(w: Word, images: Sequence[Permutation]) -> Permutation:
+    """``evaluate(w, images)``, taken as a power of the shortest root of w,
+    so that a family relator (u)^(4m) costs O(log m) compositions."""
+    letters = w.letters
+    n = len(letters)
+    p = next(p for p in range(1, n + 1)
+             if n % p == 0 and letters[:p] * (n // p) == letters)
+    return evaluate(Word(letters[:p]), images) ** (n // p)
+
+
+def _is_transitive(images: Sequence[Permutation]) -> bool:
+    seen = np.zeros(images[0].degree, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.concatenate([p.images[frontier] for p in images])
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return bool(seen.all())
+
+
+_voltage_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_conjugation_proved: set[tuple[str, int]] = set()
+
+
+def _prove_conjugation(family: str, cap: int):
+    """The upper half of every cover certificate, proved once per family."""
+    if (family, cap) in _conjugation_proved:
+        return
+    if not all(c.verified for c in verify_conjugation_action(family, cap=cap)):
+        raise EnumerationIncomplete("conjugation", cap)
+    _conjugation_proved.add((family, cap))
+
+
+def _certify_cover(pres: Presentation, sigma: Sequence[Permutation]):
+    """The lower half of a cover certificate: ``sigma`` satisfies every
+    relator of ``pres`` and acts transitively, so the presented group has at
+    least as many elements as the action has points."""
+    for r in pres.relators:
+        if not _word_image(r, sigma).is_identity():
+            raise VerificationError("cover", f"relator {pres.word_str(r)} fails "
+                                             f"on the cover of degree {sigma[0].degree}")
+    if not _is_transitive(sigma):
+        raise VerificationError("cover", "the cover action is not transitive")
+
+
+def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> RotationTriple:
+    """The member's rotation triple on its regular representation.
+
+    At m = 1 this is the cached ``reference_triple``'s images.  For m >= 2
+    it is the Z_m^2 cover of them: the m = 1 regular table with the family's
+    voltage table, acting on |G_1| m^2 points.  The voltage table and the
+    conjugation proof below are one-time costs, paid on the family's first
+    m >= 2 member and cached for the process.  Before it is returned the
+    cover is certified to be G_m's regular representation:
+
+    - lower bound: every relator of ``family_presentation(family, m)`` holds
+      on the images and the action is transitive, so |G_m| >= |G_1| m^2;
+    - upper bound: the conjugation relations (proved once per family by
+      ``verify_conjugation_action`` within ``opts.max_cosets``) make
+      <x^m, y^m> normal in U with N/<x^m, y^m> abelian on two generators of
+      order dividing m, so |G_m| <= |G_1| m^2.
+
+    Raises EnumerationIncomplete when the m = 1 enumeration or the
+    conjugation proof exceeds ``opts.max_cosets``, and VerificationError
+    when the cover fails its certificate.
+    """
+    opts = opts or VerifyOptions()
+    pres = family_presentation(family, m)
+    ref = reference_triple(family, opts)
+    if m == 1:
+        # a group handle of its own, so that what callers cache on it (such
+        # as the transversals behind ``elements()``) dies with the caller
+        group = PermGroup(ref.sigma, known_order=ref.group.order())
+        group.order()
+        return RotationTriple(group, ref.sigma, ref.presentation)
+    _prove_conjugation(family, opts.max_cosets)
+    key = (family, opts.strategy, opts.max_cosets)
+    cover = _voltage_cache.get(key)
+    if cover is None:
+        base = np.stack([p.images for p in ref.sigma]).astype(np.int64)
+        cover = base, _voltages(family, base)
+        _voltage_cache[key] = cover
+    sigma = tuple(Permutation(img) for img in _cover_images(*cover, m))
+    _certify_cover(pres, sigma)
+    order = ref.group.order() * m * m
+    group = PermGroup(sigma, known_order=order)
+    # built here rather than on first use, so that the member's construction
+    # cost stays in this function and not in the first stage that asks
+    if group.order() != order:
+        raise VerificationError("action", "cover order mismatch")
+    return RotationTriple(group, sigma, pres)
 
 
 def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> MemberReport:
     """Run the full verification pipeline for one family member."""
     opts = opts or VerifyOptions()
     timer = _Timer()
-    diag: dict = {}
-    triple = member_triple(family, m, opts, _diag=diag)
-    order = diag["order"]
+    triple = member_triple(family, m, opts)
+    order = triple.group.order()
     timer.lap("enumerate")
 
     schlafli = validate_rotation_triple(triple.group, triple.sigma)
@@ -276,8 +502,6 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
         witness_relator=(triple.presentation.word_str(verdict.witness_relator)
                          if verdict.witness_relator else None),
         axioms=axioms,
-        action_degree=diag["degree"],
-        action_faithful_small=diag["faithful_small"],
         timings_ms=timer.timings,
     )
 
@@ -380,7 +604,10 @@ class CorollaryEntry:
 
 def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[CorollaryEntry]:
     """Members with 2-power orders: for k = 0..k_max, family P at m = 2^k has
-    order 2^(10+2k) and family Q has 2^(11+2k), covering every 2^n, n >= 10."""
+    order 2^(10+2k) and family Q has 2^(11+2k), covering every 2^n, n >= 10.
+
+    Each order is the certified order of ``member_triple``'s regular action.
+    """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     opts = opts or VerifyOptions()
@@ -388,9 +615,9 @@ def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[Coro
     for k in range(k_max + 1):
         m = 2 ** k
         for family, n in (("P", 10 + 2 * k), ("Q", 11 + 2 * k)):
-            table = _enumerate_member(family, m, opts)
-            if table.degree != 2 ** n:
+            order = member_triple(family, m, opts).group.order()
+            if order != 2 ** n:
                 raise VerificationError(
-                    "corollary", f"{family} m={m}: order {table.degree} != 2^{n}")
-            out.append(CorollaryEntry(n, family, m, table.degree))
+                    "corollary", f"{family} m={m}: order {order} != 2^{n}")
+            out.append(CorollaryEntry(n, family, m, order))
     return out

@@ -178,7 +178,6 @@ class CosetGeometry:
     subgroup_orders: tuple[int, int, int, int]
     faces: list[list[frozenset[int]]]
     above: dict[tuple[int, int], list[int]]  # (i, j) -> per rank-i face, bitmask over rank-j faces
-    sampled: bool = False
 
     def face_counts(self) -> tuple[int, int, int, int]:
         return tuple(len(f) for f in self.faces)
@@ -221,7 +220,6 @@ class AxiomReport:
     schlafli: tuple[int, int, int] | None
     facet_section_type: tuple[int, int] | None
     vertex_figure_type: tuple[int, int] | None
-    sampled: bool = False
 
     @property
     def all_ok(self) -> bool:
@@ -235,15 +233,13 @@ def stabilizer_generators(sigma: Sequence[Permutation]) -> list[list[Permutation
 
 def coset_geometry_from_subgroups(t: RotationTriple,
                                   subgroup_gens: Sequence[Sequence[Permutation]],
-                                  element_cap: int = 2 ** 14,
-                                  sample: bool = False) -> CosetGeometry:
+                                  element_cap: int = 2 ** 14) -> CosetGeometry:
     """Build the ranked incidence structure from explicit stabilizer choices."""
     g = t.group
     order = g.order()
-    if order > element_cap and not sample:
+    if order > element_cap:
         raise ValueError(
-            f"group order {order} exceeds the exhaustive cap {element_cap}; "
-            "pass sample=True to accept sampled verification")
+            f"group order {order} exceeds the exhaustive cap {element_cap}")
     elements = g.elements()
     index = {e: i for i, e in enumerate(elements)}
     faces: list[list[frozenset[int]]] = []
@@ -273,12 +269,10 @@ def coset_geometry_from_subgroups(t: RotationTriple,
                         mask |= 1 << jdx
                 col.append(mask)
             above[(i, j)] = col
-    return CosetGeometry(t, order, tuple(sub_orders), faces, above,
-                         sampled=order > element_cap)
+    return CosetGeometry(t, order, tuple(sub_orders), faces, above)
 
 
-def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 14,
-                         sample: bool = False) -> CosetGeometry:
+def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 14) -> CosetGeometry:
     """Coset geometry on the canonical stabilizers S_0..S_3.
 
     The caller is expected to have verified the intersection condition, so
@@ -286,7 +280,7 @@ def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 14,
     validates the outcome rather than trusting it.
     """
     return coset_geometry_from_subgroups(
-        t, stabilizer_generators(t.sigma), element_cap, sample)
+        t, stabilizer_generators(t.sigma), element_cap)
 
 
 def _flags(geom: CosetGeometry) -> list[tuple[int, int, int, int]]:
@@ -501,7 +495,6 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
         equivelar=equivelar, flag_count=flag_count,
         schlafli=tuple(schlafli) if equivelar else None,
         facet_section_type=facet_type, vertex_figure_type=vertex_type,
-        sampled=geom.sampled,
     )
 
 

@@ -153,3 +153,12 @@ def test_corollary_command(capsys):
 def test_usage_error_exit_one(capsys):
     code = main(["verify"])  # missing required --family
     assert code == 1
+
+
+def test_verify_parallel_cap_exit_two(capsys):
+    # Q's m = 1 table needs 2048 cosets, so both workers hit the cap, and the
+    # error must cross the process pool intact
+    code, _, err = run_cli(capsys, "verify", "--family", "Q", "--m", "1..2",
+                           "--max-cosets", "1000", "--jobs", "2")
+    assert code == 2
+    assert "cap of 1000 cosets" in err

@@ -139,6 +139,14 @@ def test_corollary_orders_k2():
     assert {e.n for e in entries} == {10, 11, 12, 13, 14, 15}
 
 
+def test_corollary_orders_k3():
+    entries = corollary_orders(3)
+    got = {(e.n, e.family, e.m, e.order) for e in entries}
+    assert (16, "P", 8, 2 ** 16) in got
+    assert (17, "Q", 8, 2 ** 17) in got
+    assert [e.n for e in entries] == list(range(10, 18))
+
+
 def test_verify_options_strategy_hlt_small_member():
     # the general default strategy also completes the small members
     r = verify_member("Q", 1, VerifyOptions(strategy="hlt", axioms=False))
