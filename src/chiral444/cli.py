@@ -2,8 +2,9 @@
 
 Data goes to stdout (or --json PATH); progress goes to stderr.  Exit codes:
 0 all requested checks passed; 1 invalid input (arguments, unreadable file,
-presentation parse error); 2 enumeration exhausted the coset cap (with
---require-complete, or mid-verification); 3 checks ran but some failed.
+presentation parse error, a member too large for the coset geometry's element
+cap); 2 enumeration exhausted the coset cap (with --require-complete, or
+mid-verification); 3 checks ran but some failed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .coset import EnumerationConfig, enumerate_cosets
 from .families import (ConjugationCheck, EnumerationIncomplete, MemberReport,
                        VerifyOptions, corollary_orders, mirror_witness_relator,
                        member_triple, verify_conjugation_action, verify_member)
-from .polytope import build_coset_geometry, section_type, verify_axioms
+from .polytope import (GeometryCapError, build_coset_geometry, section_type,
+                       verify_axioms)
 from .words import ParseError, PresentationError, parse_presentation
 
 EXIT_OK = 0
@@ -172,6 +174,9 @@ def cmd_verify(args) -> int:
     except EnumerationIncomplete as exc:
         _log(str(exc))
         return EXIT_CAP
+    except GeometryCapError as exc:
+        _log(str(exc))
+        return EXIT_INPUT
     reports.sort(key=lambda r: (r.family, r.m))
     for r in reports:
         _log(f"[verify] {r.family} m={r.m} done")
@@ -214,7 +219,11 @@ def cmd_polytope(args) -> int:
     except EnumerationIncomplete as exc:
         _log(str(exc))
         return EXIT_CAP
-    geom = build_coset_geometry(triple)
+    try:
+        geom = build_coset_geometry(triple)
+    except GeometryCapError as exc:
+        _log(str(exc))
+        return EXIT_INPUT
     rpt = verify_axioms(geom)
     counts = geom.face_counts()
     print(f"{args.family} m={args.m}: order {geom.group_order}")

@@ -134,7 +134,7 @@ class VerifyOptions:
     strategy: str = "felsch"  # near-minimal definitions on these quotients
     axioms: bool | None = None  # None: only for m == 1
     intersection_cap: int = 10_000
-    axiom_cap: int = 2 ** 14
+    axiom_cap: int = 2 ** 16
 
 
 @dataclass

@@ -472,6 +472,26 @@ class PermGroup:
             result = out
         return result
 
+    def regular_points(self) -> np.ndarray | None:
+        """Where each element sends the base point, in ``elements()`` order,
+        when the action is regular; None otherwise.
+
+        In a regular action this is a bijection from element ids onto the
+        points, so element k can be handled as point ``regular_points()[k]``
+        without building any element.
+        """
+        self._ensure_built()
+        if self._free:
+            fo = self._forbit
+            pts = fo.order_list if fo.base is not None else [0]
+        elif len(self._levels) > 1:
+            return None
+        else:
+            pts = self._levels[0].orbit_order if self._levels else [0]
+        if len(pts) != self.degree:
+            return None
+        return np.array(pts, dtype=np.int64)
+
     # -- derived structure ---------------------------------------------------
 
     def derived_subgroup(self) -> "PermGroup":

@@ -6,12 +6,24 @@ group satisfy (s1 s2)^2 = (s2 s3)^2 = (s1 s2 s3)^2 = 1.  Rank-i faces of the
 geometry are left cosets of S_0 = <s2,s3>, S_1 = <s1 s2, s3>,
 S_2 = <s1, s2 s3>, S_3 = <s1,s2>, with incidence by nonempty intersection,
 plus a formal least and greatest face.
+
+The geometry is built on the group's regular action (for a group that does
+not act regularly, on its right-regular action on element ids): element k
+of ``elements()`` is the point p_k, the rank-i face gS_i is the S_i-orbit of
+g's point, and two faces are incident when they share a point.  Each face
+is labelled by the smallest element id in its orbit, found by min-label
+propagation over the stabilizer generators' image arrays.  A
+``CosetGeometry`` holds the face counts and, per pair of ranks, the sorted
+keys of its incident pairs; the axioms P1-P4, the flag count and the section
+types are joins and group-bys on those arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .perms import PermGroup, Permutation, evaluate, extends_to_homomorphism, \
     subgroup_intersection_small
@@ -168,41 +180,58 @@ def enantiomorph(t: RotationTriple) -> RotationTriple:
 # coset geometry and the abstract-polytope axioms
 
 
-@dataclass
+class GeometryCapError(ValueError):
+    """The group has more elements than the geometry's ``element_cap``."""
+
+
+@dataclass(eq=False)
 class CosetGeometry:
-    """Faces per rank 0..3 as frozensets of group-element ids, with bitmask
-    incidence; the formal least and greatest faces are implicit."""
+    """The coset geometry of a triple on four stabilizers S_0..S_3.
+
+    Element k of ``group.elements()`` is handled as a point p_k of the
+    group's regular action (its right-regular action on element ids when
+    the group does not act regularly), and the rank-i face gS_i is the
+    S_i-orbit of the point of g.  Faces of one rank are numbered by the
+    smallest element id they contain, which is the order in which a walk
+    over ``elements()`` first meets them.  Two faces are incident when they
+    share a point.
+
+    ``face_counts()`` gives the number of faces per rank 0..3, and
+    ``incidence[(i, j)]`` (0 <= i < j <= 3) holds one sorted int64 key
+    ``a * n_j + b`` per incident pair of rank-i face a and rank-j face b.
+    The formal least (rank -1) and greatest (rank 4) faces are implicit;
+    ``incidence_keys`` treats them as single faces incident to every face.
+    """
 
     triple: RotationTriple
     group_order: int
     subgroup_orders: tuple[int, int, int, int]
-    faces: list[list[frozenset[int]]]
-    above: dict[tuple[int, int], list[int]]  # (i, j) -> per rank-i face, bitmask over rank-j faces
+    nfaces: tuple[int, int, int, int]
+    incidence: dict[tuple[int, int], np.ndarray]
 
     def face_counts(self) -> tuple[int, int, int, int]:
-        return tuple(len(f) for f in self.faces)
+        return self.nfaces
 
-    def below_mask(self, i: int, j: int, jdx: int) -> int:
-        """Bitmask over rank-i faces lying below face jdx of rank j (i < j)."""
-        mask = 0
-        col = self.above[(i, j)]
-        bit = 1 << jdx
-        for idx, m in enumerate(col):
-            if m & bit:
-                mask |= 1 << idx
-        return mask
+    def rank_size(self, rank: int) -> int:
+        """Number of faces of a rank, the formal ranks -1 and 4 included."""
+        return self.nfaces[rank] if 0 <= rank <= 3 else 1
+
+    def incidence_keys(self, i: int, j: int) -> np.ndarray:
+        """Sorted keys ``a * n_j + b`` of the incident (rank-i, rank-j) pairs,
+        for -1 <= i < j <= 4."""
+        if i == -1 or j == 4:
+            return np.arange(self.rank_size(i) * self.rank_size(j), dtype=np.int64)
+        return self.incidence[(i, j)]
 
     def dump(self) -> str:
         """One line per face: ``rank index : incident faces one rank up``."""
-        lines = []
-        nfaces = self.face_counts()
-        all_rank0 = " ".join(str(i) for i in range(nfaces[0]))
-        lines.append(f"-1 0 : {all_rank0}")
+        nfaces = self.nfaces
+        lines = ["-1 0 : " + " ".join(map(str, range(nfaces[0])))]
         for i in range(3):
-            col = self.above[(i, i + 1)]
-            for idx in range(nfaces[i]):
-                ups = [str(j) for j in range(nfaces[i + 1]) if col[idx] & (1 << j)]
-                lines.append(f"{i} {idx} : {' '.join(ups)}")
+            lo, hi = np.divmod(self.incidence[(i, i + 1)], nfaces[i + 1])
+            ups = np.split(hi, np.searchsorted(lo, np.arange(1, nfaces[i])))
+            for idx, row in enumerate(ups):
+                lines.append(f"{i} {idx} : " + " ".join(map(str, row.tolist())))
         for idx in range(nfaces[3]):
             lines.append(f"3 {idx} : 0")
         lines.append("4 0 :")
@@ -231,48 +260,79 @@ def stabilizer_generators(sigma: Sequence[Permutation]) -> list[list[Permutation
     return [[s2, s3], [s1 * s2, s3], [s1, s2 * s3], [s1, s2]]
 
 
+def _min_labels(n: int, relax) -> np.ndarray:
+    """The smallest index in each connected component of a graph on 0..n-1.
+
+    ``relax(lab)`` lowers each index's label to the smallest label among its
+    neighbours.  Labels only ever name an index of the same component that is
+    no larger, so ``lab[lab]`` is a valid label too (pointer jumping).
+    """
+    lab = np.arange(n, dtype=np.int64)
+    while True:
+        new = relax(lab)
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _right_multiplication(group: PermGroup,
+                          subgroup_gens: Sequence[Sequence[Permutation]]
+                          ) -> list[list[np.ndarray]]:
+    """Each generator s as the map k -> id of (element k) * s on the ids of
+    ``group.elements()``."""
+    pts = group.regular_points()
+    if pts is None:
+        # not a regular action: number the elements once and act on the ids
+        elements = group.elements()
+        index = {e: k for k, e in enumerate(elements)}
+        return [[np.array([index[e * s] for e in elements], dtype=np.int64)
+                 for s in gens] for gens in subgroup_gens]
+    # element k sends the base point to pts[k], so (element k) * s sends it
+    # to s(pts[k])
+    ids = np.empty_like(pts)
+    ids[pts] = np.arange(pts.shape[0])
+    return [[ids[s.images[pts]] for s in gens] for gens in subgroup_gens]
+
+
+def _orbit_labels(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
+    """The smallest element id in each element's orbit under ``maps``."""
+
+    def relax(lab):
+        # at the fixed point lab[k] <= lab[r[k]] on every cycle of every r,
+        # so the label is constant on each orbit
+        for r in maps:
+            lab = np.minimum(lab, lab[r])
+        return lab
+
+    return _min_labels(n, relax)
+
+
 def coset_geometry_from_subgroups(t: RotationTriple,
                                   subgroup_gens: Sequence[Sequence[Permutation]],
-                                  element_cap: int = 2 ** 14) -> CosetGeometry:
-    """Build the ranked incidence structure from explicit stabilizer choices."""
+                                  element_cap: int = 2 ** 16) -> CosetGeometry:
+    """Build the ranked incidence structure from explicit stabilizer choices.
+
+    Raises GeometryCapError when the group has more than ``element_cap``
+    elements.
+    """
     g = t.group
     order = g.order()
     if order > element_cap:
-        raise ValueError(
+        raise GeometryCapError(
             f"group order {order} exceeds the exhaustive cap {element_cap}")
-    elements = g.elements()
-    index = {e: i for i, e in enumerate(elements)}
-    faces: list[list[frozenset[int]]] = []
-    sub_orders = []
-    for gens in subgroup_gens:
-        sub = g.subgroup(gens)
-        selems = sub.elements(order)
-        sub_orders.append(len(selems))
-        seen = [False] * order
-        rank_faces = []
-        for i, e in enumerate(elements):
-            if seen[i]:
-                continue
-            coset = frozenset(index[e * s] for s in selems)
-            for k in coset:
-                seen[k] = True
-            rank_faces.append(coset)
-        faces.append(rank_faces)
-    above: dict[tuple[int, int], list[int]] = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            col = []
-            for fa in faces[i]:
-                mask = 0
-                for jdx, fb in enumerate(faces[j]):
-                    if not fa.isdisjoint(fb):
-                        mask |= 1 << jdx
-                col.append(mask)
-            above[(i, j)] = col
-    return CosetGeometry(t, order, tuple(sub_orders), faces, above)
+    faces = [np.unique(_orbit_labels(order, maps), return_inverse=True)[1]
+             for maps in _right_multiplication(g, subgroup_gens)]
+    nfaces = tuple(int(f.max()) + 1 for f in faces)
+    incidence = {(i, j): np.unique(faces[i] * nfaces[j] + faces[j])
+                 for i in range(4) for j in range(i + 1, 4)}
+    return CosetGeometry(t, order, tuple(order // c for c in nfaces), nfaces,
+                         incidence)
 
 
-def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 14) -> CosetGeometry:
+def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 16) -> CosetGeometry:
     """Coset geometry on the canonical stabilizers S_0..S_3.
 
     The caller is expected to have verified the intersection condition, so
@@ -283,134 +343,75 @@ def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 14) -> Coset
         t, stabilizer_generators(t.sigma), element_cap)
 
 
-def _flags(geom: CosetGeometry) -> list[tuple[int, int, int, int]]:
-    above = geom.above
-    n = geom.face_counts()
-    flags = []
-    for f0 in range(n[0]):
-        m01 = above[(0, 1)][f0]
-        m02 = above[(0, 2)][f0]
-        m03 = above[(0, 3)][f0]
-        rest1 = m01
-        while rest1:
-            f1 = (rest1 & -rest1).bit_length() - 1
-            rest1 &= rest1 - 1
-            m12 = above[(1, 2)][f1] & m02
-            rest2 = m12
-            while rest2:
-                f2 = (rest2 & -rest2).bit_length() - 1
-                rest2 &= rest2 - 1
-                m23 = above[(2, 3)][f2] & above[(1, 3)][f1] & m03
-                rest3 = m23
-                while rest3:
-                    f3 = (rest3 & -rest3).bit_length() - 1
-                    rest3 &= rest3 - 1
-                    flags.append((f0, f1, f2, f3))
-    return flags
+def _chains(geom: CosetGeometry, ranks: Sequence[int]) -> np.ndarray:
+    """All chains of pairwise incident faces, one row per chain and one
+    column per rank of the increasing ``ranks`` (formal ranks allowed)."""
+    rows = np.arange(geom.rank_size(ranks[0]), dtype=np.int64)[:, None]
+    for k in range(1, len(ranks)):
+        prev, rank = ranks[k - 1], ranks[k]
+        size = geom.rank_size(rank)
+        lo, hi = np.divmod(geom.incidence_keys(prev, rank), size)
+        degree = np.bincount(lo, minlength=geom.rank_size(prev))
+        first = np.cumsum(degree) - degree
+        # extend every row by each face incident to its last face
+        reps = degree[rows[:, -1]]
+        rows = np.repeat(rows, reps, axis=0)
+        offset = np.arange(rows.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
+        new = hi[first[rows[:, -1]] + offset]
+        keep = np.ones(rows.shape[0], dtype=bool)
+        if rank != 4:
+            for q in range(k - 1):
+                if ranks[q] != -1:
+                    keep &= np.isin(rows[:, q] * size + new,
+                                    geom.incidence[(ranks[q], rank)])
+        rows = np.column_stack([rows[keep], new[keep]])
+    return rows
 
 
-def _section_polygon_size(geom: CosetGeometry, lo: tuple[int, int] | None,
-                          hi: tuple[int, int] | None, mid_rank: int) -> int:
-    """Number of faces of one middle rank in a rank-2 section."""
-    n = geom.face_counts()
-    mask = (1 << n[mid_rank]) - 1
-    if lo is not None:
-        i, idx = lo
-        mask &= geom.above[(i, mid_rank)][idx]
-    if hi is not None:
-        j, jdx = hi
-        mask &= geom.below_mask(mid_rank, j, jdx)
-    return mask.bit_count()
+def _between(geom: CosetGeometry, i: int, mid: int, j: int) -> np.ndarray:
+    """For each incident (rank-i, rank-j) pair, in ``incidence_keys`` order,
+    the number of rank-``mid`` faces incident to both."""
+    rows = _chains(geom, (i, mid, j))
+    keys = geom.incidence_keys(i, j)
+    hits = np.searchsorted(keys, rows[:, 0] * geom.rank_size(j) + rows[:, 2])
+    return np.bincount(hits, minlength=keys.shape[0])
 
 
-def _incident_pairs(geom: CosetGeometry, i: int, j: int):
-    """Indices of incident (rank-i, rank-j) faces, formal ranks included."""
-    n = geom.face_counts()
-    if i == -1 and j == 4:
-        yield (0, 0)
-        return
-    if i == -1:
-        for jdx in range(n[j]):
-            yield (0, jdx)
-        return
-    if j == 4:
-        for idx in range(n[i]):
-            yield (idx, 0)
-        return
-    col = geom.above[(i, j)]
-    for idx in range(n[i]):
-        m = col[idx]
-        while m:
-            jdx = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield (idx, jdx)
+def _group_by(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """An order of the rows that groups equal key columns together, and the
+    start of each group in it."""
+    order = np.lexsort(cols)
+    change = np.zeros(order.shape[0], dtype=bool)
+    change[:1] = True
+    for c in cols:
+        s = c[order]
+        change[1:] |= s[1:] != s[:-1]
+    return order, np.flatnonzero(change)
 
 
-def _middles(geom: CosetGeometry, i: int, idx: int, j: int, jdx: int,
-             mid: int) -> int:
-    """Bitmask of rank-``mid`` faces strictly between two incident faces."""
-    n = geom.face_counts()
-    mask = (1 << n[mid]) - 1
-    if i != -1:
-        mask &= geom.above[(i, mid)][idx]
-    if j != 4:
-        mask &= geom.below_mask(mid, j, jdx)
-    return mask
-
-
-def _section_flags_connected(geom: CosetGeometry, i: int, idx: int,
-                             j: int, jdx: int) -> bool:
-    """Strong flag-connectivity for one section of rank >= 2."""
-    mids = list(range(i + 1, j))
-    choices = [_middles(geom, i, idx, j, jdx, m) for m in mids]
-    if any(c == 0 for c in choices):
-        return False
-    # enumerate section flags as tuples of face indices per middle rank
-    flags: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], level: int):
-        if level == len(mids):
-            flags.append(prefix)
-            return
-        m = choices[level]
-        if level > 0:
-            # comparability with every already chosen lower face
-            for k in range(level):
-                m &= geom.above[(mids[k], mids[level])][prefix[k]]
-        rest = m
-        while rest:
-            f = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            grow(prefix + (f,), level + 1)
-
-    grow((), 0)
-    if len(flags) <= 1:
+def _sections_connected(geom: CosetGeometry, i: int, j: int) -> bool:
+    """Whether the flags of every (rank-i, rank-j) section are connected
+    through flags that differ in one face, given as components of the
+    chain graph."""
+    rows = _chains(geom, range(i, j + 1))
+    if rows.shape[0] == 0:
         return True
-    pos = {f: k for k, f in enumerate(flags)}
-    # adjacency: flags differing in exactly one middle face
-    adj: list[list[int]] = [[] for _ in flags]
-    for axis in range(len(mids)):
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for f, k in pos.items():
-            key = f[:axis] + f[axis + 1:]
-            groups.setdefault(key, []).append(k)
-        for members in groups.values():
-            for x in members:
-                for y in members:
-                    if x != y:
-                        adj[x].append(y)
-    seen = [False] * len(flags)
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == len(flags)
+    cols = list(rows.T)
+    # flags of one section that agree off one middle rank are adjacent
+    axes = [_group_by(cols[:t] + cols[t + 1:]) for t in range(1, len(cols) - 1)]
+
+    def relax(lab):
+        for order, starts in axes:
+            low = np.minimum.reduceat(lab[order], starts)
+            lab = np.empty_like(lab)
+            lab[order] = np.repeat(low, np.diff(starts, append=order.shape[0]))
+        return lab
+
+    lab = _min_labels(rows.shape[0], relax)
+    order, starts = _group_by([cols[0], cols[-1]])
+    lab = lab[order]
+    return np.array_equal(np.minimum.reduceat(lab, starts),
+                          np.maximum.reduceat(lab, starts))
 
 
 def verify_axioms(geom: CosetGeometry) -> AxiomReport:
@@ -419,51 +420,27 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
     Failures are recorded in the report, never raised.  The flag count is
     the number of maximal chains through all ranks.
     """
-    n = geom.face_counts()
-    p1_ok = all(c > 0 for c in n)  # formal faces exist by construction
+    p1_ok = all(c > 0 for c in geom.face_counts())  # formal faces exist by construction
+
+    # faces strictly between each incident pair, per middle rank
+    between = {(i, mid, j): _between(geom, i, mid, j)
+               for i in range(-1, 3) for j in range(i + 2, 5)
+               for mid in range(i + 1, j)}
 
     # P2: between any incident pair there are faces at every middle rank,
     # so every maximal chain passes through every rank.
-    p2_ok = True
-    for i in range(-1, 4):
-        for j in range(i + 2, 5):
-            for idx, jdx in _incident_pairs(geom, i, j):
-                for mid in range(i + 1, j):
-                    if _middles(geom, i, idx, j, jdx, mid) == 0:
-                        p2_ok = False
-                        break
-                if not p2_ok:
-                    break
-            if not p2_ok:
-                break
-        if not p2_ok:
-            break
+    p2_ok = all(c.all() for c in between.values())
 
     # P4: the diamond condition on every rank-1 section
-    p4_ok = True
-    for i in range(-1, 3):
-        j = i + 2
-        for idx, jdx in _incident_pairs(geom, i, j):
-            if _middles(geom, i, idx, j, jdx, i + 1).bit_count() != 2:
-                p4_ok = False
-                break
-        if not p4_ok:
-            break
+    p4_ok = all((between[(i, i + 1, i + 2)] == 2).all() for i in range(-1, 3))
 
-    # P3: strong flag-connectivity of every section of rank >= 2
-    p3_ok = True
-    for i in range(-1, 2):
-        for j in range(i + 3, 5):
-            for idx, jdx in _incident_pairs(geom, i, j):
-                if not _section_flags_connected(geom, i, idx, j, jdx):
-                    p3_ok = False
-                    break
-            if not p3_ok:
-                break
-        if not p3_ok:
-            break
+    # P3: strong flag-connectivity of every section of rank >= 2; a section
+    # with an empty middle rank fails, one with at most one flag passes
+    p3_ok = (all(c.all() for (i, _, j), c in between.items() if j >= i + 3)
+             and all(_sections_connected(geom, i, j)
+                     for i in range(-1, 2) for j in range(i + 3, 5)))
 
-    flag_count = len(_flags(geom))
+    flag_count = int(_chains(geom, (0, 1, 2, 3)).shape[0])
 
     # equivelarity across all 2-sections, giving the Schlafli type:
     # entry ``pos`` measures sections between (pos-1)-faces and (pos+2)-faces,
@@ -471,18 +448,13 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
     schlafli = []
     equivelar = True
     for pos in range(3):
-        lo_rank, hi_rank = pos - 1, pos + 2
-        sizes = set()
-        for idx, jdx in _incident_pairs(geom, lo_rank, hi_rank):
-            lo = None if lo_rank == -1 else (lo_rank, idx)
-            hi = None if hi_rank == 4 else (hi_rank, jdx)
-            sizes.add(_section_polygon_size(geom, lo, hi, pos))
-            sizes.add(_section_polygon_size(geom, lo, hi, pos + 1))
-        if len(sizes) != 1:
+        sizes = np.union1d(between[(pos - 1, pos, pos + 2)],
+                           between[(pos - 1, pos + 1, pos + 2)])
+        if sizes.shape[0] != 1:
             equivelar = False
             schlafli.append(0)
         else:
-            schlafli.append(sizes.pop())
+            schlafli.append(int(sizes[0]))
 
     facet_type = None
     vertex_type = None
@@ -498,37 +470,38 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
     )
 
 
+def _uniform(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Per group 0..size-1, its one value, or -1 when it has none or several."""
+    low = np.full(size, np.iinfo(np.int64).max)
+    np.minimum.at(low, groups, values)
+    high = np.full(size, -1, dtype=np.int64)
+    np.maximum.at(high, groups, values)
+    return np.where(low == high, high, -1)
+
+
 def section_type(geom: CosetGeometry) -> tuple[tuple[int, int], tuple[int, int]]:
     """Schlafli types of the facet sections and the vertex-figure sections.
 
     Measured from 2-section polygon sizes inside the rank-3 sections; raises
     if the sections are not equivelar.
     """
-    n = geom.face_counts()
-    facet_types = set()
-    for f3 in range(n[3]):
-        k1s, k2s = set(), set()
-        for f2 in range(n[2]):
-            if geom.above[(2, 3)][f2] & (1 << f3):
-                k1s.add(_section_polygon_size(geom, None, (2, f2), 0))
-        for idx, jdx in _incident_pairs(geom, 0, 3):
-            if jdx == f3:
-                k2s.add(_section_polygon_size(geom, (0, idx), (3, f3), 1))
-        if len(k1s) != 1 or len(k2s) != 1:
-            raise ValueError("facet sections are not equivelar")
-        facet_types.add((k1s.pop(), k2s.pop()))
-    vertex_types = set()
-    for f0 in range(n[0]):
-        k2s, k3s = set(), set()
-        for idx, jdx in _incident_pairs(geom, 0, 3):
-            if idx == f0:
-                k2s.add(_section_polygon_size(geom, (0, f0), (3, jdx), 1))
-        for f1 in range(n[1]):
-            if geom.above[(0, 1)][f0] & (1 << f1):
-                k3s.add(_section_polygon_size(geom, (1, f1), None, 2))
-        if len(k2s) != 1 or len(k3s) != 1:
-            raise ValueError("vertex-figure sections are not equivelar")
-        vertex_types.add((k2s.pop(), k3s.pop()))
-    if len(facet_types) != 1 or len(vertex_types) != 1:
+    n0, n1, _, n3 = geom.face_counts()
+    vertex, facet = np.divmod(geom.incidence_keys(0, 3), n3)
+    edges_between = _between(geom, 0, 1, 3)  # per incident (vertex, facet)
+    polygon, polygon_facet = np.divmod(geom.incidence_keys(2, 3), n3)
+    edge_vertex, edge = np.divmod(geom.incidence_keys(0, 1), n1)
+
+    k1 = _uniform(polygon_facet, _between(geom, -1, 0, 2)[polygon], n3)
+    k2 = _uniform(facet, edges_between, n3)
+    if (k1 < 0).any() or (k2 < 0).any():
+        raise ValueError("facet sections are not equivelar")
+    v2 = _uniform(vertex, edges_between, n0)
+    v3 = _uniform(edge_vertex, _between(geom, 1, 2, 4)[edge], n0)
+    if (v2 < 0).any() or (v3 < 0).any():
+        raise ValueError("vertex-figure sections are not equivelar")
+    facet_types = np.unique(np.stack([k1, k2]), axis=1)
+    vertex_types = np.unique(np.stack([v2, v3]), axis=1)
+    if facet_types.shape[1] != 1 or vertex_types.shape[1] != 1:
         raise ValueError("sections of one rank have differing types")
-    return facet_types.pop(), vertex_types.pop()
+    return ((int(facet_types[0, 0]), int(facet_types[1, 0])),
+            (int(vertex_types[0, 0]), int(vertex_types[1, 0])))

@@ -144,6 +144,31 @@ def test_polytope_command_q1(capsys, tmp_path):
     assert dump.read_text().startswith("-1 0 :")
 
 
+def test_polytope_command_p1_dump_matches_golden(capsys, tmp_path):
+    # P, m = 1 fails P3, so the command exits 3; the dump is still written
+    dump = tmp_path / "geom.txt"
+    code, out, _ = run_cli(capsys, "polytope", "--family", "P", "--m", "1",
+                           "--dump-geometry", str(dump))
+    assert code == 3
+    assert "P3 False" in out
+    golden = Path(__file__).resolve().parent / "data" / "g1_geometry.txt"
+    assert dump.read_bytes() == golden.read_bytes()
+
+
+def test_polytope_command_q4_within_cap(capsys):
+    code, out, _ = run_cli(capsys, "polytope", "--family", "Q", "--m", "4")
+    assert code == 0
+    assert "flags: 65536 (2*order = 65536)" in out
+
+
+def test_polytope_command_over_cap_exit_one(capsys):
+    # order 2^17 is past the geometry's element cap of 2^16
+    code, out, err = run_cli(capsys, "polytope", "--family", "Q", "--m", "8")
+    assert code == 1
+    assert out == ""
+    assert err == "group order 131072 exceeds the exhaustive cap 65536\n"
+
+
 def test_corollary_command(capsys):
     code, out, _ = run_cli(capsys, "corollary", "--k-max", "1")
     assert code == 0
@@ -162,3 +187,12 @@ def test_verify_parallel_cap_exit_two(capsys):
                            "--max-cosets", "1000", "--jobs", "2")
     assert code == 2
     assert "cap of 1000 cosets" in err
+
+
+def test_verify_parallel_geometry_cap_exit_one(capsys):
+    # the m = 8 worker's member is past the geometry's element cap, and the
+    # error must cross the process pool as bad input, not as a traceback
+    code, _, err = run_cli(capsys, "verify", "--family", "Q", "--m", "1,8",
+                           "--axioms", "--jobs", "2")
+    assert code == 1
+    assert err == "group order 131072 exceeds the exhaustive cap 65536\n"

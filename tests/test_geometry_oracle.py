@@ -1,0 +1,257 @@
+"""The coset geometry and the axiom suite against a brute-force checker.
+
+The checker below is written from the definitions alone: faces are
+frozensets of element ids (left cosets gS), two faces are incident when they
+meet, flags are chains grown with itertools, and strong flag-connectivity is
+a BFS over flags that differ in one face.  It shares no code with
+``chiral444.polytope`` beyond the group handle.
+"""
+
+import itertools
+import random
+from collections import deque
+
+import numpy as np
+
+from chiral444.families import member_triple
+from chiral444.perms import Permutation
+from chiral444.polytope import (CosetGeometry, coset_geometry_from_subgroups,
+                                section_type, stabilizer_generators,
+                                verify_axioms)
+from test_polytope import simplex_triple
+
+RANKS = range(-1, 5)
+
+
+class Oracle:
+    """A ranked incidence structure given by explicit pairs; the formal
+    faces of ranks -1 and 4 are single faces incident to every face."""
+
+    def __init__(self, nfaces, pairs):
+        self.n = {-1: 1, 4: 1, **dict(enumerate(nfaces))}
+        # (i, a, j) -> the rank-j faces incident to face a of rank i
+        self.nb = {(i, a, j): frozenset(range(self.n[j]))
+                   for i in RANKS for j in RANKS if i != j for a in range(self.n[i])}
+        for (i, j), ps in pairs.items():  # 0 <= i < j <= 3
+            for a in range(self.n[i]):
+                self.nb[(i, a, j)] = frozenset(b for x, b in ps if x == a)
+            for b in range(self.n[j]):
+                self.nb[(j, b, i)] = frozenset(a for a, y in ps if y == b)
+
+    def incident(self, i, a, j, b):
+        return b in self.nb[(i, a, j)]
+
+    def chains(self, ranks, fixed=()):
+        """Chains with one face per rank, each incident to the ``fixed``
+        (rank, face) pairs and to one another."""
+        out = [()]
+        for k, r in enumerate(ranks):
+            grown = []
+            for c in out:
+                faces = set(range(self.n[r]))
+                for rx, x in tuple(fixed) + tuple(zip(ranks, c)):
+                    faces &= self.nb[(rx, x, r)]
+                grown.extend(c + (f,) for f in sorted(faces))
+            out = grown
+        return out
+
+    def between(self, i, a, j, b, mid):
+        return len(self.chains((mid,), ((i, a), (j, b))))
+
+    def incident_pairs(self, i, j):
+        return [(a, b) for a, b in itertools.product(range(self.n[i]), range(self.n[j]))
+                if self.incident(i, a, j, b)]
+
+    def section_connected(self, i, a, j, b):
+        mids = tuple(range(i + 1, j))
+        if any(not self.chains((m,), ((i, a), (j, b))) for m in mids):
+            return False
+        flags = self.chains(mids, ((i, a), (j, b)))
+        if len(flags) <= 1:
+            return True
+        buckets = {}
+        for f in flags:
+            for t in range(len(mids)):
+                buckets.setdefault((t, f[:t] + f[t + 1:]), []).append(f)
+        seen = {flags[0]}
+        todo = deque([flags[0]])
+        while todo:
+            f = todo.popleft()
+            for t in range(len(mids)):
+                for g in buckets[(t, f[:t] + f[t + 1:])]:
+                    if g not in seen:
+                        seen.add(g)
+                        todo.append(g)
+        return len(seen) == len(flags)
+
+    def axioms(self):
+        p1 = all(self.n[r] > 0 for r in range(4))
+        p2 = all(self.between(i, a, j, b, mid) > 0
+                 for i in RANKS for j in RANKS if j >= i + 2
+                 for a, b in self.incident_pairs(i, j) for mid in range(i + 1, j))
+        p4 = all(self.between(i, a, i + 2, b, i + 1) == 2
+                 for i in range(-1, 3) for a, b in self.incident_pairs(i, i + 2))
+        p3 = all(self.section_connected(i, a, j, b)
+                 for i in RANKS for j in RANKS if j >= i + 3
+                 for a, b in self.incident_pairs(i, j))
+        schlafli = []
+        for pos in range(3):
+            sizes = {self.between(pos - 1, a, pos + 2, b, mid)
+                     for a, b in self.incident_pairs(pos - 1, pos + 2)
+                     for mid in (pos, pos + 1)}
+            schlafli.append(sizes.pop() if len(sizes) == 1 else None)
+        equivelar = None not in schlafli
+        return {"p1": p1, "p2": p2, "p3": p3, "p4": p4, "equivelar": equivelar,
+                "flags": len(self.chains((0, 1, 2, 3))),
+                "schlafli": tuple(schlafli) if equivelar else None}
+
+    def section_type(self):
+        facet_types = set()
+        for f3 in range(self.n[3]):
+            k1 = {self.between(-1, 0, 2, f2, 0) for f2 in range(self.n[2])
+                  if self.incident(2, f2, 3, f3)}
+            k2 = {self.between(0, v, 3, f3, 1) for v in range(self.n[0])
+                  if self.incident(0, v, 3, f3)}
+            if len(k1) != 1 or len(k2) != 1:
+                raise ValueError("facet sections are not equivelar")
+            facet_types.add((k1.pop(), k2.pop()))
+        vertex_types = set()
+        for f0 in range(self.n[0]):
+            k2 = {self.between(0, f0, 3, f3, 1) for f3 in range(self.n[3])
+                  if self.incident(0, f0, 3, f3)}
+            k3 = {self.between(1, e, 4, 0, 2) for e in range(self.n[1])
+                  if self.incident(0, f0, 1, e)}
+            if len(k2) != 1 or len(k3) != 1:
+                raise ValueError("vertex-figure sections are not equivelar")
+            vertex_types.add((k2.pop(), k3.pop()))
+        if len(facet_types) != 1 or len(vertex_types) != 1:
+            raise ValueError("sections of one rank have differing types")
+        return facet_types.pop(), vertex_types.pop()
+
+    def dump(self):
+        lines = ["-1 0 : " + " ".join(map(str, range(self.n[0])))]
+        for i in range(3):
+            for a in range(self.n[i]):
+                ups = [b for b in range(self.n[i + 1]) if self.incident(i, a, i + 1, b)]
+                lines.append(f"{i} {a} : " + " ".join(map(str, ups)))
+        lines += [f"3 {a} : 0" for a in range(self.n[3])]
+        lines.append("4 0 :")
+        return "\n".join(lines) + "\n"
+
+
+def coset_oracle(group, subgroup_gens):
+    """Left cosets gS as frozensets of ids of ``group.elements()``, numbered
+    per rank by their smallest id; returns the oracle and the |S_i|."""
+    elements = group.elements()
+    index = {e: k for k, e in enumerate(elements)}
+    faces, orders = [], []
+    for gens in subgroup_gens:
+        sub = {Permutation.identity(group.degree)}
+        frontier = list(sub)
+        while frontier:
+            frontier = [x * s for x in frontier for s in gens]
+            frontier = [x for x in frontier if x not in sub]
+            sub.update(frontier)
+        cosets, seen = [], set()
+        for k, e in enumerate(elements):
+            if k not in seen:
+                cosets.append(frozenset(index[e * s] for s in sub))
+                seen |= cosets[-1]
+        faces.append(sorted(cosets, key=min))
+        orders.append(len(sub))
+    pairs = {(i, j): {(a, b) for a, fa in enumerate(faces[i])
+                      for b, fb in enumerate(faces[j]) if not fa.isdisjoint(fb)}
+             for i in range(4) for j in range(i + 1, 4)}
+    return Oracle([len(f) for f in faces], pairs), tuple(orders)
+
+
+def observed(geom):
+    rpt = verify_axioms(geom)
+    try:
+        sections = section_type(geom)
+    except ValueError as exc:
+        sections = str(exc)
+    return ({"p1": rpt.p1_ok, "p2": rpt.p2_ok, "p3": rpt.p3_ok, "p4": rpt.p4_ok,
+             "equivelar": rpt.equivelar, "flags": rpt.flag_count,
+             "schlafli": rpt.schlafli}, sections)
+
+
+def expected(oracle):
+    try:
+        sections = oracle.section_type()
+    except ValueError as exc:
+        sections = str(exc)
+    return oracle.axioms(), sections
+
+
+def check_against_oracle(triple, subgroup_gens):
+    geom = coset_geometry_from_subgroups(triple, subgroup_gens)
+    oracle, orders = coset_oracle(triple.group, subgroup_gens)
+    assert geom.subgroup_orders == orders
+    assert geom.face_counts() == tuple(oracle.n[r] for r in range(4))
+    assert geom.dump() == oracle.dump()
+    got = observed(geom)
+    assert got == expected(oracle)
+    return got
+
+
+def word_pool(sigma):
+    s1, s2, s3 = sigma
+    return [s1, s2, s3, s1 * s2, s2 * s3, s1 * s3, s1 * s2 * s3, s1.inverse(),
+            s3 * s1 * s1, s2 * s2, s1 * s1, s1 * s2 * s2 * s3]
+
+
+def test_simplex_random_stabilizers_match_oracle():
+    trip = simplex_triple()
+    pool = word_pool(trip.sigma)
+    rng = random.Random(20191207)
+    choices = [stabilizer_generators(trip.sigma)]
+    choices += [[rng.sample(pool, rng.randint(0, 3)) for _ in range(4)]
+                for _ in range(40)]
+    outcomes = set()
+    for gens in choices:
+        axioms, _ = check_against_oracle(trip, gens)
+        outcomes.add((axioms["p3"], axioms["p4"], axioms["equivelar"]))
+    # the sample reaches P3 and P4 failures, non-equivelar geometries and
+    # geometries that pass all four axioms
+    assert {o[0] for o in outcomes} == {True, False}
+    assert {o[1] for o in outcomes} == {True, False}
+    assert {o[2] for o in outcomes} == {True, False}
+    assert (True, True, True) in outcomes
+
+
+def test_first_members_match_oracle():
+    for family in ("P", "Q"):
+        t = member_triple(family, 1)
+        s1, s2, s3 = t.sigma
+        canonical = stabilizer_generators(t.sigma)
+        # the non-canonical choice fails P4 and is not equivelar
+        choices = [canonical, [[s2, s3], [s1 * s2, s3], [s1, s3], [s1, s2]]]
+        if family == "P":
+            choices.append(canonical[::-1])
+        for gens in choices:
+            check_against_oracle(t, gens)
+
+
+def random_structure(rng):
+    nfaces = tuple(rng.randint(1, 3) for _ in range(4))
+    pairs = {(i, j): {(a, b) for a in range(nfaces[i]) for b in range(nfaces[j])
+                      if rng.random() < 0.7}
+             for i in range(4) for j in range(i + 1, 4)}
+    keys = {ij: np.array(sorted(a * nfaces[ij[1]] + b for a, b in p), dtype=np.int64)
+            for ij, p in pairs.items()}
+    return CosetGeometry(None, 0, (0, 0, 0, 0), nfaces, keys), Oracle(nfaces, pairs)
+
+
+def test_random_incidence_structures_match_oracle():
+    # a coset geometry always satisfies P2, and its group is transitive on
+    # the incident pairs of two ranks, so section_type never raises on one;
+    # arbitrary incidence relations reach those branches
+    rng = random.Random(4)
+    outcomes = set()
+    for _ in range(200):
+        geom, oracle = random_structure(rng)
+        got = observed(geom)
+        assert got == expected(oracle)
+        outcomes.add((got[0]["p2"], isinstance(got[1], str)))
+    assert outcomes == {(a, b) for a in (True, False) for b in (True, False)}

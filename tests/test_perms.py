@@ -277,3 +277,21 @@ def test_mirror_on_abelianized_rotation_quotient():
         return True
 
     assert all(in_lattice(v) for v in mapped)
+
+
+def test_regular_points_follow_elements():
+    # cyclic group of order 6 on 6 points: regular, both as a chain and as a
+    # free subgroup handle
+    c6 = Permutation.from_cycles(6, (1, 2, 3, 4, 5, 6))
+    for g in (PermGroup([c6]), PermGroup([c6]).subgroup([c6])):
+        pts = g.regular_points()
+        assert sorted(pts.tolist()) == list(range(6))
+        base = int(pts[0])
+        assert [int(e.images[base]) for e in g.elements()] == pts.tolist()
+    # S_3 on 3 points is transitive but not regular; the square of the
+    # 6-cycle generates a free subgroup that is not transitive
+    s3 = PermGroup([Permutation.from_cycles(3, (1, 2)),
+                    Permutation.from_cycles(3, (1, 2, 3))])
+    assert s3.regular_points() is None
+    free = PermGroup([c6]).subgroup([c6 * c6])
+    assert free.regular_points() is None

@@ -228,3 +228,25 @@ def test_geometry_dump_golden_first_member():
     golden = Path(__file__).resolve().parent / "data" / "g1_geometry.txt"
     geom = build_coset_geometry(member_triple("P", 1))
     assert geom.dump() == golden.read_text()
+
+
+@pytest.mark.parametrize("family, m, faces, flags, axioms, schlafli, sections", [
+    # family P at m = 1 is not a polytope: it fails P3 (the family-P finding
+    # in ROADMAP.md), and its sections are of type {4,8} and {8,4}
+    ("P", 1, (16, 128, 128, 8), 2048, (True, True, False, True), (4, 8, 4),
+     ((4, 8), (8, 4))),
+    ("Q", 1, (32, 256, 256, 16), 4096, (True, True, True, True), (4, 4, 4),
+     ((4, 4), (4, 4))),
+    ("P", 2, (32, 512, 512, 32), 8192, (True, True, True, True), (4, 4, 4),
+     ((4, 4), (4, 4))),
+    ("Q", 2, (32, 1024, 1024, 64), 16384, (True, True, True, True), (4, 4, 4),
+     ((4, 4), (4, 4))),
+])
+def test_member_axioms_pinned(family, m, faces, flags, axioms, schlafli, sections):
+    geom = build_coset_geometry(member_triple(family, m))
+    rpt = verify_axioms(geom)
+    assert geom.face_counts() == faces
+    assert rpt.flag_count == flags
+    assert (rpt.p1_ok, rpt.p2_ok, rpt.p3_ok, rpt.p4_ok) == axioms
+    assert rpt.equivelar and rpt.schlafli == schlafli
+    assert section_type(geom) == sections
