@@ -8,9 +8,8 @@ from .words import (Generator, ParseError, Presentation, PresentationError,
                     Word, commutator, free_reduce, invert, parse_presentation,
                     substitute, word_str)
 from .coset import CosetTable, EnumerationConfig, TableError, enumerate_cosets
-from .perms import (PermGroup, Permutation, compose, element_order, evaluate,
-                    extends_to_homomorphism, perm_commutator,
-                    subgroup_intersection_small)
+from .perms import (PermGroup, Permutation, evaluate, extends_to_homomorphism,
+                    perm_commutator)
 from .rewrite import (IntMatrix, SubgroupPresentation, abelian_invariants,
                       is_commutator_relator, reidemeister_schreier,
                       simplify_presentation, smith_normal_form,

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
-from .perms import PermGroup, Permutation, evaluate
+from .perms import PermGroup, Permutation, evaluate, orbit
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
                        chirality_verdict, intersection_condition,
                        quotient_criterion, validate_rotation_triple,
@@ -375,17 +375,6 @@ def _word_image(w: Word, images: Sequence[Permutation]) -> Permutation:
     return evaluate(Word(letters[:p]), images) ** (n // p)
 
 
-def _is_transitive(images: Sequence[Permutation]) -> bool:
-    seen = np.zeros(images[0].degree, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        reached = np.concatenate([p.images[frontier] for p in images])
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
-    return bool(seen.all())
-
-
 _voltage_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _conjugation_proved: set[tuple[str, int]] = set()
 
@@ -407,7 +396,8 @@ def _certify_cover(pres: Presentation, sigma: Sequence[Permutation]):
         if not _word_image(r, sigma).is_identity():
             raise VerificationError("cover", f"relator {pres.word_str(r)} fails "
                                              f"on the cover of degree {sigma[0].degree}")
-    if not _is_transitive(sigma):
+    degree = sigma[0].degree
+    if orbit([p.images for p in sigma], degree).order.shape[0] != degree:
         raise VerificationError("cover", "the cover action is not transitive")
 
 
@@ -436,8 +426,8 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     pres = family_presentation(family, m)
     ref = reference_triple(family, opts)
     if m == 1:
-        # a group handle of its own, so that what callers cache on it (such
-        # as the transversals behind ``elements()``) dies with the caller
+        # a group handle of its own, so that nothing a caller keeps on the
+        # member's group is kept on the cached reference
         group = PermGroup(ref.sigma, known_order=ref.group.order())
         group.order()
         return RotationTriple(group, ref.sigma, ref.presentation)

@@ -1,20 +1,21 @@
-"""Permutations and stabilizer-chain permutation groups.
+"""Permutations, and permutation groups held as regular actions.
 
 Points are 0-based internally; ``from_cycles`` and the cycle notation used
 by ``str()`` are 1-based to match the usual written convention.  The action
 convention is fixed once, here: products act left to right, ``(p * q)(x) =
 q(p(x))``, matching the order in which coset tables trace words.
 
-A group whose ambient action is known to be regular (free) carries a flag
-that reduces order and membership queries to orbit bookkeeping on a single
-base point; the flag is only ever set from a verified ``order == degree``
-transitive chain and is inherited by subgroups.
+A ``PermGroup`` is handled through its right-regular action on element ids,
+and each subgroup as the orbit of id 0 (the identity) under its generators:
+in a regular action the orbit of a point is in bijection with the group, so
+order and membership are orbit bookkeeping, and no stabilizer chain is
+built.  ``orbit`` is the one BFS behind every orbit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,15 +173,6 @@ class Permutation:
         return f"Permutation[{self.degree}] {self}"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """First p, then q (left-to-right action)."""
-    return p * q
-
-
-def element_order(p: Permutation) -> int:
-    return p.order()
-
-
 def perm_commutator(p: Permutation, q: Permutation) -> Permutation:
     return p.inverse() * q.inverse() * p * q
 
@@ -221,75 +213,148 @@ def extends_to_homomorphism(pres: Presentation, images: Sequence[Permutation]) -
     return all(evaluate(r, images).is_identity() for r in pres.relators)
 
 
-class _Level:
-    __slots__ = ("b", "gens", "orbit_order", "tree", "_ucache", "_dirty")
-
-    def __init__(self, b: int):
-        self.b = b
-        self.gens: list[Permutation] = []
-        self.orbit_order: list[int] = []
-        self.tree: dict[int, tuple[int, int] | None] = {}
-        self._ucache: dict[int, Permutation] = {}
-        self._dirty = True
-
-    def rebuild(self):
-        self.tree = {self.b: None}
-        self.orbit_order = [self.b]
-        self._ucache.clear()
-        qi = 0
-        while qi < len(self.orbit_order):
-            pt = self.orbit_order[qi]
-            qi += 1
-            for gi, g in enumerate(self.gens):
-                t = int(g.images[pt])
-                if t not in self.tree:
-                    self.tree[t] = (pt, gi)
-                    self.orbit_order.append(t)
-        self._dirty = False
-
-    def u(self, point: int, degree: int) -> Permutation:
-        """Transversal element mapping the base point to ``point``."""
-        cached = self._ucache.get(point)
-        if cached is not None:
-            return cached
-        path: list[tuple[int, int]] = []
-        pt = point
-        cached = None
-        while True:
-            step = self.tree[pt]
-            if step is None:
-                cached = self._ucache.get(pt)
-                if cached is None:
-                    cached = Permutation.identity(degree)
-                    self._ucache[pt] = cached
-                break
-            cached = self._ucache.get(pt)
-            if cached is not None:
-                break
-            parent, gi = step
-            path.append((pt, gi))
-            pt = parent
-        for pnt, gi in reversed(path):
-            cached = cached * self.gens[gi]
-            self._ucache[pnt] = cached
-        return self._ucache[point]
+# the most entries (elements x degree) that closing a group up explicitly may hold
+_CLOSURE_CAP = 2 ** 20
 
 
-class _ChainDone(Exception):
-    pass
+class Orbit(NamedTuple):
+    """The orbit of point 0 with its BFS tree; ``parent`` and ``via`` are -1
+    at point 0 and off the orbit."""
+
+    order: np.ndarray   # the orbit's points, in the order the BFS reaches them
+    mask: np.ndarray    # whether each point is in the orbit
+    parent: np.ndarray  # the point each point is reached from
+    via: np.ndarray     # the index of the map that reaches it
+
+
+def orbit(maps: Sequence[np.ndarray], n: int) -> Orbit:
+    """The orbit of point 0 under the image arrays ``maps`` on 0..n-1.
+
+    Points come in the order of a queue BFS: by the position of the point
+    they are reached from, then by map index.  Each frontier is expanded at
+    once: its images, raveled parent-major, keep the first occurrence of each
+    new point.  That is one numpy pass per BFS layer, so an orbit with many
+    layers and few points in each, such as a long cycle, is slow.
+    """
+    mask = np.zeros(n, dtype=bool)
+    mask[0] = True
+    parent = np.full(n, -1, dtype=np.int64)
+    via = np.full(n, -1, dtype=np.int64)
+    layers = [np.zeros(1, dtype=np.int64)]
+    k = len(maps)
+    while k and layers[-1].size:
+        frontier = layers[-1]
+        reached = np.stack([mp[frontier] for mp in maps], axis=1).ravel()
+        fresh = np.flatnonzero(~mask[reached])
+        first = fresh[np.sort(np.unique(reached[fresh], return_index=True)[1])]
+        new = reached[first].astype(np.int64)
+        mask[new] = True
+        parent[new] = frontier[first // k]
+        via[new] = first % k
+        layers.append(new)
+    return Orbit(np.concatenate(layers), mask, parent, via)
+
+
+class _RegularAction:
+    """A group's right-regular action on its element ids 0..n-1.
+
+    Either the group acts regularly on its points and element k is the one
+    sending point 0 to ``pts[k]``, or ``rows[k]`` is the image array of
+    element k and ``index`` finds an id from an image array.
+    """
+
+    def __init__(self, pts: np.ndarray | None = None, rows: np.ndarray | None = None,
+                 index: dict[bytes, int] | None = None):
+        self.pts, self.rows, self.index = pts, rows, index
+        if pts is not None:
+            self.n = pts.shape[0]
+            self.ids = np.empty_like(pts)
+            self.ids[pts] = np.arange(self.n)
+        else:
+            self.n = rows.shape[0]
+
+    def locate(self, p: Permutation) -> int | None:
+        """The id of p when p is in the group.  On a regular action this is
+        the id of the only element that can equal p, even when p is not one."""
+        if self.pts is not None:
+            return int(self.ids[p.images[0]])
+        return self.index.get(p.images.tobytes())
+
+    def right_action(self, p: Permutation) -> np.ndarray:
+        """The map k -> id of (element k) * p, for an element p of the group."""
+        if self.pts is not None:
+            return self.ids[p.images[self.pts]]
+        try:
+            return np.array([self.index[r.tobytes()] for r in p.images[self.rows]],
+                            dtype=np.int64)
+        except KeyError:
+            raise ValueError("the permutation is not in the group") from None
+
+
+def _regular_action(gens: Sequence[Permutation], degree: int,
+                    known_order: int | None) -> tuple[_RegularAction, Orbit]:
+    """The group's regular action, and the orbit of id 0 under its generators."""
+    if known_order == degree:
+        pts = orbit([g.images for g in gens], degree)
+        if pts.order.shape[0] == degree:
+            act = _RegularAction(pts=pts.order)
+            parent = pts.parent[pts.order]
+            parent[1:] = act.ids[parent[1:]]
+            return act, Orbit(np.arange(degree), np.ones(degree, dtype=bool),
+                              parent, pts.via[pts.order])
+    rows: list[np.ndarray] = []
+    index: dict[bytes, int] = {}
+    parent: list[int] = []
+    via: list[int] = []
+
+    def add(img: np.ndarray, k: int, gi: int):
+        if len(rows) == known_order:
+            raise RuntimeError("the group has more elements than its "
+                               "externally verified order")
+        if (len(rows) + 1) * degree > _CLOSURE_CAP:
+            raise ValueError(f"closing the group up needs more than {_CLOSURE_CAP} "
+                             f"entries (elements x degree)")
+        index[img.tobytes()] = len(rows)
+        rows.append(img)
+        parent.append(k)
+        via.append(gi)
+
+    add(_arange(degree), -1, -1)
+    for k, row in enumerate(rows):  # a queue: rows grows as it is walked
+        for gi, g in enumerate(gens):
+            img = g.images[row]
+            if img.tobytes() not in index:
+                add(img, k, gi)
+    n = len(rows)
+    return (_RegularAction(rows=np.stack(rows), index=index),
+            Orbit(np.arange(n), np.ones(n, dtype=bool),
+                  np.array(parent, dtype=np.int64), np.array(via, dtype=np.int64)))
 
 
 class PermGroup:
-    """A finite permutation group with exact order and membership queries.
+    """A finite permutation group, handled through its right-regular action.
 
-    ``known_order`` is an externally verified order of the generated group:
-    chain construction stops as soon as the chain reaches it, which is exact
-    (the chain order never exceeds the group order).  If the generated group
-    is smaller, construction runs to completion and reports the true order.
+    The elements are numbered 0..|G|-1 in the order of ``elements()``, id 0
+    being the identity, and each generator acts on the ids by right
+    multiplication.  Every handle on the group, its own and each
+    ``subgroup()``, holds the orbit of id 0 under its generators as numpy
+    arrays, a mask over the ids and the BFS tree: the order is the orbit's
+    size, membership one lookup in the mask.
+
+    The regular action is built on the first query, in one of two ways:
+
+    - ``known_order`` equals the degree and the generators act transitively:
+      ``known_order`` is taken as an externally verified order, so the given
+      action is regular, and element k is the one sending point 0 to the
+      k-th point that a BFS from point 0 reaches;
+    - otherwise the elements are closed up explicitly as image arrays, in BFS
+      order from the identity.  This raises ValueError rather than hold more
+      than 2**20 entries (elements x degree), and RuntimeError when the group
+      has more elements than ``known_order``.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
-                 known_order: int | None = None, _free: bool = False):
+                 known_order: int | None = None):
         gens = []
         seen = set()
         for g in generators:
@@ -306,251 +371,110 @@ class PermGroup:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.degree = degree
         self._known_order = known_order
-        self._free = _free
-        self._levels: list[_Level] | None = None
-        self._forbit: _FreeOrbit | None = None
-        self._order: int | None = None
+        self._action: _RegularAction | None = None
+        self._orbit: Orbit | None = None
 
-    # -- construction ------------------------------------------------------
-
-    def _ensure_built(self):
-        if self._order is not None:
-            return
-        if self._free:
-            fo = _FreeOrbit(self.degree)
-            for g in self.generators:
-                fo.add_gen(g)
-            self._forbit = fo
-            self._order = fo.size()
-        else:
-            self._build_chain()
-            self._order = 1
-            for lev in self._levels:
-                self._order *= len(lev.orbit_order)
-        if self._known_order is not None and self._order > self._known_order:
-            raise RuntimeError("chain order exceeds the externally verified order")
-
-    def _chain_order(self) -> int:
-        total = 1
-        for lev in self._levels:
-            if lev._dirty:
-                lev.rebuild()
-            total *= len(lev.orbit_order)
-        return total
-
-    def _place(self, g: Permutation):
-        levels = self._levels
-        j = 0
-        while j < len(levels) and int(g.images[levels[j].b]) == levels[j].b:
-            j += 1
-        if j == len(levels):
-            mp = g.moved_point()
-            if mp is None:
-                return
-            levels.append(_Level(mp))
-        for k in range(j + 1):
-            levels[k].gens.append(g)
-            levels[k]._dirty = True
-
-    def _sift_from(self, p: Permutation, start: int) -> tuple[Permutation, int]:
-        levels = self._levels
-        for idx in range(start, len(levels)):
-            if p.is_identity():
-                return p, idx
-            lev = levels[idx]
-            t = int(p.images[lev.b])
-            if t == lev.b:
-                continue
-            if t not in lev.tree:
-                return p, idx
-            p = p * lev.u(t, self.degree).inverse()
-        return p, len(levels)
-
-    def _add_strong(self, residue: Permutation, top: int, drop: int):
-        levels = self._levels
-        if drop == len(levels):
-            mp = residue.moved_point()
-            levels.append(_Level(mp))
-        for j in range(top, drop + 1):
-            levels[j].gens.append(residue)
-            levels[j]._dirty = True
-
-    def _build_chain(self):
-        self._levels = []
-        for g in self.generators:
-            self._place(g)
-        levels = self._levels
-        for lev in levels:
-            lev.rebuild()
-        if self._known_order is not None and self._chain_order() == self._known_order:
-            return
-        i = len(levels) - 1
-        while i >= 0:
-            if self._verify_level(i):
-                i -= 1
+    def _built(self) -> Orbit:
+        if self._orbit is None:
+            if self._action is None:
+                self._action, self._orbit = _regular_action(
+                    self.generators, self.degree, self._known_order)
             else:
-                if self._known_order is not None and self._chain_order() == self._known_order:
-                    return
-                i = len(levels) - 1
-
-    def _verify_level(self, i: int) -> bool:
-        """Sift all Schreier generators of level i; True when all pass."""
-        levels = self._levels
-        lev = levels[i]
-        if lev._dirty:
-            lev.rebuild()
-        degree = self.degree
-        for pt in lev.orbit_order:
-            up = lev.u(pt, degree)
-            for g in lev.gens:
-                t = int(g.images[pt])
-                s = up * g * lev.u(t, degree).inverse()
-                if s.is_identity():
-                    continue
-                residue, drop = self._sift_from(s, i + 1)
-                if not residue.is_identity():
-                    self._add_strong(residue, i + 1, drop)
-                    for j in range(min(drop, len(levels) - 1), i, -1):
-                        if levels[j]._dirty:
-                            levels[j].rebuild()
-                    return False
-        return True
+                self._orbit = orbit([self._action.right_action(g) for g in self.generators],
+                                    self._action.n)
+        return self._orbit
 
     # -- queries -----------------------------------------------------------
 
     def order(self) -> int:
-        self._ensure_built()
-        return self._order
+        return int(self._built().order.shape[0])
 
     def is_trivial(self) -> bool:
         return not self.generators
 
     def is_regular(self) -> bool:
-        """Regular action: transitive with trivial point stabilizers."""
-        self._ensure_built()
-        if self._free:
-            return True
-        if not self._levels:
-            return self.degree == 1
-        return len(self._levels[0].orbit_order) == self.degree and self._order == self.degree
+        """Regular action: transitive on the points, with trivial point
+        stabilizers."""
+        return (self.order() == self.degree
+                and orbit([g.images for g in self.generators],
+                          self.degree).order.shape[0] == self.degree)
 
-    def subgroup(self, generators: Iterable[Permutation],
-                 known_order: int | None = None) -> "PermGroup":
-        """A subgroup handle over the same action, inheriting freeness."""
-        self._ensure_built()
-        free = self._free or self.is_regular()
-        return PermGroup(generators, degree=self.degree, known_order=known_order, _free=free)
+    def subgroup(self, generators: Iterable[Permutation]) -> "PermGroup":
+        """The subgroup generated by ``generators``, which must be elements of
+        this group, as a handle on the same action."""
+        self._built()
+        h = PermGroup(generators, degree=self.degree)
+        if h.degree != self.degree:
+            raise ValueError("degree mismatch")
+        h._action = self._action
+        return h
+
+    def intersection_order(self, other: "PermGroup") -> int:
+        """The order of the intersection of two handles on the same action."""
+        mask, other_mask = self._built().mask, other._built().mask
+        if self._action is not other._action:
+            raise ValueError("the two groups are not on the same action")
+        return int(np.count_nonzero(mask & other_mask))
+
+    def right_action(self, p: Permutation) -> np.ndarray:
+        """Right multiplication by an element p of the group, as the map
+        k -> id of (element k) * p on the ids of the whole group's
+        ``elements()``."""
+        self._built()
+        return self._action.right_action(p)
 
     def contains(self, p: Permutation) -> bool:
+        """Exact membership, for any permutation of the group's degree."""
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        self._ensure_built()
-        if self._free:
-            fo = self._forbit
-            if fo.base is None:
-                return p.is_identity()
-            t = int(p.images[fo.base])
-            if t == fo.base:
-                return p.is_identity()
-            return t in fo.tree
-        residue, _ = self._sift_from(p, 0)
-        return residue.is_identity()
+        orb = self._built()
+        k = self._action.locate(p)
+        return k is not None and bool(orb.mask[k]) and self._element(k) == p
+
+    def _element(self, k: int) -> Permutation:
+        """The element of id k, spelt along the BFS tree."""
+        path = []
+        while k:
+            path.append(int(self._orbit.via[k]))
+            k = int(self._orbit.parent[k])
+        acc = Permutation.identity(self.degree)
+        for gi in reversed(path):
+            acc = acc * self.generators[gi]
+        return acc
 
     def elements(self, cap: int | None = None) -> list[Permutation]:
-        """All elements in a deterministic order; guarded by ``cap``."""
-        self._ensure_built()
-        if cap is not None and self._order > cap:
-            raise ValueError(f"group order {self._order} exceeds cap {cap}")
-        if self._free:
-            return self._forbit.elements()
-        result = [Permutation.identity(self.degree)]
-        for lev in reversed(self._levels):
-            out = []
-            for e in result:
-                for pt in lev.orbit_order:
-                    out.append(e * lev.u(pt, self.degree))
-            result = out
-        return result
-
-    def regular_points(self) -> np.ndarray | None:
-        """Where each element sends the base point, in ``elements()`` order,
-        when the action is regular; None otherwise.
-
-        In a regular action this is a bijection from element ids onto the
-        points, so element k can be handled as point ``regular_points()[k]``
-        without building any element.
-        """
-        self._ensure_built()
-        if self._free:
-            fo = self._forbit
-            pts = fo.order_list if fo.base is not None else [0]
-        elif len(self._levels) > 1:
-            return None
-        else:
-            pts = self._levels[0].orbit_order if self._levels else [0]
-        if len(pts) != self.degree:
-            return None
-        return np.array(pts, dtype=np.int64)
+        """All elements, in BFS order from the identity; guarded by ``cap``."""
+        orb = self._built()
+        if cap is not None and orb.order.shape[0] > cap:
+            raise ValueError(f"group order {orb.order.shape[0]} exceeds cap {cap}")
+        rest = orb.order[1:]
+        elems = {0: Permutation.identity(self.degree)}
+        for k, parent, gi in zip(rest.tolist(), orb.parent[rest].tolist(),
+                                 orb.via[rest].tolist()):
+            elems[k] = elems[parent] * self.generators[gi]
+        return list(elems.values())
 
     # -- derived structure ---------------------------------------------------
 
     def derived_subgroup(self) -> "PermGroup":
         """Normal closure of generator commutators within this group."""
         gens = self.generators
-        seeds = []
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                c = perm_commutator(gens[i], gens[j])
-                if not c.is_identity():
-                    seeds.append(c)
-        return self._normal_closure(seeds)
+        return self._normal_closure([perm_commutator(a, b) for i, a in enumerate(gens)
+                                     for b in gens[i + 1:]])
 
     def _normal_closure(self, seeds: Sequence[Permutation]) -> "PermGroup":
-        self._ensure_built()
-        free = self._free or self.is_regular()
-        conj = [(g, g.inverse()) for g in self.generators]
-        picked: list[Permutation] = []
-        queue: list[Permutation] = []
-        if free:
-            fo = _FreeOrbit(self.degree)
-
-            def contains(c: Permutation) -> bool:
-                if fo.base is None:
-                    return c.is_identity()
-                t = int(c.images[fo.base])
-                if t == fo.base:
-                    return c.is_identity()
-                return t in fo.tree
-
-            def add(c: Permutation):
-                picked.append(c)
-                queue.append(c)
-                fo.add_gen(c)
-        else:
-            work = PermGroup((), degree=self.degree)
-
-            def contains(c: Permutation) -> bool:
-                return work.contains(c)
-
-            def add(c: Permutation):
-                nonlocal work
-                picked.append(c)
-                queue.append(c)
-                work = PermGroup(picked, degree=self.degree)
-                work._ensure_built()
-
-        for s in seeds:
-            if not s.is_identity() and not contains(s):
-                add(s)
-        qi = 0
-        while qi < len(queue):
-            s = queue[qi]
-            qi += 1
-            for g, ginv in conj:
-                c = ginv * s * g
-                if not contains(c):
-                    add(c)
-        return PermGroup(picked, degree=self.degree, _free=free)
+        """The smallest subgroup that contains ``seeds`` and is normalized by
+        this group's generators; a conjugate lies in it iff its id is in its
+        mask."""
+        conj = [(g.inverse(), g) for g in self.generators]
+        closure = self.subgroup(())
+        queue = list(seeds)
+        for s in queue:  # a queue: the conjugates of each new generator join it
+            if closure._built().mask[self._action.locate(s)]:
+                continue
+            closure = self.subgroup(closure.generators + (s,))
+            queue.extend(ginv * s * g for ginv, g in conj)
+        return closure
 
     def derived_series(self) -> list["PermGroup"]:
         """Successive derived subgroups until trivial or stable."""
@@ -582,84 +506,3 @@ class PermGroup:
         if series[-1].order() != 1:
             return None
         return len(series)
-
-
-class _FreeOrbit:
-    """Orbit of the base point for a group acting freely.
-
-    For a free (regular ambient) action the orbit of any point is in
-    bijection with the group, so order and membership are orbit lookups.
-    """
-
-    __slots__ = ("degree", "gens", "base", "tree", "order_list")
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        self.gens: list[Permutation] = []
-        self.base: int | None = None
-        self.tree: dict[int, tuple[int, int] | None] = {}
-        self.order_list: list[int] = []
-
-    def add_gen(self, g: Permutation):
-        self.gens.append(g)
-        gi = len(self.gens) - 1
-        if self.base is None:
-            mp = g.moved_point()
-            if mp is None:
-                return
-            self.base = mp
-            self.tree = {mp: None}
-            self.order_list = [mp]
-            frontier = 0
-        else:
-            # sweep known points with the new generator only
-            n_before = len(self.order_list)
-            img = g.images
-            for k in range(n_before):
-                pt = self.order_list[k]
-                t = int(img[pt])
-                if t not in self.tree:
-                    self.tree[t] = (pt, gi)
-                    self.order_list.append(t)
-            frontier = n_before
-        # BFS the newly reached region with all generators
-        order_list = self.order_list
-        tree = self.tree
-        gens = self.gens
-        qi = frontier
-        while qi < len(order_list):
-            pt = order_list[qi]
-            qi += 1
-            for gj, gen in enumerate(gens):
-                t = int(gen.images[pt])
-                if t not in tree:
-                    tree[t] = (pt, gj)
-                    order_list.append(t)
-
-    def size(self) -> int:
-        return len(self.order_list) if self.base is not None else 1
-
-    def elements(self) -> list[Permutation]:
-        if self.base is None:
-            return [Permutation.identity(self.degree)]
-        elems: dict[int, Permutation] = {self.base: Permutation.identity(self.degree)}
-        out = []
-        for pt in self.order_list:
-            if pt == self.base:
-                out.append(elems[pt])
-                continue
-            parent, gi = self.tree[pt]
-            elems[pt] = elems[parent] * self.gens[gi]
-            out.append(elems[pt])
-        return out
-
-
-def subgroup_intersection_small(a: PermGroup, b: PermGroup,
-                                cap: int = 10_000) -> list[Permutation]:
-    """Exact element list of the intersection; the smaller side is enumerated."""
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
-    if min(a.order(), b.order()) > cap:
-        raise ValueError(f"intersection cap {cap} exceeded")
-    small, other = (a, b) if a.order() <= b.order() else (b, a)
-    return [e for e in small.elements() if other.contains(e)]

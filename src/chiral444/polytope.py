@@ -7,12 +7,11 @@ geometry are left cosets of S_0 = <s2,s3>, S_1 = <s1 s2, s3>,
 S_2 = <s1, s2 s3>, S_3 = <s1,s2>, with incidence by nonempty intersection,
 plus a formal least and greatest face.
 
-The geometry is built on the group's regular action (for a group that does
-not act regularly, on its right-regular action on element ids): element k
-of ``elements()`` is the point p_k, the rank-i face gS_i is the S_i-orbit of
-g's point, and two faces are incident when they share a point.  Each face
-is labelled by the smallest element id in its orbit, found by min-label
-propagation over the stabilizer generators' image arrays.  A
+The geometry is built on the group's right-regular action on the ids of
+``elements()`` (``PermGroup.right_action``): the rank-i face gS_i is the
+S_i-orbit of g's id, and two faces are incident when they share an id.  Each
+face is labelled by the smallest id in its orbit, found by min-label
+propagation over the stabilizer generators' id maps.  A
 ``CosetGeometry`` holds the face counts and, per pair of ranks, the sorted
 keys of its incident pairs; the axioms P1-P4, the flag count and the section
 types are joins and group-bys on those arrays.
@@ -25,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .perms import PermGroup, Permutation, evaluate, extends_to_homomorphism, \
-    subgroup_intersection_small
+from .perms import PermGroup, Permutation, evaluate, extends_to_homomorphism
 from .words import Presentation, Word, substitute
 
 
@@ -78,25 +76,26 @@ def validate_rotation_triple(group: PermGroup,
 
 
 def intersection_condition(t: RotationTriple, cap: int = 10_000) -> bool:
-    """The chiral intersection condition, checked by exhaustive intersection:
+    """The chiral intersection condition, checked on the subgroups' masks:
     <s1> meets <s2,s3> trivially, <s1,s2> meets <s3> trivially, and
     <s1,s2> meets <s2,s3> in exactly <s2>.
+
+    Raises ValueError when the smaller subgroup of a pair has more than
+    ``cap`` elements.
     """
     s1, s2, s3 = t.sigma
     g = t.group
-    a1 = g.subgroup([s1])
     a2 = g.subgroup([s2])
-    a3 = g.subgroup([s3])
     a12 = g.subgroup([s1, s2])
-    a23 = g.subgroup([s2, s3])
-    inter = subgroup_intersection_small(a1, a23, cap)
-    if not all(p.is_identity() for p in inter):
-        return False
-    inter = subgroup_intersection_small(a12, a3, cap)
-    if not all(p.is_identity() for p in inter):
-        return False
-    inter = subgroup_intersection_small(a12, a23, cap)
-    return set(inter) == set(a2.elements(cap))
+    # each intersection contains the identity, and the last one contains <s2>
+    for a, b, meet in ((g.subgroup([s1]), g.subgroup([s2, s3]), 1),
+                       (a12, g.subgroup([s3]), 1),
+                       (a12, g.subgroup([s2, s3]), a2.order())):
+        if min(a.order(), b.order()) > cap:
+            raise ValueError(f"intersection cap {cap} exceeded")
+        if a.intersection_order(b) != meet:
+            return False
+    return True
 
 
 def quotient_criterion(big: RotationTriple, small: RotationTriple,
@@ -188,13 +187,11 @@ class GeometryCapError(ValueError):
 class CosetGeometry:
     """The coset geometry of a triple on four stabilizers S_0..S_3.
 
-    Element k of ``group.elements()`` is handled as a point p_k of the
-    group's regular action (its right-regular action on element ids when
-    the group does not act regularly), and the rank-i face gS_i is the
-    S_i-orbit of the point of g.  Faces of one rank are numbered by the
-    smallest element id they contain, which is the order in which a walk
-    over ``elements()`` first meets them.  Two faces are incident when they
-    share a point.
+    The group acts on the ids k of ``group.elements()`` by right
+    multiplication, and the rank-i face gS_i is the S_i-orbit of g's id.
+    Faces of one rank are numbered by the smallest id they contain, which
+    is the order in which a walk over ``elements()`` first meets them.  Two
+    faces are incident when they share an id.
 
     ``face_counts()`` gives the number of faces per rank 0..3, and
     ``incidence[(i, j)]`` (0 <= i < j <= 3) holds one sorted int64 key
@@ -278,25 +275,6 @@ def _min_labels(n: int, relax) -> np.ndarray:
         lab = new
 
 
-def _right_multiplication(group: PermGroup,
-                          subgroup_gens: Sequence[Sequence[Permutation]]
-                          ) -> list[list[np.ndarray]]:
-    """Each generator s as the map k -> id of (element k) * s on the ids of
-    ``group.elements()``."""
-    pts = group.regular_points()
-    if pts is None:
-        # not a regular action: number the elements once and act on the ids
-        elements = group.elements()
-        index = {e: k for k, e in enumerate(elements)}
-        return [[np.array([index[e * s] for e in elements], dtype=np.int64)
-                 for s in gens] for gens in subgroup_gens]
-    # element k sends the base point to pts[k], so (element k) * s sends it
-    # to s(pts[k])
-    ids = np.empty_like(pts)
-    ids[pts] = np.arange(pts.shape[0])
-    return [[ids[s.images[pts]] for s in gens] for gens in subgroup_gens]
-
-
 def _orbit_labels(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
     """The smallest element id in each element's orbit under ``maps``."""
 
@@ -323,8 +301,9 @@ def coset_geometry_from_subgroups(t: RotationTriple,
     if order > element_cap:
         raise GeometryCapError(
             f"group order {order} exceeds the exhaustive cap {element_cap}")
-    faces = [np.unique(_orbit_labels(order, maps), return_inverse=True)[1]
-             for maps in _right_multiplication(g, subgroup_gens)]
+    faces = [np.unique(_orbit_labels(order, [g.right_action(s) for s in gens]),
+                       return_inverse=True)[1]
+             for gens in subgroup_gens]
     nfaces = tuple(int(f.max()) + 1 for f in faces)
     incidence = {(i, j): np.unique(faces[i] * nfaces[j] + faces[j])
                  for i in range(4) for j in range(i + 1, 4)}

@@ -82,6 +82,16 @@ def test_corrupted_voltage_fails_the_certificate():
         _certify_cover(pres, [Permutation(img) for img in _cover_images(base, bad, 2)])
 
 
+def test_intransitive_cover_fails_the_certificate():
+    # all-zero voltages give |G_1| m^2 points in m^2 copies of G_1: every
+    # relator of the family at m = 2 holds, but the action is not transitive
+    base = _base("P")
+    zero = np.zeros((3, base.shape[1], 2), dtype=np.int64)
+    sigma = [Permutation(img) for img in _cover_images(base, zero, 2)]
+    with pytest.raises(VerificationError, match="not transitive"):
+        _certify_cover(family_presentation("P", 2), sigma)
+
+
 def test_small_conjugation_cap_raises():
     # 4000 cosets complete P's m = 1 table (about 1060) but not the
     # conjugation proof (about 16,000)

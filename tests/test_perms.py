@@ -1,13 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import family_presentation, presentation_U
-from chiral444.perms import (PermGroup, Permutation, compose, element_order,
-                             evaluate, extends_to_homomorphism,
-                             perm_commutator, subgroup_intersection_small)
+from chiral444.perms import (PermGroup, Permutation, evaluate,
+                             extends_to_homomorphism, perm_commutator)
 from chiral444.rewrite import IntMatrix, smith_normal_form
 from chiral444.words import Presentation, Word, parse_presentation
 
@@ -40,7 +40,7 @@ def test_permutation_validation():
 def test_compose_convention_left_to_right():
     p = Permutation.from_cycles(3, (1, 2))
     q = Permutation.from_cycles(3, (2, 3))
-    r = compose(p, q)  # first p, then q: 1 -> 2 -> 3
+    r = p * q  # first p, then q: 1 -> 2 -> 3
     assert r == Permutation.from_cycles(3, (1, 3, 2))
     assert int(r.images[0]) == 2  # 0-based point 0 maps to point 2
 
@@ -61,9 +61,9 @@ def test_inverse_and_power():
 
 
 def test_element_order():
-    assert element_order(Permutation.identity(3)) == 1
+    assert Permutation.identity(3).order() == 1
     p = Permutation.from_cycles(6, (1, 2), (3, 4, 5))
-    assert element_order(p) == 6
+    assert p.order() == 6
 
 
 def test_build_chain_s3():
@@ -188,7 +188,7 @@ def test_relators_evaluate_to_identity():
     images = t.permutation_rep()
     for r in pres.relators:
         assert evaluate(r, images).is_identity()
-        assert element_order(evaluate(r, images)) == 1
+        assert evaluate(r, images).order() == 1
 
 
 def test_generator_order_in_first_member():
@@ -196,7 +196,7 @@ def test_generator_order_in_first_member():
     t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
     a, b, c = t.permutation_rep()
     # relator a^4 bounds the order by 4; the exact value is 4
-    assert element_order(a) == 4
+    assert a.order() == 4
 
 
 def test_extends_to_homomorphism_identity_images():
@@ -209,15 +209,44 @@ def test_extends_to_homomorphism_identity_images():
         extends_to_homomorphism(pres, images[:2])
 
 
-def test_subgroup_intersection_small():
-    gens = [Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (1, 2, 3, 4))]
-    g = PermGroup(gens)
-    a = PermGroup([Permutation.from_cycles(4, (1, 2, 3, 4))])
-    assert set(subgroup_intersection_small(g, g, cap=100)) == set(g.elements())
-    inter = subgroup_intersection_small(a, PermGroup([Permutation.from_cycles(4, (1, 2))]))
-    assert [p.is_identity() for p in inter] == [True]
+def test_subgroup_intersection_masks():
+    # in S_4: <(1 2 3 4)> meets <(1 2)> trivially, <(1 2 3 4)> meets the
+    # Klein four-group {e, (1 2)(3 4), (1 3)(2 4), (1 4)(2 3)} in
+    # {e, (1 3)(2 4)}, and a subgroup meets itself in itself
+    g = PermGroup([Permutation.from_cycles(4, (1, 2)),
+                   Permutation.from_cycles(4, (1, 2, 3, 4))])
+    c4 = g.subgroup([Permutation.from_cycles(4, (1, 2, 3, 4))])
+    t = g.subgroup([Permutation.from_cycles(4, (1, 2))])
+    v4 = g.subgroup([Permutation.from_cycles(4, (1, 2), (3, 4)),
+                     Permutation.from_cycles(4, (1, 3), (2, 4))])
+    assert (c4.order(), t.order(), v4.order()) == (4, 2, 4)
+    assert c4.intersection_order(t) == 1
+    assert c4.intersection_order(v4) == v4.intersection_order(c4) == 2
+    assert g.intersection_order(g) == 24 and g.intersection_order(v4) == 4
+    assert len(closure(c4.generators) & closure(v4.generators)) == 2
+    other = PermGroup([Permutation.from_cycles(4, (1, 2))])
     with pytest.raises(ValueError):
-        subgroup_intersection_small(g, g, cap=5)
+        t.intersection_order(other)
+
+
+def test_closure_size_guard():
+    # S_9 on 9 points has 9! * 9 > 2**20 entries to close up; the guard
+    # stops the closure early instead
+    s9 = PermGroup([Permutation.from_cycles(9, (1, 2)),
+                    Permutation.from_cycles(9, (1, 2, 3, 4, 5, 6, 7, 8, 9))])
+    with pytest.raises(ValueError, match="closing the group up"):
+        s9.order()
+    # a bad known_order on a large degree never starts a closure
+    c = Permutation(np.roll(np.arange(2 ** 21), 1))
+    with pytest.raises(ValueError, match="closing the group up"):
+        PermGroup([c], known_order=2 ** 21 + 1).order()
+
+
+def test_known_order_smaller_than_the_group_raises():
+    s3 = PermGroup([Permutation.from_cycles(3, (1, 2)),
+                    Permutation.from_cycles(3, (1, 2, 3))], known_order=4)
+    with pytest.raises(RuntimeError):
+        s3.order()
 
 
 def test_free_action_subgroups_match_closure():
@@ -236,6 +265,19 @@ def test_free_action_subgroups_match_closure():
             assert sub.contains(e)
         outside = a if a not in elems else perms[2]
         assert sub.contains(outside) == (outside in elems)
+
+
+def test_contains_is_exact_on_a_regular_action():
+    # on a regular action, the point 0 is sent to names one candidate
+    # element; a permutation that is not that element is not in the group
+    pres = family_presentation("P", 1)
+    t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
+    g = PermGroup(t.permutation_rep(), known_order=t.degree)
+    a, b, c = g.generators
+    swap = Permutation.from_cycles(t.degree, (5, 6))  # fixes point 0
+    assert g.contains(a * b) and g.subgroup([a, b]).contains(a * b)
+    assert not g.contains(swap) and not g.contains(a * b * swap)
+    assert not g.subgroup([a, b]).contains(a * b * swap)
 
 
 def test_mirror_on_abelianized_rotation_quotient():
@@ -279,19 +321,36 @@ def test_mirror_on_abelianized_rotation_quotient():
     assert all(in_lattice(v) for v in mapped)
 
 
-def test_regular_points_follow_elements():
-    # cyclic group of order 6 on 6 points: regular, both as a chain and as a
-    # free subgroup handle
+def test_right_action_follows_elements():
+    # element k times s is element right_action(s)[k], on a regular group
+    # given with its order, on one closed up, and on the 4-simplex rotation
+    # group (A_5 on 5 points), which does not act regularly
+    pres = family_presentation("P", 1)
+    t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
+    perms = t.permutation_rep()
     c6 = Permutation.from_cycles(6, (1, 2, 3, 4, 5, 6))
-    for g in (PermGroup([c6]), PermGroup([c6]).subgroup([c6])):
-        pts = g.regular_points()
-        assert sorted(pts.tolist()) == list(range(6))
-        base = int(pts[0])
-        assert [int(e.images[base]) for e in g.elements()] == pts.tolist()
-    # S_3 on 3 points is transitive but not regular; the square of the
-    # 6-cycle generates a free subgroup that is not transitive
+    s1, s2, s3 = (Permutation.from_cycles(5, (1, 2, 3)),
+                  Permutation.from_cycles(5, (2, 3, 4)),
+                  Permutation.from_cycles(5, (3, 4, 5)))
+    for g, extra in ((PermGroup(perms, known_order=t.degree), perms[0] * perms[2]),
+                     (PermGroup([c6]), c6 ** 3),
+                     (PermGroup([s1, s2, s3]), s1 * s3)):
+        elems = g.elements()
+        assert elems[0].is_identity()
+        for s in g.generators + (extra,):
+            act = g.right_action(s)
+            assert all(elems[int(act[k])] == e * s for k, e in enumerate(elems))
+
+
+def test_is_regular_needs_the_whole_orbit():
+    c6 = Permutation.from_cycles(6, (1, 2, 3, 4, 5, 6))
+    assert PermGroup([c6]).is_regular()
+    assert PermGroup([c6]).subgroup([c6]).is_regular()
+    assert PermGroup([c6], known_order=6).is_regular()
+    # order 3 on 6 points: not transitive
+    assert not PermGroup([c6]).subgroup([c6 * c6]).is_regular()
+    assert not PermGroup([c6], known_order=6).subgroup([c6 * c6]).is_regular()
+    # S_3 on 3 points is transitive but not regular
     s3 = PermGroup([Permutation.from_cycles(3, (1, 2)),
                     Permutation.from_cycles(3, (1, 2, 3))])
-    assert s3.regular_points() is None
-    free = PermGroup([c6]).subgroup([c6 * c6])
-    assert free.regular_points() is None
+    assert not s3.is_regular()

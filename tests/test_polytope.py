@@ -14,6 +14,7 @@ from chiral444.polytope import (RotationTriple, TripleError,
                                 stabilizer_generators,
                                 validate_rotation_triple, verify_axioms)
 from chiral444.words import parse_presentation
+from test_perms import closure
 
 
 def test_validate_family_members():
@@ -46,16 +47,49 @@ def test_intersection_condition_h1_and_g2():
     assert intersection_condition(member_triple("P", 2))
 
 
+def degenerate_triple() -> RotationTriple:
+    """All three sigmas equal to the square of a 4-cycle, a group of order 2."""
+    g4 = Permutation.from_cycles(4, (1, 2, 3, 4))
+    s = g4 * g4
+    text = "gens s1,s2,s3; rels s1^2, s2^2, s3^2, (s1*s2)^2, (s2*s3)^2, (s1*s2*s3)^2;"
+    return RotationTriple(PermGroup([s]), (s, s, s), parse_presentation(text))
+
+
 def test_intersection_condition_degenerate_containment():
     # in the cyclic group of order 4 take all three sigmas equal to the
     # square: <s1> is contained in <s2,s3> nontrivially, so the condition fails
-    g4 = Permutation.from_cycles(4, (1, 2, 3, 4))
-    s = g4 * g4
-    group = PermGroup([s])
-    text = "gens s1,s2,s3; rels s1^2, s2^2, s3^2, (s1*s2)^2, (s2*s3)^2, (s1*s2*s3)^2;"
-    trip = RotationTriple(group, (s, s, s), parse_presentation(text))
-    assert validate_rotation_triple(group, trip.sigma).as_tuple() == (2, 2, 2)
+    trip = degenerate_triple()
+    assert validate_rotation_triple(trip.group, trip.sigma).as_tuple() == (2, 2, 2)
     assert not intersection_condition(trip)
+
+
+@pytest.mark.parametrize("name, holds", [("P1", False), ("Q1", True),
+                                         ("simplex", True), ("degenerate", False)])
+def test_engine_subgroups_match_closure(name, holds):
+    # subgroup orders, the three intersections and the condition, against
+    # brute-force closures of the generators
+    t = {"P1": lambda: member_triple("P", 1), "Q1": lambda: member_triple("Q", 1),
+         "simplex": simplex_triple, "degenerate": degenerate_triple}[name]()
+    s1, s2, s3 = t.sigma
+    gens = {"1": [s1], "2": [s2], "3": [s3], "12": [s1, s2], "23": [s2, s3]}
+    subs = {k: t.group.subgroup(v) for k, v in gens.items()}
+    ref = {k: closure(v) for k, v in gens.items()}
+    for k in gens:
+        assert subs[k].order() == len(ref[k])
+    for a, b in (("1", "23"), ("12", "3"), ("12", "23")):
+        assert subs[a].intersection_order(subs[b]) == len(ref[a] & ref[b])
+    expected = (len(ref["1"] & ref["23"]) == 1 and len(ref["12"] & ref["3"]) == 1
+                and ref["12"] & ref["23"] == ref["2"])
+    assert intersection_condition(t) == expected == holds
+
+
+def test_intersection_condition_cap():
+    # Q, m = 1: |<s1>| = |<s3>| = 4, and <s1,s2>, <s2,s3> are larger
+    t = member_triple("Q", 1)
+    assert intersection_condition(t, cap=t.group.subgroup(t.sigma[:2]).order())
+    for cap in (3, 10):
+        with pytest.raises(ValueError, match="intersection cap"):
+            intersection_condition(t, cap=cap)
 
 
 def test_quotient_criterion_identity_and_collapse():
