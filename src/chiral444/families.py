@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
-from .perms import PermGroup, Permutation, evaluate, orbit
+from .perms import PermGroup, Permutation, evaluate
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
                        chirality_verdict, intersection_condition,
                        quotient_criterion, validate_rotation_triple,
@@ -365,16 +365,6 @@ def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> list[np.ndarray]
     return images
 
 
-def _word_image(w: Word, images: Sequence[Permutation]) -> Permutation:
-    """``evaluate(w, images)``, taken as a power of the shortest root of w,
-    so that a family relator (u)^(4m) costs O(log m) compositions."""
-    letters = w.letters
-    n = len(letters)
-    p = next(p for p in range(1, n + 1)
-             if n % p == 0 and letters[:p] * (n // p) == letters)
-    return evaluate(Word(letters[:p]), images) ** (n // p)
-
-
 _voltage_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _conjugation_proved: set[tuple[str, int]] = set()
 
@@ -388,17 +378,20 @@ def _prove_conjugation(family: str, cap: int):
     _conjugation_proved.add((family, cap))
 
 
-def _certify_cover(pres: Presentation, sigma: Sequence[Permutation]):
+def _certify_cover(pres: Presentation, sigma: Sequence[Permutation]) -> PermGroup:
     """The lower half of a cover certificate: ``sigma`` satisfies every
     relator of ``pres`` and acts transitively, so the presented group has at
-    least as many elements as the action has points."""
+    least as many elements as the action has points.  Returns the group of
+    ``sigma``, given the degree as its order; the transitivity BFS also
+    numbers its elements."""
     for r in pres.relators:
-        if not _word_image(r, sigma).is_identity():
+        if not evaluate(r, sigma).is_identity():
             raise VerificationError("cover", f"relator {pres.word_str(r)} fails "
                                              f"on the cover of degree {sigma[0].degree}")
-    degree = sigma[0].degree
-    if orbit([p.images for p in sigma], degree).order.shape[0] != degree:
+    group = PermGroup(sigma, known_order=sigma[0].degree)
+    if not group.is_transitive():
         raise VerificationError("cover", "the cover action is not transitive")
+    return group
 
 
 def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> RotationTriple:
@@ -439,14 +432,7 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
         cover = base, _voltages(family, base)
         _voltage_cache[key] = cover
     sigma = tuple(Permutation(img) for img in _cover_images(*cover, m))
-    _certify_cover(pres, sigma)
-    order = ref.group.order() * m * m
-    group = PermGroup(sigma, known_order=order)
-    # built here rather than on first use, so that the member's construction
-    # cost stays in this function and not in the first stage that asks
-    if group.order() != order:
-        raise VerificationError("action", "cover order mismatch")
-    return RotationTriple(group, sigma, pres)
+    return RotationTriple(_certify_cover(pres, sigma), sigma, pres)
 
 
 def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> MemberReport:
@@ -467,8 +453,8 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     qc = quotient_criterion(triple, ref, cap=opts.intersection_cap)
     timer.lap("quotient_criterion")
 
-    solvable = triple.group.is_solvable()
     dlength = triple.group.derived_length()
+    solvable = dlength is not None
     timer.lap("solvability")
 
     verdict = chirality_verdict(triple, preferred_witness=mirror_witness_relator())

@@ -101,35 +101,51 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Permutation.identity(self.degree) if result is None else result
 
     def is_identity(self) -> bool:
         return bool((self.images == _arange(self.degree)).all())
 
     def order(self) -> int:
-        """Least n >= 1 with p**n the identity (lcm of cycle lengths)."""
+        """Least n >= 1 with p**n the identity: the lcm of the cycle lengths.
+
+        First point 0's cycle is walked for at most 64 steps.  If it closes
+        after L steps and p**L, taken by repeated squaring, is the identity,
+        the order is L: it divides L and is a multiple of that cycle's length.
+        On a regular action every cycle has one length, so this settles every
+        element of order at most 64 of the groups here in a few compositions.
+
+        Otherwise each point is labelled with the smallest point of its cycle
+        by pointer doubling: after round j, ``lab[x]`` is the least of x,
+        p(x), ..., p^(2^j - 1)(x) and ``q`` is p^(2^j).  When a round changes
+        no label, every label is its cycle's minimum (along x, q(x), q(q(x)),
+        ... the labels cannot rise without coming back down), so the rounds
+        number about log2 of the longest cycle, each a numpy pass over the
+        points.  The cycle lengths are the label counts.
+        """
         img = self.images
-        n = img.shape[0]
-        seen = np.zeros(n, dtype=bool)
-        result = 1
-        for i in range(n):
-            if seen[i] or img[i] == i:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = img[j]
-                length += 1
-            result = math.lcm(result, length)
-        return result
+        x, length = int(img[0]), 1
+        while x != 0 and length < 64:
+            x, length = int(img[x]), length + 1
+        if x == 0 and (self ** length).is_identity():
+            return length
+        lab = _arange(self.degree)
+        q = img
+        while True:
+            new = np.minimum(lab, lab[q])
+            if np.array_equal(new, lab):
+                break
+            lab, q = new, q[q]
+        lengths = np.bincount(lab)
+        return math.lcm(*np.unique(lengths[lengths > 0]).tolist())
 
     def moved_point(self) -> int | None:
         """Smallest 0-based point moved, or None for the identity."""
@@ -173,21 +189,37 @@ class Permutation:
         return f"Permutation[{self.degree}] {self}"
 
 
+def _product(factors: Sequence[Permutation]) -> Permutation:
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = acc * f
+    return acc
+
+
 def perm_commutator(p: Permutation, q: Permutation) -> Permutation:
     return p.inverse() * q.inverse() * p * q
 
 
 def evaluate(w: Word, images: Sequence[Permutation]) -> Permutation:
-    """Product of generator images along w, left to right."""
+    """Product of generator images along w, left to right.
+
+    A word that is a power u^k of a shorter word, such as a family relator
+    (u)^(4m), is taken as the k-th power of the product along its shortest
+    root u, so that it costs O(log k) compositions.
+    """
     if not images:
         raise ValueError("need at least one generator image")
     degree = images[0].degree
     for p in images:
         if p.degree != degree:
             raise ValueError("degree mismatch among images")
+    letters = w.letters
+    n = len(letters)
+    root = next((r for r in range(1, n // 2 + 1)
+                 if n % r == 0 and letters[:r] * (n // r) == letters), n)
     inv_cache: dict[int, Permutation] = {}
     acc = Permutation.identity(degree)
-    for x in w.letters:
+    for x in letters[:root]:
         i = abs(x) - 1
         if i >= len(images):
             raise ValueError(f"word uses generator index {i} with only {len(images)} images")
@@ -199,7 +231,7 @@ def evaluate(w: Word, images: Sequence[Permutation]) -> Permutation:
                 p = images[i].inverse()
                 inv_cache[i] = p
             acc = acc * p
-    return acc
+    return acc ** (n // root) if root < n else acc
 
 
 def extends_to_homomorphism(pres: Presentation, images: Sequence[Permutation]) -> bool:
@@ -216,6 +248,8 @@ def extends_to_homomorphism(pres: Presentation, images: Sequence[Permutation]) -
 # the most entries (elements x degree) that closing a group up explicitly may hold
 _CLOSURE_CAP = 2 ** 20
 
+_UNSET = object()  # a cached value not computed yet
+
 
 class Orbit(NamedTuple):
     """The orbit of point 0 with its BFS tree; ``parent`` and ``via`` are -1
@@ -227,26 +261,36 @@ class Orbit(NamedTuple):
     via: np.ndarray     # the index of the map that reaches it
 
 
-def orbit(maps: Sequence[np.ndarray], n: int) -> Orbit:
-    """The orbit of point 0 under the image arrays ``maps`` on 0..n-1.
+def orbit(maps: Sequence, n: int) -> Orbit:
+    """The orbit of point 0 under the maps ``maps`` on 0..n-1.
 
-    Points come in the order of a queue BFS: by the position of the point
-    they are reached from, then by map index.  Each frontier is expanded at
-    once: its images, raveled parent-major, keep the first occurrence of each
-    new point.  That is one numpy pass per BFS layer, so an orbit with many
-    layers and few points in each, such as a long cycle, is slow.
+    A map is an image array, or anything indexed like one: ``mp[ks]`` gives
+    the images of the points ks.  Only the BFS frontiers are ever looked up,
+    so a map that computes its images on demand costs O(orbit) rather than
+    O(n).  Points come in the order of a queue BFS: by the position of the
+    point they are reached from, then by map index.  Each frontier is
+    expanded at once: its images, raveled parent-major, keep the first
+    occurrence of each new point, found by a scatter-minimum of positions
+    rather than a sort.  That is a few numpy passes per BFS layer, so an
+    orbit with many layers and few points in each, such as a long cycle, is
+    slow.
     """
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
     parent = np.full(n, -1, dtype=np.int64)
     via = np.full(n, -1, dtype=np.int64)
+    # the first position in its layer's images at which a point is reached;
+    # read only while the point is new, so it is never reset
+    first_at = np.full(n, np.iinfo(np.int64).max)
     layers = [np.zeros(1, dtype=np.int64)]
     k = len(maps)
     while k and layers[-1].size:
         frontier = layers[-1]
         reached = np.stack([mp[frontier] for mp in maps], axis=1).ravel()
         fresh = np.flatnonzero(~mask[reached])
-        first = fresh[np.sort(np.unique(reached[fresh], return_index=True)[1])]
+        cand = reached[fresh]
+        np.minimum.at(first_at, cand, fresh)
+        first = fresh[first_at[cand] == fresh]
         new = reached[first].astype(np.int64)
         mask[new] = True
         parent[new] = frontier[first // k]
@@ -273,35 +317,60 @@ class _RegularAction:
         else:
             self.n = rows.shape[0]
 
-    def locate(self, p: Permutation) -> int | None:
-        """The id of p when p is in the group.  On a regular action this is
-        the id of the only element that can equal p, even when p is not one."""
+    def locate(self, factors: Sequence[Permutation]) -> int | None:
+        """The id of the product of ``factors`` when it is in the group.  On a
+        regular action this is the id of the only element that can equal the
+        product, even when it is not one, and it is found by following point
+        0 through the factors, without forming the product."""
         if self.pts is not None:
-            return int(self.ids[p.images[0]])
-        return self.index.get(p.images.tobytes())
+            x = 0
+            for f in factors:
+                x = f.images[x]
+            return int(self.ids[x])
+        return self.index.get(_product(factors).images.tobytes())
 
-    def right_action(self, p: Permutation) -> np.ndarray:
-        """The map k -> id of (element k) * p, for an element p of the group."""
+    def right_action(self, p: Permutation, ks: np.ndarray | None = None) -> np.ndarray:
+        """The map k -> id of (element k) * p, for an element p of the group,
+        on the ids ``ks`` (on every id when None)."""
         if self.pts is not None:
-            return self.ids[p.images[self.pts]]
+            return self.ids[p.images[self.pts if ks is None else self.pts[ks]]]
+        rows = self.rows if ks is None else self.rows[ks]
         try:
-            return np.array([self.index[r.tobytes()] for r in p.images[self.rows]],
+            return np.array([self.index[r.tobytes()] for r in p.images[rows]],
                             dtype=np.int64)
         except KeyError:
             raise ValueError("the permutation is not in the group") from None
 
 
-def _regular_action(gens: Sequence[Permutation], degree: int,
+class _IdMap:
+    """``right_action(p)`` as an ``orbit`` map, computed on each frontier
+    only, so that a subgroup's orbit costs O(|subgroup|), not O(|group|)."""
+
+    __slots__ = ("act", "p")
+
+    def __init__(self, act: _RegularAction, p: Permutation):
+        self.act, self.p = act, p
+
+    def __getitem__(self, ks: np.ndarray) -> np.ndarray:
+        return self.act.right_action(self.p, ks)
+
+
+def _regular_from_points(pts: Orbit) -> tuple[_RegularAction, Orbit]:
+    """The regular action of a group whose generators' orbit ``pts`` of point
+    0 covers every point and has as many points as the group has elements,
+    and the orbit of id 0 under the generators."""
+    degree = pts.order.shape[0]
+    act = _RegularAction(pts=pts.order)
+    parent = pts.parent[pts.order]
+    parent[1:] = act.ids[parent[1:]]
+    return act, Orbit(np.arange(degree), np.ones(degree, dtype=bool),
+                      parent, pts.via[pts.order])
+
+
+def _closure_action(gens: Sequence[Permutation], degree: int,
                     known_order: int | None) -> tuple[_RegularAction, Orbit]:
-    """The group's regular action, and the orbit of id 0 under its generators."""
-    if known_order == degree:
-        pts = orbit([g.images for g in gens], degree)
-        if pts.order.shape[0] == degree:
-            act = _RegularAction(pts=pts.order)
-            parent = pts.parent[pts.order]
-            parent[1:] = act.ids[parent[1:]]
-            return act, Orbit(np.arange(degree), np.ones(degree, dtype=bool),
-                              parent, pts.via[pts.order])
+    """The regular action of the group generated by ``gens``, closed up
+    element by element, and the orbit of id 0 under the generators."""
     rows: list[np.ndarray] = []
     index: dict[bytes, int] = {}
     parent: list[int] = []
@@ -339,14 +408,16 @@ class PermGroup:
     multiplication.  Every handle on the group, its own and each
     ``subgroup()``, holds the orbit of id 0 under its generators as numpy
     arrays, a mask over the ids and the BFS tree: the order is the orbit's
-    size, membership one lookup in the mask.
+    size, membership one lookup in the mask.  A subgroup's BFS evaluates its
+    generators' id maps on each frontier only.
 
     The regular action is built on the first query, in one of two ways:
 
     - ``known_order`` equals the degree and the generators act transitively:
       ``known_order`` is taken as an externally verified order, so the given
       action is regular, and element k is the one sending point 0 to the
-      k-th point that a BFS from point 0 reaches;
+      k-th point that a BFS from point 0 reaches; that BFS is the one
+      ``is_transitive()`` runs, and it runs once;
     - otherwise the elements are closed up explicitly as image arrays, in BFS
       order from the identity.  This raises ValueError rather than hold more
       than 2**20 entries (elements x degree), and RuntimeError when the group
@@ -373,15 +444,17 @@ class PermGroup:
         self._known_order = known_order
         self._action: _RegularAction | None = None
         self._orbit: Orbit | None = None
+        self._transitive: bool | None = None
+        self._derived_length: int | None | object = _UNSET
 
     def _built(self) -> Orbit:
         if self._orbit is None:
-            if self._action is None:
-                self._action, self._orbit = _regular_action(
-                    self.generators, self.degree, self._known_order)
-            else:
-                self._orbit = orbit([self._action.right_action(g) for g in self.generators],
+            if self._action is not None:
+                self._orbit = orbit([_IdMap(self._action, g) for g in self.generators],
                                     self._action.n)
+            elif not (self._known_order == self.degree and self.is_transitive()):
+                self._action, self._orbit = _closure_action(
+                    self.generators, self.degree, self._known_order)
         return self._orbit
 
     # -- queries -----------------------------------------------------------
@@ -392,12 +465,21 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
+    def is_transitive(self) -> bool:
+        """Whether the generators act transitively on the points.  For a group
+        given with ``known_order`` equal to the degree, the BFS that decides
+        it also builds the regular action."""
+        if self._transitive is None:
+            pts = orbit([g.images for g in self.generators], self.degree)
+            self._transitive = pts.order.shape[0] == self.degree
+            if self._transitive and self._action is None and self._known_order == self.degree:
+                self._action, self._orbit = _regular_from_points(pts)
+        return self._transitive
+
     def is_regular(self) -> bool:
         """Regular action: transitive on the points, with trivial point
         stabilizers."""
-        return (self.order() == self.degree
-                and orbit([g.images for g in self.generators],
-                          self.degree).order.shape[0] == self.degree)
+        return self.order() == self.degree and self.is_transitive()
 
     def subgroup(self, generators: Iterable[Permutation]) -> "PermGroup":
         """The subgroup generated by ``generators``, which must be elements of
@@ -428,7 +510,7 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         orb = self._built()
-        k = self._action.locate(p)
+        k = self._action.locate((p,))
         return k is not None and bool(orb.mask[k]) and self._element(k) == p
 
     def _element(self, k: int) -> Permutation:
@@ -459,21 +541,24 @@ class PermGroup:
     def derived_subgroup(self) -> "PermGroup":
         """Normal closure of generator commutators within this group."""
         gens = self.generators
-        return self._normal_closure([perm_commutator(a, b) for i, a in enumerate(gens)
-                                     for b in gens[i + 1:]])
+        inv = [g.inverse() for g in gens]
+        return self._normal_closure([(inv[i], inv[j], a, b) for i, a in enumerate(gens)
+                                     for j, b in enumerate(gens) if i < j], inv)
 
-    def _normal_closure(self, seeds: Sequence[Permutation]) -> "PermGroup":
-        """The smallest subgroup that contains ``seeds`` and is normalized by
-        this group's generators; a conjugate lies in it iff its id is in its
-        mask."""
-        conj = [(g.inverse(), g) for g in self.generators]
+    def _normal_closure(self, seeds: Sequence[Sequence[Permutation]],
+                        inv: Sequence[Permutation]) -> "PermGroup":
+        """The smallest subgroup that contains the products of the factor
+        tuples ``seeds`` and is normalized by this group's generators, whose
+        inverses are ``inv``.  A product lies in it iff its id is in its
+        mask, so a product is formed only when it joins the generators."""
         closure = self.subgroup(())
         queue = list(seeds)
-        for s in queue:  # a queue: the conjugates of each new generator join it
-            if closure._built().mask[self._action.locate(s)]:
+        for factors in queue:  # a queue: the conjugates of each new generator join it
+            if closure._built().mask[self._action.locate(factors)]:
                 continue
+            s = _product(factors)
             closure = self.subgroup(closure.generators + (s,))
-            queue.extend(ginv * s * g for ginv, g in conj)
+            queue.extend((ginv, s, g) for ginv, g in zip(inv, self.generators))
         return closure
 
     def derived_series(self) -> list["PermGroup"]:
@@ -493,16 +578,15 @@ class PermGroup:
         return series
 
     def is_solvable(self) -> bool:
-        if self.order() == 1:
-            return True
-        series = self.derived_series()
-        return series[-1].order() == 1
+        return self.derived_length() is not None
 
     def derived_length(self) -> int | None:
-        """Smallest n with the n-th derived subgroup trivial, else None."""
-        if self.order() == 1:
-            return 0
-        series = self.derived_series()
-        if series[-1].order() != 1:
-            return None
-        return len(series)
+        """Smallest n with the n-th derived subgroup trivial, else None.
+        The derived series behind it is built once per handle."""
+        if self._derived_length is _UNSET:
+            if self.order() == 1:
+                self._derived_length = 0
+            else:
+                series = self.derived_series()
+                self._derived_length = len(series) if series[-1].order() == 1 else None
+        return self._derived_length

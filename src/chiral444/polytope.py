@@ -70,7 +70,9 @@ def validate_rotation_triple(group: PermGroup,
     orders = (s1.order(), s2.order(), s3.order())
     if min(orders) < 2:
         raise TripleError(f"generator orders {orders} must all be at least 2")
-    if group.subgroup(sigma).order() != group.order():
+    # a group built on the triple itself is generated by it
+    if (tuple(sigma) != group.generators
+            and group.subgroup(sigma).order() != group.order()):
         raise TripleError("the triple does not generate the group")
     return SchlafliType(*orders)
 

@@ -8,6 +8,7 @@ by unit pivots first so only a small dense core reaches the cubic algorithm.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -347,20 +348,25 @@ def abelian_invariants(p: Presentation | SubgroupPresentation) -> tuple[int, ...
         for c in vec:
             col_rows.setdefault(c, set()).add(rid)
 
-    # peel unit pivots: unimodular moves that split off invariant factor 1
+    # peel unit pivots: unimodular moves that split off invariant factor 1.
+    # The pivot row is the shortest row with a unit entry, ties to the lower
+    # row id, taken from a heap of (length, row id) entries: a row is pushed
+    # again whenever it changes, and an entry whose length is stale, whose
+    # row is gone or has no unit entry is dropped when popped (a row without
+    # one only gains one by changing, which pushes it again).
     units = 0
-    removed_cols: set[int] = set()
-    while True:
-        pivot = None
-        for rid in sorted(rows, key=lambda r: (len(rows[r]), r)):
-            unit_cols = sorted(c for c, val in rows[rid].items() if abs(val) == 1)
-            if unit_cols:
-                pivot = (rid, unit_cols[0])
-                break
-        if pivot is None:
-            break
-        prid, pc = pivot
-        prow = rows.pop(prid)
+    heap = [(len(vec), rid) for rid, vec in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        length, prid = heapq.heappop(heap)
+        prow = rows.get(prid)
+        if prow is None or len(prow) != length:
+            continue
+        unit_cols = [c for c, val in prow.items() if abs(val) == 1]
+        if not unit_cols:
+            continue
+        pc = min(unit_cols)
+        del rows[prid]
         sign = prow[pc]
         for c in prow:
             col_rows[c].discard(prid)
@@ -375,9 +381,10 @@ def abelian_invariants(p: Presentation | SubgroupPresentation) -> tuple[int, ...
                 else:
                     row.pop(c, None)
                     col_rows.get(c, set()).discard(rid)
-            if not row:
+            if row:
+                heapq.heappush(heap, (len(row), rid))
+            else:
                 del rows[rid]
-        removed_cols.add(pc)
         units += 1
 
     live_cols = sorted(set().union(*rows.values()) if rows else set())

@@ -66,6 +66,69 @@ def test_element_order():
     assert p.order() == 6
 
 
+def loop_order(p: Permutation) -> int:
+    """The lcm of the cycle lengths, walking every cycle point by point; the
+    oracle for ``Permutation.order``."""
+    img = p.images
+    seen = np.zeros(p.degree, dtype=bool)
+    result = 1
+    for i in range(p.degree):
+        if seen[i] or img[i] == i:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = img[j]
+            length += 1
+        result = math.lcm(result, length)
+    return result
+
+
+def _from_cycle_lengths(lengths, rng):
+    """A permutation with the given cycle lengths on shuffled points."""
+    pts = list(range(1, sum(lengths) + 1))
+    rng.shuffle(pts)
+    cycles, at = [], 0
+    for n in lengths:
+        cycles.append(tuple(pts[at:at + n]))
+        at += n
+    return Permutation.from_cycles(len(pts), *(c for c in cycles if len(c) > 1))
+
+
+def test_order_matches_the_cycle_loop():
+    rng = random.Random(5)
+    cases = [Permutation.identity(5), Permutation.identity(1),
+             Permutation(np.roll(np.arange(2 ** 16), 1)),
+             _from_cycle_lengths([3, 5, 7], rng),
+             Permutation.from_cycles(15, (1, 2, 3), (4, 5, 6, 7, 8),
+                                     (9, 10, 11, 12, 13, 14, 15)),
+             # point 0 on a 2-cycle, so 2 is not the order
+             Permutation.from_cycles(6, (1, 2), (3, 4, 5, 6)),
+             # point 0 fixed
+             Permutation.from_cycles(4, (2, 3, 4)),
+             # point 0 on a cycle longer than the walk
+             _from_cycle_lengths([100, 1, 2], rng)]
+    for _ in range(200):
+        lengths = [rng.choice([1, 1, 2, 3, 4, 5, 6, 8, 9, 70]) for _ in range(rng.randrange(1, 8))]
+        cases.append(_from_cycle_lengths(lengths, rng))
+    for _ in range(50):
+        n = rng.randrange(1, 300)
+        cases.append(Permutation(rng.sample(range(n), n)))
+    # elements of a regular action, where every cycle has one length
+    a, b, c = family_presentation_images()
+    cases += [a, a * b, a * c, b * c * c, a * b * c * a]
+    for p in cases:
+        assert p.order() == loop_order(p)
+    assert _from_cycle_lengths([3, 5, 7], rng).order() == 105
+    assert Permutation(np.roll(np.arange(2 ** 16), 1)).order() == 2 ** 16
+
+
+def family_presentation_images():
+    pres = family_presentation("P", 1)
+    return enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch")).permutation_rep()
+
+
 def test_build_chain_s3():
     g = PermGroup([Permutation.from_cycles(3, (1, 2)),
                    Permutation.from_cycles(3, (1, 2, 3))])
@@ -157,6 +220,18 @@ def test_derived_series_128_group_solvable():
     assert d.order() * math.prod(ab) == 128
 
 
+def test_is_solvable_is_derived_length_not_none():
+    a5 = PermGroup([Permutation.from_cycles(5, (1, 2, 3)),
+                    Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
+    s4 = PermGroup([Permutation.from_cycles(4, (1, 2)),
+                    Permutation.from_cycles(4, (1, 2, 3, 4))])
+    p1 = PermGroup(family_presentation_images(), known_order=1024)
+    for g, length in ((a5, None), (s4, 3), (p1, p1.derived_length())):
+        assert g.derived_length() == length
+        assert g.is_solvable() == (g.derived_length() is not None)
+    assert p1.is_solvable() and p1.derived_length() == len(p1.derived_series())
+
+
 def test_derived_length_monotone_under_quotient():
     from chiral444.families import member_triple
     l1 = member_triple("P", 1).group.derived_length()
@@ -180,6 +255,28 @@ def test_evaluate_is_homomorphism_randomized():
         w1 = Word([rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(8))])
         w2 = Word([rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(8))])
         assert evaluate(w1 * w2, gens) == evaluate(w1, gens) * evaluate(w2, gens)
+
+
+def test_evaluate_powers_match_letter_by_letter():
+    # words that are powers of a shorter root take the root's power; the
+    # result is the same product as composing letter by letter
+    gens = [Permutation.from_cycles(7, (1, 2, 3, 4, 5, 6, 7)),
+            Permutation.from_cycles(7, (1, 2), (3, 5)),
+            Permutation.from_cycles(7, (2, 4, 6))]
+    rng = random.Random(13)
+    words = [Word(()), Word((1,)), Word((-2,)), Word((1, 1, 1, 1)),
+             Word((1, -3) * 6), Word((2, 3, -1) * 5), Word((1, 2) * 3 + (1,)),
+             Word((3, 1, 3, 1, 3))]
+    for _ in range(60):
+        root = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randrange(1, 5))]
+        words.append(Word(root * rng.randrange(1, 9)))
+    for w in words:
+        expected = Permutation.identity(7)
+        for x in w.letters:
+            g = gens[abs(x) - 1]
+            expected = expected * (g if x > 0 else g.inverse())
+        assert evaluate(w, gens) == expected
+    assert evaluate(Word(()), gens).is_identity()
 
 
 def test_relators_evaluate_to_identity():

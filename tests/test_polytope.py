@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
+
 import pytest
 
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import (member_triple, mirror_witness_relator,
                                 reference_triple)
-from chiral444.perms import PermGroup, Permutation
+from chiral444.perms import PermGroup, Permutation, orbit
 from chiral444.polytope import (RotationTriple, TripleError,
                                 build_coset_geometry, chirality_verdict,
                                 coset_geometry_from_subgroups, enantiomorph,
@@ -81,6 +83,23 @@ def test_engine_subgroups_match_closure(name, holds):
     expected = (len(ref["1"] & ref["23"]) == 1 and len(ref["12"] & ref["3"]) == 1
                 and ref["12"] & ref["23"] == ref["2"])
     assert intersection_condition(t) == expected == holds
+
+
+@pytest.mark.parametrize("name", ["P1", "Q1", "simplex", "degenerate"])
+def test_frontier_orbits_match_full_maps(name):
+    # a subgroup handle evaluates its id maps on each BFS frontier only; its
+    # orbit equals the one under the full right_action maps, and its order
+    # the brute-force closure's
+    t = {"P1": lambda: member_triple("P", 1), "Q1": lambda: member_triple("Q", 1),
+         "simplex": simplex_triple, "degenerate": degenerate_triple}[name]()
+    g = t.group
+    s1, s2, s3 = t.sigma
+    for gens in ([s1], [s2], [s3], [s1, s2], [s2, s3], [s1 * s2, s3], [s1, s2 * s3]):
+        sub = g.subgroup(gens)
+        full = orbit([g.right_action(s) for s in sub.generators], g.order())
+        assert np.array_equal(sub._built().mask, full.mask)
+        assert np.array_equal(sub._built().order, full.order)
+        assert sub.order() == len(closure(gens))
 
 
 def test_intersection_condition_cap():

@@ -123,6 +123,30 @@ def test_abelian_invariants_klein():
     assert abelian_invariants(p) == (2, 2)
 
 
+def test_abelian_invariants_match_smith_normal_form():
+    # relators with the exponent sums of a random integer matrix's rows, so
+    # that the invariant factors are the nonzero Smith diagonal (without
+    # the 1s) and one 0 per generator beyond the rank; unit entries are
+    # common, so the unit-pivot peeling runs before the dense core
+    rng = random.Random(31)
+    for _ in range(300):
+        nrows, ngens = rng.randrange(1, 7), rng.randrange(1, 6)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 1, 2, -2, 3, 4, -6])
+                 for _ in range(ngens)] for _ in range(nrows)]
+        relators = []
+        for row in rows:
+            letters = [(i + 1) * (1 if v > 0 else -1) for i, v in enumerate(row)
+                       for _ in range(abs(v))]
+            rng.shuffle(letters)
+            if letters:  # a zero row adds no relator and no Smith factor
+                relators.append(Word(letters))
+        _, d, _ = smith_normal_form(IntMatrix(rows))
+        diag = [x for x in d.diagonal() if x]
+        expected = tuple(x for x in diag if x > 1) + (0,) * (ngens - len(diag))
+        names = [f"g{i}" for i in range(ngens)]
+        assert abelian_invariants(Presentation(names, relators)) == expected, rows
+
+
 def test_abelian_invariants_free_group():
     p = parse_presentation("gens a,b;")
     assert abelian_invariants(p) == (0, 0)
