@@ -383,7 +383,10 @@ def _certify_cover(pres: Presentation, sigma: Sequence[Permutation]) -> PermGrou
     relator of ``pres`` and acts transitively, so the presented group has at
     least as many elements as the action has points.  Returns the group of
     ``sigma``, given the degree as its order; the transitivity BFS also
-    numbers its elements."""
+    numbers its elements.  The relators are evaluated as whole
+    permutations, not followed on id 0 (``PermGroup.word_id``): that rule
+    reads one point of a product, so it holds only in a group already known
+    to act regularly, and this certificate is part of what shows that."""
     for r in pres.relators:
         if not evaluate(r, sigma).is_identity():
             raise VerificationError("cover", f"relator {pres.word_str(r)} fails "

@@ -9,17 +9,31 @@ A ``PermGroup`` is handled through its right-regular action on element ids,
 and each subgroup as the orbit of id 0 (the identity) under its generators:
 in a regular action the orbit of a point is in bijection with the group, so
 order and membership are orbit bookkeeping, and no stabilizer chain is
-built.  ``orbit`` is the one BFS behind every orbit.
+built.  ``orbit`` is the one search behind every orbit: a BFS, or under a
+single map the cycle through point 0.  An orbit's arrays are sized to the
+orbit, apart from its mask over the group's ids.
+
+Once the action is built, a word whose images are elements of the group is
+decided on id 0: followed through the action letter by letter, it is the
+identity iff it brings id 0 back to 0, and its order is the length of id 0's
+cycle (``PermGroup.word_id``, ``PermGroup.word_order``).  No product of the
+full degree is formed.  The rule needs the images to be elements of a group
+acting regularly, since it reads one point of the product; so
+``families._certify_cover``, which is what shows a cover to be such a group,
+evaluates its relators on whole permutations (``evaluate``).  The normal
+closures behind the derived series keep their generators as words in the
+group's generators and grow one orbit as generators join.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .words import Presentation, Word
+from .words import Presentation, Word, commutator
 
 _ARANGES: dict[int, np.ndarray] = {}
 
@@ -189,15 +203,17 @@ class Permutation:
         return f"Permutation[{self.degree}] {self}"
 
 
-def _product(factors: Sequence[Permutation]) -> Permutation:
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc * f
-    return acc
-
-
 def perm_commutator(p: Permutation, q: Permutation) -> Permutation:
     return p.inverse() * q.inverse() * p * q
+
+
+def _root(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The shortest u with ``letters`` = u^k, and k (u is the empty word and
+    k is 1 for the empty word)."""
+    n = len(letters)
+    r = next((r for r in range(1, n // 2 + 1)
+              if n % r == 0 and letters[:r] * (n // r) == letters), n)
+    return letters[:r], (n // r if n else 1)
 
 
 def evaluate(w: Word, images: Sequence[Permutation]) -> Permutation:
@@ -213,13 +229,10 @@ def evaluate(w: Word, images: Sequence[Permutation]) -> Permutation:
     for p in images:
         if p.degree != degree:
             raise ValueError("degree mismatch among images")
-    letters = w.letters
-    n = len(letters)
-    root = next((r for r in range(1, n // 2 + 1)
-                 if n % r == 0 and letters[:r] * (n // r) == letters), n)
+    root, k = _root(w.letters)
     inv_cache: dict[int, Permutation] = {}
     acc = Permutation.identity(degree)
-    for x in letters[:root]:
+    for x in root:
         i = abs(x) - 1
         if i >= len(images):
             raise ValueError(f"word uses generator index {i} with only {len(images)} images")
@@ -231,7 +244,7 @@ def evaluate(w: Word, images: Sequence[Permutation]) -> Permutation:
                 p = images[i].inverse()
                 inv_cache[i] = p
             acc = acc * p
-    return acc ** (n // root) if root < n else acc
+    return acc ** k if k > 1 else acc
 
 
 def extends_to_homomorphism(pres: Presentation, images: Sequence[Permutation]) -> bool:
@@ -248,55 +261,129 @@ def extends_to_homomorphism(pres: Presentation, images: Sequence[Permutation]) -
 # the most entries (elements x degree) that closing a group up explicitly may hold
 _CLOSURE_CAP = 2 ** 20
 
+# the longest cycle walked a point at a time: by ``orbit`` for a single map,
+# and to invert a letter by stepping forward along its cycles
+_WALK = 64
+
 _UNSET = object()  # a cached value not computed yet
+_FAR = np.iinfo(np.int64).max  # beyond every position in a BFS layer
 
 
 class Orbit(NamedTuple):
-    """The orbit of point 0 with its BFS tree; ``parent`` and ``via`` are -1
-    at point 0 and off the orbit."""
+    """The orbit of point 0 with its BFS tree.  Every array but ``mask`` has
+    one entry per orbit point, in the order the BFS reaches them, and
+    ``parent`` and ``via`` are -1 at point 0."""
 
-    order: np.ndarray   # the orbit's points, in the order the BFS reaches them
-    mask: np.ndarray    # whether each point is in the orbit
-    parent: np.ndarray  # the point each point is reached from
-    via: np.ndarray     # the index of the map that reaches it
+    order: np.ndarray   # int32: the orbit's points
+    mask: np.ndarray    # bool, one per point of the action: whether it is in the orbit
+    parent: np.ndarray  # int32: the position in ``order`` of the point each is reached from
+    via: np.ndarray     # int32: the index of the map that reaches it
+
+
+def _trivial_orbit(n: int) -> Orbit:
+    mask = np.zeros(n, dtype=bool)
+    mask[0] = True
+    none = np.full(1, -1, dtype=np.int32)
+    return Orbit(np.zeros(1, dtype=np.int32), mask, none, none)
 
 
 def orbit(maps: Sequence, n: int) -> Orbit:
     """The orbit of point 0 under the maps ``maps`` on 0..n-1.
 
     A map is an image array, or anything indexed like one: ``mp[ks]`` gives
-    the images of the points ks.  Only the BFS frontiers are ever looked up,
-    so a map that computes its images on demand costs O(orbit) rather than
-    O(n).  Points come in the order of a queue BFS: by the position of the
-    point they are reached from, then by map index.  Each frontier is
-    expanded at once: its images, raveled parent-major, keep the first
-    occurrence of each new point, found by a scatter-minimum of positions
-    rather than a sort.  That is a few numpy passes per BFS layer, so an
-    orbit with many layers and few points in each, such as a long cycle, is
-    slow.
+    the images of the points ks.  Points come in the order of a queue BFS: by
+    the position of the point they are reached from, then by map index.
+
+    Under several maps the BFS looks up only its frontiers (``_bfs``), so a
+    map that computes its images on demand costs O(orbit) rather than O(n).
+    Under one map the orbit is the cycle through point 0, which a BFS would
+    reach one point per layer; it is followed a point at a time for up to 64
+    steps, and past that by pointer doubling on the map's full image array:
+    with the first L points of the cycle known and q = map^L, the next L are
+    q of them, and q^2 is q[q].  That is about log2 of the cycle's length
+    numpy passes over the n points.
     """
+    if len(maps) != 1:
+        return _bfs(_trivial_orbit(n), maps, 0)
+    mp = maps[0]
+    pts = [0]
+    while len(pts) <= _WALK:
+        x = int(mp[np.array(pts[-1:], dtype=np.intp)][0])
+        if x == 0:
+            break
+        pts.append(x)
+    if x == 0:
+        cyc = np.array(pts, dtype=np.int32)
+    else:
+        step = np.asarray(mp[_arange(n)])
+        cyc = np.zeros(1, dtype=np.int32)
+        while True:
+            nxt = step[cyc]
+            back = np.flatnonzero(nxt == 0)
+            if back.size:
+                cyc = np.concatenate([cyc, nxt[:back[0]]]).astype(np.int32)
+                break
+            cyc = np.concatenate([cyc, nxt])
+            step = step[step]
     mask = np.zeros(n, dtype=bool)
-    mask[0] = True
-    parent = np.full(n, -1, dtype=np.int64)
-    via = np.full(n, -1, dtype=np.int64)
-    # the first position in its layer's images at which a point is reached;
-    # read only while the point is new, so it is never reset
-    first_at = np.full(n, np.iinfo(np.int64).max)
-    layers = [np.zeros(1, dtype=np.int64)]
-    k = len(maps)
-    while k and layers[-1].size:
-        frontier = layers[-1]
-        reached = np.stack([mp[frontier] for mp in maps], axis=1).ravel()
+    mask[cyc] = True
+    parent = np.arange(-1, cyc.shape[0] - 1, dtype=np.int32)
+    via = np.zeros(cyc.shape[0], dtype=np.int32)
+    via[0] = -1
+    return Orbit(cyc, mask, parent, via)
+
+
+def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
+    """Grow ``orb``, an orbit of point 0 closed under the maps before index
+    ``first`` of ``maps``, into the orbit under all of them.
+
+    The points of orb are expanded by the maps from ``first`` on, and every
+    point that brings in by all the maps, in queue BFS order.  orb's mask is
+    updated in place and becomes the result's.  Each frontier is expanded at
+    once: its images, raveled point-major, keep the first occurrence of each
+    new point, found by a scatter-minimum of positions into a scratch array
+    that is written only at the new points (so it is never initialised, and
+    touches O(orbit) of its pages).  That is a few numpy passes per BFS
+    layer; a layer keeps only the raveled positions of its new points, and
+    the parents and maps they name are worked out once at the end.
+    """
+    mask = orb.mask
+    first_at = np.empty(mask.shape[0], dtype=np.int64)
+    order, keys = [orb.order], []
+    frontier, base, k = orb.order, 0, len(maps) - first
+    while frontier.size and k:
+        reached = np.stack([mp[frontier] for mp in maps[-k:]], axis=1).ravel()
         fresh = np.flatnonzero(~mask[reached])
         cand = reached[fresh]
+        first_at[cand] = _FAR
         np.minimum.at(first_at, cand, fresh)
-        first = fresh[first_at[cand] == fresh]
-        new = reached[first].astype(np.int64)
+        hit = fresh[first_at[cand] == fresh]
+        new = reached[hit].astype(np.intp, copy=False)  # see _RegularAction
         mask[new] = True
-        parent[new] = frontier[first // k]
-        via[new] = first % k
-        layers.append(new)
-    return Orbit(np.concatenate(layers), mask, parent, via)
+        order.append(new)
+        # position in the images of every point so far: parent * k + map
+        keys.append(hit + base * k)
+        base += frontier.shape[0]
+        frontier, k = new, len(maps)
+    parent, via = [orb.parent], [orb.via]
+    # the first layer's images come from the maps from ``first`` on only
+    for lay, kk, shift in ((keys[:1], len(maps) - first, first),
+                           (keys[1:], len(maps), 0)):
+        if lay:
+            lay = np.concatenate(lay)
+            parent.append((lay // kk).astype(np.int32))
+            via.append((lay % kk + shift).astype(np.int32))
+    return Orbit(np.concatenate(order).astype(np.int32), mask, np.concatenate(parent),
+                 np.concatenate(via))
+
+
+def _cycle_length(img: np.ndarray) -> int | None:
+    """The length of point 0's cycle under ``img`` when it closes within 64
+    steps, else None."""
+    x, length = int(img[0]), 1
+    while x != 0 and length < _WALK:
+        x, length = int(img[x]), length + 1
+    return length if x == 0 else None
 
 
 class _RegularAction:
@@ -305,66 +392,122 @@ class _RegularAction:
     Either the group acts regularly on its points and element k is the one
     sending point 0 to ``pts[k]``, or ``rows[k]`` is the image array of
     element k and ``index`` finds an id from an image array.
+
+    Words are followed on a state that names the element reached so far:
+    the point it sends 0 to, or its image array.  Right multiplication by p
+    takes a state x to ``p.images[x]``.
     """
 
     def __init__(self, pts: np.ndarray | None = None, rows: np.ndarray | None = None,
                  index: dict[bytes, int] | None = None):
-        self.pts, self.rows, self.index = pts, rows, index
+        # intp, as numpy converts any other index array on every lookup
+        self.pts = None if pts is None else pts.astype(np.intp)
+        self.rows, self.index = rows, index
+        # what ``factors`` found about the images it was last given
+        self._images: Sequence[Permutation] | None = None
+        self._orders: dict[int, int | None] = {}
+        self._inverses: dict[int, np.ndarray] = {}
         if pts is not None:
             self.n = pts.shape[0]
-            self.ids = np.empty_like(pts)
-            self.ids[pts] = np.arange(self.n)
+            self.ids = np.empty(self.n, dtype=np.intp)
+            self.ids[self.pts] = np.arange(self.n)
         else:
             self.n = rows.shape[0]
 
-    def locate(self, factors: Sequence[Permutation]) -> int | None:
-        """The id of the product of ``factors`` when it is in the group.  On a
-        regular action this is the id of the only element that can equal the
-        product, even when it is not one, and it is found by following point
-        0 through the factors, without forming the product."""
-        if self.pts is not None:
-            x = 0
-            for f in factors:
-                x = f.images[x]
-            return int(self.ids[x])
-        return self.index.get(_product(factors).images.tobytes())
+    def factors(self, letters: Sequence[int],
+                images: Sequence[Permutation]) -> list[tuple[np.ndarray, int]]:
+        """The word ``letters`` in ``images`` as (image array, times) steps,
+        one per run of a letter and its inverse.
 
-    def right_action(self, p: Permutation, ks: np.ndarray | None = None) -> np.ndarray:
-        """The map k -> id of (element k) * p, for an element p of the group,
-        on the ids ``ks`` (on every id when None)."""
+        On a regular action, when point 0's cycle under a run's image closes
+        after L <= 64 steps, L is the image's order (every cycle of an
+        element of a regular group is as long as its order), so the run's
+        exponent is taken mod L and an inverse letter is L - 1 steps
+        forward.  Otherwise a negative run applies the inverse array, which
+        is formed for it.  Both are kept for the next call on the same
+        ``images`` object, such as a group's generators.
+        """
+        if self._images is not images:
+            self._images, self._orders, self._inverses = images, {}, {}
+        orders, inverses = self._orders, self._inverses
+        steps = []
+        for g, run in itertools.groupby(letters, key=abs):
+            i, e = g - 1, sum(run) // g  # the run's letters are g and -g
+            if i >= len(images):
+                raise ValueError(f"word uses generator index {i} with only "
+                                 f"{len(images)} images")
+            img = images[i].images
+            if i not in orders:
+                orders[i] = self.pts is not None and _cycle_length(img)
+            if orders[i]:
+                e %= orders[i]
+            if e > 0:
+                steps.append((img, e))
+            elif e < 0:
+                if i not in inverses:
+                    inverses[i] = images[i].inverse().images
+                steps.append((inverses[i], -e))
+        return steps
+
+    def start(self):
+        """The identity's state."""
+        return 0 if self.pts is not None else _arange(self.rows.shape[1])
+
+    @staticmethod
+    def follow(steps: Sequence[tuple[np.ndarray, int]], x):
+        """The states that right multiplication by ``steps`` takes the states
+        ``x`` (one state, or a stack of them) to."""
+        for img, times in steps:
+            for _ in range(times):
+                x = img[x]
+        return x
+
+    def at_start(self, x) -> bool:
+        return x == 0 if self.pts is not None else np.array_equal(x, self.start())
+
+    def id_of(self, x) -> int | None:
+        """The id of the element of state x.  On a regular action this is
+        the id of the only element that can be there, even when the
+        product followed is not in the group; otherwise None then."""
         if self.pts is not None:
-            return self.ids[p.images[self.pts if ks is None else self.pts[ks]]]
-        rows = self.rows if ks is None else self.rows[ks]
+            return int(self.ids[x])
+        return self.index.get(x.tobytes())
+
+    def right(self, steps: Sequence[tuple[np.ndarray, int]],
+              ks: np.ndarray | None = None) -> np.ndarray:
+        """The map k -> id of (element k) * (the product of ``steps``), for a
+        product in the group, on the ids ``ks`` (on every id when None)."""
+        if self.pts is not None:
+            return self.ids[self.follow(steps, self.pts if ks is None else self.pts[ks])]
+        rows = self.follow(steps, self.rows if ks is None else self.rows[ks])
         try:
-            return np.array([self.index[r.tobytes()] for r in p.images[rows]],
-                            dtype=np.int64)
+            return np.array([self.index[r.tobytes()] for r in rows], dtype=np.int32)
         except KeyError:
             raise ValueError("the permutation is not in the group") from None
 
 
 class _IdMap:
-    """``right_action(p)`` as an ``orbit`` map, computed on each frontier
-    only, so that a subgroup's orbit costs O(|subgroup|), not O(|group|)."""
+    """Right multiplication by a product of steps, as an ``orbit`` map,
+    computed on each frontier only, so that a subgroup's orbit costs
+    O(|subgroup|), not O(|group|)."""
 
-    __slots__ = ("act", "p")
+    __slots__ = ("act", "steps")
 
-    def __init__(self, act: _RegularAction, p: Permutation):
-        self.act, self.p = act, p
+    def __init__(self, act: _RegularAction, steps: Sequence[tuple[np.ndarray, int]]):
+        self.act, self.steps = act, steps
 
     def __getitem__(self, ks: np.ndarray) -> np.ndarray:
-        return self.act.right_action(self.p, ks)
+        return self.act.right(self.steps, ks)
 
 
 def _regular_from_points(pts: Orbit) -> tuple[_RegularAction, Orbit]:
     """The regular action of a group whose generators' orbit ``pts`` of point
     0 covers every point and has as many points as the group has elements,
-    and the orbit of id 0 under the generators."""
+    and the orbit of id 0 under the generators: id k is the point at
+    position k, so the BFS tree carries over unchanged."""
     degree = pts.order.shape[0]
-    act = _RegularAction(pts=pts.order)
-    parent = pts.parent[pts.order]
-    parent[1:] = act.ids[parent[1:]]
-    return act, Orbit(np.arange(degree), np.ones(degree, dtype=bool),
-                      parent, pts.via[pts.order])
+    return (_RegularAction(pts=pts.order),
+            Orbit(_arange(degree), np.ones(degree, dtype=bool), pts.parent, pts.via))
 
 
 def _closure_action(gens: Sequence[Permutation], degree: int,
@@ -396,8 +539,8 @@ def _closure_action(gens: Sequence[Permutation], degree: int,
                 add(img, k, gi)
     n = len(rows)
     return (_RegularAction(rows=np.stack(rows), index=index),
-            Orbit(np.arange(n), np.ones(n, dtype=bool),
-                  np.array(parent, dtype=np.int64), np.array(via, dtype=np.int64)))
+            Orbit(_arange(n), np.ones(n, dtype=bool),
+                  np.array(parent, dtype=np.int32), np.array(via, dtype=np.int32)))
 
 
 class PermGroup:
@@ -406,10 +549,10 @@ class PermGroup:
     The elements are numbered 0..|G|-1 in the order of ``elements()``, id 0
     being the identity, and each generator acts on the ids by right
     multiplication.  Every handle on the group, its own and each
-    ``subgroup()``, holds the orbit of id 0 under its generators as numpy
-    arrays, a mask over the ids and the BFS tree: the order is the orbit's
-    size, membership one lookup in the mask.  A subgroup's BFS evaluates its
-    generators' id maps on each frontier only.
+    ``subgroup()``, holds the orbit of id 0 under its generators: a mask
+    over the ids, and the BFS order and tree, sized to the orbit.  The order
+    is the orbit's size, membership one lookup in the mask.  A subgroup's
+    BFS evaluates its generators' id maps on each frontier only.
 
     The regular action is built on the first query, in one of two ways:
 
@@ -422,6 +565,22 @@ class PermGroup:
       order from the identity.  This raises ValueError rather than hold more
       than 2**20 entries (elements x degree), and RuntimeError when the group
       has more elements than ``known_order``.
+
+    Once the action is built, a word is decided without forming a product.
+    ``word_id`` follows id 0 through the action letter by letter, as a point
+    (or, for a closed-up group, an image array), and the word is the
+    identity iff it comes back to id 0; ``word_order`` counts the steps of
+    id 0's cycle.  The images must be elements of the group: on a regular
+    action the point id 0 reaches names the only element the product can
+    be, and it is that element only when the product is in the group.  That
+    is why ``families._certify_cover`` still checks its relators on whole
+    permutations: until it has, the cover is not known to be one group
+    acting regularly.
+
+    The derived series is grown the same way.  Each normal closure keeps its
+    generators as words in this handle's generators; a word joins when the
+    id it leads id 0 to is off the orbit so far, and the orbit is then
+    grown, not rebuilt, by the word's id map on the frontier only.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
@@ -450,8 +609,9 @@ class PermGroup:
     def _built(self) -> Orbit:
         if self._orbit is None:
             if self._action is not None:
-                self._orbit = orbit([_IdMap(self._action, g) for g in self.generators],
-                                    self._action.n)
+                act = self._action
+                self._orbit = orbit([_IdMap(act, act.factors((1,), (g,)))
+                                     for g in self.generators], act.n)
             elif not (self._known_order == self.degree and self.is_transitive()):
                 self._action, self._orbit = _closure_action(
                     self.generators, self.degree, self._known_order)
@@ -503,22 +663,63 @@ class PermGroup:
         k -> id of (element k) * p on the ids of the whole group's
         ``elements()``."""
         self._built()
-        return self._action.right_action(p)
+        return self._action.right(self._action.factors((1,), (p,)))
+
+    def word_id(self, w: Word, images: Sequence[Permutation]) -> int:
+        """The id of the element ``w`` spells in ``images``, which must be
+        elements of this group; w is the identity there iff this is 0.
+
+        Id 0 is followed through the action letter by letter, so this takes
+        O(len(w)) steps and forms no product.  A power u^k of a shorter word
+        follows u at most k times: when id 0 comes back after j of them, the
+        rest is k mod j.
+        """
+        self._built()
+        act = self._action
+        root, k = _root(w.letters)
+        steps = act.factors(root, images)
+        x = act.start()
+        for done in range(1, k + 1):
+            x = act.follow(steps, x)
+            if act.at_start(x):
+                for _ in range(k % done):
+                    x = act.follow(steps, x)
+                break
+        found = act.id_of(x)
+        if found is None:
+            raise ValueError("the word's value is not in the group")
+        return found
+
+    def word_order(self, w: Word, images: Sequence[Permutation]) -> int:
+        """The order of the element ``w`` spells in ``images``, which must be
+        elements of this group: the length of id 0's cycle under it, taken
+        for the shortest root u of w = u^k and divided by its gcd with k."""
+        self._built()
+        act = self._action
+        root, k = _root(w.letters)
+        steps = act.factors(root, images)
+        x, length = act.follow(steps, act.start()), 1
+        while not act.at_start(x):
+            x, length = act.follow(steps, x), length + 1
+        return length // math.gcd(length, k)
 
     def contains(self, p: Permutation) -> bool:
         """Exact membership, for any permutation of the group's degree."""
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         orb = self._built()
-        k = self._action.locate((p,))
+        act = self._action
+        k = act.id_of(act.follow(act.factors((1,), (p,)), act.start()))
         return k is not None and bool(orb.mask[k]) and self._element(k) == p
 
     def _element(self, k: int) -> Permutation:
         """The element of id k, spelt along the BFS tree."""
+        orb = self._orbit
+        pos = int(np.flatnonzero(orb.order == k)[0])
         path = []
-        while k:
-            path.append(int(self._orbit.via[k]))
-            k = int(self._orbit.parent[k])
+        while pos:
+            path.append(int(orb.via[pos]))
+            pos = int(orb.parent[pos])
         acc = Permutation.identity(self.degree)
         for gi in reversed(path):
             acc = acc * self.generators[gi]
@@ -529,53 +730,99 @@ class PermGroup:
         orb = self._built()
         if cap is not None and orb.order.shape[0] > cap:
             raise ValueError(f"group order {orb.order.shape[0]} exceeds cap {cap}")
-        rest = orb.order[1:]
-        elems = {0: Permutation.identity(self.degree)}
-        for k, parent, gi in zip(rest.tolist(), orb.parent[rest].tolist(),
-                                 orb.via[rest].tolist()):
-            elems[k] = elems[parent] * self.generators[gi]
-        return list(elems.values())
+        elems = [Permutation.identity(self.degree)]
+        for parent, gi in zip(orb.parent[1:].tolist(), orb.via[1:].tolist()):
+            elems.append(elems[parent] * self.generators[gi])
+        return elems
 
     # -- derived structure ---------------------------------------------------
 
+    def _letters(self) -> tuple[Word, ...]:
+        return tuple(Word((i + 1,)) for i in range(len(self.generators)))
+
+    def _handle(self, words: Sequence[Word], orb: Orbit) -> "PermGroup":
+        """A handle on the subgroup that ``words`` in this group's generators
+        generate, with its orbit ``orb``; its generators are formed here."""
+        h = PermGroup((), degree=self.degree)
+        h.generators = tuple(evaluate(w, self.generators) for w in words)
+        h._action, h._orbit = self._action, orb
+        return h
+
     def derived_subgroup(self) -> "PermGroup":
         """Normal closure of generator commutators within this group."""
-        gens = self.generators
-        inv = [g.inverse() for g in gens]
-        return self._normal_closure([(inv[i], inv[j], a, b) for i, a in enumerate(gens)
-                                     for j, b in enumerate(gens) if i < j], inv)
+        return self._handle(*self._derived(self._letters()))
 
-    def _normal_closure(self, seeds: Sequence[Sequence[Permutation]],
-                        inv: Sequence[Permutation]) -> "PermGroup":
-        """The smallest subgroup that contains the products of the factor
-        tuples ``seeds`` and is normalized by this group's generators, whose
-        inverses are ``inv``.  A product lies in it iff its id is in its
-        mask, so a product is formed only when it joins the generators."""
-        closure = self.subgroup(())
-        queue = list(seeds)
-        for factors in queue:  # a queue: the conjugates of each new generator join it
-            if closure._built().mask[self._action.locate(factors)]:
+    def _derived(self, words: Sequence[Word]) -> tuple[tuple[Word, ...], Orbit]:
+        """The derived subgroup K' of the subgroup K that ``words`` generate,
+        for K a term of this group's derived series, all words in this
+        group's generators.
+
+        K' is the normal closure in K of the commutators of the words.  It
+        is characteristic in K, which is characteristic in this group, so K'
+        is normal here too, and it is also the normal closure of those
+        commutators under this group's generators, whose conjugates are two
+        letters longer rather than twice the length of a word of K.
+        """
+        seeds = [commutator(u, v) for i, u in enumerate(words) for v in words[i + 1:]]
+        return self._normal_closure(seeds, self._letters())
+
+    def _normal_closure(self, seeds: Sequence[Word],
+                        conj: Sequence[Word]) -> tuple[tuple[Word, ...], Orbit]:
+        """The smallest subgroup that contains the elements ``seeds`` spell
+        and is normalized by those ``conj`` spell, all words in this group's
+        generators: the words of its generators, and its orbit.
+
+        A word joins the generators only when ``word_id`` puts it off the
+        orbit so far; the orbit is then grown from the points it has by the
+        new word's id map, and the points that brings in by every
+        generator's (``_bfs``).  Each id map follows the word's letters on
+        the frontier only, so no product is formed.
+        """
+        self._built()
+        act, images = self._action, self.generators
+        orb = _trivial_orbit(act.n)
+        # a conjugate's id is followed from the state of c^-1, through the
+        # new generator's steps and then c's
+        inverses = [c.inverse() for c in conj]
+        backs = [act.follow(act.factors(c.letters, images), act.start()) for c in inverses]
+        forwards = [act.factors(c.letters, images) for c in conj]
+        gens: list[Word] = []
+        maps: list[_IdMap] = []
+        # (the factors of a word, its id); its word is formed when it joins
+        queue = [((w,), self.word_id(w, images)) for w in seeds]
+        for parts, k in queue:  # a queue: the conjugates of each new generator join it
+            if orb.mask[k]:
                 continue
-            s = _product(factors)
-            closure = self.subgroup(closure.generators + (s,))
-            queue.extend((ginv, s, g) for ginv, g in zip(inv, self.generators))
-        return closure
+            w = parts[0] if len(parts) == 1 else parts[0] * parts[1] * parts[2]
+            gens.append(w)
+            steps = act.factors(w.letters, images)
+            maps.append(_IdMap(act, steps))
+            orb = _bfs(orb, maps, len(maps) - 1)
+            queue.extend(((ci, w, c), act.id_of(act.follow(fwd, act.follow(steps, back))))
+                         for c, ci, back, fwd in zip(conj, inverses, backs, forwards))
+        return tuple(gens), orb
+
+    def _derived_terms(self) -> list[tuple[tuple[Word, ...], Orbit]]:
+        """The derived series until trivial or stable, each term as the words
+        of its generators in this group's generators and its orbit."""
+        terms: list[tuple[tuple[Word, ...], Orbit]] = []
+        words, size = self._letters(), self.order()
+        while True:
+            nxt = self._derived(words)
+            nsize = nxt[1].order.shape[0]
+            if nsize == size:
+                if not terms:
+                    terms.append(nxt)
+                break
+            terms.append(nxt)
+            if nsize == 1:
+                break
+            words, size = nxt[0], nsize
+        return terms
 
     def derived_series(self) -> list["PermGroup"]:
         """Successive derived subgroups until trivial or stable."""
-        series: list[PermGroup] = []
-        cur = self
-        while True:
-            nxt = cur.derived_subgroup()
-            if nxt.order() == cur.order():
-                if not series:
-                    series.append(nxt)
-                break
-            series.append(nxt)
-            if nxt.order() == 1:
-                break
-            cur = nxt
-        return series
+        return [self._handle(*t) for t in self._derived_terms()]
 
     def is_solvable(self) -> bool:
         return self.derived_length() is not None
@@ -587,6 +834,7 @@ class PermGroup:
             if self.order() == 1:
                 self._derived_length = 0
             else:
-                series = self.derived_series()
-                self._derived_length = len(series) if series[-1].order() == 1 else None
+                terms = self._derived_terms()
+                self._derived_length = (len(terms) if terms[-1][1].order.shape[0] == 1
+                                        else None)
         return self._derived_length

@@ -19,12 +19,12 @@ types are joins and group-bys on those arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .perms import PermGroup, Permutation, evaluate, extends_to_homomorphism
+from .perms import PermGroup, Permutation, evaluate
 from .words import Presentation, Word, substitute
 
 
@@ -47,31 +47,79 @@ class SchlafliType:
 
 @dataclass(frozen=True)
 class RotationTriple:
-    """A rank-4 rotation-group generating triple with its source presentation."""
+    """A rank-4 rotation-group generating triple with its source presentation.
+
+    ``subgroup`` builds each subgroup of the s_i once per triple, so that the
+    checks asking for the same one share its handle.
+    """
 
     group: PermGroup
     sigma: tuple[Permutation, Permutation, Permutation]
     presentation: Presentation
+    _subgroups: dict[tuple[int, ...], PermGroup] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sigma) != 3:
             raise TripleError("exactly three canonical generators required")
 
+    def subgroup(self, *indices: int) -> PermGroup:
+        """<s_i : i in indices> (1-based), as a handle on the group's action."""
+        h = self._subgroups.get(indices)
+        if h is None:
+            h = self.group.subgroup([self.sigma[i - 1] for i in indices])
+            self._subgroups[indices] = h
+        return h
+
+
+def _on_generators(group: PermGroup, sigma: Sequence[Permutation]) -> bool:
+    """Whether ``sigma`` are the group's own generators, so that every word
+    in them is an element of the group and can be followed on id 0."""
+    gens = group.generators
+    return len(gens) == len(sigma) and all(a is b for a, b in zip(gens, sigma))
+
+
+def _holds(group: PermGroup, sigma: Sequence[Permutation], w: Word) -> bool:
+    """Whether w is the identity at ``sigma``: followed on id 0 when sigma
+    generate the group, and as a product of permutations otherwise, where
+    the images are not known to be elements of the group."""
+    if _on_generators(group, sigma):
+        return group.word_id(w, sigma) == 0
+    return evaluate(w, sigma).is_identity()
+
+
+def _word_order(group: PermGroup, sigma: Sequence[Permutation], w: Word) -> int:
+    """The order of w at ``sigma``, on id 0 as in ``_holds``."""
+    if _on_generators(group, sigma):
+        return group.word_order(w, sigma)
+    return evaluate(w, sigma).order()
+
+
+def _homomorphism(pres: Presentation, group: PermGroup,
+                  sigma: Sequence[Permutation]) -> bool:
+    """Whether every relator of ``pres`` holds at ``sigma`` (see
+    ``perms.extends_to_homomorphism``)."""
+    if len(sigma) != pres.ngens:
+        raise ValueError("one image per generator required")
+    return all(_holds(group, sigma, r) for r in pres.relators)
+
+
+_CANONICAL_RELATIONS = (("(s1*s2)^2", Word((1, 2, 1, 2))),
+                        ("(s2*s3)^2", Word((2, 3, 2, 3))),
+                        ("(s1*s2*s3)^2", Word((1, 2, 3, 1, 2, 3))))
+
 
 def validate_rotation_triple(group: PermGroup,
                              sigma: Sequence[Permutation]) -> SchlafliType:
     """Check the canonical even relations and generation; return the type."""
-    s1, s2, s3 = sigma
-    for name, p in (("(s1*s2)^2", (s1 * s2) ** 2),
-                    (("(s2*s3)^2"), (s2 * s3) ** 2),
-                    (("(s1*s2*s3)^2"), (s1 * s2 * s3) ** 2)):
-        if not p.is_identity():
+    for name, w in _CANONICAL_RELATIONS:
+        if not _holds(group, sigma, w):
             raise TripleError(f"canonical relation {name} = 1 fails")
-    orders = (s1.order(), s2.order(), s3.order())
+    orders = tuple(_word_order(group, sigma, Word((i,))) for i in (1, 2, 3))
     if min(orders) < 2:
         raise TripleError(f"generator orders {orders} must all be at least 2")
     # a group built on the triple itself is generated by it
-    if (tuple(sigma) != group.generators
+    if (not _on_generators(group, sigma)
             and group.subgroup(sigma).order() != group.order()):
         raise TripleError("the triple does not generate the group")
     return SchlafliType(*orders)
@@ -85,14 +133,10 @@ def intersection_condition(t: RotationTriple, cap: int = 10_000) -> bool:
     Raises ValueError when the smaller subgroup of a pair has more than
     ``cap`` elements.
     """
-    s1, s2, s3 = t.sigma
-    g = t.group
-    a2 = g.subgroup([s2])
-    a12 = g.subgroup([s1, s2])
     # each intersection contains the identity, and the last one contains <s2>
-    for a, b, meet in ((g.subgroup([s1]), g.subgroup([s2, s3]), 1),
-                       (a12, g.subgroup([s3]), 1),
-                       (a12, g.subgroup([s2, s3]), a2.order())):
+    for a, b, meet in ((t.subgroup(1), t.subgroup(2, 3), 1),
+                       (t.subgroup(1, 2), t.subgroup(3), 1),
+                       (t.subgroup(1, 2), t.subgroup(2, 3), t.subgroup(2).order())):
         if min(a.order(), b.order()) > cap:
             raise ValueError(f"intersection cap {cap} exceeded")
         if a.intersection_order(b) != meet:
@@ -109,13 +153,11 @@ def quotient_criterion(big: RotationTriple, small: RotationTriple,
     rotation group of a chiral polytope, certifies the big triple's
     intersection condition.
     """
-    if not extends_to_homomorphism(big.presentation, list(small.sigma)):
+    if not _homomorphism(big.presentation, small.group, small.sigma):
         raise TripleError("generator-wise map does not extend to a homomorphism")
-    b1, b2, b3 = big.sigma
-    s1, s2, s3 = small.sigma
-    if big.group.subgroup([b1, b2]).order() == small.group.subgroup([s1, s2]).order():
+    if big.subgroup(1, 2).order() == small.subgroup(1, 2).order():
         return True
-    return big.group.subgroup([b2, b3]).order() == small.group.subgroup([s2, s3]).order()
+    return big.subgroup(2, 3).order() == small.subgroup(2, 3).order()
 
 
 def _mirror_words(ngens: int) -> list[Word]:
@@ -130,13 +172,21 @@ def mirror_images(sigma: Sequence[Permutation]) -> tuple[Permutation, ...]:
     return (s1.inverse(), s1 * s1 * s2, s3)
 
 
+def _mirrored(pres: Presentation) -> Presentation:
+    """The relators' images under the mirror map, as words in the s_i:
+    a relator holds at ``mirror_images(sigma)`` iff its image holds at
+    sigma."""
+    images = _mirror_words(pres.ngens)
+    return Presentation(pres.names, [substitute(r, images) for r in pres.relators])
+
+
 def mirror_extends(t: RotationTriple) -> bool:
     """Whether s1 -> s1^-1, s2 -> s1^2 s2, s3 -> s3 extends to the group.
 
     For a finite group with generating images this is exactly the existence
     of the mirror automorphism, so True means the polytope is regular.
     """
-    return extends_to_homomorphism(t.presentation, list(mirror_images(t.sigma)))
+    return _homomorphism(_mirrored(t.presentation), t.group, t.sigma)
 
 
 @dataclass(frozen=True)
@@ -154,17 +204,25 @@ def chirality_verdict(t: RotationTriple,
     (directly or through the quotient criterion), so that the triple is the
     rotation group of a polytope at all.  The witness is a relator whose
     mirror image is nontrivial; ``preferred_witness`` is used when it works.
+
+    The two verdicts are not equally sound.  "chiral" is sound whenever
+    every relator of ``t.presentation`` holds in the group: the witness is
+    a relation of the group whose mirror image fails, so no automorphism is
+    the mirror map.  "regular" is sound only when ``t.presentation`` is a
+    complete presentation of the group: relators that hold in the group but
+    do not define it can all survive the mirror map while a relation they
+    miss does not.
     """
-    images = list(mirror_images(t.sigma))
-    if extends_to_homomorphism(t.presentation, images):
+    if mirror_extends(t):
         return ChiralityReport("regular", None, None)
+    images = _mirror_words(t.presentation.ngens)
     candidates = list(t.presentation.relators)
     if preferred_witness is not None:
         candidates.insert(0, preferred_witness)
     for r in candidates:
-        img = evaluate(r, images)
-        if not img.is_identity():
-            return ChiralityReport("chiral", r, img.order())
+        img = substitute(r, images)
+        if not _holds(t.group, t.sigma, img):
+            return ChiralityReport("chiral", r, _word_order(t.group, t.sigma, img))
     raise AssertionError("mirror map failed to extend but all relators map to 1")
 
 

@@ -92,6 +92,19 @@ def test_verify_json_deterministic_modulo_timings(tmp_path, capsys):
     assert d1 == d2
 
 
+@pytest.mark.parametrize("family, exit_code", [("P", 3), ("Q", 0)])
+def test_verify_reports_match_golden(tmp_path, capsys, family, exit_code):
+    # the pinned reports of m = 1..4, timings removed; a change to any
+    # verdict, order or count must update tests/data/verify_reports.json
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--family", family, "--m", "1..4",
+                         "--jobs", "1", "--json", str(path))
+    assert code == exit_code
+    golden = json.loads((Path(__file__).resolve().parent / "data"
+                         / "verify_reports.json").read_text())
+    assert _strip_timings(json.loads(path.read_text())) == golden[family]
+
+
 def test_verify_exit_code_tracks_aggregate(tmp_path, capsys):
     # the first family-P member fails the direct intersection condition
     # (see the axiom analysis in the project notes), so verify reports FAIL

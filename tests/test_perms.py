@@ -6,7 +6,7 @@ import pytest
 
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import family_presentation, presentation_U
-from chiral444.perms import (PermGroup, Permutation, evaluate,
+from chiral444.perms import (PermGroup, Permutation, evaluate, orbit,
                              extends_to_homomorphism, perm_commutator)
 from chiral444.rewrite import IntMatrix, smith_normal_form
 from chiral444.words import Presentation, Word, parse_presentation
@@ -451,3 +451,163 @@ def test_is_regular_needs_the_whole_orbit():
     s3 = PermGroup([Permutation.from_cycles(3, (1, 2)),
                     Permutation.from_cycles(3, (1, 2, 3))])
     assert not s3.is_regular()
+
+
+# -- words followed on id 0, and the grown derived series ----------------------
+
+def _random_words(rng, ngens, count):
+    letters = [g for i in range(1, ngens + 1) for g in (i, -i)]
+    words = []
+    for _ in range(count):
+        root = [rng.choice(letters) for _ in range(rng.randrange(0, 7))]
+        words.append(Word(root * rng.choice([1, 1, 2, 3, 4, 8, 12])))
+    return words
+
+
+def _closed_up_groups():
+    a5 = PermGroup([Permutation.from_cycles(5, (1, 2, 3)),
+                    Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
+    s4 = PermGroup([Permutation.from_cycles(4, (1, 2)),
+                    Permutation.from_cycles(4, (1, 2, 3, 4))])
+    simplex = PermGroup([Permutation.from_cycles(5, (1, 2, 3)),
+                         Permutation.from_cycles(5, (2, 3, 4)),
+                         Permutation.from_cycles(5, (3, 4, 5))])
+    return {"A5": a5, "S4": s4, "simplex": simplex}
+
+
+def _assert_id_zero_matches_products(g, words):
+    images = g.generators
+    for w in words:
+        product = evaluate(w, images)
+        k = g.word_id(w, images)
+        assert (k == 0) == product.is_identity()
+        assert k == int(g.right_action(product)[0])  # the product's own id
+        assert g.word_order(w, images) == product.order()
+
+
+@pytest.mark.parametrize("family, m", [("P", 1), ("Q", 1), ("P", 2), ("Q", 2)])
+def test_word_id_matches_evaluate_on_members(family, m):
+    from chiral444.families import member_triple
+    from chiral444.polytope import _mirror_words
+    from chiral444.words import substitute
+    t = member_triple(family, m)
+    mirror = _mirror_words(3)
+    words = list(t.presentation.relators)
+    words += [substitute(r, mirror) for r in t.presentation.relators]
+    words += _random_words(random.Random(17 * m + ord(family)), 3, 80)
+    _assert_id_zero_matches_products(t.group, words)
+
+
+@pytest.mark.parametrize("name", ["A5", "S4", "simplex"])
+def test_word_id_matches_evaluate_on_closed_up_groups(name):
+    g = _closed_up_groups()[name]
+    rng = random.Random(len(name))
+    _assert_id_zero_matches_products(g, _random_words(rng, len(g.generators), 120))
+
+
+def test_word_id_inverts_long_cycles():
+    # an inverse letter whose cycle through point 0 is longer than the walk
+    # forms the inverse array; a short one steps forward
+    c = Permutation(np.roll(np.arange(300), 1))
+    g = PermGroup([c], known_order=300)
+    assert g.word_id(Word((-1,)), [c]) == int(g.right_action(c.inverse())[0])
+    assert g.word_order(Word((1,) * 7), [c]) == 300 // math.gcd(300, 7)
+    assert g.word_id(Word((1, -1) * 5), [c]) == 0
+
+
+def oracle_normal_closure(group, seeds, conj):
+    """The product-based normal closure the grown one replaced: each new
+    generator is formed as a permutation and the orbit rebuilt from scratch."""
+    closure = group.subgroup(())
+    queue = list(seeds)
+    for s in queue:
+        if closure.contains(s):
+            continue
+        closure = group.subgroup(closure.generators + (s,))
+        queue.extend(c.inverse() * s * c for c in conj)
+    return closure
+
+
+def oracle_derived_series(group):
+    series, cur = [], group
+    while True:
+        gens = cur.generators
+        nxt = oracle_normal_closure(
+            group, [perm_commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]],
+            gens)
+        if nxt.order() == cur.order():
+            if not series:
+                series.append(nxt)
+            break
+        series.append(nxt)
+        if nxt.order() == 1:
+            break
+        cur = nxt
+    return series
+
+
+@pytest.mark.parametrize("name", ["A5", "S4", "simplex", "S5", "P1", "Q1", "P2"])
+def test_grown_derived_series_matches_the_product_oracle(name):
+    from chiral444.families import member_triple
+    s5 = PermGroup([Permutation.from_cycles(5, (1, 2)),
+                    Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
+    groups = {**_closed_up_groups(), "S5": s5}
+    g = groups[name] if name in groups else member_triple(name[0], int(name[1:])).group
+    grown, oracle = g.derived_series(), oracle_derived_series(g)
+    assert [h.order() for h in grown] == [h.order() for h in oracle]
+    for h, o in zip(grown, oracle):
+        assert np.array_equal(h._built().mask, o._built().mask)
+    length = len(oracle) if oracle[-1].order() == 1 else None
+    assert g.derived_length() == length
+    assert (name in ("A5", "simplex", "S5")) == (length is None)
+    # the grown orbit's BFS tree spells the formed generators' closure
+    d = g.derived_subgroup()
+    if d.order() <= 200:
+        assert set(d.elements()) == closure(d.generators)
+
+
+def test_single_map_orbit_is_the_cycle_through_zero():
+    rng = random.Random(23)
+    for lengths in ([1, 5], [7, 3, 3], [64, 2], [65], [200, 9], [1000, 1, 30]):
+        pts = list(range(sum(lengths)))
+        rng.shuffle(pts)
+        pts.remove(0)
+        pts.insert(0, 0)  # point 0 opens the first cycle
+        images = list(range(len(pts)))
+        at = 0
+        for n in lengths:
+            cyc = pts[at:at + n]
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                images[a] = b
+            at += n
+        p = Permutation(images)
+        walk = [0]
+        while p.images[walk[-1]] != 0:
+            walk.append(int(p.images[walk[-1]]))
+        orb = orbit([p.images], p.degree)
+        assert orb.order.tolist() == walk
+        assert np.flatnonzero(orb.mask).tolist() == sorted(walk)
+        assert orb.parent.tolist() == list(range(-1, len(walk) - 1))
+        assert orb.via.tolist() == [-1] + [0] * (len(walk) - 1)
+
+
+def test_long_cycle_group_in_seconds():
+    # a 2^21-cycle's orbit is one cycle; a BFS layer per point took 49 s
+    import time
+    c = Permutation(np.roll(np.arange(2 ** 21), 1))
+    start = time.perf_counter()
+    g = PermGroup([c], known_order=2 ** 21)
+    assert g.order() == 2 ** 21 and g.is_regular()
+    assert g.subgroup([c ** (2 ** 10)]).order() == 2 ** 11
+    assert time.perf_counter() - start < 5.0
+
+
+def test_subgroup_orbit_arrays_are_sized_to_the_orbit():
+    from chiral444.families import member_triple
+    t = member_triple("Q", 2)
+    for gens in ([t.sigma[0]], t.sigma[:2]):
+        orb = t.group.subgroup(gens)._built()
+        size = orb.order.shape[0]
+        assert orb.mask.shape[0] == t.group.order() > size
+        for arr in (orb.order, orb.parent, orb.via):
+            assert arr.shape == (size,) and arr.dtype == np.int32

@@ -15,7 +15,7 @@ from chiral444.polytope import (RotationTriple, TripleError,
                                 quotient_criterion, section_type,
                                 stabilizer_generators,
                                 validate_rotation_triple, verify_axioms)
-from chiral444.words import parse_presentation
+from chiral444.words import Presentation, parse_presentation
 from test_perms import closure
 
 
@@ -170,6 +170,76 @@ def test_chirality_verdict_regular_case():
     rep = chirality_verdict(trip)
     assert rep.verdict == "regular"
     assert rep.witness_relator is None
+
+
+def test_regular_verdict_needs_a_complete_presentation():
+    # "chiral" rests on one relation of the group whose mirror image fails,
+    # so it is sound for any relators that hold; "regular" rests on every
+    # relator surviving the mirror map, so it is sound only for a complete
+    # presentation.  Q_1 is chiral, yet its six {4,4,4} relators alone answer
+    # "regular": the mirror map is an automorphism of the rotation group
+    # [4,4,4]^+ they present, so their mirror images follow from them.
+    t = member_triple("Q", 1)
+    full = t.presentation
+    type_only = Presentation(full.names, full.relators[:6])
+    base_only = Presentation(full.names, full.relators[:9])  # U's relators
+    assert type_only.relators[-1] == full.parse_word("(a*b*c)^2")
+    verdicts = {name: chirality_verdict(RotationTriple(t.group, t.sigma, pres))
+                for name, pres in (("full", full), ("type", type_only),
+                                   ("base", base_only))}
+    assert verdicts["full"].verdict == verdicts["base"].verdict == "chiral"
+    assert verdicts["base"].witness_relator == mirror_witness_relator()
+    assert verdicts["type"].verdict == "regular"  # unsound: incomplete
+    # Q_1 / <(a^2 c b)^2>: handed only Q_1's relators it answers "regular",
+    # which those relators cannot prove; its complete presentation can
+    extra = full.parse_word("(a^2*c*b)^2")
+    complete = Presentation(full.names, full.relators + (extra,))
+    table = enumerate_cosets(complete, [], EnumerationConfig(strategy="felsch"))
+    sigma = tuple(table.permutation_rep())
+    quotient = PermGroup(sigma, known_order=table.degree)
+    assert quotient.order() == 1024
+    for pres in (full, complete):
+        assert chirality_verdict(RotationTriple(quotient, sigma, pres)).verdict == "regular"
+
+
+def _product_path(t: RotationTriple) -> RotationTriple:
+    """The triple with copies of its sigma, which are not the group's
+    generator objects, so that every check forms products."""
+    return RotationTriple(t.group, tuple(Permutation(s.images) for s in t.sigma),
+                          t.presentation)
+
+
+@pytest.mark.parametrize("fam, m", [("P", 1), ("Q", 1), ("P", 2), ("Q", 2)])
+def test_id_zero_checks_match_the_product_path(fam, m):
+    t = member_triple(fam, m)
+    p = _product_path(t)
+    ref = reference_triple(fam)
+    wit = mirror_witness_relator()
+    assert validate_rotation_triple(t.group, t.sigma) == validate_rotation_triple(p.group, p.sigma)
+    assert chirality_verdict(t, wit) == chirality_verdict(p, wit)
+    assert chirality_verdict(t) == chirality_verdict(p)
+    assert mirror_extends(t) == mirror_extends(p)
+    assert quotient_criterion(t, ref) == quotient_criterion(p, _product_path(ref))
+    assert intersection_condition(t) == intersection_condition(p)
+    with pytest.raises(TripleError):
+        quotient_criterion(member_triple("P", 1), _product_path(member_triple("Q", 1)))
+
+
+def test_triple_subgroups_are_built_once_and_match_fresh_handles():
+    triples = [member_triple("P", 1), member_triple("P", 2), member_triple("Q", 1),
+               member_triple("Q", 2), reference_triple("Q")]
+    for t in triples:
+        intersection_condition(t)
+        for idx in ((1,), (2,), (3,), (1, 2), (2, 3)):
+            shared = t.subgroup(*idx)
+            assert t.subgroup(*idx) is shared
+            fresh = t.group.subgroup([t.sigma[i - 1] for i in idx])
+            assert shared.order() == fresh.order()
+            assert np.array_equal(shared._built().mask, fresh._built().mask)
+            assert shared.intersection_order(fresh) == fresh.order()
+    # each triple keeps its own handles, even on the same sigma
+    assert triples[2].subgroup(1, 2) is not triples[4].subgroup(1, 2)
+    assert [t.subgroup(2, 3).order() for t in triples] == [64, 128, 64, 256, 64]
 
 
 def test_enantiomorph_involution_and_relations():
