@@ -213,6 +213,9 @@ def cmd_conjugation(args) -> int:
 
 
 def cmd_polytope(args) -> int:
+    if args.m < 1:
+        _log(f"bad m {args.m}: must be a positive integer")
+        return EXIT_INPUT
     opts = VerifyOptions(max_cosets=args.max_cosets)
     try:
         triple = member_triple(args.family, args.m, opts)
@@ -244,6 +247,9 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_corollary(args) -> int:
+    if args.k_max < 0:
+        _log(f"bad k-max {args.k_max}: must be nonnegative")
+        return EXIT_INPUT
     opts = VerifyOptions(max_cosets=args.max_cosets)
     try:
         entries = corollary_orders(args.k_max, opts)

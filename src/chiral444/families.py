@@ -13,7 +13,12 @@ The voltage table phi is derived once per family from U's relator cycles on
 G_1's Cayley graph (``_voltages``).  Each cover member carries a two-sided
 order certificate: the family relators hold on a transitive action of degree
 |G_1| m^2 (lower bound), and the conjugation relations, proved once per
-family by partial enumeration, bound |G_m| by |G_1| m^2 (upper bound).
+family by partial enumeration, bound |G_m| by |G_1| m^2 (upper bound).  A
+relator is decided at every point of the cover without forming its product
+there: its walk is lifted to G_1's points with the voltage sum it picks up
+(``_VoltageCover``), and it holds iff every walk closes with a sum of 0 mod
+m.  U's nine relators are lifted once per family, the two family relators
+at each m.
 
 ``verify_member`` runs the full pipeline on a member: rotation-triple
 validation, direct intersection condition, quotient criterion against the
@@ -27,12 +32,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
-from .perms import PermGroup, Permutation, evaluate
+from .perms import PermGroup, Permutation, _root
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
                        chirality_verdict, intersection_condition,
                        quotient_criterion, validate_rotation_triple,
@@ -365,7 +369,68 @@ def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> list[np.ndarray]
     return images
 
 
-_voltage_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+def _compose(a: tuple[np.ndarray, np.ndarray],
+             b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The lift of a word followed by another (``_VoltageCover.lift``):
+    (p1, v1)(p2, v2) = (p2[p1], v1 + v2[p1])."""
+    return b[0][a[0]], a[1] + b[1][a[0]]
+
+
+class _VoltageCover:
+    """G_1's regular table ``base`` with a voltage table ``phi``: the Z_m^2
+    cover at every m, and U's relators lifted to G_1 once.
+
+    A word lifts to a pair (end, volt): from each point c of G_1 its walk
+    ends at ``end[c]`` and picks up the voltage sum ``volt[c]`` in Z^2.  On
+    the cover at m the word sends (c, v) to (end[c], v + volt[c] mod m), so
+    it is the identity there iff every walk is closed and every voltage sum
+    is 0 mod m.
+    """
+
+    def __init__(self, base: np.ndarray, phi: np.ndarray):
+        self.base, self.phi = base, phi
+        self.inv = np.empty_like(base)
+        for g in range(base.shape[0]):
+            self.inv[g, base[g]] = np.arange(base.shape[1])
+        # U's relators are the same at every m, so they are lifted once
+        self._lifts: dict[Word, tuple[np.ndarray, np.ndarray]] = {}
+        self._lifts = {r: self.lift(r) for r in presentation_U().relators}
+
+    def lift(self, word: Word) -> tuple[np.ndarray, np.ndarray]:
+        """The walks of ``word`` from every point: a generator g lifts to
+        (base[g], phi[g]) and its inverse to (inv[g], -phi[g][inv[g]]), and
+        lifts compose letter by letter (``_compose``).  A power u^k of a
+        shorter word is u's lift taken to the k-th power by repeated
+        squaring."""
+        known = self._lifts.get(word)
+        if known is not None:
+            return known
+        root, k = _root(word.letters)
+        n = self.base.shape[1]
+        step = np.arange(n), np.zeros((n, 2), dtype=np.int64)
+        for x in root:
+            g = abs(x) - 1
+            if x > 0:
+                step = _compose(step, (self.base[g], self.phi[g]))
+            else:
+                step = _compose(step, (self.inv[g], -self.phi[g][self.inv[g]]))
+        acc = None
+        while k:
+            if k & 1:
+                acc = step if acc is None else _compose(acc, step)
+            k >>= 1
+            if k:
+                step = _compose(step, step)
+        return acc
+
+    def holds(self, word: Word, m: int) -> bool:
+        """Whether ``word`` is the identity on the cover at m."""
+        end, volt = self.lift(word)
+        return (np.array_equal(end, np.arange(end.shape[0]))
+                and not (volt % m).any())
+
+
+_voltage_cache: dict[tuple, _VoltageCover] = {}
 _conjugation_proved: set[tuple[str, int]] = set()
 
 
@@ -378,34 +443,44 @@ def _prove_conjugation(family: str, cap: int):
     _conjugation_proved.add((family, cap))
 
 
-def _certify_cover(pres: Presentation, sigma: Sequence[Permutation]) -> PermGroup:
-    """The lower half of a cover certificate: ``sigma`` satisfies every
-    relator of ``pres`` and acts transitively, so the presented group has at
-    least as many elements as the action has points.  Returns the group of
-    ``sigma``, given the degree as its order; the transitivity BFS also
-    numbers its elements.  The relators are evaluated as whole
-    permutations, not followed on id 0 (``PermGroup.word_id``): that rule
-    reads one point of a product, so it holds only in a group already known
-    to act regularly, and this certificate is part of what shows that."""
+def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> RotationTriple:
+    """The lower half of a cover certificate: every relator of ``pres``
+    holds on the cover at m and the cover acts transitively, so the
+    presented group has at least as many elements as the cover has points.
+    Returns the triple of the cover's generators, its group given the degree
+    as its order; the transitivity BFS also numbers its elements.
+
+    Each relator is decided on its lift to G_1's points
+    (``_VoltageCover.holds``), which is the same statement as the relator
+    being the identity permutation of the cover, with no product of the
+    cover's degree formed.  It is not followed on id 0
+    (``PermGroup.word_id``): that rule reads one point of a product, so it
+    holds only in a group already known to act regularly, and this
+    certificate is part of what shows that.
+    """
+    degree = cover.base.shape[1] * m * m
     for r in pres.relators:
-        if not evaluate(r, sigma).is_identity():
+        if not cover.holds(r, m):
             raise VerificationError("cover", f"relator {pres.word_str(r)} fails "
-                                             f"on the cover of degree {sigma[0].degree}")
-    group = PermGroup(sigma, known_order=sigma[0].degree)
+                                             f"on the cover of degree {degree}")
+    sigma = tuple(Permutation(img) for img in _cover_images(cover.base, cover.phi, m))
+    group = PermGroup(sigma, known_order=degree)
     if not group.is_transitive():
         raise VerificationError("cover", "the cover action is not transitive")
-    return group
+    return RotationTriple(group, sigma, pres)
 
 
 def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> RotationTriple:
     """The member's rotation triple on its regular representation.
 
-    At m = 1 this is the cached ``reference_triple``'s images.  For m >= 2
-    it is the Z_m^2 cover of them: the m = 1 regular table with the family's
-    voltage table, acting on |G_1| m^2 points.  The voltage table and the
-    conjugation proof below are one-time costs, paid on the family's first
-    m >= 2 member and cached for the process.  Before it is returned the
-    cover is certified to be G_m's regular representation:
+    At m = 1 this is the cached ``reference_triple``'s images, on a group
+    handle of its own that shares the reference's regular action
+    (``PermGroup.handle``).  For m >= 2 it is the Z_m^2 cover of them: the
+    m = 1 regular table with the family's voltage table, acting on
+    |G_1| m^2 points.  The voltage table with the lifts of U's relators,
+    and the conjugation proof below, are one-time costs, paid on the
+    family's first m >= 2 member and cached for the process.  Before it is
+    returned the cover is certified to be G_m's regular representation:
 
     - lower bound: every relator of ``family_presentation(family, m)`` holds
       on the images and the action is transitive, so |G_m| >= |G_1| m^2;
@@ -424,18 +499,15 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     if m == 1:
         # a group handle of its own, so that nothing a caller keeps on the
         # member's group is kept on the cached reference
-        group = PermGroup(ref.sigma, known_order=ref.group.order())
-        group.order()
-        return RotationTriple(group, ref.sigma, ref.presentation)
+        return RotationTriple(ref.group.handle(), ref.sigma, ref.presentation)
     _prove_conjugation(family, opts.max_cosets)
     key = (family, opts.strategy, opts.max_cosets)
     cover = _voltage_cache.get(key)
     if cover is None:
         base = np.stack([p.images for p in ref.sigma]).astype(np.int64)
-        cover = base, _voltages(family, base)
+        cover = _VoltageCover(base, _voltages(family, base))
         _voltage_cache[key] = cover
-    sigma = tuple(Permutation(img) for img in _cover_images(*cover, m))
-    return RotationTriple(_certify_cover(pres, sigma), sigma, pres)
+    return _certify_cover(pres, cover, m)
 
 
 def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> MemberReport:

@@ -20,9 +20,10 @@ cycle (``PermGroup.word_id``, ``PermGroup.word_order``).  No product of the
 full degree is formed.  The rule needs the images to be elements of a group
 acting regularly, since it reads one point of the product; so
 ``families._certify_cover``, which is what shows a cover to be such a group,
-evaluates its relators on whole permutations (``evaluate``).  The normal
-closures behind the derived series keep their generators as words in the
-group's generators and grow one orbit as generators join.
+does not use it: it decides each relator at every point, on the relator's
+lift to the base group's points.  The normal closures behind the derived
+series keep their generators as words in the group's generators and grow one
+orbit as generators join.
 """
 
 from __future__ import annotations
@@ -573,9 +574,9 @@ class PermGroup:
     id 0's cycle.  The images must be elements of the group: on a regular
     action the point id 0 reaches names the only element the product can
     be, and it is that element only when the product is in the group.  That
-    is why ``families._certify_cover`` still checks its relators on whole
-    permutations: until it has, the cover is not known to be one group
-    acting regularly.
+    is why ``families._certify_cover`` checks its relators at every point
+    of the cover, on their lifts to the base group: until it has, the cover
+    is not known to be one group acting regularly.
 
     The derived series is grown the same way.  Each normal closure keeps its
     generators as words in this handle's generators; a word joins when the
@@ -649,6 +650,15 @@ class PermGroup:
         if h.degree != self.degree:
             raise ValueError("degree mismatch")
         h._action = self._action
+        return h
+
+    def handle(self) -> "PermGroup":
+        """A handle of its own on this group: it shares the regular action
+        and the orbit of id 0, built once, and keeps what it is asked, such
+        as its derived length, apart from this handle."""
+        self._built()
+        h = PermGroup(self.generators, degree=self.degree, known_order=self._known_order)
+        h._action, h._orbit, h._transitive = self._action, self._orbit, self._transitive
         return h
 
     def intersection_order(self, other: "PermGroup") -> int:

@@ -15,10 +15,19 @@ propagation over the stabilizer generators' id maps.  A
 ``CosetGeometry`` holds the face counts and, per pair of ranks, the sorted
 keys of its incident pairs; the axioms P1-P4, the flag count and the section
 types are joins and group-bys on those arrays.
+
+``verify_axioms`` enumerates the flags (f0, f1, f2, f3) once, into one
+table.  Its length is the flag count, and it decides strong
+flag-connectivity (P3) for the four section classes whose flags are whole
+flags, (0,3), (-1,3), (0,4) and (-1,4): the flags are grouped once per rank
+by their other three faces, and each class's components are labelled by
+min-label propagation over the groupings of its middle ranks, warm-started
+from the components of a class with fewer middle ranks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -317,14 +326,17 @@ def stabilizer_generators(sigma: Sequence[Permutation]) -> list[list[Permutation
     return [[s2, s3], [s1 * s2, s3], [s1, s2 * s3], [s1, s2]]
 
 
-def _min_labels(n: int, relax) -> np.ndarray:
+def _min_labels(n: int, relax, start: np.ndarray | None = None) -> np.ndarray:
     """The smallest index in each connected component of a graph on 0..n-1.
 
     ``relax(lab)`` lowers each index's label to the smallest label among its
     neighbours.  Labels only ever name an index of the same component that is
-    no larger, so ``lab[lab]`` is a valid label too (pointer jumping).
+    no larger, so ``lab[lab]`` is a valid label too (pointer jumping).  The
+    labels start from ``start`` when given, which must keep that rule: the
+    component labels of a finer partition, such as the graph on fewer of
+    the same edges, do.
     """
-    lab = np.arange(n, dtype=np.int64)
+    lab = np.arange(n, dtype=np.int64) if start is None else start
     while True:
         new = relax(lab)
         jumped = new[new]
@@ -416,48 +428,110 @@ def _between(geom: CosetGeometry, i: int, mid: int, j: int) -> np.ndarray:
     return np.bincount(hits, minlength=keys.shape[0])
 
 
-def _group_by(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """An order of the rows that groups equal key columns together, and the
-    start of each group in it."""
-    order = np.lexsort(cols)
-    change = np.zeros(order.shape[0], dtype=bool)
-    change[:1] = True
-    for c in cols:
-        s = c[order]
-        change[1:] |= s[1:] != s[:-1]
-    return order, np.flatnonzero(change)
+def _key(n: int, cols: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """One int64 per row of n, equal for two rows iff they agree on every
+    column; column c holds values below ``sizes[c]``."""
+    if math.prod(sizes) > np.iinfo(np.int64).max:
+        raise ValueError("too many faces to key a chain by one int64")
+    key = np.zeros(n, dtype=np.int64)
+    for c, size in zip(cols, sizes):
+        key = key * size + c
+    return key
+
+
+def _flag_graph(table: np.ndarray, ranks: Sequence[int], sizes: Sequence[int],
+                mids: Sequence[int]) -> list[tuple[np.ndarray, int]]:
+    """Per rank t of ``mids``, the chains of ``table`` (one column per rank
+    of ``ranks``) grouped by their faces off rank t: a group id per chain,
+    and the number of groups.  Two chains of one section are adjacent when
+    they share a group."""
+    cols = list(table.T)
+    axes = []
+    for k, t in enumerate(ranks):
+        if t in mids:
+            key = _key(table.shape[0], cols[:k] + cols[k + 1:], sizes[:k] + sizes[k + 1:])
+            groups, gid = np.unique(key, return_inverse=True)
+            axes.append((gid, groups.shape[0]))
+    return axes
+
+
+def _components(n: int, axes, start: np.ndarray | None = None) -> np.ndarray:
+    """Component labels (``_min_labels``) of the chains under the groupings
+    ``axes``."""
+
+    def relax(lab):
+        for gid, ngroups in axes:
+            low = np.full(ngroups, n, dtype=np.int64)
+            np.minimum.at(low, gid, lab)
+            lab = low[gid]
+        return lab
+
+    return _min_labels(n, relax, start)
+
+
+def _one_per_section(geom: CosetGeometry, table: np.ndarray, ranks: Sequence[int],
+                     lab: np.ndarray, i: int, j: int) -> bool:
+    """Whether the chains of each (rank-i, rank-j) section form one
+    component.  A component lies in one section, so this holds iff the
+    components' least chains (those labelled by themselves) lie in
+    distinct sections."""
+    roots = table[lab == np.arange(lab.shape[0])]
+    ends = [k for k, r in enumerate(ranks) if r in (i, j)]
+    key = _key(roots.shape[0], [roots[:, k] for k in ends],
+               [geom.rank_size(ranks[k]) for k in ends])
+    return np.unique(key).shape[0] == roots.shape[0]
 
 
 def _sections_connected(geom: CosetGeometry, i: int, j: int) -> bool:
     """Whether the flags of every (rank-i, rank-j) section are connected
     through flags that differ in one face, given as components of the
     chain graph."""
-    rows = _chains(geom, range(i, j + 1))
-    if rows.shape[0] == 0:
-        return True
-    cols = list(rows.T)
-    # flags of one section that agree off one middle rank are adjacent
-    axes = [_group_by(cols[:t] + cols[t + 1:]) for t in range(1, len(cols) - 1)]
+    ranks = tuple(range(max(i, 0), min(j, 3) + 1))  # a formal rank has one face
+    table = _chains(geom, ranks)
+    axes = _flag_graph(table, ranks, [geom.rank_size(r) for r in ranks],
+                       range(i + 1, j))
+    lab = _components(table.shape[0], axes)
+    return _one_per_section(geom, table, ranks, lab, i, j)
 
-    def relax(lab):
-        for order, starts in axes:
-            low = np.minimum.reduceat(lab[order], starts)
-            lab = np.empty_like(lab)
-            lab[order] = np.repeat(low, np.diff(starts, append=order.shape[0]))
-        return lab
 
-    lab = _min_labels(rows.shape[0], relax)
-    order, starts = _group_by([cols[0], cols[-1]])
-    lab = lab[order]
-    return np.array_equal(np.minimum.reduceat(lab, starts),
-                          np.maximum.reduceat(lab, starts))
+def _connected_classes(geom: CosetGeometry, flags: np.ndarray):
+    """Yield ((i, j), connected) for each section class (i, j) of rank at
+    least 2: whether the flags of each of its sections are connected (a
+    section without flags counts as connected).  A caller that stops at the
+    first False skips the rest.
+
+    The classes (-1,2) and (1,4) go by ``_sections_connected``.  The four
+    others, (0,3), (-1,3), (0,4) and (-1,4), share the one table ``flags``
+    of the flags (f0, f1, f2, f3), grouped once by the faces off each rank;
+    each class's components are found over the groupings of its middle
+    ranks.  (-1,3) and (0,4) start from the components of (0,3), and (-1,4)
+    from the least of their two labels, each the label of a finer
+    partition of the class's flag graph.
+    """
+    yield (-1, 2), _sections_connected(geom, -1, 2)
+    yield (1, 4), _sections_connected(geom, 1, 4)
+    n = flags.shape[0]
+    ranks = (0, 1, 2, 3)
+    axes = _flag_graph(flags, ranks, geom.nfaces, ranks)
+    lab03 = _components(n, axes[1:3])
+    yield (0, 3), _one_per_section(geom, flags, ranks, lab03, 0, 3)
+    lab13 = _components(n, axes[:3], lab03)
+    yield (-1, 3), _one_per_section(geom, flags, ranks, lab13, -1, 3)
+    lab04 = _components(n, axes[1:], lab03)
+    yield (0, 4), _one_per_section(geom, flags, ranks, lab04, 0, 4)
+    lab14 = _components(n, axes, np.minimum(lab13, lab04))
+    yield (-1, 4), _one_per_section(geom, flags, ranks, lab14, -1, 4)
 
 
 def verify_axioms(geom: CosetGeometry) -> AxiomReport:
     """Exhaustively check the four polytope axioms on the geometry.
 
     Failures are recorded in the report, never raised.  The flag count is
-    the number of maximal chains through all ranks.
+    the number of maximal chains through all ranks, and the table of those
+    chains, built once, also serves P3 for the four section classes between
+    a face of rank -1 or 0 and one of rank 3 or 4 (``_connected_classes``):
+    (-1,3) and (0,4) start their component labels from those of (0,3), and
+    (-1,4) from the least of theirs.
     """
     p1_ok = all(c > 0 for c in geom.face_counts())  # formal faces exist by construction
 
@@ -475,11 +549,11 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
 
     # P3: strong flag-connectivity of every section of rank >= 2; a section
     # with an empty middle rank fails, one with at most one flag passes
+    flags = _chains(geom, (0, 1, 2, 3))
     p3_ok = (all(c.all() for (i, _, j), c in between.items() if j >= i + 3)
-             and all(_sections_connected(geom, i, j)
-                     for i in range(-1, 2) for j in range(i + 3, 5)))
+             and all(ok for _, ok in _connected_classes(geom, flags)))
 
-    flag_count = int(_chains(geom, (0, 1, 2, 3)).shape[0])
+    flag_count = int(flags.shape[0])
 
     # equivelarity across all 2-sections, giving the Schlafli type:
     # entry ``pos`` measures sections between (pos-1)-faces and (pos+2)-faces,

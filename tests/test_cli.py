@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,7 +8,14 @@ import pytest
 
 from chiral444.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "chiral444" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "chiral444" / "data"
+
+
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +139,27 @@ def test_verify_parallel_two_members(capsys):
 def test_verify_bad_range_exit_one(capsys):
     code, _, _ = run_cli(capsys, "verify", "--family", "Q", "--m", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [("polytope", "--family", "P", "--m", "0"),
+                                  ("polytope", "--family", "Q", "--m", "-2"),
+                                  ("corollary", "--k-max", "-1")])
+def test_bad_member_arguments_exit_one(argv):
+    # in a child process, so that an uncaught exception would show as a
+    # traceback and exit 1 from the interpreter rather than from the CLI
+    code = "import sys; from chiral444.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1 and proc.stdout == ""
+
+
+def test_python_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "chiral444", "--version"],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("chiral444 ")
 
 
 def test_conjugation_table(capsys):

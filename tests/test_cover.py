@@ -7,10 +7,10 @@ import pytest
 
 from chiral444.families import (EnumerationIncomplete, VerificationError,
                                 VerifyOptions, _certify_cover, _cover_images,
-                                _todd_coxeter_triple, _voltages,
+                                _todd_coxeter_triple, _voltages, _VoltageCover,
                                 family_presentation, member_triple,
                                 reference_triple, subgroup_seed_words)
-from chiral444.perms import Permutation
+from chiral444.perms import Permutation, evaluate
 from chiral444.polytope import intersection_condition, quotient_criterion
 
 
@@ -48,6 +48,9 @@ def test_member_triple_m1_is_the_reference():
     t, ref = member_triple("Q", 1), reference_triple("Q")
     assert t.sigma is ref.sigma and t.presentation is ref.presentation
     assert t.group is not ref.group and t.group.order() == 2048
+    assert t.group.elements() == ref.group.elements()
+    again = member_triple("Q", 1)
+    assert again.group is not t.group and again.group is not ref.group
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -75,11 +78,11 @@ def test_corrupted_voltage_fails_the_certificate():
     base = _base("P")
     phi = _voltages("P", base)
     pres = family_presentation("P", 2)
-    _certify_cover(pres, [Permutation(img) for img in _cover_images(base, phi, 2)])
+    _certify_cover(pres, _VoltageCover(base, phi), 2)
     bad = phi.copy()
     bad[1, 5, 0] += 1
     with pytest.raises(VerificationError, match="relator"):
-        _certify_cover(pres, [Permutation(img) for img in _cover_images(base, bad, 2)])
+        _certify_cover(pres, _VoltageCover(base, bad), 2)
 
 
 def test_intransitive_cover_fails_the_certificate():
@@ -87,9 +90,35 @@ def test_intransitive_cover_fails_the_certificate():
     # relator of the family at m = 2 holds, but the action is not transitive
     base = _base("P")
     zero = np.zeros((3, base.shape[1], 2), dtype=np.int64)
-    sigma = [Permutation(img) for img in _cover_images(base, zero, 2)]
     with pytest.raises(VerificationError, match="not transitive"):
-        _certify_cover(family_presentation("P", 2), sigma)
+        _certify_cover(family_presentation("P", 2), _VoltageCover(base, zero), 2)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_lifted_relators_match_the_full_cover(family):
+    # a relator's lift to G_1 decides it exactly as the product of the cover
+    # permutations does, on the true voltages and on corrupted ones
+    base = _base(family)
+    phi = _voltages(family, base)
+    rng = np.random.default_rng(1912)
+    verdicts = set()
+    for m in (2, 3, 4):
+        pres = family_presentation(family, m)
+        tables = [phi]
+        for _ in range(3):
+            bad = phi.copy()
+            for _ in range(rng.integers(1, 4)):
+                g, c, axis = rng.integers(3), rng.integers(base.shape[1]), rng.integers(2)
+                bad[g, c, axis] += rng.integers(1, m)
+            tables.append(bad)
+        for table in tables:
+            cover = _VoltageCover(base, table)
+            sigma = [Permutation(img) for img in _cover_images(base, table, m)]
+            for r in pres.relators:
+                lifted = cover.holds(r, m)
+                assert lifted == evaluate(r, sigma).is_identity()
+                verdicts.add(lifted)
+    assert verdicts == {True, False}
 
 
 def test_small_conjugation_cap_raises():

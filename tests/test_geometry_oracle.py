@@ -15,12 +15,13 @@ import numpy as np
 
 from chiral444.families import member_triple
 from chiral444.perms import Permutation
-from chiral444.polytope import (CosetGeometry, coset_geometry_from_subgroups,
-                                section_type, stabilizer_generators,
-                                verify_axioms)
+from chiral444.polytope import (CosetGeometry, _chains, _connected_classes,
+                                coset_geometry_from_subgroups, section_type,
+                                stabilizer_generators, verify_axioms)
 from test_polytope import simplex_triple
 
 RANKS = range(-1, 5)
+P3_CLASSES = ((-1, 2), (-1, 3), (-1, 4), (0, 3), (0, 4), (1, 4))
 
 
 class Oracle:
@@ -255,3 +256,33 @@ def test_random_incidence_structures_match_oracle():
         assert got == expected(oracle)
         outcomes.add((got[0]["p2"], isinstance(got[1], str)))
     assert outcomes == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def flags_connected(oracle, i, a, j, b):
+    """Whether the section's flags are connected, counting a section with an
+    empty middle rank (which has no flags) as connected."""
+    return (oracle.section_connected(i, a, j, b)
+            or any(not oracle.chains((mid,), ((i, a), (j, b))) for mid in range(i + 1, j)))
+
+
+def test_p3_section_classes_match_oracle():
+    # each class's verdict on its own, and for each class a structure whose
+    # only sections failing P3 lie in that class
+    rng = random.Random(7)
+    isolated = {}
+    for _ in range(100):
+        geom, oracle = random_structure(rng)
+        connected = {(i, j): all(flags_connected(oracle, i, a, j, b)
+                                 for a, b in oracle.incident_pairs(i, j))
+                     for i, j in P3_CLASSES}
+        assert dict(_connected_classes(geom, _chains(geom, (0, 1, 2, 3)))) == connected
+        failing = [(i, j) for i, j in P3_CLASSES
+                   if not all(oracle.section_connected(i, a, j, b)
+                              for a, b in oracle.incident_pairs(i, j))]
+        if len(failing) == 1:
+            isolated.setdefault(failing[0], (geom, oracle))
+    assert set(isolated) == set(P3_CLASSES)
+    for geom, oracle in isolated.values():
+        got = observed(geom)
+        assert got[0]["p3"] is False
+        assert got == expected(oracle)
