@@ -11,18 +11,27 @@ The geometry is built on the group's right-regular action on the ids of
 ``elements()`` (``PermGroup.right_action``): the rank-i face gS_i is the
 S_i-orbit of g's id, and two faces are incident when they share an id.  Each
 face is labelled by the smallest id in its orbit, found by min-label
-propagation over the stabilizer generators' id maps.  A
-``CosetGeometry`` holds the face counts and, per pair of ranks, the sorted
-keys of its incident pairs; the axioms P1-P4, the flag count and the section
-types are joins and group-bys on those arrays.
+propagation over the stabilizer generators' id maps, and faces are numbered
+in the order of those labels.  A ``CosetGeometry`` holds the face counts
+and, per pair of ranks, the sorted distinct keys of its incident pairs
+(sorted, then compared with their neighbours); the axioms P1-P4, the flag
+count and the section types are joins and group-bys on those arrays.
 
-``verify_axioms`` enumerates the flags (f0, f1, f2, f3) once, into one
-table.  Its length is the flag count, and it decides strong
-flag-connectivity (P3) for the four section classes whose flags are whole
-flags, (0,3), (-1,3), (0,4) and (-1,4): the flags are grouped once per rank
-by their other three faces, and each class's components are labelled by
-min-label propagation over the groupings of its middle ranks, warm-started
-from the components of a class with fewer middle ranks.
+For each incident pair of faces and each rank between them, the number of
+faces of that rank incident to both is counted once per geometry and kept
+on it (``_between``).  When one end is a formal face the count is a
+``bincount`` of one incidence array; only the four triples of real ranks
+join chains of three faces.
+
+``verify_axioms`` builds one table of vertex-edge-polygon chains.  It gives
+the (0,1,2) counts and the components of the (-1,2) sections, and extended
+by rank 3 it is the flag table (f0, f1, f2, f3).  Its length is the flag
+count, and it decides strong flag-connectivity (P3) for the four section
+classes whose flags are whole flags, (0,3), (-1,3), (0,4) and (-1,4): the
+flags are grouped once per rank by their other three faces, and each
+class's components are labelled by min-label propagation over the groupings
+of its middle ranks, warm-started from the components of a class with fewer
+middle ranks.
 """
 
 from __future__ import annotations
@@ -267,6 +276,10 @@ class CosetGeometry:
     ``a * n_j + b`` per incident pair of rank-i face a and rank-j face b.
     The formal least (rank -1) and greatest (rank 4) faces are implicit;
     ``incidence_keys`` treats them as single faces incident to every face.
+
+    ``between[(i, mid, j)]`` keeps, once ``_between`` has counted them, the
+    read-only counts of rank-``mid`` faces between each incident (rank-i,
+    rank-j) pair, so that ``verify_axioms`` and ``section_type`` share them.
     """
 
     triple: RotationTriple
@@ -274,6 +287,8 @@ class CosetGeometry:
     subgroup_orders: tuple[int, int, int, int]
     nfaces: tuple[int, int, int, int]
     incidence: dict[tuple[int, int], np.ndarray]
+    between: dict[tuple[int, int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def face_counts(self) -> tuple[int, int, int, int]:
         return self.nfaces
@@ -360,6 +375,24 @@ def _orbit_labels(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
     return _min_labels(n, relax)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys`` in increasing order (``np.unique``),
+    by a sort and a compare with each value's neighbour."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _face_numbers(lab: np.ndarray) -> np.ndarray:
+    """Each id's face number, the faces numbered in the order of their
+    labels, given each id's face label, which is the smallest id of the face
+    (the inverse of ``np.unique(lab)``, without a sort)."""
+    root = lab == np.arange(lab.shape[0])
+    return (np.cumsum(root) - 1)[lab]
+
+
 def coset_geometry_from_subgroups(t: RotationTriple,
                                   subgroup_gens: Sequence[Sequence[Permutation]],
                                   element_cap: int = 2 ** 16) -> CosetGeometry:
@@ -373,11 +406,10 @@ def coset_geometry_from_subgroups(t: RotationTriple,
     if order > element_cap:
         raise GeometryCapError(
             f"group order {order} exceeds the exhaustive cap {element_cap}")
-    faces = [np.unique(_orbit_labels(order, [g.right_action(s) for s in gens]),
-                       return_inverse=True)[1]
+    faces = [_face_numbers(_orbit_labels(order, [g.right_action(s) for s in gens]))
              for gens in subgroup_gens]
     nfaces = tuple(int(f.max()) + 1 for f in faces)
-    incidence = {(i, j): np.unique(faces[i] * nfaces[j] + faces[j])
+    incidence = {(i, j): _distinct(faces[i] * nfaces[j] + faces[j])
                  for i in range(4) for j in range(i + 1, 4)}
     return CosetGeometry(t, order, tuple(order // c for c in nfaces), nfaces,
                          incidence)
@@ -394,38 +426,66 @@ def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 16) -> Coset
         t, stabilizer_generators(t.sigma), element_cap)
 
 
+def _extend(geom: CosetGeometry, rows: np.ndarray, ranks: Sequence[int],
+            rank: int) -> np.ndarray:
+    """Chains of ``rows`` (one column per rank of the increasing ``ranks``)
+    extended in every way by a face of the greater ``rank``; ranks 0..3."""
+    prev, size = ranks[-1], geom.nfaces[rank]
+    lo, hi = np.divmod(geom.incidence[(prev, rank)], size)
+    degree = np.bincount(lo, minlength=geom.nfaces[prev])
+    first = np.cumsum(degree) - degree
+    # extend every row by each face incident to its last face
+    reps = degree[rows[:, -1]]
+    rows = np.repeat(rows, reps, axis=0)
+    offset = np.arange(rows.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
+    new = hi[first[rows[:, -1]] + offset]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    for q, r in enumerate(ranks[:-1]):
+        keep &= np.isin(rows[:, q] * size + new, geom.incidence[(r, rank)])
+    return np.column_stack([rows[keep], new[keep]])
+
+
 def _chains(geom: CosetGeometry, ranks: Sequence[int]) -> np.ndarray:
     """All chains of pairwise incident faces, one row per chain and one
-    column per rank of the increasing ``ranks`` (formal ranks allowed)."""
-    rows = np.arange(geom.rank_size(ranks[0]), dtype=np.int64)[:, None]
+    column per rank of the increasing ``ranks`` (ranks 0..3)."""
+    rows = np.arange(geom.nfaces[ranks[0]], dtype=np.int64)[:, None]
     for k in range(1, len(ranks)):
-        prev, rank = ranks[k - 1], ranks[k]
-        size = geom.rank_size(rank)
-        lo, hi = np.divmod(geom.incidence_keys(prev, rank), size)
-        degree = np.bincount(lo, minlength=geom.rank_size(prev))
-        first = np.cumsum(degree) - degree
-        # extend every row by each face incident to its last face
-        reps = degree[rows[:, -1]]
-        rows = np.repeat(rows, reps, axis=0)
-        offset = np.arange(rows.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
-        new = hi[first[rows[:, -1]] + offset]
-        keep = np.ones(rows.shape[0], dtype=bool)
-        if rank != 4:
-            for q in range(k - 1):
-                if ranks[q] != -1:
-                    keep &= np.isin(rows[:, q] * size + new,
-                                    geom.incidence[(ranks[q], rank)])
-        rows = np.column_stack([rows[keep], new[keep]])
+        rows = _extend(geom, rows, ranks[:k], ranks[k])
     return rows
 
 
-def _between(geom: CosetGeometry, i: int, mid: int, j: int) -> np.ndarray:
+def _between(geom: CosetGeometry, i: int, mid: int, j: int,
+             chains: np.ndarray | None = None) -> np.ndarray:
     """For each incident (rank-i, rank-j) pair, in ``incidence_keys`` order,
-    the number of rank-``mid`` faces incident to both."""
-    rows = _chains(geom, (i, mid, j))
-    keys = geom.incidence_keys(i, j)
-    hits = np.searchsorted(keys, rows[:, 0] * geom.rank_size(j) + rows[:, 2])
-    return np.bincount(hits, minlength=keys.shape[0])
+    the number of rank-``mid`` faces incident to both.
+
+    The counts are made once per geometry and kept, read-only, in
+    ``geom.between``.  Between the two formal faces every rank-``mid`` face
+    counts; with one formal end, the other end's incident ``mid`` faces are
+    counted off one incidence array.  The four triples of real ranks join
+    the chains of ranks (i, mid, j), which a caller that has them passes as
+    ``chains``.
+    """
+    counts = geom.between.get((i, mid, j))
+    if counts is not None:
+        return counts
+    if i == -1 and j == 4:
+        counts = np.array([geom.rank_size(mid)], dtype=np.int64)
+    elif i == -1:
+        n = geom.rank_size(j)
+        counts = np.bincount(geom.incidence[(mid, j)] % n, minlength=n)
+    elif j == 4:
+        counts = np.bincount(geom.incidence[(i, mid)] // geom.rank_size(mid),
+                             minlength=geom.rank_size(i))
+    else:
+        if chains is None:
+            chains = _chains(geom, (i, mid, j))
+        keys = geom.incidence[(i, j)]
+        hits = np.searchsorted(keys, chains[:, 0] * geom.rank_size(j) + chains[:, 2])
+        counts = np.bincount(hits, minlength=keys.shape[0])
+    counts.flags.writeable = False
+    geom.between[(i, mid, j)] = counts
+    return counts
 
 
 def _key(n: int, cols: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
@@ -479,28 +539,32 @@ def _one_per_section(geom: CosetGeometry, table: np.ndarray, ranks: Sequence[int
     ends = [k for k, r in enumerate(ranks) if r in (i, j)]
     key = _key(roots.shape[0], [roots[:, k] for k in ends],
                [geom.rank_size(ranks[k]) for k in ends])
-    return np.unique(key).shape[0] == roots.shape[0]
+    return _distinct(key).shape[0] == roots.shape[0]
 
 
-def _sections_connected(geom: CosetGeometry, i: int, j: int) -> bool:
+def _sections_connected(geom: CosetGeometry, i: int, j: int,
+                        table: np.ndarray | None = None) -> bool:
     """Whether the flags of every (rank-i, rank-j) section are connected
     through flags that differ in one face, given as components of the
-    chain graph."""
+    chain graph.  ``table``, when given, holds the chains of the real ranks
+    from max(i, 0) to min(j, 3)."""
     ranks = tuple(range(max(i, 0), min(j, 3) + 1))  # a formal rank has one face
-    table = _chains(geom, ranks)
+    if table is None:
+        table = _chains(geom, ranks)
     axes = _flag_graph(table, ranks, [geom.rank_size(r) for r in ranks],
                        range(i + 1, j))
     lab = _components(table.shape[0], axes)
     return _one_per_section(geom, table, ranks, lab, i, j)
 
 
-def _connected_classes(geom: CosetGeometry, flags: np.ndarray):
+def _connected_classes(geom: CosetGeometry, vep: np.ndarray, flags: np.ndarray):
     """Yield ((i, j), connected) for each section class (i, j) of rank at
     least 2: whether the flags of each of its sections are connected (a
     section without flags counts as connected).  A caller that stops at the
     first False skips the rest.
 
-    The classes (-1,2) and (1,4) go by ``_sections_connected``.  The four
+    The classes (-1,2) and (1,4) go by ``_sections_connected``, (-1,2) on
+    ``vep``, the table of vertex-edge-polygon chains.  The four
     others, (0,3), (-1,3), (0,4) and (-1,4), share the one table ``flags``
     of the flags (f0, f1, f2, f3), grouped once by the faces off each rank;
     each class's components are found over the groupings of its middle
@@ -508,7 +572,7 @@ def _connected_classes(geom: CosetGeometry, flags: np.ndarray):
     from the least of their two labels, each the label of a finer
     partition of the class's flag graph.
     """
-    yield (-1, 2), _sections_connected(geom, -1, 2)
+    yield (-1, 2), _sections_connected(geom, -1, 2, vep)
     yield (1, 4), _sections_connected(geom, 1, 4)
     n = flags.shape[0]
     ranks = (0, 1, 2, 3)
@@ -526,16 +590,23 @@ def _connected_classes(geom: CosetGeometry, flags: np.ndarray):
 def verify_axioms(geom: CosetGeometry) -> AxiomReport:
     """Exhaustively check the four polytope axioms on the geometry.
 
-    Failures are recorded in the report, never raised.  The flag count is
-    the number of maximal chains through all ranks, and the table of those
-    chains, built once, also serves P3 for the four section classes between
-    a face of rank -1 or 0 and one of rank 3 or 4 (``_connected_classes``):
-    (-1,3) and (0,4) start their component labels from those of (0,3), and
-    (-1,4) from the least of theirs.
+    Failures are recorded in the report, never raised.  The counts of faces
+    between incident pairs are made here, 16 of the 20 by a ``bincount``,
+    and kept on the geometry for ``section_type``.  One table of
+    vertex-edge-polygon chains gives the (0,1,2) counts and P3 for the
+    (-1,2) sections; extended by rank 3 it is the table of flags, the
+    maximal chains through all ranks.  Its length is the flag count, and it
+    serves P3 for the four section classes between a face of rank -1 or 0
+    and one of rank 3 or 4 (``_connected_classes``): (-1,3) and (0,4) start
+    their component labels from those of (0,3), and (-1,4) from the least
+    of theirs.  Neither table outlives the call.
     """
     p1_ok = all(c > 0 for c in geom.face_counts())  # formal faces exist by construction
 
-    # faces strictly between each incident pair, per middle rank
+    # faces strictly between each incident pair, per middle rank; the
+    # vertex-edge-polygon chains give the (0,1,2) counts and, below, the flags
+    vep = _chains(geom, (0, 1, 2))
+    _between(geom, 0, 1, 2, vep)
     between = {(i, mid, j): _between(geom, i, mid, j)
                for i in range(-1, 3) for j in range(i + 2, 5)
                for mid in range(i + 1, j)}
@@ -549,9 +620,9 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
 
     # P3: strong flag-connectivity of every section of rank >= 2; a section
     # with an empty middle rank fails, one with at most one flag passes
-    flags = _chains(geom, (0, 1, 2, 3))
+    flags = _extend(geom, vep, (0, 1, 2), 3)
     p3_ok = (all(c.all() for (i, _, j), c in between.items() if j >= i + 3)
-             and all(ok for _, ok in _connected_classes(geom, flags)))
+             and all(ok for _, ok in _connected_classes(geom, vep, flags)))
 
     flag_count = int(flags.shape[0])
 
@@ -561,8 +632,8 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
     schlafli = []
     equivelar = True
     for pos in range(3):
-        sizes = np.union1d(between[(pos - 1, pos, pos + 2)],
-                           between[(pos - 1, pos + 1, pos + 2)])
+        sizes = _distinct(np.concatenate([between[(pos - 1, pos, pos + 2)],
+                                          between[(pos - 1, pos + 1, pos + 2)]]))
         if sizes.shape[0] != 1:
             equivelar = False
             schlafli.append(0)
@@ -596,7 +667,8 @@ def section_type(geom: CosetGeometry) -> tuple[tuple[int, int], tuple[int, int]]
     """Schlafli types of the facet sections and the vertex-figure sections.
 
     Measured from 2-section polygon sizes inside the rank-3 sections; raises
-    if the sections are not equivelar.
+    if the sections are not equivelar.  The three counts it reads are those
+    ``verify_axioms`` kept on the geometry, made here when it has not run.
     """
     n0, n1, _, n3 = geom.face_counts()
     vertex, facet = np.divmod(geom.incidence_keys(0, 3), n3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -184,7 +185,20 @@ def test_polytope_command_q1(capsys, tmp_path):
     assert code == 0
     assert "flags: 4096" in out
     assert "P1 True  P2 True  P3 True  P4 True" in out
-    assert dump.read_text().startswith("-1 0 :")
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "2e884a89e2d93e63a435a5b78830d2874f87f639c83f7c2d2413f1a36c126333")
+
+
+def test_polytope_command_p2_dump_is_pinned(capsys, tmp_path):
+    # the face numbering (faces in the order of their least element id) and
+    # the order of each face's incidences, past the m = 1 members
+    dump = tmp_path / "geom.txt"
+    code, out, _ = run_cli(capsys, "polytope", "--family", "P", "--m", "2",
+                           "--dump-geometry", str(dump))
+    assert code == 0
+    assert "flags: 8192 (2*order = 8192)" in out
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "fe71c6f06845fffe2c04670466018efb19ed211af5a1419899c6ea079edab071")
 
 
 def test_polytope_command_p1_dump_matches_golden(capsys, tmp_path):

@@ -15,13 +15,16 @@ import numpy as np
 
 from chiral444.families import member_triple
 from chiral444.perms import Permutation
-from chiral444.polytope import (CosetGeometry, _chains, _connected_classes,
-                                coset_geometry_from_subgroups, section_type,
-                                stabilizer_generators, verify_axioms)
+from chiral444.polytope import (CosetGeometry, _between, _chains,
+                                _connected_classes, coset_geometry_from_subgroups,
+                                section_type, stabilizer_generators, verify_axioms)
 from test_polytope import simplex_triple
 
 RANKS = range(-1, 5)
 P3_CLASSES = ((-1, 2), (-1, 3), (-1, 4), (0, 3), (0, 4), (1, 4))
+# (i, mid, j) for every incident pair's rank i < j - 1 and each rank between
+TRIPLES = [(i, mid, j) for i in RANKS for j in RANKS if j >= i + 2
+           for mid in range(i + 1, j)]
 
 
 class Oracle:
@@ -166,15 +169,42 @@ def coset_oracle(group, subgroup_gens):
     return Oracle([len(f) for f in faces], pairs), tuple(orders)
 
 
-def observed(geom):
-    rpt = verify_axioms(geom)
+def sections_of(geom):
     try:
-        sections = section_type(geom)
+        return section_type(geom)
     except ValueError as exc:
-        sections = str(exc)
+        return str(exc)
+
+
+def fresh(geom):
+    """The same geometry with no counts kept on it yet."""
+    return CosetGeometry(geom.triple, geom.group_order, geom.subgroup_orders,
+                         geom.nfaces, geom.incidence)
+
+
+def observed(geom):
+    """The axiom report and section types of ``geom``, checked to be the
+    same when ``section_type`` runs before ``verify_axioms`` as after it."""
+    cold = fresh(geom)
+    cold_sections = sections_of(cold)
+    rpt = verify_axioms(geom)
+    sections = sections_of(geom)
+    assert cold_sections == sections
+    assert verify_axioms(cold) == rpt
     return ({"p1": rpt.p1_ok, "p2": rpt.p2_ok, "p3": rpt.p3_ok, "p4": rpt.p4_ok,
              "equivelar": rpt.equivelar, "flags": rpt.flag_count,
              "schlafli": rpt.schlafli}, sections)
+
+
+def check_between(geom, oracle):
+    """Each of the 20 kinds of count, pair by pair against the oracle; the
+    counts ``_between`` keeps on the geometry are read-only."""
+    for i, mid, j in TRIPLES:
+        counts = _between(geom, i, mid, j)
+        assert counts.tolist() == [oracle.between(i, a, j, b, mid)
+                                   for a, b in oracle.incident_pairs(i, j)]
+        assert not counts.flags.writeable
+        assert geom.between[(i, mid, j)] is counts
 
 
 def expected(oracle):
@@ -193,6 +223,7 @@ def check_against_oracle(triple, subgroup_gens):
     assert geom.dump() == oracle.dump()
     got = observed(geom)
     assert got == expected(oracle)
+    check_between(geom, oracle)
     return got
 
 
@@ -234,14 +265,43 @@ def test_first_members_match_oracle():
             check_against_oracle(t, gens)
 
 
+def structure(nfaces, pairs):
+    """A geometry and the oracle on the explicit incident ``pairs`` of faces
+    of ranks (i, j), 0 <= i < j <= 3."""
+    keys = {ij: np.array(sorted(a * nfaces[ij[1]] + b for a, b in p), dtype=np.int64)
+            for ij, p in pairs.items()}
+    return CosetGeometry(None, 0, (0, 0, 0, 0), nfaces, keys), Oracle(nfaces, pairs)
+
+
 def random_structure(rng):
     nfaces = tuple(rng.randint(1, 3) for _ in range(4))
     pairs = {(i, j): {(a, b) for a in range(nfaces[i]) for b in range(nfaces[j])
                       if rng.random() < 0.7}
              for i in range(4) for j in range(i + 1, 4)}
-    keys = {ij: np.array(sorted(a * nfaces[ij[1]] + b for a, b in p), dtype=np.int64)
-            for ij, p in pairs.items()}
-    return CosetGeometry(None, 0, (0, 0, 0, 0), nfaces, keys), Oracle(nfaces, pairs)
+    return structure(nfaces, pairs)
+
+
+def loose_structure():
+    """Faces 0 of ranks 0..3 form one flag, and faces 1 are incident to no
+    face of ranks 0..3: every count between a face 1 and a formal face is
+    0, and a face 1 is the last of its rank, where ``bincount`` would drop
+    it without its ``minlength``."""
+    return structure((2, 2, 2, 2), {(i, j): {(0, 0)}
+                                    for i in range(4) for j in range(i + 1, 4)})
+
+
+def split_structure():
+    """Vertex 0 and facet 0 bound a section whose middle ranks are not
+    empty but whose two flags, (edge 0, polygon 0) and (edge 1, polygon 1),
+    share no face; every other section of rank at least 2 is connected, so
+    (0,3) is the one section class that fails P3."""
+    return structure((2, 3, 4, 2), {
+        (0, 1): {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)},
+        (0, 2): {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 3)},
+        (0, 3): {(0, 0), (0, 1), (1, 0)},
+        (1, 2): {(0, 0), (0, 3), (1, 1), (1, 2), (1, 3), (2, 0), (2, 2)},
+        (1, 3): {(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)},
+        (2, 3): {(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (3, 0)}})
 
 
 def test_random_incidence_structures_match_oracle():
@@ -254,8 +314,29 @@ def test_random_incidence_structures_match_oracle():
         geom, oracle = random_structure(rng)
         got = observed(geom)
         assert got == expected(oracle)
+        check_between(geom, oracle)
         outcomes.add((got[0]["p2"], isinstance(got[1], str)))
     assert outcomes == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def test_between_counts_match_oracle():
+    # each count made on its own, before any verify_axioms; the members'
+    # and the random structures' counts made by verify_axioms are checked
+    # in check_against_oracle and test_random_incidence_structures_match_oracle
+    rng = random.Random(4)
+    structures = [random_structure(rng) for _ in range(200)]
+    loose = loose_structure()
+    structures += [loose, split_structure()]
+    for family in ("P", "Q"):
+        t = member_triple(family, 1)
+        gens = stabilizer_generators(t.sigma)
+        structures.append((coset_geometry_from_subgroups(t, gens),
+                           coset_oracle(t.group, gens)[0]))
+    for geom, oracle in structures:
+        check_between(geom, oracle)
+    geom, oracle = loose
+    assert 0 in geom.between[(-1, 0, 3)] and 0 in geom.between[(0, 1, 4)]
+    assert observed(fresh(geom)) == expected(oracle)
 
 
 def flags_connected(oracle, i, a, j, b):
@@ -268,14 +349,18 @@ def flags_connected(oracle, i, a, j, b):
 def test_p3_section_classes_match_oracle():
     # each class's verdict on its own, and for each class a structure whose
     # only sections failing P3 lie in that class
+    # the random structures' one failing (0,3) has an empty middle rank, so
+    # the hand-built split structure comes first to be the (0,3) case
     rng = random.Random(7)
     isolated = {}
-    for _ in range(100):
-        geom, oracle = random_structure(rng)
+    structures = [split_structure()] + [random_structure(rng) for _ in range(100)]
+    for geom, oracle in structures:
         connected = {(i, j): all(flags_connected(oracle, i, a, j, b)
                                  for a, b in oracle.incident_pairs(i, j))
                      for i, j in P3_CLASSES}
-        assert dict(_connected_classes(geom, _chains(geom, (0, 1, 2, 3)))) == connected
+        classes = _connected_classes(geom, _chains(geom, (0, 1, 2)),
+                                     _chains(geom, (0, 1, 2, 3)))
+        assert dict(classes) == connected
         failing = [(i, j) for i, j in P3_CLASSES
                    if not all(oracle.section_connected(i, a, j, b)
                               for a, b in oracle.incident_pairs(i, j))]
