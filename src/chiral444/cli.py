@@ -18,9 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .coset import EnumerationConfig, enumerate_cosets
-from .families import (ConjugationCheck, EnumerationIncomplete, MemberReport,
-                       VerifyOptions, corollary_orders, mirror_witness_relator,
-                       member_triple, verify_conjugation_action, verify_member)
+from .families import (EnumerationIncomplete, MemberReport, VerifyOptions,
+                       corollary_orders, member_triple,
+                       verify_conjugation_action, verify_member)
 from .polytope import (GeometryCapError, build_coset_geometry, section_type,
                        verify_axioms)
 from .words import ParseError, PresentationError, parse_presentation
@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--subgroup", default="", help="comma-separated subgroup generator words")
     p_enum.add_argument("--strategy", choices=["hlt", "felsch"], default="hlt")
     p_enum.add_argument("--max-cosets", type=int, default=1_000_000)
-    p_enum.add_argument("--no-lookahead", action="store_true")
     p_enum.add_argument("--require-complete", action="store_true",
                         help="exit 2 when the enumeration does not complete")
     p_enum.add_argument("--dump", action="store_true",
@@ -121,8 +120,7 @@ def cmd_enumerate(args) -> int:
     except (ParseError, PresentationError) as exc:
         _log(f"parse error: {exc}")
         return EXIT_INPUT
-    cfg = EnumerationConfig(strategy=args.strategy, max_cosets=args.max_cosets,
-                            lookahead=not args.no_lookahead)
+    cfg = EnumerationConfig(strategy=args.strategy, max_cosets=args.max_cosets)
     t0 = time.perf_counter()
     table = enumerate_cosets(pres, words, cfg)
     dt = time.perf_counter() - t0
@@ -163,7 +161,7 @@ def cmd_verify(args) -> int:
     opts = VerifyOptions(max_cosets=args.max_cosets, strategy=args.strategy,
                          axioms=True if args.axioms else None)
     jobs = [(args.family, m, (opts.max_cosets, opts.strategy, opts.axioms,
-                              opts.intersection_cap, opts.axiom_cap)) for m in ms]
+                              opts.intersection_cap)) for m in ms]
     t0 = time.perf_counter()
     try:
         if args.jobs > 1 and len(jobs) > 1:

@@ -35,7 +35,6 @@ class _CapHit(Exception):
 class EnumerationConfig:
     strategy: Strategy = "hlt"
     max_cosets: int = 1_000_000
-    lookahead: bool = True
 
     def __post_init__(self):
         if self.max_cosets < 1:
@@ -67,9 +66,6 @@ class CosetTable:
     @property
     def is_complete(self) -> bool:
         return self.status == "complete"
-
-    def live_cosets(self) -> list[int]:
-        return list(self._live)
 
     def entry(self, coset: int, letter: int) -> int | None:
         """Image of a live coset under one signed letter, or None."""
@@ -372,17 +368,14 @@ class _Enumerator:
                         for col in range(self.W):
                             if not self.tab[base + col]:
                                 self._define(a, col)
-                    if self.cfg.lookahead and self.n - look_mark > max(
-                            5000, 2 * (self.n - self.n_dead)):
+                    if self.n - look_mark > max(5000, 2 * (self.n - self.n_dead)):
                         self._lookahead()
                         look_mark = self.n
                 a += 1
             return True
         except _CapHit:
-            if self.cfg.lookahead:
-                self._lookahead()
-                return self._closed()
-            return False
+            self._lookahead()
+            return self._closed()
 
     def _lookahead(self):
         """Deduction-only passes over the whole table until nothing changes."""

@@ -138,7 +138,6 @@ class VerifyOptions:
     strategy: str = "felsch"  # near-minimal definitions on these quotients
     axioms: bool | None = None  # None: only for m == 1
     intersection_cap: int = 10_000
-    axiom_cap: int = 2 ** 16
 
 
 @dataclass
@@ -538,7 +537,7 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     axioms = None
     want_axioms = opts.axioms if opts.axioms is not None else (m == 1)
     if want_axioms:
-        geom = build_coset_geometry(triple, element_cap=opts.axiom_cap)
+        geom = build_coset_geometry(triple)
         axioms = verify_axioms(geom)
         timer.lap("axioms")
 
@@ -614,13 +613,13 @@ def conjugation_relations(family: str) -> list[tuple[str, Word]]:
     return pairs
 
 
-def verify_conjugation_action(family: str, cap: int = 1_000_000,
-                              start_cap: int = 2000) -> list[ConjugationCheck]:
+def verify_conjugation_action(family: str, cap: int = 1_000_000) -> list[ConjugationCheck]:
     """Prove the conjugation relations by partial-enumeration traces.
 
-    Caps escalate geometrically up to ``cap``; a relation is verified once a
-    sound trace from coset 1 returns 1, and the cap that first achieved it
-    is recorded.  Unverified-within-cap is an outcome, not an error.
+    Caps escalate geometrically from 2000 up to ``cap``; a relation is
+    verified once a sound trace from coset 1 returns 1, and the cap that
+    first achieved it is recorded.  Unverified-within-cap is an outcome, not
+    an error.
     """
     u = presentation_U()
     relations = conjugation_relations(family)
@@ -628,7 +627,7 @@ def verify_conjugation_action(family: str, cap: int = 1_000_000,
         label: ConjugationCheck(label, False, None) for label, _ in relations
     }
     caps = []
-    c = min(start_cap, cap)
+    c = min(2000, cap)
     while True:
         caps.append(c)
         if c >= cap:

@@ -5,13 +5,15 @@ by ``str()`` are 1-based to match the usual written convention.  The action
 convention is fixed once, here: products act left to right, ``(p * q)(x) =
 q(p(x))``, matching the order in which coset tables trace words.
 
-A ``PermGroup`` is handled through its right-regular action on element ids,
-and each subgroup as the orbit of id 0 (the identity) under its generators:
-in a regular action the orbit of a point is in bijection with the group, so
-order and membership are orbit bookkeeping, and no stabilizer chain is
-built.  ``orbit`` is the one search behind every orbit: a BFS, or under a
-single map the cycle through point 0.  An orbit's arrays are sized to the
-orbit, apart from its mask over the group's ids.
+A ``PermGroup`` is handled through its right-regular action, on points that
+stand one for each element, and each subgroup as the orbit of the identity's
+point under its generators: in a regular action the orbit of a point is in
+bijection with the group, so order and membership are orbit bookkeeping, and
+no stabilizer chain is built.  ``orbit`` is the one search behind every
+orbit: a BFS, or under a single map the cycle through point 0.  An orbit is
+its points, in the order the search reaches them, and a mask over the
+group's ids; the spanning tree that spells its elements is derived only when
+they are asked for.
 
 Once the action is built, a word whose images are elements of the group is
 decided on id 0: followed through the action letter by letter, it is the
@@ -132,28 +134,16 @@ class Permutation:
     def order(self) -> int:
         """Least n >= 1 with p**n the identity: the lcm of the cycle lengths.
 
-        First point 0's cycle is walked for at most 64 steps.  If it closes
-        after L steps and p**L, taken by repeated squaring, is the identity,
-        the order is L: it divides L and is a multiple of that cycle's length.
-        On a regular action every cycle has one length, so this settles every
-        element of order at most 64 of the groups here in a few compositions.
-
-        Otherwise each point is labelled with the smallest point of its cycle
-        by pointer doubling: after round j, ``lab[x]`` is the least of x,
+        Each point is labelled with the smallest point of its cycle by
+        pointer doubling: after round j, ``lab[x]`` is the least of x,
         p(x), ..., p^(2^j - 1)(x) and ``q`` is p^(2^j).  When a round changes
         no label, every label is its cycle's minimum (along x, q(x), q(q(x)),
         ... the labels cannot rise without coming back down), so the rounds
         number about log2 of the longest cycle, each a numpy pass over the
         points.  The cycle lengths are the label counts.
         """
-        img = self.images
-        x, length = int(img[0]), 1
-        while x != 0 and length < 64:
-            x, length = int(img[x]), length + 1
-        if x == 0 and (self ** length).is_identity():
-            return length
         lab = _arange(self.degree)
-        q = img
+        q = self.images
         while True:
             new = np.minimum(lab, lab[q])
             if np.array_equal(new, lab):
@@ -161,11 +151,6 @@ class Permutation:
             lab, q = new, q[q]
         lengths = np.bincount(lab)
         return math.lcm(*np.unique(lengths[lengths > 0]).tolist())
-
-    def moved_point(self) -> int | None:
-        """Smallest 0-based point moved, or None for the identity."""
-        diff = np.nonzero(self.images != _arange(self.degree))[0]
-        return int(diff[0]) if diff.size else None
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as tuples of 1-based points."""
@@ -271,21 +256,23 @@ _FAR = np.iinfo(np.int64).max  # beyond every position in a BFS layer
 
 
 class Orbit(NamedTuple):
-    """The orbit of point 0 with its BFS tree.  Every array but ``mask`` has
-    one entry per orbit point, in the order the BFS reaches them, and
-    ``parent`` and ``via`` are -1 at point 0."""
+    """The orbit of point 0: its points in the order the search reaches them,
+    and a mask over the points of the action."""
 
-    order: np.ndarray   # int32: the orbit's points
-    mask: np.ndarray    # bool, one per point of the action: whether it is in the orbit
-    parent: np.ndarray  # int32: the position in ``order`` of the point each is reached from
-    via: np.ndarray     # int32: the index of the map that reaches it
+    order: np.ndarray  # int32, one per orbit point
+    mask: np.ndarray   # bool, one per point of the action: whether it is in the orbit
 
 
 def _trivial_orbit(n: int) -> Orbit:
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
-    none = np.full(1, -1, dtype=np.int32)
-    return Orbit(np.zeros(1, dtype=np.int32), mask, none, none)
+    return Orbit(np.zeros(1, dtype=np.int32), mask)
+
+
+def _whole(n: int) -> Orbit:
+    """The orbit of id 0 under a group's own generators: every id, in the
+    order the ids were given."""
+    return Orbit(_arange(n), np.ones(n, dtype=bool))
 
 
 def orbit(maps: Sequence, n: int) -> Orbit:
@@ -328,10 +315,7 @@ def orbit(maps: Sequence, n: int) -> Orbit:
             step = step[step]
     mask = np.zeros(n, dtype=bool)
     mask[cyc] = True
-    parent = np.arange(-1, cyc.shape[0] - 1, dtype=np.int32)
-    via = np.zeros(cyc.shape[0], dtype=np.int32)
-    via[0] = -1
-    return Orbit(cyc, mask, parent, via)
+    return Orbit(cyc, mask)
 
 
 def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
@@ -345,37 +329,44 @@ def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
     new point, found by a scatter-minimum of positions into a scratch array
     that is written only at the new points (so it is never initialised, and
     touches O(orbit) of its pages).  That is a few numpy passes per BFS
-    layer; a layer keeps only the raveled positions of its new points, and
-    the parents and maps they name are worked out once at the end.
+    layer.
     """
     mask = orb.mask
     first_at = np.empty(mask.shape[0], dtype=np.int64)
-    order, keys = [orb.order], []
-    frontier, base, k = orb.order, 0, len(maps) - first
+    order = [orb.order]
+    frontier, k = orb.order, len(maps) - first
     while frontier.size and k:
         reached = np.stack([mp[frontier] for mp in maps[-k:]], axis=1).ravel()
         fresh = np.flatnonzero(~mask[reached])
         cand = reached[fresh]
         first_at[cand] = _FAR
         np.minimum.at(first_at, cand, fresh)
-        hit = fresh[first_at[cand] == fresh]
-        new = reached[hit].astype(np.intp, copy=False)  # see _RegularAction
+        new = cand[first_at[cand] == fresh].astype(np.intp, copy=False)  # see _RegularAction
         mask[new] = True
         order.append(new)
-        # position in the images of every point so far: parent * k + map
-        keys.append(hit + base * k)
-        base += frontier.shape[0]
         frontier, k = new, len(maps)
-    parent, via = [orb.parent], [orb.via]
-    # the first layer's images come from the maps from ``first`` on only
-    for lay, kk, shift in ((keys[:1], len(maps) - first, first),
-                           (keys[1:], len(maps), 0)):
-        if lay:
-            lay = np.concatenate(lay)
-            parent.append((lay // kk).astype(np.int32))
-            via.append((lay % kk + shift).astype(np.int32))
-    return Orbit(np.concatenate(order).astype(np.int32), mask, np.concatenate(parent),
-                 np.concatenate(via))
+    return Orbit(np.concatenate(order).astype(np.int32), mask)
+
+
+def _spanning_tree(orb: Orbit, maps: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Each orbit point's earliest predecessor under ``maps``: for the point
+    at position j of ``orb.order``, the position of the first point, in
+    orbit order, that a map sends to it, and the index of the first such map
+    (entry 0, for point 0 itself, is not a parent).
+
+    For a BFS orbit this is the tree the BFS walked, and in any orbit that
+    ``orbit`` or ``_bfs`` lists, each point after point 0 comes after the
+    point it was reached from, so every parent precedes its child.  One
+    scatter-minimum of the keys ``position * len(maps) + map`` of the images
+    of every orbit point finds it.
+    """
+    order, k = orb.order, len(maps)
+    pos = np.empty(orb.mask.shape[0], dtype=np.int64)  # written at the orbit only
+    pos[order] = np.arange(order.shape[0])
+    reached = np.stack([mp[order] for mp in maps], axis=1).ravel()
+    first = np.full(order.shape[0], _FAR, dtype=np.int64)
+    np.minimum.at(first, pos[reached], np.arange(reached.shape[0]))
+    return first // k, first % k
 
 
 def _cycle_length(img: np.ndarray) -> int | None:
@@ -388,103 +379,98 @@ def _cycle_length(img: np.ndarray) -> int | None:
 
 
 class _RegularAction:
-    """A group's right-regular action on its element ids 0..n-1.
+    """A group's right-regular action on n points, one per element.
 
-    Either the group acts regularly on its points and element k is the one
-    sending point 0 to ``pts[k]``, or ``rows[k]`` is the image array of
-    element k and ``index`` finds an id from an image array.
+    Right multiplication by element k takes point 0, the identity's, to
+    ``pts[k]``, and ``ids`` is the inverse of ``pts``.  A group that acts
+    regularly on its own points keeps them, numbered in the order a BFS from
+    point 0 reaches them.  A group closed up element by element acts on its
+    own ids, so ``pts`` and ``ids`` are the identity; there ``rows[k]`` is
+    the image array of element k and ``index`` finds an id from an image
+    array.  ``map`` is the one place the two differ.
 
-    Words are followed on a state that names the element reached so far:
-    the point it sends 0 to, or its image array.  Right multiplication by p
-    takes a state x to ``p.images[x]``.
+    Words are followed on a point: right multiplication by p takes point x
+    to ``map(p)[x]``.
     """
 
-    def __init__(self, pts: np.ndarray | None = None, rows: np.ndarray | None = None,
+    def __init__(self, pts: np.ndarray, rows: np.ndarray | None = None,
                  index: dict[bytes, int] | None = None):
         # intp, as numpy converts any other index array on every lookup
-        self.pts = None if pts is None else pts.astype(np.intp)
+        self.pts = pts.astype(np.intp)
+        self.n = pts.shape[0]
+        self.ids = np.empty(self.n, dtype=np.intp)
+        self.ids[self.pts] = np.arange(self.n)
         self.rows, self.index = rows, index
-        # what ``factors`` found about the images it was last given
+        # per letter of the images ``factors`` was last given: its map and
+        # the map's order (or None), and the inverse map once formed
         self._images: Sequence[Permutation] | None = None
-        self._orders: dict[int, int | None] = {}
+        self._letters: dict[int, tuple[np.ndarray, int | None]] = {}
         self._inverses: dict[int, np.ndarray] = {}
-        if pts is not None:
-            self.n = pts.shape[0]
-            self.ids = np.empty(self.n, dtype=np.intp)
-            self.ids[self.pts] = np.arange(self.n)
-        else:
-            self.n = rows.shape[0]
+
+    def map(self, p: Permutation) -> np.ndarray:
+        """Right multiplication by p, an element of the group, as an image
+        array on the points: p's own image array when the group acts on its
+        points, and otherwise the id of (element k) * p for each id k, looked
+        up in ``index``, which raises ValueError when p is not in the group."""
+        if self.rows is None:
+            return p.images
+        try:
+            return np.array([self.index[r.tobytes()] for r in p.images[self.rows]],
+                            dtype=np.intp)
+        except KeyError:
+            raise ValueError("the permutation is not in the group") from None
 
     def factors(self, letters: Sequence[int],
                 images: Sequence[Permutation]) -> list[tuple[np.ndarray, int]]:
-        """The word ``letters`` in ``images`` as (image array, times) steps,
-        one per run of a letter and its inverse.
+        """The word ``letters`` in ``images``, elements of the group, as
+        (image array, times) steps, one per run of a letter and its inverse.
 
-        On a regular action, when point 0's cycle under a run's image closes
-        after L <= 64 steps, L is the image's order (every cycle of an
-        element of a regular group is as long as its order), so the run's
-        exponent is taken mod L and an inverse letter is L - 1 steps
-        forward.  Otherwise a negative run applies the inverse array, which
-        is formed for it.  Both are kept for the next call on the same
-        ``images`` object, such as a group's generators.
+        When point 0's cycle under a letter's map closes after L <= 64
+        steps, L is the letter's order (every cycle of an element of a
+        regular group is as long as its order), so the run's exponent is
+        taken mod L and an inverse letter is L - 1 steps forward.  Otherwise
+        a negative run applies the inverse map, the array inverse of the
+        letter's.  Both are kept for the next call on the same ``images``
+        object, such as a group's generators.
         """
         if self._images is not images:
-            self._images, self._orders, self._inverses = images, {}, {}
-        orders, inverses = self._orders, self._inverses
+            self._images, self._letters, self._inverses = images, {}, {}
         steps = []
         for g, run in itertools.groupby(letters, key=abs):
             i, e = g - 1, sum(run) // g  # the run's letters are g and -g
             if i >= len(images):
                 raise ValueError(f"word uses generator index {i} with only "
                                  f"{len(images)} images")
-            img = images[i].images
-            if i not in orders:
-                orders[i] = self.pts is not None and _cycle_length(img)
-            if orders[i]:
-                e %= orders[i]
+            if i not in self._letters:
+                mp = self.map(images[i])
+                self._letters[i] = (mp, _cycle_length(mp))
+            mp, order = self._letters[i]
+            if order:
+                e %= order
             if e > 0:
-                steps.append((img, e))
+                steps.append((mp, e))
             elif e < 0:
-                if i not in inverses:
-                    inverses[i] = images[i].inverse().images
-                steps.append((inverses[i], -e))
+                if i not in self._inverses:
+                    inv = np.empty(self.n, dtype=mp.dtype)
+                    inv[mp] = _arange(self.n)
+                    self._inverses[i] = inv
+                steps.append((self._inverses[i], -e))
         return steps
-
-    def start(self):
-        """The identity's state."""
-        return 0 if self.pts is not None else _arange(self.rows.shape[1])
 
     @staticmethod
     def follow(steps: Sequence[tuple[np.ndarray, int]], x):
-        """The states that right multiplication by ``steps`` takes the states
-        ``x`` (one state, or a stack of them) to."""
+        """The points that right multiplication by ``steps`` takes the points
+        ``x`` (one point, or an array of them) to."""
         for img, times in steps:
             for _ in range(times):
                 x = img[x]
         return x
 
-    def at_start(self, x) -> bool:
-        return x == 0 if self.pts is not None else np.array_equal(x, self.start())
-
-    def id_of(self, x) -> int | None:
-        """The id of the element of state x.  On a regular action this is
-        the id of the only element that can be there, even when the
-        product followed is not in the group; otherwise None then."""
-        if self.pts is not None:
-            return int(self.ids[x])
-        return self.index.get(x.tobytes())
-
     def right(self, steps: Sequence[tuple[np.ndarray, int]],
               ks: np.ndarray | None = None) -> np.ndarray:
         """The map k -> id of (element k) * (the product of ``steps``), for a
         product in the group, on the ids ``ks`` (on every id when None)."""
-        if self.pts is not None:
-            return self.ids[self.follow(steps, self.pts if ks is None else self.pts[ks])]
-        rows = self.follow(steps, self.rows if ks is None else self.rows[ks])
-        try:
-            return np.array([self.index[r.tobytes()] for r in rows], dtype=np.int32)
-        except KeyError:
-            raise ValueError("the permutation is not in the group") from None
+        return self.ids[self.follow(steps, self.pts if ks is None else self.pts[ks])]
 
 
 class _IdMap:
@@ -501,26 +487,14 @@ class _IdMap:
         return self.act.right(self.steps, ks)
 
 
-def _regular_from_points(pts: Orbit) -> tuple[_RegularAction, Orbit]:
-    """The regular action of a group whose generators' orbit ``pts`` of point
-    0 covers every point and has as many points as the group has elements,
-    and the orbit of id 0 under the generators: id k is the point at
-    position k, so the BFS tree carries over unchanged."""
-    degree = pts.order.shape[0]
-    return (_RegularAction(pts=pts.order),
-            Orbit(_arange(degree), np.ones(degree, dtype=bool), pts.parent, pts.via))
-
-
 def _closure_action(gens: Sequence[Permutation], degree: int,
-                    known_order: int | None) -> tuple[_RegularAction, Orbit]:
+                    known_order: int | None) -> _RegularAction:
     """The regular action of the group generated by ``gens``, closed up
-    element by element, and the orbit of id 0 under the generators."""
+    element by element in queue BFS order from the identity."""
     rows: list[np.ndarray] = []
     index: dict[bytes, int] = {}
-    parent: list[int] = []
-    via: list[int] = []
 
-    def add(img: np.ndarray, k: int, gi: int):
+    def add(img: np.ndarray):
         if len(rows) == known_order:
             raise RuntimeError("the group has more elements than its "
                                "externally verified order")
@@ -529,19 +503,14 @@ def _closure_action(gens: Sequence[Permutation], degree: int,
                              f"entries (elements x degree)")
         index[img.tobytes()] = len(rows)
         rows.append(img)
-        parent.append(k)
-        via.append(gi)
 
-    add(_arange(degree), -1, -1)
-    for k, row in enumerate(rows):  # a queue: rows grows as it is walked
-        for gi, g in enumerate(gens):
+    add(_arange(degree))
+    for row in rows:  # a queue: rows grows as it is walked
+        for g in gens:
             img = g.images[row]
             if img.tobytes() not in index:
-                add(img, k, gi)
-    n = len(rows)
-    return (_RegularAction(rows=np.stack(rows), index=index),
-            Orbit(_arange(n), np.ones(n, dtype=bool),
-                  np.array(parent, dtype=np.int32), np.array(via, dtype=np.int32)))
+                add(img)
+    return _RegularAction(_arange(len(rows)), np.stack(rows), index)
 
 
 class PermGroup:
@@ -550,8 +519,8 @@ class PermGroup:
     The elements are numbered 0..|G|-1 in the order of ``elements()``, id 0
     being the identity, and each generator acts on the ids by right
     multiplication.  Every handle on the group, its own and each
-    ``subgroup()``, holds the orbit of id 0 under its generators: a mask
-    over the ids, and the BFS order and tree, sized to the orbit.  The order
+    ``subgroup()``, holds the orbit of id 0 under its generators: its ids in
+    BFS order, sized to the orbit, and a mask over all the ids.  The order
     is the orbit's size, membership one lookup in the mask.  A subgroup's
     BFS evaluates its generators' id maps on each frontier only.
 
@@ -563,25 +532,29 @@ class PermGroup:
       k-th point that a BFS from point 0 reaches; that BFS is the one
       ``is_transitive()`` runs, and it runs once;
     - otherwise the elements are closed up explicitly as image arrays, in BFS
-      order from the identity.  This raises ValueError rather than hold more
-      than 2**20 entries (elements x degree), and RuntimeError when the group
-      has more elements than ``known_order``.
+      order from the identity, and the group acts on their ids.  This raises
+      ValueError rather than hold more than 2**20 entries (elements x
+      degree), and RuntimeError when the group has more elements than
+      ``known_order``.
 
     Once the action is built, a word is decided without forming a product.
-    ``word_id`` follows id 0 through the action letter by letter, as a point
-    (or, for a closed-up group, an image array), and the word is the
-    identity iff it comes back to id 0; ``word_order`` counts the steps of
-    id 0's cycle.  The images must be elements of the group: on a regular
-    action the point id 0 reaches names the only element the product can
-    be, and it is that element only when the product is in the group.  That
-    is why ``families._certify_cover`` checks its relators at every point
-    of the cover, on their lifts to the base group: until it has, the cover
-    is not known to be one group acting regularly.
+    ``word_id`` follows id 0 through the action letter by letter, as a
+    point, and the word is the identity iff it comes back to id 0;
+    ``word_order`` counts the steps of id 0's cycle.  The images must be
+    elements of the group: on a regular action the point id 0 reaches names
+    the only element the product can be, and it is that element only when
+    the product is in the group.  That is why ``families._certify_cover``
+    checks its relators at every point of the cover, on their lifts to the
+    base group: until it has, the cover is not known to be one group acting
+    regularly.
 
     The derived series is grown the same way.  Each normal closure keeps its
     generators as words in this handle's generators; a word joins when the
     id it leads id 0 to is off the orbit so far, and the orbit is then
     grown, not rebuilt, by the word's id map on the frontier only.
+
+    Only ``elements()`` and ``contains`` spell elements as permutations;
+    they derive the spanning tree of the orbit when asked.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
@@ -610,13 +583,17 @@ class PermGroup:
     def _built(self) -> Orbit:
         if self._orbit is None:
             if self._action is not None:
-                act = self._action
-                self._orbit = orbit([_IdMap(act, act.factors((1,), (g,)))
-                                     for g in self.generators], act.n)
+                self._orbit = orbit(self._maps(), self._action.n)
             elif not (self._known_order == self.degree and self.is_transitive()):
-                self._action, self._orbit = _closure_action(
-                    self.generators, self.degree, self._known_order)
+                self._action = _closure_action(self.generators, self.degree,
+                                               self._known_order)
+                self._orbit = _whole(self._action.n)
         return self._orbit
+
+    def _maps(self) -> list[_IdMap]:
+        """Right multiplication by each generator, as a map on the ids."""
+        act = self._action
+        return [_IdMap(act, act.factors((1,), (g,))) for g in self.generators]
 
     # -- queries -----------------------------------------------------------
 
@@ -634,7 +611,7 @@ class PermGroup:
             pts = orbit([g.images for g in self.generators], self.degree)
             self._transitive = pts.order.shape[0] == self.degree
             if self._transitive and self._action is None and self._known_order == self.degree:
-                self._action, self._orbit = _regular_from_points(pts)
+                self._action, self._orbit = _RegularAction(pts.order), _whole(self.degree)
         return self._transitive
 
     def is_regular(self) -> bool:
@@ -688,17 +665,14 @@ class PermGroup:
         act = self._action
         root, k = _root(w.letters)
         steps = act.factors(root, images)
-        x = act.start()
+        x = 0
         for done in range(1, k + 1):
             x = act.follow(steps, x)
-            if act.at_start(x):
+            if x == 0:
                 for _ in range(k % done):
                     x = act.follow(steps, x)
                 break
-        found = act.id_of(x)
-        if found is None:
-            raise ValueError("the word's value is not in the group")
-        return found
+        return int(act.ids[x])
 
     def word_order(self, w: Word, images: Sequence[Permutation]) -> int:
         """The order of the element ``w`` spells in ``images``, which must be
@@ -708,41 +682,51 @@ class PermGroup:
         act = self._action
         root, k = _root(w.letters)
         steps = act.factors(root, images)
-        x, length = act.follow(steps, act.start()), 1
-        while not act.at_start(x):
+        x, length = act.follow(steps, 0), 1
+        while x != 0:
             x, length = act.follow(steps, x), length + 1
         return length // math.gcd(length, k)
 
     def contains(self, p: Permutation) -> bool:
-        """Exact membership, for any permutation of the group's degree."""
+        """Exact membership, for any permutation of the group's degree: the
+        point p sends id 0 to names the only element p can be, and p is
+        compared with it."""
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         orb = self._built()
         act = self._action
-        k = act.id_of(act.follow(act.factors((1,), (p,)), act.start()))
-        return k is not None and bool(orb.mask[k]) and self._element(k) == p
+        try:
+            k = int(act.ids[act.map(p)[0]])
+        except ValueError:
+            return False
+        return bool(orb.mask[k]) and self._element(k) == p
 
     def _element(self, k: int) -> Permutation:
-        """The element of id k, spelt along the BFS tree."""
+        """The element of id k, spelt along the orbit's spanning tree."""
         orb = self._orbit
         pos = int(np.flatnonzero(orb.order == k)[0])
         path = []
-        while pos:
-            path.append(int(orb.via[pos]))
-            pos = int(orb.parent[pos])
+        if pos:
+            parent, via = _spanning_tree(orb, self._maps())
+            while pos:
+                path.append(int(via[pos]))
+                pos = int(parent[pos])
         acc = Permutation.identity(self.degree)
         for gi in reversed(path):
             acc = acc * self.generators[gi]
         return acc
 
     def elements(self, cap: int | None = None) -> list[Permutation]:
-        """All elements, in BFS order from the identity; guarded by ``cap``."""
+        """All elements, in the orbit's BFS order from the identity; guarded
+        by ``cap``."""
         orb = self._built()
         if cap is not None and orb.order.shape[0] > cap:
             raise ValueError(f"group order {orb.order.shape[0]} exceeds cap {cap}")
         elems = [Permutation.identity(self.degree)]
-        for parent, gi in zip(orb.parent[1:].tolist(), orb.via[1:].tolist()):
-            elems.append(elems[parent] * self.generators[gi])
+        if orb.order.shape[0] > 1:
+            parent, via = _spanning_tree(orb, self._maps())
+            for pos, gi in zip(parent[1:].tolist(), via[1:].tolist()):
+                elems.append(elems[pos] * self.generators[gi])
         return elems
 
     # -- derived structure ---------------------------------------------------
@@ -791,10 +775,10 @@ class PermGroup:
         self._built()
         act, images = self._action, self.generators
         orb = _trivial_orbit(act.n)
-        # a conjugate's id is followed from the state of c^-1, through the
+        # a conjugate's id is followed from the point of c^-1, through the
         # new generator's steps and then c's
         inverses = [c.inverse() for c in conj]
-        backs = [act.follow(act.factors(c.letters, images), act.start()) for c in inverses]
+        backs = [act.follow(act.factors(c.letters, images), 0) for c in inverses]
         forwards = [act.factors(c.letters, images) for c in conj]
         gens: list[Word] = []
         maps: list[_IdMap] = []
@@ -808,7 +792,7 @@ class PermGroup:
             steps = act.factors(w.letters, images)
             maps.append(_IdMap(act, steps))
             orb = _bfs(orb, maps, len(maps) - 1)
-            queue.extend(((ci, w, c), act.id_of(act.follow(fwd, act.follow(steps, back))))
+            queue.extend(((ci, w, c), act.ids[act.follow(fwd, act.follow(steps, back))])
                          for c, ci, back, fwd in zip(conj, inverses, backs, forwards))
         return tuple(gens), orb
 

@@ -7,6 +7,12 @@ geometry are left cosets of S_0 = <s2,s3>, S_1 = <s1 s2, s3>,
 S_2 = <s1, s2 s3>, S_3 = <s1,s2>, with incidence by nonempty intersection,
 plus a formal least and greatest face.
 
+The s_i of a ``RotationTriple`` are elements of its group, checked when the
+triple is made, so every word in them is an element too.  Every relation,
+order, homomorphism and mirror check follows its word on id 0 of the group's
+regular action (``PermGroup.word_id``, ``PermGroup.word_order``), and no
+product of the group's degree is formed.
+
 The geometry is built on the group's right-regular action on the ids of
 ``elements()`` (``PermGroup.right_action``): the rank-i face gS_i is the
 S_i-orbit of g's id, and two faces are incident when they share an id.  Each
@@ -42,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .perms import PermGroup, Permutation, evaluate
+from .perms import PermGroup, Permutation
 from .words import Presentation, Word, substitute
 
 
@@ -80,6 +86,7 @@ class RotationTriple:
     def __post_init__(self):
         if len(self.sigma) != 3:
             raise TripleError("exactly three canonical generators required")
+        _require_elements(self.group, self.sigma)
 
     def subgroup(self, *indices: int) -> PermGroup:
         """<s_i : i in indices> (1-based), as a handle on the group's action."""
@@ -90,36 +97,25 @@ class RotationTriple:
         return h
 
 
-def _on_generators(group: PermGroup, sigma: Sequence[Permutation]) -> bool:
-    """Whether ``sigma`` are the group's own generators, so that every word
-    in them is an element of the group and can be followed on id 0."""
-    gens = group.generators
-    return len(gens) == len(sigma) and all(a is b for a, b in zip(gens, sigma))
-
-
-def _holds(group: PermGroup, sigma: Sequence[Permutation], w: Word) -> bool:
-    """Whether w is the identity at ``sigma``: followed on id 0 when sigma
-    generate the group, and as a product of permutations otherwise, where
-    the images are not known to be elements of the group."""
-    if _on_generators(group, sigma):
-        return group.word_id(w, sigma) == 0
-    return evaluate(w, sigma).is_identity()
-
-
-def _word_order(group: PermGroup, sigma: Sequence[Permutation], w: Word) -> int:
-    """The order of w at ``sigma``, on id 0 as in ``_holds``."""
-    if _on_generators(group, sigma):
-        return group.word_order(w, sigma)
-    return evaluate(w, sigma).order()
+def _require_elements(group: PermGroup, sigma: Sequence[Permutation]) -> None:
+    """Raise TripleError unless each of ``sigma`` is an element of ``group``,
+    so that every word in them can be followed on id 0
+    (``PermGroup.word_id``).  The group's own generator objects are elements
+    as they stand; any other permutation goes by ``PermGroup.contains``."""
+    for i, s in enumerate(sigma, 1):
+        if any(s is g for g in group.generators):
+            continue
+        if s.degree != group.degree or not group.contains(s):
+            raise TripleError(f"s{i} is not an element of the group")
 
 
 def _homomorphism(pres: Presentation, group: PermGroup,
                   sigma: Sequence[Permutation]) -> bool:
-    """Whether every relator of ``pres`` holds at ``sigma`` (see
-    ``perms.extends_to_homomorphism``)."""
+    """Whether every relator of ``pres`` holds at ``sigma``, elements of
+    ``group`` (see ``perms.extends_to_homomorphism``)."""
     if len(sigma) != pres.ngens:
         raise ValueError("one image per generator required")
-    return all(_holds(group, sigma, r) for r in pres.relators)
+    return all(group.word_id(r, sigma) == 0 for r in pres.relators)
 
 
 _CANONICAL_RELATIONS = (("(s1*s2)^2", Word((1, 2, 1, 2))),
@@ -129,15 +125,17 @@ _CANONICAL_RELATIONS = (("(s1*s2)^2", Word((1, 2, 1, 2))),
 
 def validate_rotation_triple(group: PermGroup,
                              sigma: Sequence[Permutation]) -> SchlafliType:
-    """Check the canonical even relations and generation; return the type."""
+    """Check that sigma are elements of the group, the canonical even
+    relations and generation; return the type."""
+    _require_elements(group, sigma)
     for name, w in _CANONICAL_RELATIONS:
-        if not _holds(group, sigma, w):
+        if group.word_id(w, sigma) != 0:
             raise TripleError(f"canonical relation {name} = 1 fails")
-    orders = tuple(_word_order(group, sigma, Word((i,))) for i in (1, 2, 3))
+    orders = tuple(group.word_order(Word((i,)), sigma) for i in (1, 2, 3))
     if min(orders) < 2:
         raise TripleError(f"generator orders {orders} must all be at least 2")
     # a group built on the triple itself is generated by it
-    if (not _on_generators(group, sigma)
+    if (not all(any(g is s for s in sigma) for g in group.generators)
             and group.subgroup(sigma).order() != group.order()):
         raise TripleError("the triple does not generate the group")
     return SchlafliType(*orders)
@@ -239,8 +237,8 @@ def chirality_verdict(t: RotationTriple,
         candidates.insert(0, preferred_witness)
     for r in candidates:
         img = substitute(r, images)
-        if not _holds(t.group, t.sigma, img):
-            return ChiralityReport("chiral", r, _word_order(t.group, t.sigma, img))
+        if t.group.word_id(img, t.sigma) != 0:
+            return ChiralityReport("chiral", r, t.group.word_order(img, t.sigma))
     raise AssertionError("mirror map failed to extend but all relators map to 1")
 
 

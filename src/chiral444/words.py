@@ -104,22 +104,6 @@ class Word:
         return max((abs(x) for x in self.letters), default=0) - 1
 
 
-def free_reduce(w: Word) -> Word:
-    return w.free_reduce()
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
-def concat(*ws: Word) -> Word:
-    """Unreduced concatenation, for testing reduction laws."""
-    letters: list[int] = []
-    for w in ws:
-        letters.extend(w.letters)
-    return Word(letters)
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u^-1 v^-1 u v, freely reduced."""
     return u.inverse() * v.inverse() * u * v

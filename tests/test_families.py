@@ -123,7 +123,7 @@ def test_conjugation_action_verifies_all_relations():
 
 
 def test_conjugation_action_small_cap_reports_unverified():
-    checks = verify_conjugation_action("P", cap=10, start_cap=10)
+    checks = verify_conjugation_action("P", cap=10)
     assert any(not c.verified for c in checks)
     assert all(c.cosets_used is None for c in checks if not c.verified)
 

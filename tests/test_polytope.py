@@ -44,6 +44,23 @@ def test_validate_rejects_non_generation():
         validate_rotation_triple(g, (s1, s1, s1 * s1 * s1))
 
 
+def test_sigma_outside_the_group_is_rejected():
+    # (1 2)(3 4) is not in C4 = <(1 2 3 4)>, yet on C4's regular action it
+    # sends point 0 where an element does; read as that element, the words
+    # of (a, a, c4^2) would pass as a triple of type {2,2,2} generating C4
+    c4 = Permutation.from_cycles(4, (1, 2, 3, 4))
+    a = Permutation.from_cycles(4, (1, 2), (3, 4))
+    pres = parse_presentation("gens s1,s2,s3; rels s1^2, s2^2, s3^2, (s1*s2)^2,"
+                              " (s2*s3)^2, (s1*s2*s3)^2;")
+    for g in (PermGroup([c4], known_order=4), PermGroup([c4])):
+        with pytest.raises(TripleError, match="not an element"):
+            validate_rotation_triple(g, (a, a, c4 * c4))
+        with pytest.raises(TripleError, match="not an element"):
+            RotationTriple(g, (a, a, c4 * c4), pres)
+    with pytest.raises(TripleError, match="not an element"):
+        validate_rotation_triple(PermGroup([c4]), (Permutation.identity(5),) * 3)
+
+
 def test_intersection_condition_h1_and_g2():
     assert intersection_condition(member_triple("Q", 1))
     assert intersection_condition(member_triple("P", 2))
@@ -202,27 +219,28 @@ def test_regular_verdict_needs_a_complete_presentation():
         assert chirality_verdict(RotationTriple(quotient, sigma, pres)).verdict == "regular"
 
 
-def _product_path(t: RotationTriple) -> RotationTriple:
+def _copied(t: RotationTriple) -> RotationTriple:
     """The triple with copies of its sigma, which are not the group's
-    generator objects, so that every check forms products."""
+    generator objects, so that making it checks each by membership."""
     return RotationTriple(t.group, tuple(Permutation(s.images) for s in t.sigma),
                           t.presentation)
 
 
 @pytest.mark.parametrize("fam, m", [("P", 1), ("Q", 1), ("P", 2), ("Q", 2)])
-def test_id_zero_checks_match_the_product_path(fam, m):
+def test_copied_sigma_take_the_membership_path_with_the_same_answers(fam, m):
     t = member_triple(fam, m)
-    p = _product_path(t)
+    p = _copied(t)
+    assert all(a is not b for a, b in zip(p.sigma, p.group.generators))
     ref = reference_triple(fam)
     wit = mirror_witness_relator()
     assert validate_rotation_triple(t.group, t.sigma) == validate_rotation_triple(p.group, p.sigma)
     assert chirality_verdict(t, wit) == chirality_verdict(p, wit)
     assert chirality_verdict(t) == chirality_verdict(p)
     assert mirror_extends(t) == mirror_extends(p)
-    assert quotient_criterion(t, ref) == quotient_criterion(p, _product_path(ref))
+    assert quotient_criterion(t, ref) == quotient_criterion(p, _copied(ref))
     assert intersection_condition(t) == intersection_condition(p)
     with pytest.raises(TripleError):
-        quotient_criterion(member_triple("P", 1), _product_path(member_triple("Q", 1)))
+        quotient_criterion(member_triple("P", 1), _copied(member_triple("Q", 1)))
 
 
 def test_triple_subgroups_are_built_once_and_match_fresh_handles():

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chiral444.words import (ParseError, Presentation, PresentationError, Word,
-                             commutator, concat, free_reduce, invert,
-                             parse_presentation, substitute, word_str)
+                             commutator, parse_presentation, substitute,
+                             word_str)
 
 
 def test_parse_power_expansion():
@@ -89,20 +89,20 @@ words = st.lists(letters, max_size=24).map(Word)
 
 @given(words)
 def test_free_reduce_idempotent(w):
-    r = free_reduce(w)
-    assert free_reduce(r) == r
+    r = w.free_reduce()
+    assert r.free_reduce() == r
     assert r.is_reduced()
 
 
 @given(words)
 def test_word_times_inverse_is_trivial(w):
-    assert free_reduce(concat(w, invert(w))) == Word(())
-    assert len(invert(w)) == len(w)
+    assert Word(w.letters + w.inverse().letters).free_reduce() == Word(())
+    assert len(w.inverse()) == len(w)
 
 
 @given(words, words)
 def test_product_respects_reduction(w1, w2):
-    assert w1.free_reduce() * w2.free_reduce() == free_reduce(concat(w1, w2))
+    assert w1.free_reduce() * w2.free_reduce() == Word(w1.letters + w2.letters).free_reduce()
 
 
 @given(words, st.integers(min_value=-5, max_value=5))
