@@ -265,6 +265,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.max_cosets < 1:
+        _log(f"bad max-cosets {args.max_cosets}: must be a positive integer")
+        return EXIT_INPUT
     handlers = {
         "enumerate": cmd_enumerate,
         "verify": cmd_verify,

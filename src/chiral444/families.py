@@ -20,6 +20,15 @@ there: its walk is lifted to G_1's points with the voltage sum it picks up
 m.  U's nine relators are lifted once per family, the two family relators
 at each m.
 
+Solvability is decided for every m from one derived series of U per family
+(``derived_orders``), built on G_1's points with the same voltages: term k
+is its orbit C_k on G_1, a potential in Z^2 for each point of it, and the
+lattice L_k = U^(k) cap N, so |G_m^(k)| = |C_k| m^2 / [Z^2 : L_k + mZ^2].
+At m = 1 only the C_k count, and they are G_1's derived series; for m >= 2
+the lattices count too, which the conjugation proof makes sound (N = Z^2).
+No member's normal closures are built; ``PermGroup.derived_length`` on the
+member is the cross-check.
+
 ``verify_member`` runs the full pipeline on a member: rotation-triple
 validation, direct intersection condition, quotient criterion against the
 m = 1 member, solvability, mirror test with witness, and (optionally) the
@@ -28,10 +37,14 @@ polytope axiom suite.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -428,9 +441,198 @@ class _VoltageCover:
         return (np.array_equal(end, np.arange(end.shape[0]))
                 and not (volt % m).any())
 
+    @functools.cached_property
+    def derived(self) -> "_DerivedSeries":
+        """U's derived series on these points, built when first asked."""
+        letters = [(self.base[g], self.phi[g]) for g in range(self.base.shape[0])]
+        return _DerivedSeries(letters)
+
+
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _hnf(vectors: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """The lattice that integer 2-vectors span, in Hermite normal form:
+    (a, b, d) for the basis rows (a, b) and (0, d), with a, d >= 0, b = 0
+    when a = 0, and 0 <= b < d when d > 0.  Its rank is the number of
+    nonzero a, d, and for rank 2 its index in Z^2 is a*d.
+
+    A vector (x, y) with x != 0 is merged into the first row by the
+    extended gcd g = s*a + t*x: the rows (g, s*b + t*y) and
+    (0, (x*b - a*y)/g) are (a, b) and (x, y) under a change of basis of
+    determinant -1, so they span the same lattice.
+    """
+    a = b = d = 0
+    for x, y in vectors:
+        if x:
+            g, s, t = _egcd(a, x)
+            a, b, d = g, s * b + t * y, math.gcd(d, (x * b - a * y) // g)
+        else:
+            d = math.gcd(d, y)
+        if d:
+            b %= d
+    return a, b, d
+
+
+def _in_lattice(v: tuple[int, int], lattice: tuple[int, int, int]) -> bool:
+    """Whether v lies in the lattice with Hermite normal form ``lattice``."""
+    (x, y), (a, b, d) = v, lattice
+    i, r = divmod(x, a) if a else (0, x)
+    if r:
+        return False
+    y -= i * b
+    return y % d == 0 if d else y == 0
+
+
+def _index_mod(lattice: tuple[int, int, int], m: int) -> int:
+    """[Z^2 : L + mZ^2] for L the lattice with Hermite normal form ``lattice``."""
+    a, b, d = lattice
+    a, _, d = _hnf([(a, b), (0, d), (m, 0), (0, m)])
+    return a * d
+
+
+_Lift = tuple[np.ndarray, np.ndarray]
+
+
+def _inverse_lift(lift: _Lift) -> _Lift:
+    end, volt = lift
+    inv = np.empty_like(end)
+    inv[end] = np.arange(end.shape[0])
+    return inv, -volt[inv]
+
+
+class _Term(NamedTuple):
+    """A subgroup H of U on G_1's points with Z^2 voltages.  H takes the
+    point (0, 0) to the points (c, pot[c] + L) for c in its orbit C on
+    G_1's points (``mask``), where L = H cap N is ``lattice``, in Hermite
+    normal form.  ``gens`` are the lifts of its generators."""
+
+    gens: tuple[_Lift, ...]
+    mask: np.ndarray
+    pot: np.ndarray
+    lattice: tuple[int, int, int]
+
+    def contains(self, c: int, v: np.ndarray) -> bool:
+        """Whether H has the element that takes (0, 0) to (c, v)."""
+        return bool(self.mask[c]) and _in_lattice(tuple((v - self.pot[c]).tolist()),
+                                                   self.lattice)
+
+    def order(self, m: int) -> int:
+        """|H's image in G_m| = |C| m^2 / [Z^2 : L + mZ^2]."""
+        return int(np.count_nonzero(self.mask)) * m * m // _index_mod(self.lattice, m)
+
+
+def _span(gens: Sequence[_Lift], n: int) -> _Term:
+    """The subgroup of U that lifts ``gens`` generate, on n points of G_1.
+
+    A BFS over the ends of the lifts from point 0 gives the orbit C and each
+    point's potential, the voltage sum along the tree path to it.  By
+    Schreier's lemma the stabilizer of point 0, H cap N, is generated by
+    the elements along the edges off the tree, t_c g t_(c.g)^-1, whose
+    voltages are the discrepancies pot[c] + volt[c] - pot[end[c]].
+    """
+    mask = np.zeros(n, dtype=bool)
+    mask[0] = True
+    pot = np.zeros((n, 2), dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.intp)
+    while gens and frontier.size:
+        ends = np.concatenate([end[frontier] for end, _ in gens])
+        pots = np.concatenate([pot[frontier] + volt[frontier] for _, volt in gens])
+        new, first = np.unique(ends, return_index=True)
+        fresh = ~mask[new]
+        frontier, first = new[fresh], first[fresh]
+        mask[frontier] = True
+        pot[frontier] = pots[first]
+    pts = np.flatnonzero(mask)
+    disc = np.concatenate([pot[pts] + volt[pts] - pot[end[pts]] for end, volt in gens]
+                          or [np.zeros((0, 2), dtype=np.int64)])
+    disc = np.unique(disc[disc.any(axis=1)], axis=0)
+    return _Term(tuple(gens), mask, pot, _hnf(map(tuple, disc.tolist())))
+
+
+def _at_origin(lifts: Sequence[_Lift]) -> tuple[int, np.ndarray]:
+    """The point the product of ``lifts`` takes (0, 0) to, walked from
+    that one point."""
+    c, v = 0, np.zeros(2, dtype=np.int64)
+    for end, volt in lifts:
+        c, v = int(end[c]), v + volt[c]
+    return c, v
+
+
+class _DerivedSeries:
+    """The derived series U = U^(0) > U' > U'' > ... of the base group, each
+    term a ``_Term`` on G_1's points, built once per family and only as far
+    as a member asks.
+
+    U^(k+1) is the normal closure in U of the commutators of U^(k)'s
+    generators (as in ``PermGroup._derived``).  A queued element is decided
+    by walking the one point (0, 0) (``_at_origin``); only an element off
+    the term so far is lifted over every point, and joins, and then its
+    conjugates by U's generators are queued.  Closure under g^-1 H g alone
+    suffices: U has the maximal condition on subgroups (it is an extension
+    of Z^2 by the finite G_1), so g^-1 H g <= H forces equality.  That
+    condition also ends the queue.
+    """
+
+    def __init__(self, letters: Sequence[_Lift]):
+        self.n = letters[0][0].shape[0]
+        self.letters = [(g, _inverse_lift(g)) for g in letters]
+        self.terms = [_span(letters, self.n)]
+
+    def term(self, k: int) -> _Term:
+        while len(self.terms) <= k:
+            gens = self.terms[-1].gens
+            inverses = [_inverse_lift(u) for u in gens]
+            queue = [(inverses[i], inverses[j], gens[i], gens[j])
+                     for i in range(len(gens)) for j in range(i + 1, len(gens))]
+            term = _span((), self.n)
+            for parts in queue:  # a queue: the conjugates of each joining element join it
+                if term.contains(*_at_origin(parts)):
+                    continue
+                h = functools.reduce(_compose, parts)
+                term = _span(term.gens + (h,), self.n)
+                queue.extend((gi, h, g) for g, gi in self.letters)
+            self.terms.append(term)
+        return self.terms[k]
+
+    def orders(self, m: int) -> list[int]:
+        """|G_m'|, |G_m''|, ... until trivial or stable, the terms that
+        ``PermGroup.derived_series`` lists for G_m."""
+        size, out = self.term(0).order(m), []
+        for k in itertools.count(1):
+            nsize = self.term(k).order(m)
+            if nsize == size:
+                if not out:
+                    out.append(nsize)
+                break
+            out.append(nsize)
+            if nsize == 1:
+                break
+            size = nsize
+        return out
+
 
 _voltage_cache: dict[tuple, _VoltageCover] = {}
 _conjugation_proved: set[tuple[str, int]] = set()
+
+
+def _voltage_cover(family: str, opts: VerifyOptions) -> _VoltageCover:
+    """The m = 1 regular table with the family's voltage table, built once
+    per family and cap."""
+    key = (family, opts.strategy, opts.max_cosets)
+    cover = _voltage_cache.get(key)
+    if cover is None:
+        ref = reference_triple(family, opts)
+        base = np.stack([p.images for p in ref.sigma]).astype(np.int64)
+        cover = _VoltageCover(base, _voltages(family, base))
+        _voltage_cache[key] = cover
+    return cover
 
 
 def _prove_conjugation(family: str, cap: int):
@@ -500,17 +702,58 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
         # member's group is kept on the cached reference
         return RotationTriple(ref.group.handle(), ref.sigma, ref.presentation)
     _prove_conjugation(family, opts.max_cosets)
-    key = (family, opts.strategy, opts.max_cosets)
-    cover = _voltage_cache.get(key)
-    if cover is None:
-        base = np.stack([p.images for p in ref.sigma]).astype(np.int64)
-        cover = _VoltageCover(base, _voltages(family, base))
-        _voltage_cache[key] = cover
-    return _certify_cover(pres, cover, m)
+    return _certify_cover(pres, _voltage_cover(family, opts), m)
+
+
+def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> list[int]:
+    """The orders of G_m's derived subgroups G_m', G_m'', ..., until trivial
+    or stable: the terms ``PermGroup.derived_series`` lists for G_m, read
+    off one derived series of U per family (``_DerivedSeries``), so no
+    normal closure of G_m is formed.
+
+    U acts on the points (c, v), c a point of G_1 and v in Z^2, through its
+    generators' lifts: g takes (c, v) to (c.g, v + phi[g, c]).  Each term
+    U^(k) is held as its orbit C_k of G_1's point 0, a potential p_k(c) in
+    Z^2 for each c in C_k, and the lattice L_k spanned by the non-tree
+    discrepancies (``_span``).  The image of U^(k) in G_m is G_m^(k), and
+    |G_m^(k)| = |C_k| m^2 / [Z^2 : L_k + mZ^2].  Why that is sound:
+
+    - m = 1: only C_k counts, and C_k is G_1^(k) whatever the lattices are.
+      Deciding an element by the one point it takes (0, 0) to can only err
+      by an element that fixes (0, 0), whose image in G_1 is trivial, so
+      the images in G_1 of every term's generators generate the normal
+      closure in G_1 that ``PermGroup._derived`` builds.
+    - m >= 2: here the lattices count, and the action must be U's
+      right-regular action, so that each orbit of (0, 0) is its subgroup.
+      The conjugation proof (run here, once per family, as ``member_triple``
+      runs it) makes N = <x, y> normal and abelian; the voltages send x^v
+      to a translation by v over point 0, so N is Z^2 and
+      x^v t_c -> (c, v) is a bijection from U onto the points.  The
+      reduction mod m of this action is the cover that ``member_triple``
+      certifies to be G_m's regular representation, so the image of U^(k)
+      there is G_m^(k), of the order above.
+
+    ``PermGroup.derived_length`` on the member's group is the independent
+    cross-check the tests run.  Raises EnumerationIncomplete as
+    ``member_triple`` does.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    opts = opts or VerifyOptions()
+    if m >= 2:
+        _prove_conjugation(family, opts.max_cosets)
+    return _voltage_cover(family, opts).derived.orders(m)
 
 
 def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> MemberReport:
-    """Run the full verification pipeline for one family member."""
+    """Run the full verification pipeline for one family member.
+
+    Solvability and the derived length come from ``derived_orders``: one
+    derived series of U per family, read at m through its lattices.  It
+    builds the family's voltage table, also at m = 1, but the conjugation
+    proof only for m >= 2, where ``member_triple`` has already run it, so
+    at m = 1 the report needs no more cosets than G_1's enumeration.
+    """
     opts = opts or VerifyOptions()
     timer = _Timer()
     triple = member_triple(family, m, opts)
@@ -527,7 +770,8 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     qc = quotient_criterion(triple, ref, cap=opts.intersection_cap)
     timer.lap("quotient_criterion")
 
-    dlength = triple.group.derived_length()
+    orders = derived_orders(family, m, opts)
+    dlength = len(orders) if orders[-1] == 1 else None
     solvable = dlength is not None
     timer.lap("solvability")
 

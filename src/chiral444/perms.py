@@ -25,7 +25,10 @@ acting regularly, since it reads one point of the product; so
 does not use it: it decides each relator at every point, on the relator's
 lift to the base group's points.  The normal closures behind the derived
 series keep their generators as words in the group's generators and grow one
-orbit as generators join.
+orbit as generators join.  The family pipeline reads its members' derived
+series off one series of the base group (``families.derived_orders``);
+``PermGroup.derived_length`` is the generic engine and the cross-check the
+tests run against it.
 """
 
 from __future__ import annotations

@@ -513,6 +513,18 @@ def _flag_graph(table: np.ndarray, ranks: Sequence[int], sizes: Sequence[int],
     return axes
 
 
+def _runs(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows of ``table`` grouped by their columns but the last, for a
+    table whose rows that agree there are contiguous, as ``_extend`` emits
+    the extensions of each row: a group id per row, and the number of
+    groups."""
+    new = np.zeros(table.shape[0], dtype=bool)
+    new[:1] = True
+    for k in range(table.shape[1] - 1):
+        new[1:] |= table[1:, k] != table[:-1, k]
+    return np.cumsum(new) - 1, int(np.count_nonzero(new))
+
+
 def _components(n: int, axes, start: np.ndarray | None = None) -> np.ndarray:
     """Component labels (``_min_labels``) of the chains under the groupings
     ``axes``."""
@@ -562,19 +574,20 @@ def _connected_classes(geom: CosetGeometry, vep: np.ndarray, flags: np.ndarray):
     first False skips the rest.
 
     The classes (-1,2) and (1,4) go by ``_sections_connected``, (-1,2) on
-    ``vep``, the table of vertex-edge-polygon chains.  The four
-    others, (0,3), (-1,3), (0,4) and (-1,4), share the one table ``flags``
-    of the flags (f0, f1, f2, f3), grouped once by the faces off each rank;
-    each class's components are found over the groupings of its middle
-    ranks.  (-1,3) and (0,4) start from the components of (0,3), and (-1,4)
-    from the least of their two labels, each the label of a finer
-    partition of the class's flag graph.
+    ``vep``, the table of vertex-edge-polygon chains.  The four others,
+    (0,3), (-1,3), (0,4) and (-1,4), share the one table ``flags`` of the
+    flags (f0, f1, f2, f3), grouped once by the faces off each rank (off
+    rank 3 by ``_runs``: ``_extend`` emits the flags of each
+    vertex-edge-polygon chain as one run); each class's components are
+    found over the groupings of its middle ranks.  (-1,3) and (0,4) start
+    from the components of (0,3), and (-1,4) from the least of their two
+    labels, each the label of a finer partition of the class's flag graph.
     """
     yield (-1, 2), _sections_connected(geom, -1, 2, vep)
     yield (1, 4), _sections_connected(geom, 1, 4)
     n = flags.shape[0]
     ranks = (0, 1, 2, 3)
-    axes = _flag_graph(flags, ranks, geom.nfaces, ranks)
+    axes = _flag_graph(flags, ranks, geom.nfaces, (0, 1, 2)) + [_runs(flags)]
     lab03 = _components(n, axes[1:3])
     yield (0, 3), _one_per_section(geom, flags, ranks, lab03, 0, 3)
     lab13 = _components(n, axes[:3], lab03)
@@ -682,9 +695,9 @@ def section_type(geom: CosetGeometry) -> tuple[tuple[int, int], tuple[int, int]]
     v3 = _uniform(edge_vertex, _between(geom, 1, 2, 4)[edge], n0)
     if (v2 < 0).any() or (v3 < 0).any():
         raise ValueError("vertex-figure sections are not equivelar")
-    facet_types = np.unique(np.stack([k1, k2]), axis=1)
-    vertex_types = np.unique(np.stack([v2, v3]), axis=1)
-    if facet_types.shape[1] != 1 or vertex_types.shape[1] != 1:
-        raise ValueError("sections of one rank have differing types")
-    return ((int(facet_types[0, 0]), int(facet_types[1, 0])),
-            (int(vertex_types[0, 0]), int(vertex_types[1, 0])))
+    types = []
+    for p, q in ((k1, k2), (v2, v3)):
+        if not p.size or p.min() != p.max() or q.min() != q.max():
+            raise ValueError("sections of one rank have differing types")
+        types.append((int(p[0]), int(q[0])))
+    return types[0], types[1]

@@ -156,6 +156,18 @@ def test_bad_member_arguments_exit_one(argv):
     assert len(proc.stderr.strip().splitlines()) == 1 and proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [("enumerate", str(DATA / "U.pres"), "--max-cosets", "0"),
+                                  ("verify", "--family", "Q", "--max-cosets", "0"),
+                                  ("conjugation", "--family", "P", "--max-cosets", "-5"),
+                                  ("polytope", "--family", "Q", "--max-cosets", "0"),
+                                  ("corollary", "--k-max", "0", "--max-cosets", "-1")])
+def test_nonpositive_cap_is_bad_input(capsys, argv):
+    # main() returns the exit code rather than raising from EnumerationConfig
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("bad max-cosets ") and err.count("\n") == 1
+
+
 def test_python_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "chiral444", "--version"],
                           capture_output=True, text=True, env=_src_env(), timeout=120)

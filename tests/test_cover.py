@@ -1,15 +1,21 @@
 """The Z_m^2 voltage cover against Todd-Coxeter, and its certificate."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chiral444.cli import main
 from chiral444.families import (EnumerationIncomplete, VerificationError,
                                 VerifyOptions, _certify_cover, _cover_images,
-                                _todd_coxeter_triple, _voltages, _VoltageCover,
+                                _hnf, _in_lattice, _index_mod,
+                                _todd_coxeter_triple, _voltage_cover, _voltages,
+                                _VoltageCover, derived_orders,
                                 family_presentation, member_triple,
-                                reference_triple, subgroup_seed_words)
+                                reference_triple, subgroup_seed_words,
+                                verify_member)
 from chiral444.perms import Permutation, evaluate
 from chiral444.polytope import intersection_condition, quotient_criterion
 
@@ -137,3 +143,102 @@ def test_errors_survive_pickling():
     exc = pickle.loads(pickle.dumps(VerificationError("cover", "not transitive")))
     assert type(exc) is VerificationError
     assert (exc.stage, str(exc)) == ("cover", "[cover] not transitive")
+
+
+# -- the derived series of U on G_1's points ----------------------------------
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_derived_orders_match_the_per_member_series(family):
+    # every term's order, read off U's one series, against the normal
+    # closures PermGroup.derived_series builds on each member
+    for m in range(1, 9):
+        series = member_triple(family, m).group.derived_series()
+        assert derived_orders(family, m) == [h.order() for h in series]
+
+
+@pytest.mark.parametrize("family, sizes", [("P", [1024, 128, 4, 1]),
+                                           ("Q", [2048, 256, 8, 1])])
+def test_derived_series_of_u(family, sizes):
+    # U, U', U'' meet N in all of Z^2 and U''' is trivial: every member has
+    # derived length 3
+    series = _voltage_cover(family, VerifyOptions()).derived
+    terms = [series.term(k) for k in range(4)]
+    assert [int(t.mask.sum()) for t in terms] == sizes
+    assert [t.lattice for t in terms] == [(1, 0, 1)] * 3 + [(0, 0, 0)]
+    assert all(verify_member(family, m, VerifyOptions(axioms=False)).derived_length == 3
+               for m in (1, 2, 5))
+
+
+def test_m1_report_needs_no_conjugation_proof(capsys):
+    # 4000 cosets complete each family's m = 1 table but not the conjugation
+    # proof (about 16,000 for P, 32,000 for Q): m = 1 still gets a full
+    # report, its solvability included, and m = 2 still exits 2
+    for family in "PQ":
+        small = verify_member(family, 1, VerifyOptions(max_cosets=4000))
+        full = verify_member(family, 1)
+        small.timings_ms = full.timings_ms = {}
+        assert small == full and small.derived_length == 3
+    assert main(["verify", "--family", "Q", "--m", "2", "--max-cosets", "4000",
+                 "--jobs", "1"]) == 2
+    assert "cap of 4000 cosets" in capsys.readouterr().err
+
+
+def _closure(gens, m):
+    """The subgroup of Z_m^2 that ``gens`` generate, by search."""
+    seen, todo = {(0, 0)}, [(0, 0)]
+    for x, y in todo:
+        for gx, gy in gens:
+            p = ((x + gx) % m, (y + gy) % m)
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return seen
+
+
+def _brute_member(v, gens):
+    """Whether v lies in the lattice L that ``gens`` span, by search in a
+    finite quotient: v is in L iff it is in L + MZ^2 for an M with MZ^2 in
+    L (rank 2: a nonzero 2x2 minor), or, for rank 1, iff it is on L's line
+    and in L + MZ^2 for M the lcm of the generators' nonzero entries, which
+    L's step along its primitive direction divides."""
+    nonzero = [g for g in gens if any(g)]
+    if not nonzero:
+        return not any(v)
+    big = max(abs(g[0] * h[1] - g[1] * h[0]) for g in gens for h in gens)
+    if not big:
+        g = nonzero[0]
+        if v[0] * g[1] - v[1] * g[0]:
+            return False
+        big = math.lcm(*(abs(e) for g in nonzero for e in g if e))
+    return (v[0] % big, v[1] % big) in _closure(gens, big)
+
+
+_vectors = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def _spanning_sets(draw):
+    """Vectors spanning a lattice of each rank, negative entries included."""
+    rank = draw(st.integers(0, 2))
+    if rank == 0:
+        return [(0, 0)] * draw(st.integers(0, 2))
+    if rank == 1:
+        u = draw(_vectors.filter(any))
+        ks = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+        return [(k * u[0], k * u[1]) for k in ks]
+    return draw(st.lists(_vectors, min_size=2, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spanning_sets())
+def test_lattice_helpers_match_brute_force(gens):
+    a, b, d = lattice = _hnf(gens)
+    assert a >= 0 and d >= 0
+    assert (b == 0 if a == 0 else True) and (0 <= b < d or d == 0)
+    rank = int(np.linalg.matrix_rank(np.array(gens, dtype=float).reshape(-1, 2)))
+    assert (a > 0) + (d > 0) == rank
+    for x in range(-5, 6):
+        for y in range(-5, 6):
+            assert _in_lattice((x, y), lattice) == _brute_member((x, y), gens)
+    for m in range(1, 9):
+        assert m * m // _index_mod(lattice, m) == len(_closure(gens, m))
