@@ -9,16 +9,18 @@ Todd-Coxeter (``reference_triple``).  Every other member
 G_m = U/<x^m, y^m> is a Z_m^2 cover of it: N is normal in U and free abelian
 on x, y, so each element of G_m is x^v1 y^v2 t_c for a point c of G_1's
 regular table, and a generator g sends (c, v) to (c.g, v + phi[g, c] mod m).
-The voltage table phi is derived once per family from U's relator cycles on
-G_1's Cayley graph (``_voltages``).  Each cover member carries a two-sided
-order certificate: the family relators hold on a transitive action of degree
-|G_1| m^2 (lower bound), and the conjugation relations, proved once per
-family by partial enumeration, bound |G_m| by |G_1| m^2 (upper bound).  A
-relator is decided at every point of the cover without forming its product
-there: its walk is lifted to G_1's points with the voltage sum it picks up
-(``_VoltageCover``), and it holds iff every walk closes with a sum of 0 mod
-m.  U's nine relators are lifted once per family, the two family relators
-at each m.
+The point (c, v1, v2), numbered c m^2 + v1 m + v2, is the element's id
+(``PermGroup.regular``): id 0 is the identity, x^i y^j has id
+(i mod m) m + (j mod m).  The voltage table phi is derived once per family
+from U's relator cycles on G_1's Cayley graph (``_voltages``).  Each cover
+member carries a two-sided order certificate: the family relators hold on a
+transitive action of degree |G_1| m^2 (lower bound), and the conjugation
+relations, proved once per family by partial enumeration, bound |G_m| by
+|G_1| m^2 (upper bound).  A relator is decided at every point of the cover
+without forming its product there: its walk is lifted to G_1's points with
+the voltage sum it picks up (``_VoltageCover``), and it holds iff every walk
+closes with a sum of 0 mod m.  Transitivity is read off the span of U's
+generator lifts, so no search runs over the cover's points.
 
 Solvability is decided for every m from one derived series of U per family
 (``derived_orders``), built on G_1's points with the same voltages: term k
@@ -44,7 +46,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -225,12 +227,13 @@ def _enumerate_member(family: str, m: int, opts: VerifyOptions) -> CosetTable:
 
 
 def _todd_coxeter_triple(family: str, m: int, opts: VerifyOptions) -> RotationTriple:
-    """The member on the regular representation of its coset table."""
+    """The member on the regular representation of its coset table, the
+    cosets as ids."""
     table = _enumerate_member(family, m, opts)
     sigma = table.permutation_rep()
-    group = PermGroup(sigma, known_order=table.degree)
-    if group.order() != table.degree:
-        raise VerificationError("action", "regular representation order mismatch")
+    group = PermGroup.regular(sigma)
+    if not group.is_transitive():
+        raise VerificationError("action", "the regular representation is not transitive")
     return RotationTriple(group, tuple(sigma), table.presentation)
 
 
@@ -368,17 +371,17 @@ def _voltages(family: str, base: np.ndarray) -> np.ndarray:
     return phi.reshape(ngens, n, 2)
 
 
-def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> list[np.ndarray]:
+def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> Iterator[np.ndarray]:
     """Generator images on the points (c, v1, v2), numbered c*m^2 + v1*m + v2:
-    g sends (c, v) to (c.g, v + phi[g, c] mod m)."""
-    v = np.arange(m)
-    images = []
+    g sends (c, v) to (c.g, v + phi[g, c] mod m).  One at a time, each
+    written as int32 straight into an array of the cover's degree."""
+    n, v = base.shape[1], np.arange(m)
     for g in range(base.shape[0]):
-        v1 = (v[None, :, None] + phi[g, :, 0, None, None]) % m
-        v2 = (v[None, None, :] + phi[g, :, 1, None, None]) % m
-        img = base[g][:, None, None] * (m * m) + v1 * m + v2
-        images.append(img.reshape(-1))
-    return images
+        head = base[g][:, None] * (m * m) + (v + phi[g, :, 0, None]) % m * m
+        tail = (v + phi[g, :, 1, None]) % m
+        img = np.empty((n, m, m), dtype=np.int32)
+        np.add(head[:, :, None], tail[:, None, :], out=img, casting="unsafe")
+        yield img.reshape(-1)
 
 
 def _compose(a: tuple[np.ndarray, np.ndarray],
@@ -565,40 +568,51 @@ def _at_origin(lifts: Sequence[_Lift]) -> tuple[int, np.ndarray]:
     return c, v
 
 
+def _normal_closure(seeds: Sequence[Sequence[_Lift]], conj: Sequence[_Lift],
+                    n: int) -> _Term:
+    """The smallest subgroup of U that contains the products of ``seeds``
+    (each a sequence of lifts) and is normalized by the lifts ``conj``, on
+    n points of G_1.
+
+    A queued element is decided by walking the one point (0, 0)
+    (``_at_origin``); only an element off the subgroup so far is lifted over
+    every point, and joins, and then its conjugates by ``conj`` are queued.
+    Closure under g^-1 H g alone suffices: U has the maximal condition on
+    subgroups (it is an extension of Z^2 by the finite G_1), so
+    g^-1 H g <= H forces equality.  That condition also ends the queue.
+    """
+    letters = [(g, _inverse_lift(g)) for g in conj]
+    term = _span((), n)
+    queue = list(seeds)
+    for parts in queue:  # a queue: the conjugates of each joining element join it
+        if term.contains(*_at_origin(parts)):
+            continue
+        h = functools.reduce(_compose, parts)
+        term = _span(term.gens + (h,), n)
+        queue.extend((gi, h, g) for g, gi in letters)
+    return term
+
+
 class _DerivedSeries:
     """The derived series U = U^(0) > U' > U'' > ... of the base group, each
     term a ``_Term`` on G_1's points, built once per family and only as far
     as a member asks.
 
     U^(k+1) is the normal closure in U of the commutators of U^(k)'s
-    generators (as in ``PermGroup._derived``).  A queued element is decided
-    by walking the one point (0, 0) (``_at_origin``); only an element off
-    the term so far is lifted over every point, and joins, and then its
-    conjugates by U's generators are queued.  Closure under g^-1 H g alone
-    suffices: U has the maximal condition on subgroups (it is an extension
-    of Z^2 by the finite G_1), so g^-1 H g <= H forces equality.  That
-    condition also ends the queue.
+    generators (as in ``PermGroup._derived``), built by ``_normal_closure``.
     """
 
     def __init__(self, letters: Sequence[_Lift]):
         self.n = letters[0][0].shape[0]
-        self.letters = [(g, _inverse_lift(g)) for g in letters]
         self.terms = [_span(letters, self.n)]
 
     def term(self, k: int) -> _Term:
         while len(self.terms) <= k:
             gens = self.terms[-1].gens
             inverses = [_inverse_lift(u) for u in gens]
-            queue = [(inverses[i], inverses[j], gens[i], gens[j])
+            seeds = [(inverses[i], inverses[j], gens[i], gens[j])
                      for i in range(len(gens)) for j in range(i + 1, len(gens))]
-            term = _span((), self.n)
-            for parts in queue:  # a queue: the conjugates of each joining element join it
-                if term.contains(*_at_origin(parts)):
-                    continue
-                h = functools.reduce(_compose, parts)
-                term = _span(term.gens + (h,), self.n)
-                queue.extend((gi, h, g) for g, gi in self.letters)
-            self.terms.append(term)
+            self.terms.append(_normal_closure(seeds, self.terms[0].gens, self.n))
         return self.terms[k]
 
     def orders(self, m: int) -> list[int]:
@@ -648,8 +662,14 @@ def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> Rotation
     """The lower half of a cover certificate: every relator of ``pres``
     holds on the cover at m and the cover acts transitively, so the
     presented group has at least as many elements as the cover has points.
-    Returns the triple of the cover's generators, its group given the degree
-    as its order; the transitivity BFS also numbers its elements.
+    Returns the triple on ``PermGroup.regular``: an element's id is the
+    point c m^2 + v1 m + v2 it sends (0, 0, 0) to, so id 0 is the identity.
+
+    Transitivity is read off the span of U's generator lifts (``_span``):
+    the orbit of (0, 0) on the cover at m is the points (c, p(c) + L + mZ^2)
+    for c in the orbit C of G_1's point 0, |C| m^2 / [Z^2 : L + mZ^2] of
+    them (``_Term.order``).  For the family's voltages C is G_1 and L is
+    Z^2, so the cover is transitive at every m, with no search over it.
 
     Each relator is decided on its lift to G_1's points
     (``_VoltageCover.holds``), which is the same statement as the relator
@@ -664,22 +684,21 @@ def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> Rotation
         if not cover.holds(r, m):
             raise VerificationError("cover", f"relator {pres.word_str(r)} fails "
                                              f"on the cover of degree {degree}")
-    sigma = tuple(Permutation(img) for img in _cover_images(cover.base, cover.phi, m))
-    group = PermGroup(sigma, known_order=degree)
-    if not group.is_transitive():
+    if cover.derived.term(0).order(m) != degree:
         raise VerificationError("cover", "the cover action is not transitive")
-    return RotationTriple(group, sigma, pres)
+    sigma = tuple(Permutation(img) for img in _cover_images(cover.base, cover.phi, m))
+    return RotationTriple(PermGroup.regular(sigma), sigma, pres)
 
 
 def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> RotationTriple:
     """The member's rotation triple on its regular representation.
 
     At m = 1 this is the cached ``reference_triple``'s images, on a group
-    handle of its own that shares the reference's regular action
-    (``PermGroup.handle``).  For m >= 2 it is the Z_m^2 cover of them: the
+    of its own on the same points.  For m >= 2 it is the Z_m^2 cover of them: the
     m = 1 regular table with the family's voltage table, acting on
-    |G_1| m^2 points.  The voltage table with the lifts of U's relators,
-    and the conjugation proof below, are one-time costs, paid on the
+    |G_1| m^2 points.  Either way the ids are the points, id 0 the identity,
+    and no search numbers them.  The voltage table with the lifts of U's
+    relators, and the conjugation proof below, are one-time costs, paid on the
     family's first m >= 2 member and cached for the process.  Before it is
     returned the cover is certified to be G_m's regular representation:
 
@@ -698,9 +717,9 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     pres = family_presentation(family, m)
     ref = reference_triple(family, opts)
     if m == 1:
-        # a group handle of its own, so that nothing a caller keeps on the
-        # member's group is kept on the cached reference
-        return RotationTriple(ref.group.handle(), ref.sigma, ref.presentation)
+        # a group of its own, so that nothing a caller keeps on the member's
+        # group is kept on the cached reference
+        return RotationTriple(PermGroup.regular(ref.sigma), ref.sigma, ref.presentation)
     _prove_conjugation(family, opts.max_cosets)
     return _certify_cover(pres, _voltage_cover(family, opts), m)
 

@@ -5,15 +5,15 @@ by ``str()`` are 1-based to match the usual written convention.  The action
 convention is fixed once, here: products act left to right, ``(p * q)(x) =
 q(p(x))``, matching the order in which coset tables trace words.
 
-A ``PermGroup`` is handled through its right-regular action, on points that
-stand one for each element, and each subgroup as the orbit of the identity's
-point under its generators: in a regular action the orbit of a point is in
-bijection with the group, so order and membership are orbit bookkeeping, and
-no stabilizer chain is built.  ``orbit`` is the one search behind every
-orbit: a BFS, or under a single map the cycle through point 0.  An orbit is
-its points, in the order the search reaches them, and a mask over the
-group's ids; the spanning tree that spells its elements is derived only when
-they are asked for.
+A ``PermGroup`` is handled through its right-regular action on element ids
+0..|G|-1, id 0 the identity, and each subgroup as the orbit of id 0 under
+its generators: in a regular action the orbit of a point is in bijection
+with the group, so order and membership are orbit bookkeeping, and no
+stabilizer chain is built.  A group given as regular (every family member)
+has its points as ids: id k sends point 0 to point k.  ``orbit`` is the one
+search behind every orbit: a BFS, or under a single map the cycle through
+point 0.  An orbit is its ids, in the order the search reaches them, and a
+mask; the BFS tree that spells elements is built only when asked for.
 
 Once the action is built, a word whose images are elements of the group is
 decided on id 0: followed through the action letter by letter, it is the
@@ -65,10 +65,11 @@ class Permutation:
         n = arr.shape[0]
         if n == 0:
             raise ValueError("degree must be positive")
-        if arr.min() < 0:
+        if arr.min() < 0 or arr.max() >= n:
             raise ValueError("images is not a bijection of {0..degree-1}")
-        counts = np.bincount(arr, minlength=n)
-        if counts.shape[0] != n or counts.max() != 1:
+        hit = np.zeros(n, dtype=bool)  # n images that hit every point: a byte a point
+        hit[arr] = True
+        if not hit.all():
             raise ValueError("images is not a bijection of {0..degree-1}")
         arr.setflags(write=False)
         self.images = arr
@@ -273,40 +274,33 @@ def _trivial_orbit(n: int) -> Orbit:
 
 
 def _whole(n: int) -> Orbit:
-    """The orbit of id 0 under a group's own generators: every id, in the
-    order the ids were given."""
+    """The orbit of id 0 under a group's own generators: every id, in id order."""
     return Orbit(_arange(n), np.ones(n, dtype=bool))
 
 
-def orbit(maps: Sequence, n: int) -> Orbit:
-    """The orbit of point 0 under the maps ``maps`` on 0..n-1.
+def orbit(maps: Sequence[np.ndarray], n: int) -> Orbit:
+    """The orbit of point 0 under the image arrays ``maps`` on 0..n-1.
 
-    A map is an image array, or anything indexed like one: ``mp[ks]`` gives
-    the images of the points ks.  Points come in the order of a queue BFS: by
-    the position of the point they are reached from, then by map index.
-
-    Under several maps the BFS looks up only its frontiers (``_bfs``), so a
-    map that computes its images on demand costs O(orbit) rather than O(n).
-    Under one map the orbit is the cycle through point 0, which a BFS would
-    reach one point per layer; it is followed a point at a time for up to 64
-    steps, and past that by pointer doubling on the map's full image array:
-    with the first L points of the cycle known and q = map^L, the next L are
-    q of them, and q^2 is q[q].  That is about log2 of the cycle's length
-    numpy passes over the n points.
+    Points come in the order of a queue BFS: by the position of the point
+    they are reached from, then by map index (``_bfs``).  Under one map the
+    orbit is the cycle through point 0, which a BFS would reach one point
+    per layer; it is followed a point at a time for up to 64 steps, and past
+    that by pointer doubling: with the first L points of the cycle known and
+    q = map^L, the next L are q of them, and q^2 is q[q].  That is about
+    log2 of the cycle's length numpy passes over the n points.
     """
     if len(maps) != 1:
         return _bfs(_trivial_orbit(n), maps, 0)
-    mp = maps[0]
+    step = maps[0]
     pts = [0]
     while len(pts) <= _WALK:
-        x = int(mp[np.array(pts[-1:], dtype=np.intp)][0])
+        x = int(step[pts[-1]])
         if x == 0:
             break
         pts.append(x)
     if x == 0:
         cyc = np.array(pts, dtype=np.int32)
     else:
-        step = np.asarray(mp[_arange(n)])
         cyc = np.zeros(1, dtype=np.int32)
         while True:
             nxt = step[cyc]
@@ -326,7 +320,9 @@ def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
     ``first`` of ``maps``, into the orbit under all of them.
 
     The points of orb are expanded by the maps from ``first`` on, and every
-    point that brings in by all the maps, in queue BFS order.  orb's mask is
+    point that brings in by all the maps, in queue BFS order.  A map is an
+    image array or an ``_IdMap``, which looks up only the frontiers, so that
+    a map computed on demand costs O(orbit) rather than O(n).  orb's mask is
     updated in place and becomes the result's.  Each frontier is expanded at
     once: its images, raveled point-major, keep the first occurrence of each
     new point, found by a scatter-minimum of positions into a scratch array
@@ -344,7 +340,8 @@ def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
         cand = reached[fresh]
         first_at[cand] = _FAR
         np.minimum.at(first_at, cand, fresh)
-        new = cand[first_at[cand] == fresh].astype(np.intp, copy=False)  # see _RegularAction
+        # intp, as numpy converts any other index array on every lookup
+        new = cand[first_at[cand] == fresh].astype(np.intp, copy=False)
         mask[new] = True
         order.append(new)
         frontier, k = new, len(maps)
@@ -357,11 +354,10 @@ def _spanning_tree(orb: Orbit, maps: Sequence) -> tuple[np.ndarray, np.ndarray]:
     orbit order, that a map sends to it, and the index of the first such map
     (entry 0, for point 0 itself, is not a parent).
 
-    For a BFS orbit this is the tree the BFS walked, and in any orbit that
-    ``orbit`` or ``_bfs`` lists, each point after point 0 comes after the
-    point it was reached from, so every parent precedes its child.  One
-    scatter-minimum of the keys ``position * len(maps) + map`` of the images
-    of every orbit point finds it.
+    For a BFS orbit (``orbit``) this is the tree the BFS walked, so every
+    parent precedes its child.  One scatter-minimum of the keys
+    ``position * len(maps) + map`` of the images of every orbit point
+    finds it.
     """
     order, k = orb.order, len(maps)
     pos = np.empty(orb.mask.shape[0], dtype=np.int64)  # written at the orbit only
@@ -382,27 +378,19 @@ def _cycle_length(img: np.ndarray) -> int | None:
 
 
 class _RegularAction:
-    """A group's right-regular action on n points, one per element.
+    """A group's right-regular action on its ids 0..n-1, one per element:
+    right multiplication by element k takes id 0, the identity, to id k.
 
-    Right multiplication by element k takes point 0, the identity's, to
-    ``pts[k]``, and ``ids`` is the inverse of ``pts``.  A group that acts
-    regularly on its own points keeps them, numbered in the order a BFS from
-    point 0 reaches them.  A group closed up element by element acts on its
-    own ids, so ``pts`` and ``ids`` are the identity; there ``rows[k]`` is
-    the image array of element k and ``index`` finds an id from an image
-    array.  ``map`` is the one place the two differ.
-
-    Words are followed on a point: right multiplication by p takes point x
-    to ``map(p)[x]``.
+    A group given as regular (``PermGroup.regular``) acts on its own points,
+    which are its ids.  A group closed up element by element acts on the ids
+    of its elements: ``rows[k]`` is the image array of element k and
+    ``index`` finds an id from an image array.  ``map`` is the one place the
+    two differ: right multiplication by p takes id x to ``map(p)[x]``.
     """
 
-    def __init__(self, pts: np.ndarray, rows: np.ndarray | None = None,
+    def __init__(self, n: int, rows: np.ndarray | None = None,
                  index: dict[bytes, int] | None = None):
-        # intp, as numpy converts any other index array on every lookup
-        self.pts = pts.astype(np.intp)
-        self.n = pts.shape[0]
-        self.ids = np.empty(self.n, dtype=np.intp)
-        self.ids[self.pts] = np.arange(self.n)
+        self.n = n
         self.rows, self.index = rows, index
         # per letter of the images ``factors`` was last given: its map and
         # the map's order (or None), and the inverse map once formed
@@ -412,7 +400,7 @@ class _RegularAction:
 
     def map(self, p: Permutation) -> np.ndarray:
         """Right multiplication by p, an element of the group, as an image
-        array on the points: p's own image array when the group acts on its
+        array on the ids: p's own image array when the group acts on its
         points, and otherwise the id of (element k) * p for each id k, looked
         up in ``index``, which raises ValueError when p is not in the group."""
         if self.rows is None:
@@ -428,7 +416,7 @@ class _RegularAction:
         """The word ``letters`` in ``images``, elements of the group, as
         (image array, times) steps, one per run of a letter and its inverse.
 
-        When point 0's cycle under a letter's map closes after L <= 64
+        When id 0's cycle under a letter's map closes after L <= 64
         steps, L is the letter's order (every cycle of an element of a
         regular group is as long as its order), so the run's exponent is
         taken mod L and an inverse letter is L - 1 steps forward.  Otherwise
@@ -462,45 +450,35 @@ class _RegularAction:
 
     @staticmethod
     def follow(steps: Sequence[tuple[np.ndarray, int]], x):
-        """The points that right multiplication by ``steps`` takes the points
-        ``x`` (one point, or an array of them) to."""
+        """The ids that right multiplication by the product of ``steps``
+        takes the ids ``x`` (one id, or an array of them) to."""
         for img, times in steps:
             for _ in range(times):
                 x = img[x]
         return x
 
-    def right(self, steps: Sequence[tuple[np.ndarray, int]],
-              ks: np.ndarray | None = None) -> np.ndarray:
-        """The map k -> id of (element k) * (the product of ``steps``), for a
-        product in the group, on the ids ``ks`` (on every id when None)."""
-        return self.ids[self.follow(steps, self.pts if ks is None else self.pts[ks])]
-
 
 class _IdMap:
-    """Right multiplication by a product of steps, as an ``orbit`` map,
-    computed on each frontier only, so that a subgroup's orbit costs
-    O(|subgroup|), not O(|group|)."""
+    """Right multiplication by a product of steps, as a ``_bfs`` map,
+    computed on each frontier only, so that a normal closure's orbit costs
+    O(|closure|), not O(|group|)."""
 
-    __slots__ = ("act", "steps")
+    __slots__ = ("steps",)
 
-    def __init__(self, act: _RegularAction, steps: Sequence[tuple[np.ndarray, int]]):
-        self.act, self.steps = act, steps
+    def __init__(self, steps: Sequence[tuple[np.ndarray, int]]):
+        self.steps = steps
 
     def __getitem__(self, ks: np.ndarray) -> np.ndarray:
-        return self.act.right(self.steps, ks)
+        return _RegularAction.follow(self.steps, ks)
 
 
-def _closure_action(gens: Sequence[Permutation], degree: int,
-                    known_order: int | None) -> _RegularAction:
+def _closure_action(gens: Sequence[Permutation], degree: int) -> _RegularAction:
     """The regular action of the group generated by ``gens``, closed up
     element by element in queue BFS order from the identity."""
     rows: list[np.ndarray] = []
     index: dict[bytes, int] = {}
 
     def add(img: np.ndarray):
-        if len(rows) == known_order:
-            raise RuntimeError("the group has more elements than its "
-                               "externally verified order")
         if (len(rows) + 1) * degree > _CLOSURE_CAP:
             raise ValueError(f"closing the group up needs more than {_CLOSURE_CAP} "
                              f"entries (elements x degree)")
@@ -513,55 +491,50 @@ def _closure_action(gens: Sequence[Permutation], degree: int,
             img = g.images[row]
             if img.tobytes() not in index:
                 add(img)
-    return _RegularAction(_arange(len(rows)), np.stack(rows), index)
+    return _RegularAction(len(rows), np.stack(rows), index)
 
 
 class PermGroup:
     """A finite permutation group, handled through its right-regular action.
 
-    The elements are numbered 0..|G|-1 in the order of ``elements()``, id 0
-    being the identity, and each generator acts on the ids by right
-    multiplication.  Every handle on the group, its own and each
-    ``subgroup()``, holds the orbit of id 0 under its generators: its ids in
-    BFS order, sized to the orbit, and a mask over all the ids.  The order
-    is the orbit's size, membership one lookup in the mask.  A subgroup's
-    BFS evaluates its generators' id maps on each frontier only.
+    The elements have ids 0..|G|-1, id 0 being the identity, and each
+    generator acts on the ids by right multiplication.  Every handle on the
+    group, its own and each ``subgroup()``, holds the orbit of id 0 under
+    its generators: its ids in BFS order (the group's own: every id, in id
+    order), sized to the orbit, and a mask over all the ids.  The order is
+    the orbit's size, membership one lookup in the mask.  A subgroup's BFS
+    evaluates its generators' id maps on each frontier only.
 
-    The regular action is built on the first query, in one of two ways:
+    The regular action comes in one of two ways:
 
-    - ``known_order`` equals the degree and the generators act transitively:
-      ``known_order`` is taken as an externally verified order, so the given
-      action is regular, and element k is the one sending point 0 to the
-      k-th point that a BFS from point 0 reaches; that BFS is the one
-      ``is_transitive()`` runs, and it runs once;
-    - otherwise the elements are closed up explicitly as image arrays, in BFS
-      order from the identity, and the group acts on their ids.  This raises
-      ValueError rather than hold more than 2**20 entries (elements x
-      degree), and RuntimeError when the group has more elements than
-      ``known_order``.
+    - ``PermGroup.regular(gens)``, for generators proved to act regularly:
+      the ids are the points, id k the element sending point 0 to point k,
+      and no search is run;
+    - ``PermGroup(gens)``: on the first query the elements are closed up as
+      image arrays, in BFS order from the identity, and numbered in that
+      order.  This raises ValueError rather than hold more than 2**20
+      entries (elements x degree).
 
     Once the action is built, a word is decided without forming a product.
-    ``word_id`` follows id 0 through the action letter by letter, as a
-    point, and the word is the identity iff it comes back to id 0;
-    ``word_order`` counts the steps of id 0's cycle.  The images must be
-    elements of the group: on a regular action the point id 0 reaches names
-    the only element the product can be, and it is that element only when
-    the product is in the group.  That is why ``families._certify_cover``
-    checks its relators at every point of the cover, on their lifts to the
-    base group: until it has, the cover is not known to be one group acting
-    regularly.
+    ``word_id`` follows id 0 through the action letter by letter, and the
+    word is the identity iff it comes back to id 0; ``word_order`` counts
+    the steps of id 0's cycle.  The images must be elements of the group: on
+    a regular action the id that id 0 reaches names the only element the
+    product can be, and it is that element only when the product is in the
+    group.  That is why ``families._certify_cover`` checks its relators at
+    every point of the cover, on their lifts to the base group: until it
+    has, the cover is not known to be one group acting regularly.
 
     The derived series is grown the same way.  Each normal closure keeps its
     generators as words in this handle's generators; a word joins when the
     id it leads id 0 to is off the orbit so far, and the orbit is then
     grown, not rebuilt, by the word's id map on the frontier only.
 
-    Only ``elements()`` and ``contains`` spell elements as permutations;
-    they derive the spanning tree of the orbit when asked.
+    Only ``elements()`` and ``contains`` spell elements as permutations,
+    along a BFS spanning tree of the orbit built when first asked and kept.
     """
 
-    def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
-                 known_order: int | None = None):
+    def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
         gens = []
         seen = set()
         for g in generators:
@@ -577,26 +550,34 @@ class PermGroup:
             raise ValueError("degree required for a group with no generators")
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.degree = degree
-        self._known_order = known_order
         self._action: _RegularAction | None = None
         self._orbit: Orbit | None = None
-        self._transitive: bool | None = None
+        self._tree: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._derived_length: int | None | object = _UNSET
+
+    @classmethod
+    def regular(cls, generators: Iterable[Permutation]) -> "PermGroup":
+        """The group of ``generators``, which the caller has proved to act
+        regularly on their points (a transitive coset table of the trivial
+        subgroup, a certified cover); nothing is checked here.  Its ids are
+        its points: id k is the element that sends point 0 to point k."""
+        group = cls(generators)
+        group._action = _RegularAction(group.degree)
+        group._orbit = _whole(group.degree)
+        return group
 
     def _built(self) -> Orbit:
         if self._orbit is None:
-            if self._action is not None:
-                self._orbit = orbit(self._maps(), self._action.n)
-            elif not (self._known_order == self.degree and self.is_transitive()):
-                self._action = _closure_action(self.generators, self.degree,
-                                               self._known_order)
+            if self._action is None:
+                self._action = _closure_action(self.generators, self.degree)
                 self._orbit = _whole(self._action.n)
+            else:
+                self._orbit = orbit(self._maps(), self._action.n)
         return self._orbit
 
-    def _maps(self) -> list[_IdMap]:
+    def _maps(self) -> list[np.ndarray]:
         """Right multiplication by each generator, as a map on the ids."""
-        act = self._action
-        return [_IdMap(act, act.factors((1,), (g,))) for g in self.generators]
+        return [self._action.map(g) for g in self.generators]
 
     # -- queries -----------------------------------------------------------
 
@@ -607,15 +588,9 @@ class PermGroup:
         return not self.generators
 
     def is_transitive(self) -> bool:
-        """Whether the generators act transitively on the points.  For a group
-        given with ``known_order`` equal to the degree, the BFS that decides
-        it also builds the regular action."""
-        if self._transitive is None:
-            pts = orbit([g.images for g in self.generators], self.degree)
-            self._transitive = pts.order.shape[0] == self.degree
-            if self._transitive and self._action is None and self._known_order == self.degree:
-                self._action, self._orbit = _RegularAction(pts.order), _whole(self.degree)
-        return self._transitive
+        """Whether the generators act transitively on the points."""
+        pts = orbit([g.images for g in self.generators], self.degree)
+        return pts.order.shape[0] == self.degree
 
     def is_regular(self) -> bool:
         """Regular action: transitive on the points, with trivial point
@@ -632,15 +607,6 @@ class PermGroup:
         h._action = self._action
         return h
 
-    def handle(self) -> "PermGroup":
-        """A handle of its own on this group: it shares the regular action
-        and the orbit of id 0, built once, and keeps what it is asked, such
-        as its derived length, apart from this handle."""
-        self._built()
-        h = PermGroup(self.generators, degree=self.degree, known_order=self._known_order)
-        h._action, h._orbit, h._transitive = self._action, self._orbit, self._transitive
-        return h
-
     def intersection_order(self, other: "PermGroup") -> int:
         """The order of the intersection of two handles on the same action."""
         mask, other_mask = self._built().mask, other._built().mask
@@ -650,10 +616,10 @@ class PermGroup:
 
     def right_action(self, p: Permutation) -> np.ndarray:
         """Right multiplication by an element p of the group, as the map
-        k -> id of (element k) * p on the ids of the whole group's
-        ``elements()``."""
+        k -> id of (element k) * p on the whole group's ids: p's own image
+        array for a group given as regular, whose ids are its points."""
         self._built()
-        return self._action.right(self._action.factors((1,), (p,)))
+        return self._action.map(p)
 
     def word_id(self, w: Word, images: Sequence[Permutation]) -> int:
         """The id of the element ``w`` spells in ``images``, which must be
@@ -675,7 +641,7 @@ class PermGroup:
                 for _ in range(k % done):
                     x = act.follow(steps, x)
                 break
-        return int(act.ids[x])
+        return int(x)
 
     def word_order(self, w: Word, images: Sequence[Permutation]) -> int:
         """The order of the element ``w`` spells in ``images``, which must be
@@ -692,44 +658,51 @@ class PermGroup:
 
     def contains(self, p: Permutation) -> bool:
         """Exact membership, for any permutation of the group's degree: the
-        point p sends id 0 to names the only element p can be, and p is
+        id p sends id 0 to names the only element p can be, and p is
         compared with it."""
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         orb = self._built()
-        act = self._action
         try:
-            k = int(act.ids[act.map(p)[0]])
+            k = int(self._action.map(p)[0])
         except ValueError:
             return False
         return bool(orb.mask[k]) and self._element(k) == p
 
+    def _spelling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The orbit of id 0 in BFS order under the generators, with each
+        position's parent position and generator (``_spanning_tree``)."""
+        if self._tree is None:
+            self._built()
+            maps = self._maps()
+            orb = orbit(maps, self._action.n)
+            tree = _spanning_tree(orb, maps) if maps else (np.zeros(1, dtype=np.int64),) * 2
+            self._tree = (orb.order, *tree)
+        return self._tree
+
     def _element(self, k: int) -> Permutation:
-        """The element of id k, spelt along the orbit's spanning tree."""
-        orb = self._orbit
-        pos = int(np.flatnonzero(orb.order == k)[0])
+        """The element of id k, spelt along the BFS spanning tree."""
+        order, parent, via = self._spelling()
+        pos = int(np.flatnonzero(order == k)[0])
         path = []
-        if pos:
-            parent, via = _spanning_tree(orb, self._maps())
-            while pos:
-                path.append(int(via[pos]))
-                pos = int(parent[pos])
+        while pos:
+            path.append(int(via[pos]))
+            pos = int(parent[pos])
         acc = Permutation.identity(self.degree)
         for gi in reversed(path):
             acc = acc * self.generators[gi]
         return acc
 
     def elements(self, cap: int | None = None) -> list[Permutation]:
-        """All elements, in the orbit's BFS order from the identity; guarded
-        by ``cap``."""
-        orb = self._built()
-        if cap is not None and orb.order.shape[0] > cap:
-            raise ValueError(f"group order {orb.order.shape[0]} exceeds cap {cap}")
+        """All elements, in BFS order from the identity (the k-th need not
+        have id k); guarded by ``cap``."""
+        n = self.order()
+        if cap is not None and n > cap:
+            raise ValueError(f"group order {n} exceeds cap {cap}")
+        _, parent, via = self._spelling()
         elems = [Permutation.identity(self.degree)]
-        if orb.order.shape[0] > 1:
-            parent, via = _spanning_tree(orb, self._maps())
-            for pos, gi in zip(parent[1:].tolist(), via[1:].tolist()):
-                elems.append(elems[pos] * self.generators[gi])
+        for pos, gi in zip(parent[1:].tolist(), via[1:].tolist()):
+            elems.append(elems[pos] * self.generators[gi])
         return elems
 
     # -- derived structure ---------------------------------------------------
@@ -793,9 +766,9 @@ class PermGroup:
             w = parts[0] if len(parts) == 1 else parts[0] * parts[1] * parts[2]
             gens.append(w)
             steps = act.factors(w.letters, images)
-            maps.append(_IdMap(act, steps))
+            maps.append(_IdMap(steps))
             orb = _bfs(orb, maps, len(maps) - 1)
-            queue.extend(((ci, w, c), act.ids[act.follow(fwd, act.follow(steps, back))])
+            queue.extend(((ci, w, c), act.follow(fwd, act.follow(steps, back)))
                          for c, ci, back, fwd in zip(conj, inverses, backs, forwards))
         return tuple(gens), orb
 

@@ -13,15 +13,16 @@ order, homomorphism and mirror check follows its word on id 0 of the group's
 regular action (``PermGroup.word_id``, ``PermGroup.word_order``), and no
 product of the group's degree is formed.
 
-The geometry is built on the group's right-regular action on the ids of
-``elements()`` (``PermGroup.right_action``): the rank-i face gS_i is the
-S_i-orbit of g's id, and two faces are incident when they share an id.  Each
-face is labelled by the smallest id in its orbit, found by min-label
-propagation over the stabilizer generators' id maps, and faces are numbered
-in the order of those labels.  A ``CosetGeometry`` holds the face counts
-and, per pair of ranks, the sorted distinct keys of its incident pairs
-(sorted, then compared with their neighbours); the axioms P1-P4, the flag
-count and the section types are joins and group-bys on those arrays.
+The geometry is built on the group's right-regular action on the positions
+of ``elements()`` (``PermGroup.right_action``, renumbered): the rank-i face
+gS_i is the S_i-orbit of g's position, and two faces are incident when they
+share one.  Each face is labelled by the smallest position in its orbit,
+found by min-label propagation over the stabilizer generators' maps, and
+faces are numbered in the order of those labels.  A ``CosetGeometry`` holds
+the face counts and, per pair of ranks, the sorted distinct keys of its
+incident pairs (sorted, then compared with their neighbours); the axioms
+P1-P4, the flag count and the section types are joins and group-bys on
+those arrays.
 
 For each incident pair of faces and each rank between them, the number of
 faces of that rank incident to both is counted once per geometry and kept
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, orbit
 from .words import Presentation, Word, substitute
 
 
@@ -263,11 +264,13 @@ class GeometryCapError(ValueError):
 class CosetGeometry:
     """The coset geometry of a triple on four stabilizers S_0..S_3.
 
-    The group acts on the ids k of ``group.elements()`` by right
-    multiplication, and the rank-i face gS_i is the S_i-orbit of g's id.
-    Faces of one rank are numbered by the smallest id they contain, which
-    is the order in which a walk over ``elements()`` first meets them.  Two
-    faces are incident when they share an id.
+    The group acts by right multiplication on the positions k of
+    ``group.elements()``, not on its ids, so that the numbering does not
+    depend on the points the group acts on, and the rank-i face gS_i is the
+    S_i-orbit of g's position.  Faces of one rank are numbered by the
+    smallest position they contain, which is the order in which a walk over
+    ``elements()`` first meets them.  Two faces are incident when they share
+    a position.
 
     ``face_counts()`` gives the number of faces per rank 0..3, and
     ``incidence[(i, j)]`` (0 <= i < j <= 3) holds one sorted int64 key
@@ -396,15 +399,18 @@ def coset_geometry_from_subgroups(t: RotationTriple,
                                   element_cap: int = 2 ** 16) -> CosetGeometry:
     """Build the ranked incidence structure from explicit stabilizer choices.
 
-    Raises GeometryCapError when the group has more than ``element_cap``
-    elements.
+    The id maps of right multiplication are renumbered by the ids' positions
+    in ``elements()``, a BFS from id 0.  Raises GeometryCapError when the
+    group has more than ``element_cap`` elements.
     """
     g = t.group
     order = g.order()
     if order > element_cap:
         raise GeometryCapError(
             f"group order {order} exceeds the exhaustive cap {element_cap}")
-    faces = [_face_numbers(_orbit_labels(order, [g.right_action(s) for s in gens]))
+    bfs = orbit([g.right_action(s) for s in g.generators], order).order
+    pos = np.argsort(bfs)
+    faces = [_face_numbers(_orbit_labels(order, [pos[g.right_action(s)[bfs]] for s in gens]))
              for gens in subgroup_gens]
     nfaces = tuple(int(f.max()) + 1 for f in faces)
     incidence = {(i, j): _distinct(faces[i] * nfaces[j] + faces[j])

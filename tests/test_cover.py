@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chiral444 import perms
 from chiral444.cli import main
 from chiral444.families import (EnumerationIncomplete, VerificationError,
                                 VerifyOptions, _certify_cover, _cover_images,
-                                _hnf, _in_lattice, _index_mod,
+                                _hnf, _in_lattice, _index_mod, _normal_closure,
                                 _todd_coxeter_triple, _voltage_cover, _voltages,
-                                _VoltageCover, derived_orders,
+                                _VoltageCover, derived_orders, expected_order,
                                 family_presentation, member_triple,
-                                reference_triple, subgroup_seed_words,
-                                verify_member)
-from chiral444.perms import Permutation, evaluate
+                                presentation_U, reference_triple,
+                                subgroup_seed_words, verify_member)
+from chiral444.perms import PermGroup, Permutation, evaluate
+from chiral444.words import Word
 from chiral444.polytope import intersection_condition, quotient_criterion
 
 
@@ -93,11 +95,52 @@ def test_corrupted_voltage_fails_the_certificate():
 
 def test_intransitive_cover_fails_the_certificate():
     # all-zero voltages give |G_1| m^2 points in m^2 copies of G_1: every
-    # relator of the family at m = 2 holds, but the action is not transitive
+    # relator of the family at m = 2 holds, but the action is not transitive.
+    # Doubled voltages keep every relator and the orbit C_G = G_1, but span
+    # L_G = 2Z^2: at m = 2 the cover splits into four orbits, while at m = 3
+    # 2Z^2 + 3Z^2 = Z^2 and it is transitive, so the lattice is read mod m.
+    # A BFS over the cover's points is the independent check each time.
     base = _base("P")
+    phi = _voltages("P", base)
     zero = np.zeros((3, base.shape[1], 2), dtype=np.int64)
-    with pytest.raises(VerificationError, match="not transitive"):
-        _certify_cover(family_presentation("P", 2), _VoltageCover(base, zero), 2)
+    for table, m in ((zero, 2), (2 * phi, 2)):
+        with pytest.raises(VerificationError, match="not transitive"):
+            _certify_cover(family_presentation("P", m), _VoltageCover(base, table), m)
+        sigma = [Permutation(img) for img in _cover_images(base, table, m)]
+        assert not PermGroup(sigma).is_transitive()
+    t = _certify_cover(family_presentation("P", 3), _VoltageCover(base, 2 * phi), 3)
+    assert t.group.order() == 1024 * 9 and t.group.is_transitive()
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_member_triple_runs_no_search_over_the_cover(family, monkeypatch):
+    # the cover's ids are its points and its transitivity is read off the
+    # span of U's generator lifts, so once the one-time costs are paid a
+    # member is built without an orbit search of the cover's degree
+    member_triple(family, 2)
+    degrees = {expected_order(family, m) for m in (2, 3)}
+    search = perms.orbit
+
+    def guarded(maps, n):
+        assert n not in degrees, f"an orbit search over the {n} points of a cover"
+        return search(maps, n)
+
+    monkeypatch.setattr(perms, "orbit", guarded)
+    for m in (2, 3):
+        t = member_triple(family, m)
+        assert t.group.order() == expected_order(family, m)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_cover_ids_are_points(family):
+    # x^i y^j takes the point (0, 0, 0) to (0, i, j) mod m, so its id is
+    # (i mod m) m + (j mod m)
+    x, y = subgroup_seed_words(family)
+    for m in (2, 3):
+        t = member_triple(family, m)
+        for i in range(-m, 2 * m + 1):
+            for j in range(-m, 2 * m + 1):
+                assert t.group.word_id(x ** i * y ** j, t.sigma) == (i % m) * m + j % m
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -181,6 +224,38 @@ def test_m1_report_needs_no_conjugation_proof(capsys):
     assert main(["verify", "--family", "Q", "--m", "2", "--max-cosets", "4000",
                  "--jobs", "1"]) == 2
     assert "cap of 4000 cosets" in capsys.readouterr().err
+
+
+def _mask_at(term, m):
+    """The points of the cover at m that the subgroup ``term`` of U takes
+    (0, 0, 0) to: (c, v) with c in its orbit and v - p(c) in L + mZ^2."""
+    a, b, d = term.lattice
+    lattice = _hnf([(a, b), (0, d), (m, 0), (0, m)])
+    mask = np.zeros((term.mask.shape[0], m, m), dtype=bool)
+    for c in np.flatnonzero(term.mask).tolist():
+        px, py = term.pot[c].tolist()
+        for v1 in range(m):
+            for v2 in range(m):
+                mask[c, v1, v2] = _in_lattice((v1 - px, v2 - py), lattice)
+    return mask.ravel()
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_normal_closure_of_lifts_matches_the_member(family):
+    # the closure of b^2 (or of a b^-1) under conjugation by a and b alone
+    # is not normalized by c (16 against 32 elements in P_1), so a closure
+    # that skips a conjugator comes out smaller.  The cover's ids are its
+    # points, so the closure of the lifts, read at m, is the member's orbit
+    cover = _voltage_cover(family, VerifyOptions())
+    u = presentation_U()
+    conj = [cover.lift(Word((i,))) for i in (1, 2, 3)]
+    for text in ("b^2", "a*b^-1"):
+        w = u.parse_word(text)
+        term = _normal_closure([(cover.lift(w),)], conj, cover.base.shape[1])
+        for m in (1, 2, 3):
+            g = member_triple(family, m).group
+            orb = g._normal_closure([w], g._letters())[1]
+            assert np.array_equal(_mask_at(term, m), orb.mask)
 
 
 def _closure(gens, m):

@@ -185,13 +185,6 @@ def test_identity_group_and_contains():
         g.contains(Permutation.identity(4))
 
 
-def test_known_order_early_exit_is_safe():
-    # passing a too-large "known" order must not inflate the result
-    gens = [Permutation.from_cycles(3, (1, 2, 3))]
-    g = PermGroup(gens, known_order=6)
-    assert g.order() == 3
-
-
 def test_derived_series_abelian():
     g = PermGroup([Permutation.from_cycles(6, (1, 2, 3)), Permutation.from_cycles(6, (4, 5))])
     series = g.derived_series()
@@ -225,7 +218,7 @@ def test_is_solvable_is_derived_length_not_none():
                     Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
     s4 = PermGroup([Permutation.from_cycles(4, (1, 2)),
                     Permutation.from_cycles(4, (1, 2, 3, 4))])
-    p1 = PermGroup(family_presentation_images(), known_order=1024)
+    p1 = PermGroup.regular(family_presentation_images())
     for g, length in ((a5, None), (s4, 3), (p1, p1.derived_length())):
         assert g.derived_length() == length
         assert g.is_solvable() == (g.derived_length() is not None)
@@ -333,24 +326,18 @@ def test_closure_size_guard():
                     Permutation.from_cycles(9, (1, 2, 3, 4, 5, 6, 7, 8, 9))])
     with pytest.raises(ValueError, match="closing the group up"):
         s9.order()
-    # a bad known_order on a large degree never starts a closure
+    # a group not given as regular is closed up, which the guard refuses at
+    # once on a large degree
     c = Permutation(np.roll(np.arange(2 ** 21), 1))
     with pytest.raises(ValueError, match="closing the group up"):
-        PermGroup([c], known_order=2 ** 21 + 1).order()
-
-
-def test_known_order_smaller_than_the_group_raises():
-    s3 = PermGroup([Permutation.from_cycles(3, (1, 2)),
-                    Permutation.from_cycles(3, (1, 2, 3))], known_order=4)
-    with pytest.raises(RuntimeError):
-        s3.order()
+        PermGroup([c]).order()
 
 
 def test_free_action_subgroups_match_closure():
     pres = family_presentation("P", 1)
     t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
     perms = t.permutation_rep()
-    g = PermGroup(perms, known_order=t.degree)
+    g = PermGroup.regular(perms)
     assert g.is_regular()
     a, b, c = perms
     for gens in ([b, c], [a, b], [a], [a * b, c]):
@@ -369,7 +356,7 @@ def test_contains_is_exact_on_a_regular_action():
     # element; a permutation that is not that element is not in the group
     pres = family_presentation("P", 1)
     t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
-    g = PermGroup(t.permutation_rep(), known_order=t.degree)
+    g = PermGroup.regular(t.permutation_rep())
     a, b, c = g.generators
     swap = Permutation.from_cycles(t.degree, (5, 6))  # fixes point 0
     assert g.contains(a * b) and g.subgroup([a, b]).contains(a * b)
@@ -419,9 +406,11 @@ def test_mirror_on_abelianized_rotation_quotient():
 
 
 def test_right_action_follows_elements():
-    # element k times s is element right_action(s)[k], on a regular group
-    # given with its order, on one closed up, and on the 4-simplex rotation
-    # group (A_5 on 5 points), which does not act regularly
+    # id(e) = right_action(e)[0] is the id e takes id 0 to: the ids are
+    # 0..|G|-1, id 0 is the identity, and right_action(s) takes id(e) to
+    # id(e * s).  Checked on a group given as regular, whose ids are its
+    # points, on one closed up, and on the 4-simplex rotation group (A_5 on
+    # 5 points), which does not act regularly
     pres = family_presentation("P", 1)
     t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
     perms = t.permutation_rep()
@@ -429,24 +418,30 @@ def test_right_action_follows_elements():
     s1, s2, s3 = (Permutation.from_cycles(5, (1, 2, 3)),
                   Permutation.from_cycles(5, (2, 3, 4)),
                   Permutation.from_cycles(5, (3, 4, 5)))
-    for g, extra in ((PermGroup(perms, known_order=t.degree), perms[0] * perms[2]),
+    given = PermGroup.regular(perms)
+    for g, extra in ((given, perms[0] * perms[2]),
                      (PermGroup([c6]), c6 ** 3),
                      (PermGroup([s1, s2, s3]), s1 * s3)):
         elems = g.elements()
         assert elems[0].is_identity()
+        ids = [int(g.right_action(e)[0]) for e in elems]
+        assert ids[0] == 0 and sorted(ids) == list(range(g.order()))
+        if g is given:
+            assert ids == [int(e.images[0]) for e in elems]
+        of = dict(zip(elems, ids))
         for s in g.generators + (extra,):
             act = g.right_action(s)
-            assert all(elems[int(act[k])] == e * s for k, e in enumerate(elems))
+            assert all(int(act[of[e]]) == of[e * s] for e in elems)
 
 
 def test_is_regular_needs_the_whole_orbit():
     c6 = Permutation.from_cycles(6, (1, 2, 3, 4, 5, 6))
     assert PermGroup([c6]).is_regular()
     assert PermGroup([c6]).subgroup([c6]).is_regular()
-    assert PermGroup([c6], known_order=6).is_regular()
+    assert PermGroup.regular([c6]).is_regular()
     # order 3 on 6 points: not transitive
     assert not PermGroup([c6]).subgroup([c6 * c6]).is_regular()
-    assert not PermGroup([c6], known_order=6).subgroup([c6 * c6]).is_regular()
+    assert not PermGroup.regular([c6]).subgroup([c6 * c6]).is_regular()
     # S_3 on 3 points is transitive but not regular
     s3 = PermGroup([Permutation.from_cycles(3, (1, 2)),
                     Permutation.from_cycles(3, (1, 2, 3))])
@@ -509,7 +504,7 @@ def test_word_id_inverts_long_cycles():
     # an inverse letter whose cycle through point 0 is longer than the walk
     # forms the inverse array; a short one steps forward
     c = Permutation(np.roll(np.arange(300), 1))
-    g = PermGroup([c], known_order=300)
+    g = PermGroup.regular([c])
     assert g.word_id(Word((-1,)), [c]) == int(g.right_action(c.inverse())[0])
     assert g.word_order(Word((1,) * 7), [c]) == 300 // math.gcd(300, 7)
     assert g.word_id(Word((1, -1) * 5), [c]) == 0
@@ -600,7 +595,7 @@ def test_long_cycle_group_in_seconds():
     import time
     c = Permutation(np.roll(np.arange(2 ** 21), 1))
     start = time.perf_counter()
-    g = PermGroup([c], known_order=2 ** 21)
+    g = PermGroup.regular([c])
     assert g.order() == 2 ** 21 and g.is_regular()
     assert g.subgroup([c ** (2 ** 10)]).order() == 2 ** 11
     assert time.perf_counter() - start < 5.0

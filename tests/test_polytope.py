@@ -52,7 +52,7 @@ def test_sigma_outside_the_group_is_rejected():
     a = Permutation.from_cycles(4, (1, 2), (3, 4))
     pres = parse_presentation("gens s1,s2,s3; rels s1^2, s2^2, s3^2, (s1*s2)^2,"
                               " (s2*s3)^2, (s1*s2*s3)^2;")
-    for g in (PermGroup([c4], known_order=4), PermGroup([c4])):
+    for g in (PermGroup.regular([c4]), PermGroup([c4])):
         with pytest.raises(TripleError, match="not an element"):
             validate_rotation_triple(g, (a, a, c4 * c4))
         with pytest.raises(TripleError, match="not an element"):
@@ -168,7 +168,7 @@ def test_mirror_extends_false_for_members_true_for_abelianized():
                            " (s2*s3)^2, (s1*s2*s3)^2, [s1,s2], [s1,s3], [s2,s3];")
     t = enumerate_cosets(p, [])
     perms = t.permutation_rep()
-    trip = RotationTriple(PermGroup(perms, known_order=t.degree), tuple(perms), p)
+    trip = RotationTriple(PermGroup.regular(perms), tuple(perms), p)
     assert mirror_extends(trip)
 
 
@@ -213,7 +213,7 @@ def test_regular_verdict_needs_a_complete_presentation():
     complete = Presentation(full.names, full.relators + (extra,))
     table = enumerate_cosets(complete, [], EnumerationConfig(strategy="felsch"))
     sigma = tuple(table.permutation_rep())
-    quotient = PermGroup(sigma, known_order=table.degree)
+    quotient = PermGroup.regular(sigma)
     assert quotient.order() == 1024
     for pres in (full, complete):
         assert chirality_verdict(RotationTriple(quotient, sigma, pres)).verdict == "regular"
