@@ -7,11 +7,22 @@ where column ``2*i`` is generator ``i`` and ``2*i + 1`` its inverse.
 A partial table is sound: every defined entry is forced by a definition, a
 relator deduction, or a coincidence merge, so a trace from coset 1 that
 returns 1 proves membership of the traced word in the subgroup.
+
+Both strategies deduce the same way.  Felsch queues each entry it sets
+and scans, from that entry, the relator rotations that start with its
+column (one entry of each inverse pair suffices: the rotations of the
+inverse relators walk the same cycles the other way).  HLT's lookahead,
+which runs periodically and when the cap is hit, makes one deduction-only
+pass over the whole table and then processes the entries that pass set
+in that Felsch way, until nothing more follows.  Deductions reach a
+unique fixed point whatever their order, so the table a cap leaves is the
+same as with whole passes repeated until one changes nothing.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -186,13 +197,15 @@ class _Enumerator:
         self.rel_cols = tuple(_cols(r) for r in pres.relators)
         self.sub_cols = tuple(_cols(w.free_reduce()) for w in subgroup)
         self.felsch = cfg.strategy == "felsch"
+        # whether set entries are queued in ``deds``: always under Felsch,
+        # and under HLT while a lookahead runs
+        self.record = self.felsch
         self.max_cosets = cfg.max_cosets
         self._zrow = [0] * self.W
         self.tab: list[int] = [0] * (2 * self.W)  # dummy row 0 plus coset 1
         self.p = [0, 1]
         self.n = 1
         self.n_dead = 0
-        self.n_set = 0
         self.deds: list[tuple[int, int]] = []
         self._q: list[int] = []
 
@@ -218,8 +231,7 @@ class _Enumerator:
         self.p.append(b)
         self.tab[a * self.W + col] = b
         self.tab[b * self.W + (col ^ 1)] = a
-        self.n_set += 1
-        if self.felsch:
+        if self.record:
             self.deds.append((a, col))
         return b
 
@@ -239,7 +251,7 @@ class _Enumerator:
         q.clear()
         self._merge(a, b)
         qi = 0
-        felsch = self.felsch
+        record = self.record
         while qi < len(q):
             g = q[qi]
             qi += 1
@@ -264,10 +276,8 @@ class _Enumerator:
                     else:
                         tab[mu * W + col] = nu
                         tab[nu * W + ic] = mu
-                        self.n_set += 1
-                        if felsch:
+                        if record:
                             self.deds.append((mu, col))
-                            self.deds.append((nu, ic))
 
     def _scan_fill(self, a: int, w: tuple[int, ...]):
         """Scan w from a, defining cosets until the scan closes."""
@@ -299,10 +309,8 @@ class _Enumerator:
                 col = w[i]
                 tab[f * W + col] = b
                 tab[b * W + (col ^ 1)] = f
-                self.n_set += 1
-                if self.felsch:
+                if self.record:
                     self.deds.append((f, col))
-                    self.deds.append((b, col ^ 1))
                 return
             self._define(f, w[i])
 
@@ -334,10 +342,8 @@ class _Enumerator:
             col = w[i]
             tab[f * W + col] = b
             tab[b * W + (col ^ 1)] = f
-            self.n_set += 1
-            if self.felsch:
+            if self.record:
                 self.deds.append((f, col))
-                self.deds.append((b, col ^ 1))
 
     # -- strategies --------------------------------------------------------
 
@@ -378,19 +384,23 @@ class _Enumerator:
             return self._closed()
 
     def _lookahead(self):
-        """Deduction-only passes over the whole table until nothing changes."""
-        while True:
-            before = (self.n_dead, self.n_set)
-            a = 1
-            while a <= self.n:
-                if self.p[a] == a:
-                    for w in self.rel_cols:
-                        self._scan(a, w)
-                        if self.p[a] != a:
-                            break
-                a += 1
-            if (self.n_dead, self.n_set) == before:
-                return
+        """Deduce without defining until nothing more follows: one pass
+        scans every relator from every live coset, and the entries it sets,
+        by deduction or coincidence, are then processed Felsch-style
+        (``_process_deductions``), which scans only the relator rotations
+        through them.  That is the fixed point that whole passes repeated
+        until one changes nothing would reach."""
+        self.record = True
+        a = 1
+        while a <= self.n:
+            if self.p[a] == a:
+                for w in self.rel_cols:
+                    self._scan(a, w)
+                    if self.p[a] != a:
+                        break
+            a += 1
+        self._process_deductions()
+        self.record = self.felsch
 
     def _closed(self) -> bool:
         """True iff all live rows are full and all relations close."""
@@ -420,7 +430,11 @@ class _Enumerator:
             cur = v
         return cur
 
-    def _run_felsch(self) -> bool:
+    @functools.cached_property
+    def _rots(self) -> list[list[tuple[int, ...]]]:
+        """The distinct rotations of the relators and their inverses, by
+        first column: the scans that a deduction at that column can
+        complete."""
         rots: list[list[tuple[int, ...]]] = [[] for _ in range(self.W)]
         seen: set[tuple[int, ...]] = set()
         for r in self.rel_cols:
@@ -433,7 +447,9 @@ class _Enumerator:
                         rots[rot[0]].append(rot)
         for bucket in rots:
             bucket.sort()
-        self._rots = rots
+        return rots
+
+    def _run_felsch(self) -> bool:
         try:
             for w in self.sub_cols:
                 if w:
@@ -458,6 +474,8 @@ class _Enumerator:
             return False
 
     def _process_deductions(self):
+        """Scan, from each queued entry, the relator rotations that start
+        with its column, until the queue is empty."""
         deds = self.deds
         rots = self._rots
         while deds:

@@ -15,12 +15,13 @@ The point (c, v1, v2), numbered c m^2 + v1 m + v2, is the element's id
 from U's relator cycles on G_1's Cayley graph (``_voltages``).  Each cover
 member carries a two-sided order certificate: the family relators hold on a
 transitive action of degree |G_1| m^2 (lower bound), and the conjugation
-relations, proved once per family by partial enumeration, bound |G_m| by
-|G_1| m^2 (upper bound).  A relator is decided at every point of the cover
-without forming its product there: its walk is lifted to G_1's points with
-the voltage sum it picks up (``_VoltageCover``), and it holds iff every walk
-closes with a sum of 0 mod m.  Transitivity is read off the span of U's
-generator lifts, so no search runs over the cover's points.
+relations, proved once per family by traces in U's partial coset tables
+(enumerated once for both families), bound |G_m| by |G_1| m^2 (upper
+bound).  A relator is decided at every point of the cover without forming
+its product there: its walk is lifted to G_1's points with the voltage sum
+it picks up (``_VoltageCover``), and it holds iff every walk closes with a
+sum of 0 mod m.  Transitivity is read off the span of U's generator lifts,
+so no search runs over the cover's points.
 
 Solvability is decided for every m from one derived series of U per family
 (``derived_orders``), built on G_1's points with the same voltages: term k
@@ -51,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
-from .perms import PermGroup, Permutation, _root
+from .perms import _WALK, PermGroup, Permutation, _root
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
                        chirality_verdict, intersection_condition,
                        quotient_criterion, validate_rotation_triple,
@@ -116,15 +117,23 @@ def bundled_presentation(name: str) -> Presentation:
     return p
 
 
+@functools.cache
+def _seed_roots(family: str) -> tuple[Word, Word]:
+    """The roots w1, w2 of a family's seed words x = w1^4, y = w2^4, parsed
+    once per process."""
+    u = presentation_U()
+    w1, w2 = _FAMILY_SEEDS[family]
+    return u.parse_word(w1), u.parse_word(w2)
+
+
 def subgroup_seed_words(family: str, m: int = 1) -> tuple[Word, Word]:
     """The two subgroup generator words of a family member, e.g. x^m, y^m."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if m < 1:
         raise ValueError("m must be a positive integer")
-    u = presentation_U()
-    w1, w2 = _FAMILY_SEEDS[family]
-    return u.parse_word(f"({w1})^{4 * m}"), u.parse_word(f"({w2})^{4 * m}")
+    w1, w2 = _seed_roots(family)
+    return w1 ** (4 * m), w2 ** (4 * m)
 
 
 def family_presentation(family: str, m: int) -> Presentation:
@@ -142,8 +151,10 @@ def expected_order(family: str, m: int) -> int:
     return _BASE_ORDER[family] * m * m
 
 
+@functools.cache
 def mirror_witness_relator() -> Word:
-    """The relator whose mirror image certifies chirality."""
+    """The relator whose mirror image certifies chirality, parsed once per
+    process."""
     return presentation_U().parse_word("a^2*c^2*b^2*(a*c)^2")
 
 
@@ -384,8 +395,10 @@ def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> Iterator[np.ndar
         yield img.reshape(-1)
 
 
-def _compose(a: tuple[np.ndarray, np.ndarray],
-             b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+_Lift = tuple[np.ndarray, np.ndarray]
+
+
+def _compose(a: _Lift, b: _Lift) -> _Lift:
     """The lift of a word followed by another (``_VoltageCover.lift``):
     (p1, v1)(p2, v2) = (p2[p1], v1 + v2[p1])."""
     return b[0][a[0]], a[1] + b[1][a[0]]
@@ -393,7 +406,7 @@ def _compose(a: tuple[np.ndarray, np.ndarray],
 
 class _VoltageCover:
     """G_1's regular table ``base`` with a voltage table ``phi``: the Z_m^2
-    cover at every m, and U's relators lifted to G_1 once.
+    cover at every m, with U's relators decided for every m at once.
 
     A word lifts to a pair (end, volt): from each point c of G_1 its walk
     ends at ``end[c]`` and picks up the voltage sum ``volt[c]`` in Z^2.  On
@@ -404,32 +417,55 @@ class _VoltageCover:
 
     def __init__(self, base: np.ndarray, phi: np.ndarray):
         self.base, self.phi = base, phi
+        n = base.shape[1]
         self.inv = np.empty_like(base)
         for g in range(base.shape[0]):
-            self.inv[g, base[g]] = np.arange(base.shape[1])
-        # U's relators are the same at every m, so they are lifted once
-        self._lifts: dict[Word, tuple[np.ndarray, np.ndarray]] = {}
-        self._lifts = {r: self.lift(r) for r in presentation_U().relators}
+            self.inv[g, base[g]] = np.arange(n)
+        self._id = np.arange(n)
+        self._periods: dict[tuple[int, ...], tuple] = {}  # root -> ``_period``
+        # U's relators are the same at every m, so each is decided once
+        self._gcds = {r: self._gcd(r) for r in presentation_U().relators}
 
-    def lift(self, word: Word) -> tuple[np.ndarray, np.ndarray]:
+    def _period(self, root: tuple[int, ...]) -> tuple[_Lift, int | None, np.ndarray | None]:
+        """The lift of the word ``root``, letter by letter, and the least
+        d <= 64 with its d-th power ending every walk where it started, with
+        that power's voltages, or d = None when no such d exists.  Kept per
+        root."""
+        got = self._periods.get(root)
+        if got is None:
+            step = self._id, np.zeros((self._id.shape[0], 2), dtype=np.int64)
+            for x in root:
+                g = abs(x) - 1
+                if x > 0:
+                    step = _compose(step, (self.base[g], self.phi[g]))
+                else:
+                    step = _compose(step, (self.inv[g], -self.phi[g][self.inv[g]]))
+            got, power = (step, None, None), step
+            for d in range(1, _WALK + 1):
+                if np.array_equal(power[0], self._id):
+                    got = step, d, power[1]
+                    break
+                power = _compose(power, step)
+            self._periods[root] = got
+        return got
+
+    def lift(self, word: Word) -> _Lift:
         """The walks of ``word`` from every point: a generator g lifts to
         (base[g], phi[g]) and its inverse to (inv[g], -phi[g][inv[g]]), and
-        lifts compose letter by letter (``_compose``).  A power u^k of a
-        shorter word is u's lift taken to the k-th power by repeated
-        squaring."""
-        known = self._lifts.get(word)
-        if known is not None:
-            return known
+        lifts compose letter by letter (``_compose``).
+
+        A power u^k of a shorter word u, such as a family relator
+        (w1)^{4m}, is read off u's period (``_period``): when lift(u^d) is
+        (id, V), lift(u^k) is (id, (k // d) V) followed by lift(u^(k mod d)),
+        so it costs O(1) compositions whatever m is.  A root with no period
+        up to 64 is taken to the k-th power by repeated squaring.
+        """
         root, k = _root(word.letters)
-        n = self.base.shape[1]
-        step = np.arange(n), np.zeros((n, 2), dtype=np.int64)
-        for x in root:
-            g = abs(x) - 1
-            if x > 0:
-                step = _compose(step, (self.base[g], self.phi[g]))
-            else:
-                step = _compose(step, (self.inv[g], -self.phi[g][self.inv[g]]))
+        step, d, volt = self._period(root)
         acc = None
+        if d:
+            q, k = divmod(k, d)
+            acc = self._id, q * volt
         while k:
             if k & 1:
                 acc = step if acc is None else _compose(acc, step)
@@ -438,11 +474,19 @@ class _VoltageCover:
                 step = _compose(step, step)
         return acc
 
-    def holds(self, word: Word, m: int) -> bool:
-        """Whether ``word`` is the identity on the cover at m."""
+    def _gcd(self, word: Word) -> int | None:
+        """The gcd of the voltage sums of ``word``'s walks, or None when a
+        walk does not close."""
         end, volt = self.lift(word)
-        return (np.array_equal(end, np.arange(end.shape[0]))
-                and not (volt % m).any())
+        if not np.array_equal(end, self._id):
+            return None
+        return int(np.gcd.reduce(volt, axis=None))
+
+    def holds(self, word: Word, m: int) -> bool:
+        """Whether ``word`` is the identity on the cover at m: every walk
+        closes and m divides every voltage sum, so m divides their gcd."""
+        g = self._gcds[word] if word in self._gcds else self._gcd(word)
+        return g is not None and g % m == 0
 
     @functools.cached_property
     def derived(self) -> "_DerivedSeries":
@@ -498,9 +542,6 @@ def _index_mod(lattice: tuple[int, int, int], m: int) -> int:
     a, b, d = lattice
     a, _, d = _hnf([(a, b), (0, d), (m, 0), (0, m)])
     return a * d
-
-
-_Lift = tuple[np.ndarray, np.ndarray]
 
 
 def _inverse_lift(lift: _Lift) -> _Lift:
@@ -697,10 +738,19 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     of its own on the same points.  For m >= 2 it is the Z_m^2 cover of them: the
     m = 1 regular table with the family's voltage table, acting on
     |G_1| m^2 points.  Either way the ids are the points, id 0 the identity,
-    and no search numbers them.  The voltage table with the lifts of U's
-    relators, and the conjugation proof below, are one-time costs, paid on the
-    family's first m >= 2 member and cached for the process.  Before it is
-    returned the cover is certified to be G_m's regular representation:
+    and no search numbers them.
+
+    A member pays only for what depends on m: its presentation, the lifts of
+    its two seed relators, read off their roots' periods in O(1)
+    compositions (``_VoltageCover.lift``), the cover's images and its group.
+    The rest is kept for the process.  The seed roots and the mirror witness
+    are parsed once.  U's partial coset tables behind the conjugation proof
+    are enumerated once for both families (``verify_conjugation_action``).
+    The voltage table, the lifts of U's relators and the periods of the seed
+    roots are built once per family, on its first m >= 2 member.
+
+    Before it is returned the cover is certified to be G_m's regular
+    representation:
 
     - lower bound: every relator of ``family_presentation(family, m)`` holds
       on the images and the action is transitive, so |G_m| >= |G_1| m^2;
@@ -876,6 +926,22 @@ def conjugation_relations(family: str) -> list[tuple[str, Word]]:
     return pairs
 
 
+# U's partial coset tables depend on the cap alone, so each rung of the cap
+# ladder is enumerated once per process, for both families: cap ->
+# (definitions, the conjugation words of every family its trace proves)
+_rungs: dict[int, tuple[int, frozenset[Word]]] = {}
+
+
+def _rung(cap: int) -> tuple[int, frozenset[Word]]:
+    got = _rungs.get(cap)
+    if got is None:
+        table = enumerate_cosets(presentation_U(), [], EnumerationConfig(max_cosets=cap))
+        words = {w for f in FAMILIES for _, w in conjugation_relations(f)}
+        got = table.definitions, frozenset(w for w in words if table.trace(1, w) == 1)
+        _rungs[cap] = got
+    return got
+
+
 def verify_conjugation_action(family: str, cap: int = 1_000_000) -> list[ConjugationCheck]:
     """Prove the conjugation relations by partial-enumeration traces.
 
@@ -883,8 +949,13 @@ def verify_conjugation_action(family: str, cap: int = 1_000_000) -> list[Conjuga
     verified once a sound trace from coset 1 returns 1, and the cap that
     first achieved it is recorded.  Unverified-within-cap is an outcome, not
     an error.
+
+    Each rung is U's partial table at its cap, the same for both families:
+    the first call to reach a rung enumerates it, traces the relations of
+    every family on it and keeps only those verdicts and its definition
+    count (``_rung``), so a later call, for either family, builds no rung
+    again.
     """
-    u = presentation_U()
     relations = conjugation_relations(family)
     status: dict[str, ConjugationCheck] = {
         label: ConjugationCheck(label, False, None) for label, _ in relations
@@ -900,10 +971,10 @@ def verify_conjugation_action(family: str, cap: int = 1_000_000) -> list[Conjuga
         pending = [(lbl, w) for lbl, w in relations if not status[lbl].verified]
         if not pending:
             break
-        table = enumerate_cosets(u, [], EnumerationConfig(max_cosets=current))
+        definitions, proved = _rung(current)
         for label, word in pending:
-            if table.trace(1, word) == 1:
-                status[label] = ConjugationCheck(label, True, table.definitions)
+            if word in proved:
+                status[label] = ConjugationCheck(label, True, definitions)
     return [status[label] for label, _ in relations]
 
 

@@ -53,6 +53,13 @@ def _arange(n: int) -> np.ndarray:
     return a
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two image arrays are equal, decided on their first 64 entries
+    when those differ, so that two different permutations of a large degree
+    are told apart without a pass over them."""
+    return np.array_equal(a[:64], b[:64]) and np.array_equal(a, b)
+
+
 class Permutation:
     """A bijection of {0..degree-1}, stored as an image array."""
 
@@ -133,7 +140,7 @@ class Permutation:
         return Permutation.identity(self.degree) if result is None else result
 
     def is_identity(self) -> bool:
-        return bool((self.images == _arange(self.degree)).all())
+        return _same(self.images, _arange(self.degree))
 
     def order(self) -> int:
         """Least n >= 1 with p**n the identity: the lcm of the cycle lengths.
@@ -176,7 +183,7 @@ class Permutation:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
+        return isinstance(other, Permutation) and _same(self.images, other.images)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -328,14 +335,18 @@ def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
     new point, found by a scatter-minimum of positions into a scratch array
     that is written only at the new points (so it is never initialised, and
     touches O(orbit) of its pages).  That is a few numpy passes per BFS
-    layer.
+    layer, the images written column by column into one array allocated
+    for the layer.
     """
     mask = orb.mask
     first_at = np.empty(mask.shape[0], dtype=np.int64)
     order = [orb.order]
     frontier, k = orb.order, len(maps) - first
     while frontier.size and k:
-        reached = np.stack([mp[frontier] for mp in maps[-k:]], axis=1).ravel()
+        reached = np.empty((frontier.shape[0], k), dtype=np.intp)
+        for j, mp in enumerate(maps[-k:]):
+            reached[:, j] = mp[frontier]
+        reached = reached.ravel()
         fresh = np.flatnonzero(~mask[reached])
         cand = reached[fresh]
         first_at[cand] = _FAR
@@ -535,11 +546,10 @@ class PermGroup:
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
-        gens = []
-        seen = set()
+        gens: list[Permutation] = []
         for g in generators:
-            if not g.is_identity() and g not in seen:
-                seen.add(g)
+            # compared, not hashed: a hash reads the whole image array
+            if not g.is_identity() and g not in gens:
                 gens.append(g)
         if gens:
             degree = gens[0].degree

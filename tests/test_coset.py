@@ -1,6 +1,7 @@
 import pytest
 
-from chiral444.coset import EnumerationConfig, TableError, enumerate_cosets
+from chiral444.coset import (EnumerationConfig, TableError, _Enumerator,
+                             enumerate_cosets)
 from chiral444.families import presentation_U, subgroup_seed_words
 from chiral444.words import Word, parse_presentation
 
@@ -132,6 +133,22 @@ def test_partial_monotonicity_trace_one_persists():
         if r == 1:
             seen_one = True
     assert seen_one
+
+
+@pytest.mark.parametrize("cap", [2000, 12000])
+def test_lookahead_reaches_the_fixed_point_of_full_passes(cap):
+    # a partial table ends with a lookahead: one full deduction pass, then
+    # the entries it set processed Felsch-style.  A further full pass (at
+    # 12000 cosets also after the lookahead in the middle of the run) must
+    # change nothing.
+    e = _Enumerator(presentation_U(), [], EnumerationConfig(max_cosets=cap))
+    assert not e.run()
+    tab, p = list(e.tab), list(e.p)
+    for a in range(1, e.n + 1):
+        for w in e.rel_cols:
+            if e.p[a] == a:
+                e._scan(a, w)
+    assert e.tab == tab and e.p == p
 
 
 def test_permutation_rep_transposition():

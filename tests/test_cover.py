@@ -12,8 +12,9 @@ from chiral444.cli import main
 from chiral444.families import (EnumerationIncomplete, VerificationError,
                                 VerifyOptions, _certify_cover, _cover_images,
                                 _hnf, _in_lattice, _index_mod, _normal_closure,
-                                _todd_coxeter_triple, _voltage_cover, _voltages,
-                                _VoltageCover, derived_orders, expected_order,
+                                _seed_roots, _todd_coxeter_triple,
+                                _voltage_cover, _voltages, _VoltageCover,
+                                derived_orders, expected_order,
                                 family_presentation, member_triple,
                                 presentation_U, reference_triple,
                                 subgroup_seed_words, verify_member)
@@ -168,6 +169,56 @@ def test_lifted_relators_match_the_full_cover(family):
                 assert lifted == evaluate(r, sigma).is_identity()
                 verdicts.add(lifted)
     assert verdicts == {True, False}
+
+
+def _lift_letter_by_letter(cover, letters, start):
+    """``start`` followed by the walks of ``letters``, one letter at a time."""
+    end, volt = start
+    for x in letters:
+        g = abs(x) - 1
+        if x > 0:
+            volt = volt + cover.phi[g][end]
+            end = cover.base[g][end]
+        else:
+            end = cover.inv[g][end]
+            volt = volt - cover.phi[g][end]
+    return end, volt
+
+
+def _assert_powers_lift_letter_by_letter(cover, roots):
+    n = cover.base.shape[1]
+    for u in roots:
+        want = np.arange(n), np.zeros((n, 2), dtype=np.int64)
+        for k in range(1, 41):
+            want = _lift_letter_by_letter(cover, u.letters, want)
+            end, volt = cover.lift(u ** k)
+            assert np.array_equal(end, want[0]) and np.array_equal(volt, want[1]), (u, k)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_periodic_lift_matches_letter_by_letter(family):
+    # lift(u^k) is read off u's period d as (id, (k // d) V) then
+    # lift(u^(k mod d)); k = 1..40 meets every remainder of the seed roots'
+    # period 4 and of U's relators' periods (1, 2 or 4)
+    cover = _voltage_cover(family, VerifyOptions())
+    roots = _seed_roots(family)
+    assert [cover._period(u.letters)[1] for u in roots] == [4, 4]
+    _assert_powers_lift_letter_by_letter(cover, roots + presentation_U().relators)
+
+
+def test_lift_without_a_short_period_squares():
+    # a synthetic base on 67 points: a is a 67-cycle, so no power of it up
+    # to 64 closes and its powers are taken by repeated squaring; b is an
+    # involution and c the identity, which do have periods
+    n = 67
+    pts = np.arange(n)
+    base = np.stack([(pts + 1) % n, (-pts) % n, pts]).astype(np.int64)
+    phi = np.random.default_rng(67).integers(-3, 4, size=(3, n, 2))
+    cover = _VoltageCover(base, phi)
+    a, ab, c = Word((1,)), Word((1, -2)), Word((3, -1, 2))
+    assert cover._period(a.letters)[1] is None
+    assert cover._period(ab.letters)[1] == 2
+    _assert_powers_lift_letter_by_letter(cover, (a, ab, c))
 
 
 def test_small_conjugation_cap_raises():

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from chiral444 import families
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import (VerifyOptions, bundled_presentation,
                                 conjugation_relations, corollary_orders,
@@ -120,6 +123,38 @@ def test_conjugation_action_verifies_all_relations():
         assert len(checks) == 7
         assert all(c.verified for c in checks)
         assert all(c.cosets_used is not None and c.cosets_used <= 10 ** 6 for c in checks)
+
+
+# U's partial tables at three rungs of the conjugation ladder: live cosets
+# and the SHA-256 of ``dump()``
+U_RUNGS = {
+    2000: (1210, "6aa418f6144d60f110ea1491c013b57d746cfdccd703a80ac25a5ec8cc3ef4aa"),
+    16000: (6885, "758916e1bbe767aaabdb5845b3a14f34a384579f49ea7a44ce3be1fbf68cede1"),
+    32000: (12834, "0e6e5dba917caf1b4cc316288f47e18c1351628ca2e618b0a4bc224bf3d526db"),
+}
+COSETS_USED = {"P": [2000, 16000, 2000, 16000, 16000, 16000, 16000],
+               "Q": [32000, 2000, 2000, 16000, 32000, 32000, 32000]}
+
+
+@pytest.mark.parametrize("order", ["PQ", "QP"])
+def test_conjugation_ladder_is_shared_and_pinned(order, monkeypatch):
+    # each rung of U's cap ladder is enumerated once per process, whichever
+    # family reaches it first, and the other family's call reuses it
+    tables = {}
+
+    def enumerate_once(pres, subgroup, cfg):
+        assert cfg.max_cosets not in tables, f"rung {cfg.max_cosets} enumerated twice"
+        tables[cfg.max_cosets] = enumerate_cosets(pres, subgroup, cfg)
+        return tables[cfg.max_cosets]
+
+    monkeypatch.setattr(families, "_rungs", {})
+    monkeypatch.setattr(families, "enumerate_cosets", enumerate_once)
+    for fam in order * 2:
+        assert [c.cosets_used for c in verify_conjugation_action(fam)] == COSETS_USED[fam]
+    assert sorted(tables) == [2000, 4000, 8000, 16000, 32000]
+    for cap, (live, digest) in U_RUNGS.items():
+        assert tables[cap].degree == live
+        assert hashlib.sha256(tables[cap].dump().encode()).hexdigest() == digest
 
 
 def test_conjugation_action_small_cap_reports_unverified():
