@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
-from .perms import _WALK, PermGroup, Permutation, _root
+from .perms import PermGroup, Permutation, _root
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
                        chirality_verdict, intersection_condition,
                        quotient_criterion, validate_rotation_triple,
@@ -422,15 +422,16 @@ class _VoltageCover:
         for g in range(base.shape[0]):
             self.inv[g, base[g]] = np.arange(n)
         self._id = np.arange(n)
+        self._id.setflags(write=False)
         self._periods: dict[tuple[int, ...], tuple] = {}  # root -> ``_period``
         # U's relators are the same at every m, so each is decided once
         self._gcds = {r: self._gcd(r) for r in presentation_U().relators}
 
-    def _period(self, root: tuple[int, ...]) -> tuple[_Lift, int | None, np.ndarray | None]:
-        """The lift of the word ``root``, letter by letter, and the least
-        d <= 64 with its d-th power ending every walk where it started, with
-        that power's voltages, or d = None when no such d exists.  Kept per
-        root."""
+    def _period(self, root: tuple[int, ...]) -> tuple[_Lift, int, np.ndarray]:
+        """The lift of the word ``root``, letter by letter, its period d (the
+        order of its end map, so that its d-th power ends every walk where it
+        started) and the voltages of that d-th power.  Kept per root, with
+        read-only arrays."""
         got = self._periods.get(root)
         if got is None:
             step = self._id, np.zeros((self._id.shape[0], 2), dtype=np.int64)
@@ -440,14 +441,23 @@ class _VoltageCover:
                     step = _compose(step, (self.base[g], self.phi[g]))
                 else:
                     step = _compose(step, (self.inv[g], -self.phi[g][self.inv[g]]))
-            got, power = (step, None, None), step
-            for d in range(1, _WALK + 1):
-                if np.array_equal(power[0], self._id):
-                    got = step, d, power[1]
-                    break
-                power = _compose(power, step)
+            for arr in step:
+                arr.setflags(write=False)
+            d = Permutation._trusted(step[0].astype(np.int32)).order()
+            got = step, d, self._power(step, d)[1]
             self._periods[root] = got
         return got
+
+    def _power(self, step: _Lift, k: int) -> _Lift:
+        """The k-th power of the lift ``step``, by repeated squaring."""
+        acc = self._id, np.zeros((self._id.shape[0], 2), dtype=np.int64)
+        while k:
+            if k & 1:
+                acc = _compose(acc, step)
+            k >>= 1
+            if k:
+                step = _compose(step, step)
+        return acc
 
     def lift(self, word: Word) -> _Lift:
         """The walks of ``word`` from every point: a generator g lifts to
@@ -455,24 +465,16 @@ class _VoltageCover:
         lifts compose letter by letter (``_compose``).
 
         A power u^k of a shorter word u, such as a family relator
-        (w1)^{4m}, is read off u's period (``_period``): when lift(u^d) is
-        (id, V), lift(u^k) is (id, (k // d) V) followed by lift(u^(k mod d)),
-        so it costs O(1) compositions whatever m is.  A root with no period
-        up to 64 is taken to the k-th power by repeated squaring.
+        (w1)^{4m}, is read off u's period d (``_period``): lift(u^d) is
+        (id, V), so lift(u^k) is (id, (k // d) V) followed by
+        lift(u^(k mod d)), taken by repeated squaring; it costs
+        O(log d) compositions whatever m is.
         """
         root, k = _root(word.letters)
         step, d, volt = self._period(root)
-        acc = None
-        if d:
-            q, k = divmod(k, d)
-            acc = self._id, q * volt
-        while k:
-            if k & 1:
-                acc = step if acc is None else _compose(acc, step)
-            k >>= 1
-            if k:
-                step = _compose(step, step)
-        return acc
+        q, k = divmod(k, d)
+        end, rest = self._power(step, k)
+        return end, q * volt + rest
 
     def _gcd(self, word: Word) -> int | None:
         """The gcd of the voltage sums of ``word``'s walks, or None when a
@@ -741,8 +743,9 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     and no search numbers them.
 
     A member pays only for what depends on m: its presentation, the lifts of
-    its two seed relators, read off their roots' periods in O(1)
-    compositions (``_VoltageCover.lift``), the cover's images and its group.
+    its two seed relators, read off their roots' periods in a few
+    compositions however large m is (``_VoltageCover.lift``), the cover's
+    images and its group.
     The rest is kept for the process.  The seed roots and the mirror witness
     are parsed once.  U's partial coset tables behind the conjugation proof
     are enumerated once for both families (``verify_conjugation_action``).

@@ -185,11 +185,11 @@ def _lift_letter_by_letter(cover, letters, start):
     return end, volt
 
 
-def _assert_powers_lift_letter_by_letter(cover, roots):
+def _assert_powers_lift_letter_by_letter(cover, roots, k_max=40):
     n = cover.base.shape[1]
     for u in roots:
         want = np.arange(n), np.zeros((n, 2), dtype=np.int64)
-        for k in range(1, 41):
+        for k in range(1, k_max + 1):
             want = _lift_letter_by_letter(cover, u.letters, want)
             end, volt = cover.lift(u ** k)
             assert np.array_equal(end, want[0]) and np.array_equal(volt, want[1]), (u, k)
@@ -207,18 +207,19 @@ def test_periodic_lift_matches_letter_by_letter(family):
 
 
 def test_lift_without_a_short_period_squares():
-    # a synthetic base on 67 points: a is a 67-cycle, so no power of it up
-    # to 64 closes and its powers are taken by repeated squaring; b is an
-    # involution and c the identity, which do have periods
+    # a synthetic base on 67 points: a is a 67-cycle, so its period is 67
+    # and its powers up to 66 are taken by repeated squaring alone; k up to
+    # 140 also meets q = k // 67 of 1 and 2 with every remainder.  b is an
+    # involution and c the identity, so a*b^-1 has period 2
     n = 67
     pts = np.arange(n)
     base = np.stack([(pts + 1) % n, (-pts) % n, pts]).astype(np.int64)
     phi = np.random.default_rng(67).integers(-3, 4, size=(3, n, 2))
     cover = _VoltageCover(base, phi)
     a, ab, c = Word((1,)), Word((1, -2)), Word((3, -1, 2))
-    assert cover._period(a.letters)[1] is None
+    assert cover._period(a.letters)[1] == 67
     assert cover._period(ab.letters)[1] == 2
-    _assert_powers_lift_letter_by_letter(cover, (a, ab, c))
+    _assert_powers_lift_letter_by_letter(cover, (a, ab, c), k_max=140)
 
 
 def test_small_conjugation_cap_raises():
