@@ -139,12 +139,14 @@ def subgroup_seed_words(family: str, m: int = 1) -> tuple[Word, Word]:
 def family_presentation(family: str, m: int) -> Presentation:
     """Base relators plus the family pair at exponent 4m.
 
+    U's nine relators are taken from ``presentation_U()`` as they stand,
+    already reduced, and only the two seed relators are reduced here
+    (``Presentation.extended``); the result equals
+    ``Presentation(u.names, u.relators + subgroup_seed_words(family, m))``.
     The added words generate a normal subgroup, so the presented quotient is
     exactly the member group (cross-checked by ``normality_cross_check``).
     """
-    u = presentation_U()
-    extra = subgroup_seed_words(family, m)
-    return Presentation(u.names, u.relators + extra)
+    return presentation_U().extended(subgroup_seed_words(family, m))
 
 
 def expected_order(family: str, m: int) -> int:
@@ -385,13 +387,15 @@ def _voltages(family: str, base: np.ndarray) -> np.ndarray:
 def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> Iterator[np.ndarray]:
     """Generator images on the points (c, v1, v2), numbered c*m^2 + v1*m + v2:
     g sends (c, v) to (c.g, v + phi[g, c] mod m).  One at a time, each
-    written as int32 straight into an array of the cover's degree."""
+    written straight into an int32 array of the cover's degree, from int32
+    head and tail terms, so that the broadcast add needs no casting
+    buffer."""
     n, v = base.shape[1], np.arange(m)
     for g in range(base.shape[0]):
-        head = base[g][:, None] * (m * m) + (v + phi[g, :, 0, None]) % m * m
-        tail = (v + phi[g, :, 1, None]) % m
+        head = (base[g][:, None] * (m * m) + (v + phi[g, :, 0, None]) % m * m).astype(np.int32)
+        tail = ((v + phi[g, :, 1, None]) % m).astype(np.int32)
         img = np.empty((n, m, m), dtype=np.int32)
-        np.add(head[:, :, None], tail[:, None, :], out=img, casting="unsafe")
+        np.add(head[:, :, None], tail[:, None, :], out=img)
         yield img.reshape(-1)
 
 

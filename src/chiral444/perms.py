@@ -33,6 +33,7 @@ tests run against it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
@@ -42,6 +43,9 @@ import numpy as np
 from .words import Presentation, Word, commutator
 
 _ARANGES: dict[int, np.ndarray] = {}
+
+# images per chunk of the bijection check in ``Permutation.__init__``
+_CHUNK = 2 ** 20
 
 
 def _arange(n: int) -> np.ndarray:
@@ -61,7 +65,14 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class Permutation:
-    """A bijection of {0..degree-1}, stored as an image array."""
+    """A bijection of {0..degree-1}, stored as an image array.
+
+    The constructor checks the bijection: the images lie in range and hit
+    every point, marked in a byte per point.  The marks are scattered
+    through intp indices, 2**20 images at a time, since numpy converts an
+    int32 index array on a slower path, and the chunks bound the intp copy
+    to 8 MiB whatever the degree.
+    """
 
     __slots__ = ("images", "_hash")
 
@@ -74,8 +85,9 @@ class Permutation:
             raise ValueError("degree must be positive")
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("images is not a bijection of {0..degree-1}")
-        hit = np.zeros(n, dtype=bool)  # n images that hit every point: a byte a point
-        hit[arr] = True
+        hit = np.zeros(n, dtype=bool)  # n images that hit every point
+        for lo in range(0, n, _CHUNK):
+            hit[arr[lo:lo + _CHUNK].astype(np.intp)] = True
         if not hit.all():
             raise ValueError("images is not a bijection of {0..degree-1}")
         arr.setflags(write=False)
@@ -204,13 +216,23 @@ def perm_commutator(p: Permutation, q: Permutation) -> Permutation:
     return p.inverse() * q.inverse() * p * q
 
 
+@functools.lru_cache(maxsize=4096)
 def _root(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """The shortest u with ``letters`` = u^k, and k (u is the empty word and
-    k is 1 for the empty word)."""
+    k is 1 for the empty word).  Kept per letter tuple: the same relators
+    are asked for by every member of a family."""
     n = len(letters)
     r = next((r for r in range(1, n // 2 + 1)
               if n % r == 0 and letters[:r] * (n // r) == letters), n)
     return letters[:r], (n // r if n else 1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _runs(letters: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The runs of a letter and its inverse in ``letters``, as (0-based
+    generator index, exponent) pairs; kept per letter tuple."""
+    return tuple((g - 1, sum(run) // g)  # the run's letters are g and -g
+                 for g, run in itertools.groupby(letters, key=abs))
 
 
 def evaluate(w: Word, images: Sequence[Permutation]) -> Permutation:
@@ -281,8 +303,10 @@ def _trivial_orbit(n: int) -> Orbit:
 
 
 def _whole(n: int) -> Orbit:
-    """The orbit of id 0 under a group's own generators: every id, in id order."""
-    return Orbit(_arange(n), np.ones(n, dtype=bool))
+    """The orbit of id 0 under a group's own generators: every id, in id
+    order.  Its mask is one True broadcast to n entries, read-only and
+    allocating nothing, as every query on it reads it and none writes it."""
+    return Orbit(_arange(n), np.broadcast_to(np.True_, (n,)))
 
 
 def orbit(maps: Sequence[np.ndarray], n: int) -> Orbit:
@@ -336,7 +360,9 @@ def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
     that is written only at the new points (so it is never initialised, and
     touches O(orbit) of its pages).  That is a few numpy passes per BFS
     layer, the images written column by column into one array allocated
-    for the layer.
+    for the layer.  The new positions are read with the array method
+    ``nonzero``, since a layer takes a few microseconds and the
+    ``np.flatnonzero`` wrapper would add a quarter to that.
     """
     mask = orb.mask
     first_at = np.empty(mask.shape[0], dtype=np.int64)
@@ -347,7 +373,7 @@ def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
         for j, mp in enumerate(maps[-k:]):
             reached[:, j] = mp[frontier]
         reached = reached.ravel()
-        fresh = np.flatnonzero(~mask[reached])
+        fresh = (~mask[reached]).nonzero()[0]
         cand = reached[fresh]
         first_at[cand] = _FAR
         np.minimum.at(first_at, cand, fresh)
@@ -422,7 +448,7 @@ class _RegularAction:
         except KeyError:
             raise ValueError("the permutation is not in the group") from None
 
-    def factors(self, letters: Sequence[int],
+    def factors(self, letters: tuple[int, ...],
                 images: Sequence[Permutation]) -> list[tuple[np.ndarray, int]]:
         """The word ``letters`` in ``images``, elements of the group, as
         (image array, times) steps, one per run of a letter and its inverse.
@@ -438,8 +464,7 @@ class _RegularAction:
         if self._images is not images:
             self._images, self._letters, self._inverses = images, {}, {}
         steps = []
-        for g, run in itertools.groupby(letters, key=abs):
-            i, e = g - 1, sum(run) // g  # the run's letters are g and -g
+        for i, e in _runs(letters):
             if i >= len(images):
                 raise ValueError(f"word uses generator index {i} with only "
                                  f"{len(images)} images")

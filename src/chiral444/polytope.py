@@ -11,7 +11,11 @@ The s_i of a ``RotationTriple`` are elements of its group, checked when the
 triple is made, so every word in them is an element too.  Every relation,
 order, homomorphism and mirror check follows its word on id 0 of the group's
 regular action (``PermGroup.word_id``, ``PermGroup.word_order``), and no
-product of the group's degree is formed.
+product of the group's degree is formed.  The mirror test follows each
+relator's image under s1 -> s1^-1, s2 -> s1^2 s2, s3 -> s3 as a word in the
+s_i; the image is a pure function of the relator and is kept per word
+(``_mirror_image``), so the relators every family member shares, U's nine
+and the mirror witness, are substituted once per process.
 
 The geometry is built on the group's right-regular action on the positions
 of ``elements()`` (``PermGroup.right_action``, renumbered): the rank-i face
@@ -43,6 +47,7 @@ middle ranks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -189,12 +194,13 @@ def mirror_images(sigma: Sequence[Permutation]) -> tuple[Permutation, ...]:
     return (s1.inverse(), s1 * s1 * s2, s3)
 
 
-def _mirrored(pres: Presentation) -> Presentation:
-    """The relators' images under the mirror map, as words in the s_i:
-    a relator holds at ``mirror_images(sigma)`` iff its image holds at
-    sigma."""
-    images = _mirror_words(pres.ngens)
-    return Presentation(pres.names, [substitute(r, images) for r in pres.relators])
+@functools.lru_cache(maxsize=4096)
+def _mirror_image(r: Word) -> Word:
+    """r's image under the mirror map, as a freely reduced word in the s_i:
+    r holds at ``mirror_images(sigma)`` iff its image holds at sigma.  A
+    pure function of the word, so each of U's relators and the mirror
+    witness is substituted once per process, whichever member asks."""
+    return substitute(r, _mirror_words(r.max_index() + 1))
 
 
 def mirror_extends(t: RotationTriple) -> bool:
@@ -202,8 +208,12 @@ def mirror_extends(t: RotationTriple) -> bool:
 
     For a finite group with generating images this is exactly the existence
     of the mirror automorphism, so True means the polytope is regular.
+    Each relator's mirror image (``_mirror_image``) is followed on id 0 as
+    it stands, not cyclically reduced: a word and its cyclic reduction are
+    conjugate, so one is the identity exactly when the other is.
     """
-    return _homomorphism(_mirrored(t.presentation), t.group, t.sigma)
+    return all(t.group.word_id(_mirror_image(r), t.sigma) == 0
+               for r in t.presentation.relators)
 
 
 @dataclass(frozen=True)
@@ -219,8 +229,12 @@ def chirality_verdict(t: RotationTriple,
 
     The caller is responsible for having checked the intersection condition
     (directly or through the quotient criterion), so that the triple is the
-    rotation group of a polytope at all.  The witness is a relator whose
-    mirror image is nontrivial; ``preferred_witness`` is used when it works.
+    rotation group of a polytope at all.  The witness is a relation of the
+    group whose mirror image is nontrivial, with the order of that image.
+    ``preferred_witness`` is tried first, and cited only when it holds in
+    the group (its ``word_id`` is 0) and its image does not; otherwise the
+    relators of ``t.presentation`` are tried in order.  Each image is
+    followed on id 0 as ``mirror_extends`` follows it.
 
     The two verdicts are not equally sound.  "chiral" is sound whenever
     every relator of ``t.presentation`` holds in the group: the witness is
@@ -230,26 +244,22 @@ def chirality_verdict(t: RotationTriple,
     do not define it can all survive the mirror map while a relation they
     miss does not.
     """
-    if mirror_extends(t):
-        return ChiralityReport("regular", None, None)
-    images = _mirror_words(t.presentation.ngens)
-    candidates = list(t.presentation.relators)
-    if preferred_witness is not None:
-        candidates.insert(0, preferred_witness)
+    group, sigma = t.group, t.sigma
+    candidates = t.presentation.relators
+    if preferred_witness is not None and group.word_id(preferred_witness, sigma) == 0:
+        candidates = (preferred_witness,) + candidates
     for r in candidates:
-        img = substitute(r, images)
-        if t.group.word_id(img, t.sigma) != 0:
-            return ChiralityReport("chiral", r, t.group.word_order(img, t.sigma))
-    raise AssertionError("mirror map failed to extend but all relators map to 1")
+        img = _mirror_image(r)
+        if group.word_id(img, sigma) != 0:
+            return ChiralityReport("chiral", r, group.word_order(img, sigma))
+    return ChiralityReport("regular", None, None)
 
 
 def enantiomorph(t: RotationTriple) -> RotationTriple:
     """The mirror-image triple (s1^-1, s1^2 s2, s3) over the same group."""
     pres = t.presentation
-    images = _mirror_words(pres.ngens)
-    relators = [substitute(r, images) for r in pres.relators]
     return RotationTriple(t.group, mirror_images(t.sigma),
-                          Presentation(pres.names, relators))
+                          Presentation(pres.names, map(_mirror_image, pres.relators)))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,16 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
     return Word(_reduce(letters))
 
 
+def _relator(w: Word, ngens: int) -> Word:
+    """w freely and cyclically reduced, as a relator on ``ngens`` generators."""
+    r = w.free_reduce().cyclic_reduce()
+    if not r:
+        raise PresentationError("empty relator after reduction")
+    if r.max_index() >= ngens:
+        raise PresentationError(f"relator {w!r} uses an undeclared generator")
+    return r
+
+
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -144,15 +154,17 @@ class Presentation:
             seen.add(name)
             gens.append(Generator(name, i))
         self.generators = tuple(gens)
-        rels = []
-        for w in relators:
-            r = w.free_reduce().cyclic_reduce()
-            if not r:
-                raise PresentationError("empty relator after reduction")
-            if r.max_index() >= len(gens):
-                raise PresentationError(f"relator {w!r} uses an undeclared generator")
-            rels.append(r)
-        self.relators = tuple(rels)
+        self.relators = tuple(_relator(w, len(gens)) for w in relators)
+
+    def extended(self, relators: Iterable[Word]) -> "Presentation":
+        """This presentation with ``relators`` added after its own.  Its own
+        relators are reduced already and are kept as they are; only the
+        added ones are reduced and checked."""
+        p = object.__new__(Presentation)
+        p.generators = self.generators
+        p.relators = self.relators + tuple(_relator(w, len(self.generators))
+                                           for w in relators)
+        return p
 
     @property
     def ngens(self) -> int:

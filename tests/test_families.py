@@ -13,7 +13,7 @@ from chiral444.families import (VerifyOptions, bundled_presentation,
                                 verify_member)
 from chiral444.perms import evaluate
 from chiral444.rewrite import IntMatrix, sublattice_index
-from chiral444.words import Word
+from chiral444.words import Presentation, Word
 
 
 def test_presentation_U_shape():
@@ -37,6 +37,18 @@ def test_family_presentation_members():
         family_presentation("P", 0)
     with pytest.raises(ValueError):
         family_presentation("X", 1)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_family_presentation_keeps_U_relators_and_reduces_the_seeds(family):
+    # U's relators are reused as they stand; the result is the presentation
+    # that reducing all eleven relators again would give
+    u = presentation_U()
+    for m in range(1, 7):
+        p = family_presentation(family, m)
+        assert p == Presentation(u.names, u.relators + subgroup_seed_words(family, m))
+        assert p.generators == u.generators
+        assert all(a is b for a, b in zip(p.relators, u.relators))
 
 
 def test_bundled_files_match_programmatic_presentations():

@@ -3,11 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import family_presentation, presentation_U
-from chiral444.perms import (PermGroup, Permutation, evaluate, orbit,
-                             extends_to_homomorphism, perm_commutator)
+from chiral444.perms import (PermGroup, Permutation, _root, _runs, evaluate,
+                             extends_to_homomorphism, orbit, perm_commutator)
 from chiral444.rewrite import IntMatrix, smith_normal_form
 from chiral444.words import Presentation, Word, parse_presentation
 
@@ -35,6 +36,17 @@ def test_permutation_validation():
         Permutation([1, 2, 3])
     with pytest.raises(ValueError):
         Permutation([[0, 1]])
+
+
+def test_permutation_checks_the_last_chunk():
+    # the bijection check scatters 2**20 images at a time; a repeat that
+    # occurs only among the last three images must still be caught
+    n = 2 ** 20 + 3
+    img = np.arange(n, dtype=np.int32)[::-1].copy()
+    assert np.array_equal(Permutation(img).images, img)
+    img[-1] = img[-2]  # point 0 is never hit
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation(img)
 
 
 def test_compose_convention_left_to_right():
@@ -272,6 +284,27 @@ def test_evaluate_powers_match_letter_by_letter():
     assert evaluate(Word(()), gens).is_identity()
 
 
+@given(st.lists(st.integers(-3, 3).filter(bool), max_size=8), st.integers(1, 6))
+def test_memoized_root_and_runs_match_direct_definitions(u, k):
+    letters = tuple(u) * k
+    n = len(letters)
+    # the shortest prefix whose power is the word, found by brute force
+    r = next((r for r in range(1, n + 1)
+              if n % r == 0 and letters[:r] * (n // r) == letters), 0)
+    for _ in range(2):  # computed, then read back from the memo
+        root, e = _root(letters)
+        assert root == letters[:r] and e == (n // r if n else 1)
+        assert e % k == 0 or not u
+    runs: list[list[int]] = []
+    for x in letters:
+        if runs and runs[-1][0] == abs(x) - 1:
+            runs[-1][1] += 1 if x > 0 else -1
+        else:
+            runs.append([abs(x) - 1, 1 if x > 0 else -1])
+    for _ in range(2):
+        assert _runs(letters) == tuple(map(tuple, runs))
+
+
 def test_relators_evaluate_to_identity():
     pres = family_presentation("P", 1)
     t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
@@ -317,6 +350,26 @@ def test_subgroup_intersection_masks():
     other = PermGroup([Permutation.from_cycles(4, (1, 2))])
     with pytest.raises(ValueError):
         t.intersection_order(other)
+
+
+def test_whole_group_mask_is_read_only_and_answers_queries():
+    # a group's own orbit is every id, its mask one broadcast True: it is
+    # never written, and intersections and membership read it as a mask
+    a4 = PermGroup([Permutation.from_cycles(4, (1, 2, 3)),
+                    Permutation.from_cycles(4, (2, 3, 4))])  # closed up
+    p1 = PermGroup.regular(enumerate_cosets(family_presentation("P", 1), []).permutation_rep())
+    outside = (Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(p1.degree, (5, 6)))
+    for g, (order, sub_order), out in zip((a4, p1), ((12, 3), (1024, 4)), outside):
+        whole = g._built()
+        assert not whole.mask.flags.writeable
+        assert whole.mask.shape == (order,) and whole.mask.all()
+        a, b = g.generators[:2]
+        sub = g.subgroup([a])
+        assert sub.order() == sub_order
+        assert g.intersection_order(sub) == sub.intersection_order(g) == sub_order
+        assert g.intersection_order(g) == order
+        assert g.contains(a * b) and g.contains(b.inverse())
+        assert not g.contains(out)
 
 
 def test_closure_size_guard():

@@ -4,18 +4,19 @@ import numpy as np
 
 import pytest
 
+from chiral444 import polytope
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import (member_triple, mirror_witness_relator,
-                                reference_triple)
+                                presentation_U, reference_triple)
 from chiral444.perms import PermGroup, Permutation, orbit
-from chiral444.polytope import (RotationTriple, TripleError,
+from chiral444.polytope import (ChiralityReport, RotationTriple, TripleError,
                                 build_coset_geometry, chirality_verdict,
                                 coset_geometry_from_subgroups, enantiomorph,
                                 intersection_condition, mirror_extends,
                                 quotient_criterion, section_type,
                                 stabilizer_generators,
                                 validate_rotation_triple, verify_axioms)
-from chiral444.words import Presentation, parse_presentation
+from chiral444.words import Presentation, Word, parse_presentation, substitute
 from test_perms import closure
 
 
@@ -179,6 +180,42 @@ def test_chirality_verdict_with_witness():
         assert rep.verdict == "chiral"
         assert rep.witness_relator == wit
         assert rep.witness_order == 2
+
+
+def test_chirality_verdict_cites_a_preferred_witness_only_when_it_holds():
+    # s1 is not a relation of Q_1, so its mirror image failing proves
+    # nothing; the witness comes from the relators instead
+    t = member_triple("Q", 1)
+    rep = chirality_verdict(t, preferred_witness=Word((1,)))
+    assert rep == chirality_verdict(t)
+    assert rep.verdict == "chiral"
+    assert rep.witness_relator in t.presentation.relators
+
+
+def test_mirror_images_of_shared_relators_are_formed_once(monkeypatch):
+    # U's relators, the witness among them, are the same words for every
+    # member of both families, so each is substituted once per process; a
+    # member adds only its two seed relators
+    calls = []
+
+    def counting(w, images):
+        calls.append(w)
+        return substitute(w, images)
+
+    monkeypatch.setattr(polytope, "substitute", counting)
+    polytope._mirror_image.cache_clear()
+    wit = mirror_witness_relator()
+    members = [(f, m) for f in ("P", "Q") for m in (1, 2)]
+    for f, m in members:
+        t = member_triple(f, m)
+        assert chirality_verdict(t, wit) == ChiralityReport("chiral", wit, 2)
+        assert chirality_verdict(t).verdict == "chiral"
+        assert not mirror_extends(t)
+        enantiomorph(t)  # takes every relator's image
+    u = presentation_U().relators
+    assert wit in u
+    assert [calls.count(r) for r in u] == [1] * len(u)
+    assert len(calls) == len(u) + 2 * len(members)
 
 
 def test_chirality_verdict_regular_case():

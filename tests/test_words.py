@@ -133,6 +133,18 @@ def test_presentation_validation():
         Presentation(["a"], [Word((2,))])  # undeclared generator
 
 
+def test_extended_reduces_and_checks_only_the_added_relators():
+    p = Presentation(["a", "b"], [Word((1, 2, 2, -1)), Word((1, 1))])
+    extra = [Word((2, 1, -1, 1, -2)), Word((-2, 1, 2))]
+    q = p.extended(extra)
+    assert q == Presentation(["a", "b"], list(p.relators) + extra)
+    assert q.relators[:2] == p.relators and q.relators[2:] == (Word((1,)), Word((1,)))
+    with pytest.raises(PresentationError):
+        p.extended([Word((1, -1))])  # empty relator after reduction
+    with pytest.raises(PresentationError):
+        p.extended([Word((3,))])  # undeclared generator
+
+
 def test_relators_stored_cyclically_reduced():
     p = Presentation(["a", "b"], [Word((1, 2, 2, -1))])
     assert p.relators[0].letters == (2, 2)
