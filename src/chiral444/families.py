@@ -32,8 +32,20 @@ the lattices count too, which the conjugation proof makes sound (N = Z^2).
 No member's normal closures are built; ``PermGroup.derived_length`` on the
 member is the cross-check.
 
+The intersection condition and the quotient criterion's subgroup orders
+are read the same way, off the spans of U's canonical subgroups <a>, <b>,
+<c>, <a,b>, <b,c> on G_1's points (``_VoltageCover.canonical``), built
+once per family.  A span at m is its subgroup's orbit of (0, 0), the points
+(c, p(c) + L + mZ^2), so |<X> cap <Y>| in G_m is the number of c in
+C_X cap C_Y with p_X(c) - p_Y(c) in L_X + L_Y + mZ^2, times
+|(L_X + mZ^2) cap (L_Y + mZ^2) / mZ^2| (``_Term.meet_order``).  This is the
+same statement as the orbit searches of ``polytope.intersection_condition``
+on the member: the member is the certified regular cover whose s_i is the
+lift of generator i, so each of its subgroups is that orbit of id 0.  The
+per-action engine stays as the tests' cross-check.
+
 ``verify_member`` runs the full pipeline on a member: rotation-triple
-validation, direct intersection condition, quotient criterion against the
+validation, the intersection condition, the quotient criterion against the
 m = 1 member, solvability, mirror test with witness, and (optionally) the
 polytope axiom suite.
 """
@@ -53,16 +65,18 @@ import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
 from .perms import PermGroup, Permutation, _root
-from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
-                       chirality_verdict, intersection_condition,
-                       quotient_criterion, validate_rotation_triple,
-                       verify_axioms)
+from .polytope import (AxiomReport, RotationTriple, _require_quotient_map,
+                       build_coset_geometry, chirality_verdict,
+                       validate_rotation_triple, verify_axioms)
 from .words import Presentation, Word, parse_presentation
 
 FAMILIES = ("P", "Q")
 
 _FAMILY_SEEDS = {"P": ("a*c^-1", "c^-1*a"), "Q": ("b*c^-1", "c^-1*b")}
 _BASE_ORDER = {"P": 1024, "Q": 2048}
+# the canonical subgroups the intersection condition and the quotient
+# criterion ask for, as 1-based generator indices
+_CANONICAL = ((1,), (2,), (3,), (1, 2), (2, 3))
 
 
 class VerificationError(RuntimeError):
@@ -165,6 +179,9 @@ class VerifyOptions:
     max_cosets: int = 1_000_000
     strategy: str = "felsch"  # near-minimal definitions on these quotients
     axioms: bool | None = None  # None: only for m == 1
+    # the cap of polytope.intersection_condition's orbit searches, kept for
+    # perfbench/ops.py's traced replay; verify reads its intersections off
+    # spans on G_1 and searches no subgroup, so it has no effect on verify
     intersection_cap: int = 10_000
 
 
@@ -500,6 +517,17 @@ class _VoltageCover:
         letters = [(self.base[g], self.phi[g]) for g in range(self.base.shape[0])]
         return _DerivedSeries(letters)
 
+    @functools.cached_property
+    def canonical(self) -> dict[tuple[int, ...], "_Term"]:
+        """The spans of U's subgroups <a>, <b>, <c>, <a,b>, <b,c> on these
+        points, keyed by 1-based generator indices as
+        ``RotationTriple.subgroup`` is: at m they are the member's <s1>,
+        <s2>, <s3>, <s1,s2>, <s2,s3>, since s_i is the lift of generator i.
+        Built when first asked."""
+        n = self.base.shape[1]
+        return {ix: _span([(self.base[i - 1], self.phi[i - 1]) for i in ix], n)
+                for ix in _CANONICAL}
+
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
@@ -543,10 +571,15 @@ def _in_lattice(v: tuple[int, int], lattice: tuple[int, int, int]) -> bool:
     return y % d == 0 if d else y == 0
 
 
+def _rows(lattice: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """The basis rows (a, b) and (0, d) of a Hermite normal form."""
+    a, b, d = lattice
+    return [(a, b), (0, d)]
+
+
 def _index_mod(lattice: tuple[int, int, int], m: int) -> int:
     """[Z^2 : L + mZ^2] for L the lattice with Hermite normal form ``lattice``."""
-    a, b, d = lattice
-    a, _, d = _hnf([(a, b), (0, d), (m, 0), (0, m)])
+    a, _, d = _hnf(_rows(lattice) + [(m, 0), (0, m)])
     return a * d
 
 
@@ -576,6 +609,24 @@ class _Term(NamedTuple):
     def order(self, m: int) -> int:
         """|H's image in G_m| = |C| m^2 / [Z^2 : L + mZ^2]."""
         return int(np.count_nonzero(self.mask)) * m * m // _index_mod(self.lattice, m)
+
+    def meet_order(self, other: "_Term", m: int) -> int:
+        """|H cap K| in G_m for K = ``other``, by the voltage-lift count of
+        Malnic-Nedela-Skoviera: the points of H's orbit over c are
+        (c, p_H(c) + A), those of K's (c, p_K(c) + B), for A = L_H + mZ^2
+        and B = L_K + mZ^2.  Two cosets meet iff their offsets differ by an
+        element of A + B, and then in a coset of A cap B.  So the meet is the
+        number of c in C_H cap C_K with p_H(c) - p_K(c) in A + B, one
+        vectorised test against that lattice's Hermite normal form, times
+        |(A cap B)/mZ^2| = m^2 [Z^2 : A + B] / ([Z^2 : A] [Z^2 : B]).
+        """
+        both = np.flatnonzero(self.mask & other.mask)
+        a, b, d = _hnf(_rows(self.lattice) + _rows(other.lattice) + [(m, 0), (0, m)])
+        x, y = (self.pot[both] - other.pot[both]).T
+        # mZ^2 lies in the sum, so a and d are positive
+        hits = int(np.count_nonzero((x % a == 0) & ((y - x // a * b) % d == 0)))
+        return hits * m * m * a * d // (_index_mod(self.lattice, m)
+                                        * _index_mod(other.lattice, m))
 
 
 def _span(gens: Sequence[_Lift], n: int) -> _Term:
@@ -733,7 +784,8 @@ def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> Rotation
                                              f"on the cover of degree {degree}")
     if cover.derived.term(0).order(m) != degree:
         raise VerificationError("cover", "the cover action is not transitive")
-    sigma = tuple(Permutation(img) for img in _cover_images(cover.base, cover.phi, m))
+    # each image is a fresh array, handed over without a copy
+    sigma = tuple(Permutation._owned(img) for img in _cover_images(cover.base, cover.phi, m))
     return RotationTriple(PermGroup.regular(sigma), sigma, pres)
 
 
@@ -821,12 +873,38 @@ def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> li
     return _voltage_cover(family, opts).derived.orders(m)
 
 
+def _intersection_condition(spans: dict[tuple[int, ...], _Term], m: int) -> bool:
+    """The chiral intersection condition of the member at m, read off the
+    canonical spans (``_VoltageCover.canonical``): <s1> meets <s2,s3>
+    trivially, <s1,s2> meets <s3> trivially, and <s1,s2> meets <s2,s3> in
+    exactly <s2> (``polytope.intersection_condition``'s three tests)."""
+    return (spans[1,].meet_order(spans[2, 3], m) == 1
+            and spans[1, 2].meet_order(spans[3,], m) == 1
+            and spans[1, 2].meet_order(spans[2, 3], m) == spans[2,].order(m))
+
+
 def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> MemberReport:
     """Run the full verification pipeline for one family member.
 
+    The intersection condition and the subgroup orders of the quotient
+    criterion are read off the spans of U's canonical subgroups on G_1's
+    points (``_VoltageCover.canonical``), built once per family, and no
+    orbit of a subgroup is searched on the member's action.  That is the
+    same statement as ``polytope.intersection_condition`` and
+    ``quotient_criterion`` on the member's triple: ``member_triple`` has
+    certified the member as the regular Z_m^2 cover whose s_i is the lift
+    of generator i, so each subgroup is its orbit of id 0, the points
+    (c, p(c) + L + mZ^2) that its span reads at m; an order is
+    ``_Term.order`` and the order of a meet ``_Term.meet_order``.  At m = 1
+    only the orbits C on G_1 count, and they are G_1's subgroups.  The
+    criterion compares each order at m with the one at 1, which is the
+    reference member's, and still checks on the reference group that the
+    generator-wise map is a homomorphism.  ``VerifyOptions.intersection_cap``
+    has no effect here.
+
     Solvability and the derived length come from ``derived_orders``: one
-    derived series of U per family, read at m through its lattices.  It
-    builds the family's voltage table, also at m = 1, but the conjugation
+    derived series of U per family, read at m through its lattices.  Both
+    build the family's voltage table, also at m = 1, but the conjugation
     proof only for m >= 2, where ``member_triple`` has already run it, so
     at m = 1 the report needs no more cosets than G_1's enumeration.
     """
@@ -839,11 +917,12 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     schlafli = validate_rotation_triple(triple.group, triple.sigma)
     timer.lap("validate")
 
-    ic = intersection_condition(triple, cap=opts.intersection_cap)
+    spans = _voltage_cover(family, opts).canonical
+    ic = _intersection_condition(spans, m)
     timer.lap("intersection")
 
-    ref = reference_triple(family, opts)
-    qc = quotient_criterion(triple, ref, cap=opts.intersection_cap)
+    _require_quotient_map(triple.presentation, reference_triple(family, opts))
+    qc = any(spans[ix].order(m) == spans[ix].order(1) for ix in ((1, 2), (2, 3)))
     timer.lap("quotient_criterion")
 
     orders = derived_orders(family, m, opts)

@@ -36,13 +36,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .words import Presentation, Word, commutator
 
-_ARANGES: dict[int, np.ndarray] = {}
+# the read-only int32 arange of each degree some live array still holds, such
+# as a regular group's own orbit (``_whole``): each is freed with the last
+# holder, so a member's ids do not outlive the member
+_ARANGES: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
 # images per chunk of the bijection check in ``Permutation.__init__``
 _CHUNK = 2 ** 20
@@ -71,13 +75,26 @@ class Permutation:
     every point, marked in a byte per point.  The marks are scattered
     through intp indices, 2**20 images at a time, since numpy converts an
     int32 index array on a slower path, and the chunks bound the intp copy
-    to 8 MiB whatever the degree.
+    to 8 MiB whatever the degree.  ``_owned`` runs the same check on an
+    int32 array that its maker hands over, without the constructor's copy.
     """
 
     __slots__ = ("images", "_hash")
 
     def __init__(self, images):
-        arr = np.array(images, dtype=np.int32)
+        self._take(np.array(images, dtype=np.int32))
+
+    @classmethod
+    def _owned(cls, arr: np.ndarray) -> "Permutation":
+        """A permutation on ``arr``, an int32 array that the caller hands
+        over and writes no more: checked as the constructor checks, but not
+        copied first."""
+        self = object.__new__(cls)
+        self._take(arr)
+        return self
+
+    def _take(self, arr: np.ndarray):
+        """Check that ``arr`` is a bijection and keep it, read-only."""
         if arr.ndim != 1:
             raise ValueError("images must be a one-dimensional sequence")
         n = arr.shape[0]
@@ -152,7 +169,11 @@ class Permutation:
         return Permutation.identity(self.degree) if result is None else result
 
     def is_identity(self) -> bool:
-        return _same(self.images, _arange(self.degree))
+        # the head first, so that a large degree's arange is made only for
+        # a permutation that starts as the identity does
+        head = self.images[:64]
+        return (np.array_equal(head, np.arange(head.shape[0]))
+                and np.array_equal(self.images, _arange(self.degree)))
 
     def order(self) -> int:
         """Least n >= 1 with p**n the identity: the lcm of the cycle lengths.

@@ -152,6 +152,11 @@ def intersection_condition(t: RotationTriple, cap: int = 10_000) -> bool:
     <s1> meets <s2,s3> trivially, <s1,s2> meets <s3> trivially, and
     <s1,s2> meets <s2,s3> in exactly <s2>.
 
+    This is the generic engine, for any triple: each subgroup is an orbit
+    search on the triple's action.  ``families.verify_member`` reads the
+    same three meets off the family's spans on G_1 instead, and this is the
+    cross-check the tests run against that.
+
     Raises ValueError when the smaller subgroup of a pair has more than
     ``cap`` elements.
     """
@@ -166,6 +171,13 @@ def intersection_condition(t: RotationTriple, cap: int = 10_000) -> bool:
     return True
 
 
+def _require_quotient_map(pres: Presentation, small: RotationTriple) -> None:
+    """Raise TripleError unless the generator-wise map from the group that
+    ``pres`` presents onto ``small``'s group extends to a homomorphism."""
+    if not _homomorphism(pres, small.group, small.sigma):
+        raise TripleError("generator-wise map does not extend to a homomorphism")
+
+
 def quotient_criterion(big: RotationTriple, small: RotationTriple,
                        cap: int = 10_000) -> bool:
     """Injectivity on <s1,s2> (or <s2,s3>) of the generator-wise map.
@@ -174,9 +186,13 @@ def quotient_criterion(big: RotationTriple, small: RotationTriple,
     homomorphism.  A True result, together with the small triple being the
     rotation group of a chiral polytope, certifies the big triple's
     intersection condition.
+
+    The subgroup orders are orbit searches on the two actions, as in
+    ``intersection_condition``; ``families.verify_member`` reads them off
+    the family's spans on G_1.  ``cap`` has no effect; it is kept for
+    callers that pass it, such as ``perfbench/ops.py``'s traced replay.
     """
-    if not _homomorphism(big.presentation, small.group, small.sigma):
-        raise TripleError("generator-wise map does not extend to a homomorphism")
+    _require_quotient_map(big.presentation, small)
     if big.subgroup(1, 2).order() == small.subgroup(1, 2).order():
         return True
     return big.subgroup(2, 3).order() == small.subgroup(2, 3).order()

@@ -1,5 +1,7 @@
 """The Z_m^2 voltage cover against Todd-Coxeter, and its certificate."""
 
+import gc
+import itertools
 import math
 import pickle
 
@@ -9,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from chiral444 import perms
 from chiral444.cli import main
-from chiral444.families import (EnumerationIncomplete, VerificationError,
-                                VerifyOptions, _certify_cover, _cover_images,
-                                _hnf, _in_lattice, _index_mod, _normal_closure,
+from chiral444.families import (_CANONICAL, EnumerationIncomplete,
+                                VerificationError, VerifyOptions,
+                                _certify_cover, _cover_images, _hnf,
+                                _in_lattice, _index_mod,
+                                _intersection_condition, _normal_closure,
                                 _seed_roots, _todd_coxeter_triple,
                                 _voltage_cover, _voltages, _VoltageCover,
                                 derived_orders, expected_order,
@@ -130,6 +134,17 @@ def test_member_triple_runs_no_search_over_the_cover(family, monkeypatch):
     for m in (2, 3):
         t = member_triple(family, m)
         assert t.group.order() == expected_order(family, m)
+
+
+def test_member_ids_are_freed_with_the_member():
+    # the group's own orbit is the arange of its degree, shared through
+    # perms._ARANGES only while some array still holds it
+    n = expected_order("Q", 8)
+    t = member_triple("Q", 8)
+    assert t.group.order() == n and n in perms._ARANGES
+    del t
+    gc.collect()
+    assert n not in perms._ARANGES
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -369,3 +384,64 @@ def test_lattice_helpers_match_brute_force(gens):
             assert _in_lattice((x, y), lattice) == _brute_member((x, y), gens)
     for m in range(1, 9):
         assert m * m // _index_mod(lattice, m) == len(_closure(gens, m))
+
+
+# -- the canonical subgroups, read off their spans on G_1 --------------------
+
+_MEETS = (((1,), (2, 3)), ((1, 2), (3,)), ((1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize("family, m", [(f, m) for f in "PQ" for m in range(1, 9)]
+                         + [("Q", 16)])
+def test_canonical_spans_match_the_member(family, m):
+    # each span read at m against the orbit search of the same subgroup on
+    # the member's action, and each meet against the two orbits' masks
+    spans = _voltage_cover(family, VerifyOptions()).canonical
+    t = member_triple(family, m)
+    for ix in _CANONICAL:
+        assert spans[ix].order(m) == t.subgroup(*ix).order(), ix
+    for x, y in _MEETS:
+        want = t.subgroup(*x).intersection_order(t.subgroup(*y))
+        assert spans[x].meet_order(spans[y], m) == want, (x, y)
+    assert _intersection_condition(spans, m) == intersection_condition(t)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_meet_order_matches_the_cover_masks(family):
+    # on the canonical pairs the lattice factor |(A cap B)/mZ^2| is 1, so
+    # the meets are also taken with U's derived terms, which meet N in Z^2,
+    # and with <s2,s3>, whose lattice is nonzero too: there the factor is
+    # up to m^2.  The masks are the points each term reaches, by search
+    cover = _voltage_cover(family, VerifyOptions())
+    terms = ([cover.canonical[ix] for ix in ((1, 2), (2, 3))]
+             + [cover.derived.term(k) for k in range(4)])
+    for m in range(1, 7):
+        masks = [_mask_at(term, m) for term in terms]
+        for i, j in itertools.combinations(range(len(terms)), 2):
+            want = int(np.count_nonzero(masks[i] & masks[j]))
+            assert terms[i].meet_order(terms[j], m) == want, (i, j, m)
+            assert terms[j].meet_order(terms[i], m) == want, (j, i, m)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_verify_member_builds_no_subgroup_orbit(family, monkeypatch):
+    # the intersection condition and the criterion's orders are read off
+    # the canonical spans, so verify asks the member's action for no
+    # subgroup; the generic engine on the member is the cross-check
+    opts = VerifyOptions(axioms=False)
+    ref = reference_triple(family)
+    want = {}
+    for m in (1, 2, 3):
+        t = member_triple(family, m)
+        want[m] = verify_member(family, m, opts)
+        assert want[m].intersection_condition == intersection_condition(t)
+        assert want[m].quotient_criterion == quotient_criterion(t, ref)
+
+    def refuse(self, generators):
+        raise AssertionError("a subgroup orbit on the member's action")
+
+    monkeypatch.setattr(PermGroup, "subgroup", refuse)
+    for m in (1, 2, 3):
+        got = verify_member(family, m, opts)
+        got.timings_ms = want[m].timings_ms = {}
+        assert got == want[m]

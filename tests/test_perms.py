@@ -49,6 +49,18 @@ def test_permutation_checks_the_last_chunk():
         Permutation(img)
 
 
+def test_owned_images_are_checked_but_not_copied():
+    # a handed-over array becomes the permutation's images as it stands,
+    # read-only, and still passes the constructor's bijection check
+    img = np.array([2, 0, 1], dtype=np.int32)
+    p = Permutation._owned(img)
+    assert p.images is img and not img.flags.writeable
+    assert p == Permutation([2, 0, 1])
+    for bad in ([0, 0, 1], [1, 2, 3], [[0, 1]]):
+        with pytest.raises(ValueError):
+            Permutation._owned(np.array(bad, dtype=np.int32))
+
+
 def test_compose_convention_left_to_right():
     p = Permutation.from_cycles(3, (1, 2))
     q = Permutation.from_cycles(3, (2, 3))
