@@ -18,8 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .coset import EnumerationConfig, enumerate_cosets
-from .families import (EnumerationIncomplete, MemberReport, VerifyOptions,
-                       corollary_orders, member_triple,
+from .families import (FAMILIES, EnumerationIncomplete, MemberReport,
+                       VerifyOptions, corollary_orders, member_triple,
                        verify_conjugation_action, verify_member)
 from .polytope import (GeometryCapError, build_coset_geometry, section_type,
                        verify_axioms)
@@ -80,11 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the standardized table (complete enumerations)")
 
     p_verify = sub.add_parser("verify", help="verify family members end to end")
-    p_verify.add_argument("--family", choices=["P", "Q"], required=True)
+    p_verify.add_argument("--family", choices=list(FAMILIES), required=True)
     p_verify.add_argument("--m", default="1", help="range like 1..4, or a comma list")
     p_verify.add_argument("--max-cosets", type=int, default=1_000_000,
                           help=_CAP_HELP)
-    p_verify.add_argument("--strategy", choices=["hlt", "felsch"], default="felsch")
     p_verify.add_argument("--axioms", action="store_true",
                           help="run the axiom suite for every member (default: m = 1 only)")
     p_verify.add_argument("--json", metavar="PATH", help="write the JSON report here")
@@ -92,11 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjugation",
                             help="prove the conjugation relations by partial enumeration")
-    p_conj.add_argument("--family", choices=["P", "Q"], required=True)
+    p_conj.add_argument("--family", choices=list(FAMILIES), required=True)
     p_conj.add_argument("--max-cosets", type=int, default=1_000_000)
 
     p_poly = sub.add_parser("polytope", help="build one member's geometry and verify the axioms")
-    p_poly.add_argument("--family", choices=["P", "Q"], required=True)
+    p_poly.add_argument("--family", choices=list(FAMILIES), required=True)
     p_poly.add_argument("--m", type=int, default=1)
     p_poly.add_argument("--max-cosets", type=int, default=1_000_000, help=_CAP_HELP)
     p_poly.add_argument("--dump-geometry", metavar="PATH", help="write the face-incidence dump here")
@@ -134,10 +133,8 @@ def cmd_enumerate(args) -> int:
     return EXIT_CAP if args.require_complete else EXIT_OK
 
 
-def _verify_worker(job: tuple) -> MemberReport:
-    family, m, opts_tuple = job
-    opts = VerifyOptions(*opts_tuple)
-    return verify_member(family, m, opts)
+def _verify_worker(job: tuple[str, int, VerifyOptions]) -> MemberReport:
+    return verify_member(*job)
 
 
 def _member_lines(r: MemberReport) -> str:
@@ -153,19 +150,21 @@ def _member_lines(r: MemberReport) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        _log(f"bad jobs {args.jobs}: must be a positive integer")
+        return EXIT_INPUT
     try:
         ms = _parse_m_range(args.m)
     except ValueError as exc:
         _log(str(exc))
         return EXIT_INPUT
-    opts = VerifyOptions(max_cosets=args.max_cosets, strategy=args.strategy,
-                         axioms=True if args.axioms else None)
-    jobs = [(args.family, m, (opts.max_cosets, opts.strategy, opts.axioms,
-                              opts.intersection_cap)) for m in ms]
+    opts = VerifyOptions(max_cosets=args.max_cosets, axioms=True if args.axioms else None)
+    jobs = [(args.family, m, opts) for m in ms]
     t0 = time.perf_counter()
     try:
         if args.jobs > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # fork starts every worker at once: no more than there are members
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
                 reports = list(pool.map(_verify_worker, jobs))
         else:
             reports = [_verify_worker(j) for j in jobs]
@@ -188,7 +187,7 @@ def cmd_verify(args) -> int:
             "tool": "chiral444",
             "version": __version__,
             "config": {"family": args.family, "m": ms, "max_cosets": args.max_cosets,
-                       "strategy": args.strategy, "axioms": bool(args.axioms)},
+                       "strategy": VerifyOptions.strategy, "axioms": bool(args.axioms)},
             "members": [r.to_json_dict() for r in reports],
             "aggregate_pass": aggregate,
         }

@@ -1,8 +1,8 @@
 """The two quotient families and the per-member verification pipeline.
 
-Family P adds relators x^m = (a c^-1)^{4m} and y^m = (c^-1 a)^{4m} to the
-base group U; family Q adds (b c^-1)^{4m} and (c^-1 b)^{4m}.  Expected orders
-are 1024 m^2 and 2048 m^2.
+A family is one record (``Family``, in ``FAMILIES``): member m adds x^m and
+y^m to the base group U and has order base_order * m^2.  A process keeps
+what it builds of a family in one ``_FamilyState``.
 
 The m = 1 member G_1 = U/N, N = <x, y>, is built once per family by
 Todd-Coxeter (``reference_triple``).  Every other member
@@ -59,24 +59,56 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
 from .perms import PermGroup, Permutation, _root
-from .polytope import (AxiomReport, RotationTriple, _require_quotient_map,
-                       build_coset_geometry, chirality_verdict,
-                       validate_rotation_triple, verify_axioms)
+from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
+                       chirality_verdict, validate_rotation_triple,
+                       verify_axioms)
 from .words import Presentation, Word, parse_presentation
 
-FAMILIES = ("P", "Q")
 
-_FAMILY_SEEDS = {"P": ("a*c^-1", "c^-1*a"), "Q": ("b*c^-1", "c^-1*b")}
-_BASE_ORDER = {"P": 1024, "Q": 2048}
+@dataclass(frozen=True)
+class Family:
+    """A quotient family of U: its kernel generators x = w1^4, y = w2^4,
+    named ``kernel``, for the ``seeds`` w1, w2; ``base_order``, the paper's
+    order of the m = 1 member; and ``action[s][g]`` = (i, j) with
+    g^-1 s g = x^i y^j.  The action is stated, not read off the voltages, so
+    the conjugation proof needs no m = 1 member; the tests cross-check it."""
+
+    name: str
+    seeds: tuple[str, str]
+    kernel: tuple[str, str]
+    base_order: int
+    action: tuple[tuple[tuple[int, int], ...], ...]
+
+    @functools.cached_property
+    def roots(self) -> tuple[Word, Word]:
+        """The seed roots as words of U, parsed once per process."""
+        u = presentation_U()
+        return u.parse_word(self.seeds[0]), u.parse_word(self.seeds[1])
+
+
+FAMILIES = {f.name: f for f in (
+    Family("P", ("a*c^-1", "c^-1*a"), ("x", "y"), 1024,
+           (((0, 1), (0, 1), (0, 1)), ((1, 0), (-1, 0), (-1, 0)))),
+    Family("Q", ("b*c^-1", "c^-1*b"), ("z", "w"), 2048,
+           (((-1, 0), (0, 1), (0, 1)), ((0, 1), (-1, 0), (-1, 0)))),
+)}
+
 # the canonical subgroups the intersection condition and the quotient
 # criterion ask for, as 1-based generator indices
 _CANONICAL = ((1,), (2,), (3,), (1, 2), (2, 3))
+
+
+def _family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
 
 
 class VerificationError(RuntimeError):
@@ -105,48 +137,26 @@ class EnumerationIncomplete(VerificationError):
         return type(self), (self.stage, self.cap)
 
 
-def _data_text(name: str) -> str:
-    return resources.files("chiral444").joinpath(f"data/{name}").read_text()
-
-
-_pres_cache: dict[str, Presentation] = {}
+@functools.cache
+def bundled_presentation(name: str) -> Presentation:
+    """One of the bundled presentation files, 'U', 'G1' or 'H1', parsed once
+    per process."""
+    if name not in ("U", "G1", "H1"):
+        raise ValueError(f"unknown bundled presentation {name!r}")
+    return parse_presentation(
+        resources.files("chiral444").joinpath(f"data/{name}.pres").read_text())
 
 
 def presentation_U() -> Presentation:
     """The three-generator, nine-relator base presentation (bundled file)."""
-    p = _pres_cache.get("U")
-    if p is None:
-        p = parse_presentation(_data_text("U.pres"))
-        _pres_cache["U"] = p
-    return p
-
-
-def bundled_presentation(name: str) -> Presentation:
-    """One of the bundled presentation files: 'U', 'G1' or 'H1'."""
-    key = name.upper()
-    p = _pres_cache.get(key)
-    if p is None:
-        p = parse_presentation(_data_text(f"{key}.pres"))
-        _pres_cache[key] = p
-    return p
-
-
-@functools.cache
-def _seed_roots(family: str) -> tuple[Word, Word]:
-    """The roots w1, w2 of a family's seed words x = w1^4, y = w2^4, parsed
-    once per process."""
-    u = presentation_U()
-    w1, w2 = _FAMILY_SEEDS[family]
-    return u.parse_word(w1), u.parse_word(w2)
+    return bundled_presentation("U")
 
 
 def subgroup_seed_words(family: str, m: int = 1) -> tuple[Word, Word]:
     """The two subgroup generator words of a family member, e.g. x^m, y^m."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    w1, w2 = _family(family).roots
     if m < 1:
         raise ValueError("m must be a positive integer")
-    w1, w2 = _seed_roots(family)
     return w1 ** (4 * m), w2 ** (4 * m)
 
 
@@ -164,7 +174,7 @@ def family_presentation(family: str, m: int) -> Presentation:
 
 
 def expected_order(family: str, m: int) -> int:
-    return _BASE_ORDER[family] * m * m
+    return _family(family).base_order * m * m
 
 
 @functools.cache
@@ -176,13 +186,17 @@ def mirror_witness_relator() -> Word:
 
 @dataclass(frozen=True)
 class VerifyOptions:
+    """``max_cosets`` caps the m = 1 enumeration and the conjugation proof;
+    ``axioms`` asks for the axiom suite (None: only at m = 1).  The class
+    constants ``strategy`` (how the m = 1 member is enumerated) and
+    ``intersection_cap`` (of ``polytope``'s orbit searches, which
+    ``verify_member`` does not run) change no result, so they are fixed."""
+
+    strategy: ClassVar[str] = "felsch"
+    intersection_cap: ClassVar[int] = 10_000
+
     max_cosets: int = 1_000_000
-    strategy: str = "felsch"  # near-minimal definitions on these quotients
-    axioms: bool | None = None  # None: only for m == 1
-    # the cap of polytope.intersection_condition's orbit searches, kept for
-    # perfbench/ops.py's traced replay; verify reads its intersections off
-    # spans on G_1 and searches no subgroup, so it has no effect on verify
-    intersection_cap: int = 10_000
+    axioms: bool | None = None
 
 
 @dataclass
@@ -247,27 +261,22 @@ class _Timer:
         self._t = now
 
 
-def _enumerate_member(family: str, m: int, opts: VerifyOptions) -> CosetTable:
-    pres = family_presentation(family, m)
-    cfg = EnumerationConfig(strategy=opts.strategy, max_cosets=opts.max_cosets)
-    table = enumerate_cosets(pres, [], cfg)
+def _enumerate_member(family: str, m: int, cap: int) -> CosetTable:
+    cfg = EnumerationConfig(strategy=VerifyOptions.strategy, max_cosets=cap)
+    table = enumerate_cosets(family_presentation(family, m), [], cfg)
     if not table.is_complete:
-        raise EnumerationIncomplete("enumerate", opts.max_cosets)
+        raise EnumerationIncomplete("enumerate", cap)
     return table
 
 
-def _todd_coxeter_triple(family: str, m: int, opts: VerifyOptions) -> RotationTriple:
-    """The member on the regular representation of its coset table, the
-    cosets as ids."""
-    table = _enumerate_member(family, m, opts)
+def _todd_coxeter_triple(table: CosetTable) -> RotationTriple:
+    """The group of a complete coset table of the trivial subgroup on its
+    regular representation, the cosets as ids."""
     sigma = table.permutation_rep()
     group = PermGroup.regular(sigma)
     if not group.is_transitive():
         raise VerificationError("action", "the regular representation is not transitive")
     return RotationTriple(group, tuple(sigma), table.presentation)
-
-
-_reference_cache: dict[tuple, RotationTriple] = {}
 
 
 def reference_triple(family: str, opts: VerifyOptions | None = None) -> RotationTriple:
@@ -276,13 +285,7 @@ def reference_triple(family: str, opts: VerifyOptions | None = None) -> Rotation
     It is the base of every cover member and the reference for the quotient
     criterion.
     """
-    opts = opts or VerifyOptions()
-    key = (family, opts.strategy, opts.max_cosets)
-    t = _reference_cache.get(key)
-    if t is None:
-        t = _todd_coxeter_triple(family, 1, opts)
-        _reference_cache[key] = t
-    return t
+    return _state(family, (opts or VerifyOptions()).max_cosets).reference
 
 
 def _walks(word: Word, base: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -730,30 +733,33 @@ class _DerivedSeries:
         return out
 
 
-_voltage_cache: dict[tuple, _VoltageCover] = {}
-_conjugation_proved: set[tuple[str, int]] = set()
+class _FamilyState:
+    """What a process keeps of a family at a coset cap, each built when first
+    asked: the m = 1 member, its voltage cover, the conjugation proof."""
+
+    def __init__(self, family: str, cap: int):
+        _family(family)  # an unknown family raises, and is not kept
+        self.family, self.cap = family, cap
+        self.proved = False
+
+    @functools.cached_property
+    def reference(self) -> RotationTriple:
+        return _todd_coxeter_triple(_enumerate_member(self.family, 1, self.cap))
+
+    @functools.cached_property
+    def cover(self) -> _VoltageCover:
+        base = np.stack([p.images for p in self.reference.sigma]).astype(np.int64)
+        return _VoltageCover(base, _voltages(self.family, base))
+
+    def prove_conjugation(self):
+        """The upper half of every cover certificate, proved once."""
+        if not self.proved:
+            if not all(c.verified for c in verify_conjugation_action(self.family, self.cap)):
+                raise EnumerationIncomplete("conjugation", self.cap)
+            self.proved = True
 
 
-def _voltage_cover(family: str, opts: VerifyOptions) -> _VoltageCover:
-    """The m = 1 regular table with the family's voltage table, built once
-    per family and cap."""
-    key = (family, opts.strategy, opts.max_cosets)
-    cover = _voltage_cache.get(key)
-    if cover is None:
-        ref = reference_triple(family, opts)
-        base = np.stack([p.images for p in ref.sigma]).astype(np.int64)
-        cover = _VoltageCover(base, _voltages(family, base))
-        _voltage_cache[key] = cover
-    return cover
-
-
-def _prove_conjugation(family: str, cap: int):
-    """The upper half of every cover certificate, proved once per family."""
-    if (family, cap) in _conjugation_proved:
-        return
-    if not all(c.verified for c in verify_conjugation_action(family, cap=cap)):
-        raise EnumerationIncomplete("conjugation", cap)
-    _conjugation_proved.add((family, cap))
+_state = functools.cache(_FamilyState)  # one per family and cap
 
 
 def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> RotationTriple:
@@ -824,13 +830,14 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     """
     opts = opts or VerifyOptions()
     pres = family_presentation(family, m)
-    ref = reference_triple(family, opts)
+    state = _state(family, opts.max_cosets)
+    ref = state.reference
     if m == 1:
         # a group of its own, so that nothing a caller keeps on the member's
         # group is kept on the cached reference
         return RotationTriple(PermGroup.regular(ref.sigma), ref.sigma, ref.presentation)
-    _prove_conjugation(family, opts.max_cosets)
-    return _certify_cover(pres, _voltage_cover(family, opts), m)
+    state.prove_conjugation()
+    return _certify_cover(pres, state.cover, m)
 
 
 def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> list[int]:
@@ -867,10 +874,10 @@ def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> li
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    opts = opts or VerifyOptions()
+    state = _state(family, (opts or VerifyOptions()).max_cosets)
     if m >= 2:
-        _prove_conjugation(family, opts.max_cosets)
-    return _voltage_cover(family, opts).derived.orders(m)
+        state.prove_conjugation()
+    return state.cover.derived.orders(m)
 
 
 def _intersection_condition(spans: dict[tuple[int, ...], _Term], m: int) -> bool:
@@ -898,9 +905,11 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     ``_Term.order`` and the order of a meet ``_Term.meet_order``.  At m = 1
     only the orbits C on G_1 count, and they are G_1's subgroups.  The
     criterion compares each order at m with the one at 1, which is the
-    reference member's, and still checks on the reference group that the
-    generator-wise map is a homomorphism.  ``VerifyOptions.intersection_cap``
-    has no effect here.
+    reference member's.  That the generator-wise map onto the reference is
+    a homomorphism is not checked again: at m >= 2 ``_certify_cover`` has
+    shown that every relator's walk closes at every point of G_1, so every
+    relator holds on the reference, and at m = 1 the member is the
+    reference itself.
 
     Solvability and the derived length come from ``derived_orders``: one
     derived series of U per family, read at m through its lattices.  Both
@@ -917,11 +926,10 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     schlafli = validate_rotation_triple(triple.group, triple.sigma)
     timer.lap("validate")
 
-    spans = _voltage_cover(family, opts).canonical
+    spans = _state(family, opts.max_cosets).cover.canonical
     ic = _intersection_condition(spans, m)
     timer.lap("intersection")
 
-    _require_quotient_map(triple.presentation, reference_triple(family, opts))
     qc = any(spans[ix].order(m) == spans[ix].order(1) for ix in ((1, 2), (2, 3)))
     timer.lap("quotient_criterion")
 
@@ -970,7 +978,7 @@ def normality_cross_check(family: str, m: int,
                            EnumerationConfig(max_cosets=opts.max_cosets))
     if not sub.is_complete:
         raise EnumerationIncomplete("subgroup-index", opts.max_cosets)
-    quo = _enumerate_member(family, m, opts)
+    quo = _enumerate_member(family, m, opts.max_cosets)
     return sub.degree == quo.degree
 
 
@@ -983,33 +991,22 @@ class ConjugationCheck:
 
 def conjugation_relations(family: str) -> list[tuple[str, Word]]:
     """Words of the form (relation) * (right side)^-1, trivial iff the
-    conjugation relation holds, plus the generating pair's commutator."""
+    conjugation relation holds, plus the generating pair's commutator: for
+    each seed s, then each generator g, g^-1 s g = x^i y^j as
+    ``Family.action`` gives (i, j)."""
+    fam = _family(family)
     u = presentation_U()
-    a, b, c = (u.atom(n) for n in "abc")
-    p1, p2 = subgroup_seed_words(family, 1)
-    if family == "P":
-        x, y = p1, p2
-        pairs = [
-            ("a^-1*x*a = y", a.inverse() * x * a * y.inverse()),
-            ("b^-1*x*b = y", b.inverse() * x * b * y.inverse()),
-            ("c^-1*x*c = y", c.inverse() * x * c * y.inverse()),
-            ("a^-1*y*a = x", a.inverse() * y * a * x.inverse()),
-            ("b^-1*y*b = x^-1", b.inverse() * y * b * x),
-            ("c^-1*y*c = x^-1", c.inverse() * y * c * x),
-            ("[x,y] = 1", x.inverse() * y.inverse() * x * y),
-        ]
-    else:
-        z, w = p1, p2
-        pairs = [
-            ("a^-1*z*a = z^-1", a.inverse() * z * a * z),
-            ("b^-1*z*b = w", b.inverse() * z * b * w.inverse()),
-            ("c^-1*z*c = w", c.inverse() * z * c * w.inverse()),
-            ("a^-1*w*a = w", a.inverse() * w * a * w.inverse()),
-            ("b^-1*w*b = z^-1", b.inverse() * w * b * z),
-            ("c^-1*w*c = z^-1", c.inverse() * w * c * z),
-            ("[z,w] = 1", z.inverse() * w.inverse() * z * w),
-        ]
-    return pairs
+    x, y = subgroup_seed_words(family)
+    out = []
+    for s, s_name, row in zip((x, y), fam.kernel, fam.action):
+        for g_name, (i, j) in zip(u.names, row):
+            g = u.atom(g_name)
+            rhs = "*".join(k if e == 1 else f"{k}^{e}"
+                           for k, e in zip(fam.kernel, (i, j)) if e) or "1"
+            out.append((f"{g_name}^-1*{s_name}*{g_name} = {rhs}",
+                        g.inverse() * s * g * (x ** i * y ** j).inverse()))
+    out.append((f"[{','.join(fam.kernel)}] = 1", x.inverse() * y.inverse() * x * y))
+    return out
 
 
 # U's partial coset tables depend on the cap alone, so each rung of the cap

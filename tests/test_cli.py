@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from chiral444 import cli
 from chiral444.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -137,6 +138,30 @@ def test_verify_parallel_two_members(capsys):
     assert "aggregate: pass" in out
 
 
+def test_verify_starts_no_more_workers_than_members(capsys, monkeypatch):
+    # the pool is replaced by one that records max_workers and runs the
+    # jobs in this process, so no worker is ever started
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run_cli(capsys, "verify", "--family", "Q", "--m", "1..2",
+                           "--jobs", "5000")
+    assert code == 0 and "aggregate: pass" in out
+    assert asked == [2]
+
+
 def test_verify_bad_range_exit_one(capsys):
     code, _, _ = run_cli(capsys, "verify", "--family", "Q", "--m", "0")
     assert code == 1
@@ -144,7 +169,8 @@ def test_verify_bad_range_exit_one(capsys):
 
 @pytest.mark.parametrize("argv", [("polytope", "--family", "P", "--m", "0"),
                                   ("polytope", "--family", "Q", "--m", "-2"),
-                                  ("corollary", "--k-max", "-1")])
+                                  ("corollary", "--k-max", "-1"),
+                                  ("verify", "--family", "Q", "--jobs", "0")])
 def test_bad_member_arguments_exit_one(argv):
     # in a child process, so that an uncaught exception would show as a
     # traceback and exit 1 from the interpreter rather than from the CLI

@@ -11,24 +11,29 @@ from hypothesis import given, settings, strategies as st
 
 from chiral444 import perms
 from chiral444.cli import main
-from chiral444.families import (_CANONICAL, EnumerationIncomplete,
+from chiral444.coset import EnumerationConfig, enumerate_cosets
+from chiral444.families import (_CANONICAL, FAMILIES, EnumerationIncomplete,
                                 VerificationError, VerifyOptions,
                                 _certify_cover, _cover_images, _hnf,
                                 _in_lattice, _index_mod,
                                 _intersection_condition, _normal_closure,
-                                _seed_roots, _todd_coxeter_triple,
-                                _voltage_cover, _voltages, _VoltageCover,
-                                derived_orders, expected_order,
+                                _state, _todd_coxeter_triple, _voltages,
+                                _VoltageCover, derived_orders, expected_order,
                                 family_presentation, member_triple,
                                 presentation_U, reference_triple,
                                 subgroup_seed_words, verify_member)
 from chiral444.perms import PermGroup, Permutation, evaluate
-from chiral444.words import Word
+from chiral444.words import Presentation, Word
 from chiral444.polytope import intersection_condition, quotient_criterion
 
 
 def _base(family):
     return np.stack([p.images for p in reference_triple(family).sigma]).astype(np.int64)
+
+
+def _cover(family):
+    """The family's voltage cover, as the pipeline keeps it."""
+    return _state(family, VerifyOptions().max_cosets).cover
 
 
 def _invariants(t, ref):
@@ -49,7 +54,10 @@ def test_cover_matches_todd_coxeter(family, m):
     # HLT, so that even at m = 1 the table is not the Felsch reference's
     ref = reference_triple(family)
     cover = _invariants(member_triple(family, m), ref)
-    tc = _invariants(_todd_coxeter_triple(family, m, VerifyOptions(strategy="hlt")), ref)
+    table = enumerate_cosets(family_presentation(family, m), [],
+                             EnumerationConfig(strategy="hlt"))
+    assert table.is_complete
+    tc = _invariants(_todd_coxeter_triple(table), ref)
     assert cover == tc
     assert cover["order"] == (1024 if family == "P" else 2048) * m * m
     if family == "P" and m in (1, 3):
@@ -96,6 +104,29 @@ def test_corrupted_voltage_fails_the_certificate():
     bad[1, 5, 0] += 1
     with pytest.raises(VerificationError, match="relator"):
         _certify_cover(pres, _VoltageCover(base, bad), 2)
+
+
+def test_relator_nontrivial_in_g1_fails_the_certificate():
+    # verify_member does not follow the relators on the reference group
+    # again, because the certificate already closes every relator's walk
+    # over G_1's points: a relator that is not trivial in G_1 fails it
+    pres = family_presentation("P", 2)
+    pres = Presentation(pres.names, (pres.atom("a"),) + pres.relators)
+    with pytest.raises(VerificationError, match="relator a fails"):
+        _certify_cover(pres, _cover("P"), 2)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_action_table_matches_the_voltages(family):
+    # the stated action g^-1 s g = x^i y^j is what the voltages give: the
+    # lift of g^-1 s g from point 0 closes there with voltage (i, j)
+    cover, fam = _cover(family), FAMILIES[family]
+    u = presentation_U()
+    for s, row in zip(subgroup_seed_words(family), fam.action):
+        for name, want in zip(u.names, row):
+            g = u.atom(name)
+            end, volt = cover.lift(g.inverse() * s * g)
+            assert end[0] == 0 and tuple(volt[0].tolist()) == want, (s, name)
 
 
 def test_intransitive_cover_fails_the_certificate():
@@ -215,8 +246,8 @@ def test_periodic_lift_matches_letter_by_letter(family):
     # lift(u^k) is read off u's period d as (id, (k // d) V) then
     # lift(u^(k mod d)); k = 1..40 meets every remainder of the seed roots'
     # period 4 and of U's relators' periods (1, 2 or 4)
-    cover = _voltage_cover(family, VerifyOptions())
-    roots = _seed_roots(family)
+    cover = _cover(family)
+    roots = FAMILIES[family].roots
     assert [cover._period(u.letters)[1] for u in roots] == [4, 4]
     _assert_powers_lift_letter_by_letter(cover, roots + presentation_U().relators)
 
@@ -271,7 +302,7 @@ def test_derived_orders_match_the_per_member_series(family):
 def test_derived_series_of_u(family, sizes):
     # U, U', U'' meet N in all of Z^2 and U''' is trivial: every member has
     # derived length 3
-    series = _voltage_cover(family, VerifyOptions()).derived
+    series = _cover(family).derived
     terms = [series.term(k) for k in range(4)]
     assert [int(t.mask.sum()) for t in terms] == sizes
     assert [t.lattice for t in terms] == [(1, 0, 1)] * 3 + [(0, 0, 0)]
@@ -313,7 +344,7 @@ def test_normal_closure_of_lifts_matches_the_member(family):
     # is not normalized by c (16 against 32 elements in P_1), so a closure
     # that skips a conjugator comes out smaller.  The cover's ids are its
     # points, so the closure of the lifts, read at m, is the member's orbit
-    cover = _voltage_cover(family, VerifyOptions())
+    cover = _cover(family)
     u = presentation_U()
     conj = [cover.lift(Word((i,))) for i in (1, 2, 3)]
     for text in ("b^2", "a*b^-1"):
@@ -396,7 +427,7 @@ _MEETS = (((1,), (2, 3)), ((1, 2), (3,)), ((1, 2), (2, 3)))
 def test_canonical_spans_match_the_member(family, m):
     # each span read at m against the orbit search of the same subgroup on
     # the member's action, and each meet against the two orbits' masks
-    spans = _voltage_cover(family, VerifyOptions()).canonical
+    spans = _cover(family).canonical
     t = member_triple(family, m)
     for ix in _CANONICAL:
         assert spans[ix].order(m) == t.subgroup(*ix).order(), ix
@@ -412,7 +443,7 @@ def test_meet_order_matches_the_cover_masks(family):
     # the meets are also taken with U's derived terms, which meet N in Z^2,
     # and with <s2,s3>, whose lattice is nonzero too: there the factor is
     # up to m^2.  The masks are the points each term reaches, by search
-    cover = _voltage_cover(family, VerifyOptions())
+    cover = _cover(family)
     terms = ([cover.canonical[ix] for ix in ((1, 2), (2, 3))]
              + [cover.derived.term(k) for k in range(4)])
     for m in range(1, 7):

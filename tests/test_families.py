@@ -1,16 +1,17 @@
+import dataclasses
 import hashlib
 
 import pytest
 
 from chiral444 import families
 from chiral444.coset import EnumerationConfig, enumerate_cosets
-from chiral444.families import (VerifyOptions, bundled_presentation,
+from chiral444.families import (FAMILIES, VerifyOptions, bundled_presentation,
                                 conjugation_relations, corollary_orders,
-                                expected_order, family_presentation,
-                                member_triple, mirror_witness_relator,
-                                normality_cross_check, presentation_U,
-                                subgroup_seed_words, verify_conjugation_action,
-                                verify_member)
+                                derived_orders, expected_order,
+                                family_presentation, member_triple,
+                                mirror_witness_relator, normality_cross_check,
+                                presentation_U, subgroup_seed_words,
+                                verify_conjugation_action, verify_member)
 from chiral444.perms import evaluate
 from chiral444.rewrite import IntMatrix, sublattice_index
 from chiral444.words import Presentation, Word
@@ -194,7 +195,61 @@ def test_corollary_orders_k3():
     assert [e.n for e in entries] == list(range(10, 18))
 
 
-def test_verify_options_strategy_hlt_small_member():
-    # the general default strategy also completes the small members
-    r = verify_member("Q", 1, VerifyOptions(strategy="hlt", axioms=False))
-    assert r.order == 2048
+def test_verify_options_fields_and_constants():
+    # strategy and intersection_cap change no result, so they are class
+    # constants, still readable on an instance
+    assert [f.name for f in dataclasses.fields(VerifyOptions)] == ["max_cosets", "axioms"]
+    opts = VerifyOptions(axioms=False)
+    assert (opts.strategy, opts.intersection_cap) == ("felsch", 10_000)
+    with pytest.raises(TypeError):
+        VerifyOptions(strategy="hlt")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.strategy = "hlt"
+
+
+def test_families_mapping():
+    assert list(FAMILIES) == ["P", "Q"] and "P" in FAMILIES and "X" not in FAMILIES
+    assert [FAMILIES[f].base_order for f in FAMILIES] == [1024, 2048]
+    assert FAMILIES["Q"].kernel == ("z", "w")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expected_order("X", 1), lambda: subgroup_seed_words("X"),
+    lambda: family_presentation("X", 1), lambda: conjugation_relations("X"),
+    lambda: verify_conjugation_action("X", cap=10), lambda: member_triple("X", 2),
+    lambda: derived_orders("X", 1), lambda: verify_member("X", 1),
+    lambda: bundled_presentation("X")])
+def test_unknown_names_raise_value_error(call):
+    with pytest.raises(ValueError, match="unknown"):
+        call()
+
+
+# the relations as they were written out by hand before the action table
+_HAND_WRITTEN = {
+    "P": lambda a, b, c, x, y: [
+        ("a^-1*x*a = y", a.inverse() * x * a * y.inverse()),
+        ("b^-1*x*b = y", b.inverse() * x * b * y.inverse()),
+        ("c^-1*x*c = y", c.inverse() * x * c * y.inverse()),
+        ("a^-1*y*a = x", a.inverse() * y * a * x.inverse()),
+        ("b^-1*y*b = x^-1", b.inverse() * y * b * x),
+        ("c^-1*y*c = x^-1", c.inverse() * y * c * x),
+        ("[x,y] = 1", x.inverse() * y.inverse() * x * y),
+    ],
+    "Q": lambda a, b, c, z, w: [
+        ("a^-1*z*a = z^-1", a.inverse() * z * a * z),
+        ("b^-1*z*b = w", b.inverse() * z * b * w.inverse()),
+        ("c^-1*z*c = w", c.inverse() * z * c * w.inverse()),
+        ("a^-1*w*a = w", a.inverse() * w * a * w.inverse()),
+        ("b^-1*w*b = z^-1", b.inverse() * w * b * z),
+        ("c^-1*w*c = z^-1", c.inverse() * w * c * z),
+        ("[z,w] = 1", z.inverse() * w.inverse() * z * w),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_conjugation_relations_from_the_action_table(family):
+    u = presentation_U()
+    want = _HAND_WRITTEN[family](*(u.atom(n) for n in "abc"),
+                                 *subgroup_seed_words(family))
+    assert conjugation_relations(family) == want
