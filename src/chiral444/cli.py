@@ -5,24 +5,27 @@ Data goes to stdout (or --json PATH); progress goes to stderr.  Exit codes:
 presentation parse error, a member too large for the coset geometry's element
 cap); 2 enumeration exhausted the coset cap (with --require-complete, or
 mid-verification); 3 checks ran but some failed.
+
+``verify`` checks its members one after another in this process, each
+read off its family's voltage cover.  ``polytope`` and ``verify --axioms``
+compare a member's certified order with the geometry's element cap before
+building the member.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .coset import EnumerationConfig, enumerate_cosets
 from .families import (FAMILIES, EnumerationIncomplete, MemberReport,
-                       VerifyOptions, corollary_orders, member_triple,
-                       verify_conjugation_action, verify_member)
-from .polytope import (GeometryCapError, build_coset_geometry, section_type,
-                       verify_axioms)
+                       VerifyOptions, certified_order, corollary_orders,
+                       member_triple, verify_conjugation_action, verify_member)
+from .polytope import (GeometryCapError, build_coset_geometry,
+                       check_element_cap, section_type, verify_axioms)
 from .words import ParseError, PresentationError, parse_presentation
 
 EXIT_OK = 0
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--dump", action="store_true",
                         help="print the standardized table (complete enumerations)")
 
-    p_verify = sub.add_parser("verify", help="verify family members end to end")
+    p_verify = sub.add_parser("verify", help="verify family members end to end, one at a time")
     p_verify.add_argument("--family", choices=list(FAMILIES), required=True)
     p_verify.add_argument("--m", default="1", help="range like 1..4, or a comma list")
     p_verify.add_argument("--max-cosets", type=int, default=1_000_000,
@@ -87,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--axioms", action="store_true",
                           help="run the axiom suite for every member (default: m = 1 only)")
     p_verify.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p_conj = sub.add_parser("conjugation",
                             help="prove the conjugation relations by partial enumeration")
@@ -133,10 +135,6 @@ def cmd_enumerate(args) -> int:
     return EXIT_CAP if args.require_complete else EXIT_OK
 
 
-def _verify_worker(job: tuple[str, int, VerifyOptions]) -> MemberReport:
-    return verify_member(*job)
-
-
 def _member_lines(r: MemberReport) -> str:
     ax = "-"
     if r.axioms is not None:
@@ -150,31 +148,21 @@ def _member_lines(r: MemberReport) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        _log(f"bad jobs {args.jobs}: must be a positive integer")
-        return EXIT_INPUT
     try:
         ms = _parse_m_range(args.m)
     except ValueError as exc:
         _log(str(exc))
         return EXIT_INPUT
     opts = VerifyOptions(max_cosets=args.max_cosets, axioms=True if args.axioms else None)
-    jobs = [(args.family, m, opts) for m in ms]
     t0 = time.perf_counter()
     try:
-        if args.jobs > 1 and len(jobs) > 1:
-            # fork starts every worker at once: no more than there are members
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-                reports = list(pool.map(_verify_worker, jobs))
-        else:
-            reports = [_verify_worker(j) for j in jobs]
+        reports = [verify_member(args.family, m, opts) for m in ms]
     except EnumerationIncomplete as exc:
         _log(str(exc))
         return EXIT_CAP
     except GeometryCapError as exc:
         _log(str(exc))
         return EXIT_INPUT
-    reports.sort(key=lambda r: (r.family, r.m))
     for r in reports:
         _log(f"[verify] {r.family} m={r.m} done")
         print(_member_lines(r))
@@ -215,15 +203,14 @@ def cmd_polytope(args) -> int:
         return EXIT_INPUT
     opts = VerifyOptions(max_cosets=args.max_cosets)
     try:
-        triple = member_triple(args.family, args.m, opts)
+        check_element_cap(certified_order(args.family, args.m, opts))
     except EnumerationIncomplete as exc:
         _log(str(exc))
         return EXIT_CAP
-    try:
-        geom = build_coset_geometry(triple)
     except GeometryCapError as exc:
         _log(str(exc))
         return EXIT_INPUT
+    geom = build_coset_geometry(member_triple(args.family, args.m, opts))
     rpt = verify_axioms(geom)
     counts = geom.face_counts()
     print(f"{args.family} m={args.m}: order {geom.group_order}")

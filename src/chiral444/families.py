@@ -47,7 +47,9 @@ per-action engine stays as the tests' cross-check.
 ``verify_member`` runs the full pipeline on a member: rotation-triple
 validation, the intersection condition, the quotient criterion against the
 m = 1 member, solvability, mirror test with witness, and (optionally) the
-polytope axiom suite.
+polytope axiom suite.  Every check but the axiom suite is read off the
+cover on G_1's points; only ``member_triple`` builds a member's
+permutations, for the coset geometry and the tests' cross-check.
 """
 
 from __future__ import annotations
@@ -59,14 +61,14 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
 from .perms import PermGroup, Permutation, _root
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
-                       chirality_verdict, validate_rotation_triple,
+                       canonical_type, check_element_cap, mirror_verdict,
                        verify_axioms)
 from .words import Presentation, Word, parse_presentation
 
@@ -119,11 +121,6 @@ class VerificationError(RuntimeError):
         self.stage = stage
         self.message = message
 
-    def __reduce__(self):
-        # rebuild from the constructor's arguments, so that the error can
-        # cross a process boundary (the verify --jobs pool)
-        return type(self), (self.stage, self.message)
-
 
 class EnumerationIncomplete(VerificationError):
     """Coset cap exhausted; rerun with a larger --max-cosets."""
@@ -132,9 +129,6 @@ class EnumerationIncomplete(VerificationError):
         super().__init__(stage, f"enumeration exhausted the cap of {cap} cosets; "
                                 f"rerun with a larger cap to resume")
         self.cap = cap
-
-    def __reduce__(self):
-        return type(self), (self.stage, self.cap)
 
 
 @functools.cache
@@ -404,19 +398,13 @@ def _voltages(family: str, base: np.ndarray) -> np.ndarray:
     return phi.reshape(ngens, n, 2)
 
 
-def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> Iterator[np.ndarray]:
+def _cover_images(base: np.ndarray, phi: np.ndarray, m: int) -> list[np.ndarray]:
     """Generator images on the points (c, v1, v2), numbered c*m^2 + v1*m + v2:
-    g sends (c, v) to (c.g, v + phi[g, c] mod m).  One at a time, each
-    written straight into an int32 array of the cover's degree, from int32
-    head and tail terms, so that the broadcast add needs no casting
-    buffer."""
-    n, v = base.shape[1], np.arange(m)
-    for g in range(base.shape[0]):
-        head = (base[g][:, None] * (m * m) + (v + phi[g, :, 0, None]) % m * m).astype(np.int32)
-        tail = ((v + phi[g, :, 1, None]) % m).astype(np.int32)
-        img = np.empty((n, m, m), dtype=np.int32)
-        np.add(head[:, :, None], tail[:, None, :], out=img)
-        yield img.reshape(-1)
+    g sends (c, v) to (c.g, v + phi[g, c] mod m)."""
+    v = np.arange(m)
+    return [(base[g][:, None, None] * (m * m) + (v + phi[g, :, 0, None])[:, :, None] % m * m
+             + (v + phi[g, :, 1, None])[:, None, :] % m).ravel()
+            for g in range(base.shape[0])]
 
 
 _Lift = tuple[np.ndarray, np.ndarray]
@@ -513,6 +501,18 @@ class _VoltageCover:
         closes and m divides every voltage sum, so m divides their gcd."""
         g = self._gcds[word] if word in self._gcds else self._gcd(word)
         return g is not None and g % m == 0
+
+    def word_order(self, word: Word, m: int) -> int:
+        """The order of ``word``'s element on the cover at m, the length of
+        the cycle of (0, 0) under it: point 0's cycle under the lift's end
+        map has some length d and picks up a voltage V, so the d-th power
+        takes (0, v) to (0, v + V), and V has order m / gcd(m, V1, V2) in
+        Z_m^2."""
+        end, volt = self.lift(word)
+        c, v, d = int(end[0]), volt[0], 1
+        while c:
+            c, v, d = int(end[c]), v + volt[c], d + 1
+        return d * m // math.gcd(m, *v.tolist())
 
     @functools.cached_property
     def derived(self) -> "_DerivedSeries":
@@ -762,12 +762,11 @@ class _FamilyState:
 _state = functools.cache(_FamilyState)  # one per family and cap
 
 
-def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> RotationTriple:
+def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> int:
     """The lower half of a cover certificate: every relator of ``pres``
     holds on the cover at m and the cover acts transitively, so the
     presented group has at least as many elements as the cover has points.
-    Returns the triple on ``PermGroup.regular``: an element's id is the
-    point c m^2 + v1 m + v2 it sends (0, 0, 0) to, so id 0 is the identity.
+    Returns that number, the cover's degree.
 
     Transitivity is read off the span of U's generator lifts (``_span``):
     the orbit of (0, 0) on the cover at m is the points (c, p(c) + L + mZ^2)
@@ -777,7 +776,7 @@ def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> Rotation
 
     Each relator is decided on its lift to G_1's points
     (``_VoltageCover.holds``), which is the same statement as the relator
-    being the identity permutation of the cover, with no product of the
+    being the identity permutation of the cover, with no permutation of the
     cover's degree formed.  It is not followed on id 0
     (``PermGroup.word_id``): that rule reads one point of a product, so it
     holds only in a group already known to act regularly, and this
@@ -790,39 +789,28 @@ def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> Rotation
                                              f"on the cover of degree {degree}")
     if cover.derived.term(0).order(m) != degree:
         raise VerificationError("cover", "the cover action is not transitive")
-    # each image is a fresh array, handed over without a copy
-    sigma = tuple(Permutation._owned(img) for img in _cover_images(cover.base, cover.phi, m))
-    return RotationTriple(PermGroup.regular(sigma), sigma, pres)
+    return degree
 
 
-def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> RotationTriple:
-    """The member's rotation triple on its regular representation.
+def certified_order(family: str, m: int, opts: VerifyOptions | None = None) -> int:
+    """|G_m|, certified without building the member.
 
-    At m = 1 this is the cached ``reference_triple``'s images, on a group
-    of its own on the same points.  For m >= 2 it is the Z_m^2 cover of them: the
-    m = 1 regular table with the family's voltage table, acting on
-    |G_1| m^2 points.  Either way the ids are the points, id 0 the identity,
-    and no search numbers them.
-
-    A member pays only for what depends on m: its presentation, the lifts of
-    its two seed relators, read off their roots' periods in a few
-    compositions however large m is (``_VoltageCover.lift``), the cover's
-    images and its group.
-    The rest is kept for the process.  The seed roots and the mirror witness
-    are parsed once.  U's partial coset tables behind the conjugation proof
-    are enumerated once for both families (``verify_conjugation_action``).
-    The voltage table, the lifts of U's relators and the periods of the seed
-    roots are built once per family, on its first m >= 2 member.
-
-    Before it is returned the cover is certified to be G_m's regular
-    representation:
+    At m = 1 it is the order of the cached ``reference_triple``, a complete
+    coset table of the trivial subgroup.  For m >= 2 it is the degree of the
+    Z_m^2 cover of that table, the m = 1 regular table with the family's
+    voltage table, certified to be G_m's regular representation:
 
     - lower bound: every relator of ``family_presentation(family, m)`` holds
-      on the images and the action is transitive, so |G_m| >= |G_1| m^2;
+      on the cover and the action is transitive, so |G_m| >= |G_1| m^2
+      (``_certify_cover``);
     - upper bound: the conjugation relations (proved once per family by
       ``verify_conjugation_action`` within ``opts.max_cosets``) make
       <x^m, y^m> normal in U with N/<x^m, y^m> abelian on two generators of
       order dividing m, so |G_m| <= |G_1| m^2.
+
+    A member pays only for its presentation and the lifts of its two seed
+    relators, read off their roots' periods (``_VoltageCover.lift``); the
+    rest is built once per family, or for both families, and kept.
 
     Raises EnumerationIncomplete when the m = 1 enumeration or the
     conjugation proof exceeds ``opts.max_cosets``, and VerificationError
@@ -831,13 +819,32 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     opts = opts or VerifyOptions()
     pres = family_presentation(family, m)
     state = _state(family, opts.max_cosets)
-    ref = state.reference
+    if m == 1:
+        return state.reference.group.order()
+    state.prove_conjugation()
+    return _certify_cover(pres, state.cover, m)
+
+
+def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> RotationTriple:
+    """The member's rotation triple on its regular representation, for
+    the coset geometry and for the tests' cross-check of ``verify_member``.
+
+    At m = 1 this is the cached ``reference_triple``'s images, on a group
+    of its own on the same points.  For m >= 2 it is the images of the
+    cover that ``certified_order`` certifies, on |G_1| m^2 points.  Either
+    way the ids are the points, id 0 the identity, and no search numbers
+    them.  Raises as ``certified_order`` does.
+    """
+    opts = opts or VerifyOptions()
+    certified_order(family, m, opts)
+    state = _state(family, opts.max_cosets)
     if m == 1:
         # a group of its own, so that nothing a caller keeps on the member's
         # group is kept on the cached reference
+        ref = state.reference
         return RotationTriple(PermGroup.regular(ref.sigma), ref.sigma, ref.presentation)
-    state.prove_conjugation()
-    return _certify_cover(pres, state.cover, m)
+    sigma = tuple(Permutation(img) for img in _cover_images(state.cover.base, state.cover.phi, m))
+    return RotationTriple(PermGroup.regular(sigma), sigma, family_presentation(family, m))
 
 
 def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> list[int]:
@@ -860,17 +867,17 @@ def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> li
       closure in G_1 that ``PermGroup._derived`` builds.
     - m >= 2: here the lattices count, and the action must be U's
       right-regular action, so that each orbit of (0, 0) is its subgroup.
-      The conjugation proof (run here, once per family, as ``member_triple``
-      runs it) makes N = <x, y> normal and abelian; the voltages send x^v
-      to a translation by v over point 0, so N is Z^2 and
+      The conjugation proof (run here, once per family, as
+      ``certified_order`` runs it) makes N = <x, y> normal and abelian;
+      the voltages send x^v to a translation by v over point 0, so N is Z^2 and
       x^v t_c -> (c, v) is a bijection from U onto the points.  The
-      reduction mod m of this action is the cover that ``member_triple``
+      reduction mod m of this action is the cover that ``certified_order``
       certifies to be G_m's regular representation, so the image of U^(k)
       there is G_m^(k), of the order above.
 
     ``PermGroup.derived_length`` on the member's group is the independent
     cross-check the tests run.  Raises EnumerationIncomplete as
-    ``member_triple`` does.
+    ``certified_order`` does.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -893,40 +900,40 @@ def _intersection_condition(spans: dict[tuple[int, ...], _Term], m: int) -> bool
 def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> MemberReport:
     """Run the full verification pipeline for one family member.
 
-    The intersection condition and the subgroup orders of the quotient
-    criterion are read off the spans of U's canonical subgroups on G_1's
-    points (``_VoltageCover.canonical``), built once per family, and no
-    orbit of a subgroup is searched on the member's action.  That is the
-    same statement as ``polytope.intersection_condition`` and
-    ``quotient_criterion`` on the member's triple: ``member_triple`` has
-    certified the member as the regular Z_m^2 cover whose s_i is the lift
-    of generator i, so each subgroup is its orbit of id 0, the points
-    (c, p(c) + L + mZ^2) that its span reads at m; an order is
-    ``_Term.order`` and the order of a meet ``_Term.meet_order``.  At m = 1
-    only the orbits C on G_1 count, and they are G_1's subgroups.  The
-    criterion compares each order at m with the one at 1, which is the
-    reference member's.  That the generator-wise map onto the reference is
-    a homomorphism is not checked again: at m >= 2 ``_certify_cover`` has
-    shown that every relator's walk closes at every point of G_1, so every
-    relator holds on the reference, and at m = 1 the member is the
-    reference itself.
+    Without the axiom suite nothing of the member's degree is built: every
+    check is read off the family's voltage cover at m, which
+    ``certified_order`` has certified as the member's regular
+    representation whose s_i is the lift of generator i.  A word is the
+    identity iff it holds on the cover (``_VoltageCover.holds``): the
+    canonical relations and the mirror images.  A word's order is that of
+    its cycle through (0, 0) (``_VoltageCover.word_order``): the mirror
+    witness's.  A subgroup of the s_i is its orbit of (0, 0), the points
+    (c, p(c) + L + mZ^2) that its span on G_1's points reads at m
+    (``_VoltageCover.canonical``): the s_i's orders, the intersection
+    condition (``_Term.meet_order``) and the quotient criterion's orders
+    (``_Term.order``).  The type and the verdict follow the rules that
+    ``polytope.validate_rotation_triple`` and ``chirality_verdict`` apply
+    to ``member_triple``'s action, the tests' cross-check.  The criterion
+    compares each order at m with the one at 1, the reference member's;
+    that the map onto the reference is a homomorphism is not checked
+    again, since every relator's walk closes at every point of G_1.
 
-    Solvability and the derived length come from ``derived_orders``: one
-    derived series of U per family, read at m through its lattices.  Both
-    build the family's voltage table, also at m = 1, but the conjugation
-    proof only for m >= 2, where ``member_triple`` has already run it, so
-    at m = 1 the report needs no more cosets than G_1's enumeration.
+    Solvability and the derived length come from ``derived_orders``.  The
+    conjugation proof runs only for m >= 2, so at m = 1 the report needs no
+    more cosets than G_1's enumeration.  The axiom suite builds the member
+    (``member_triple``) once its certified order is within the geometry's
+    element cap (``polytope.check_element_cap``).
     """
     opts = opts or VerifyOptions()
     timer = _Timer()
-    triple = member_triple(family, m, opts)
-    order = triple.group.order()
+    order = certified_order(family, m, opts)
+    cover = _state(family, opts.max_cosets).cover
     timer.lap("enumerate")
 
-    schlafli = validate_rotation_triple(triple.group, triple.sigma)
+    spans = cover.canonical
+    schlafli = canonical_type(lambda w: cover.holds(w, m), lambda i: spans[i,].order(m))
     timer.lap("validate")
 
-    spans = _state(family, opts.max_cosets).cover.canonical
     ic = _intersection_condition(spans, m)
     timer.lap("intersection")
 
@@ -938,14 +945,16 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     solvable = dlength is not None
     timer.lap("solvability")
 
-    verdict = chirality_verdict(triple, preferred_witness=mirror_witness_relator())
+    pres = family_presentation(family, m)
+    verdict = mirror_verdict(pres.relators, lambda w: cover.holds(w, m),
+                             lambda w: cover.word_order(w, m), mirror_witness_relator())
     timer.lap("mirror")
 
     axioms = None
     want_axioms = opts.axioms if opts.axioms is not None else (m == 1)
     if want_axioms:
-        geom = build_coset_geometry(triple)
-        axioms = verify_axioms(geom)
+        check_element_cap(order)
+        axioms = verify_axioms(build_coset_geometry(member_triple(family, m, opts)))
         timer.lap("axioms")
 
     return MemberReport(
@@ -956,7 +965,7 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
         intersection_condition=ic, quotient_criterion=qc,
         verdict=verdict.verdict,
         witness_order=verdict.witness_order,
-        witness_relator=(triple.presentation.word_str(verdict.witness_relator)
+        witness_relator=(pres.word_str(verdict.witness_relator)
                          if verdict.witness_relator else None),
         axioms=axioms,
         timings_ms=timer.timings,
@@ -1073,7 +1082,8 @@ def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[Coro
     """Members with 2-power orders: for k = 0..k_max, family P at m = 2^k has
     order 2^(10+2k) and family Q has 2^(11+2k), covering every 2^n, n >= 10.
 
-    Each order is the certified order of ``member_triple``'s regular action.
+    Each order is ``certified_order``'s, read off the family's voltage cover,
+    so no member is built.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -1082,7 +1092,7 @@ def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[Coro
     for k in range(k_max + 1):
         m = 2 ** k
         for family, n in (("P", 10 + 2 * k), ("Q", 11 + 2 * k)):
-            order = member_triple(family, m, opts).group.order()
+            order = certified_order(family, m, opts)
             if order != 2 ** n:
                 raise VerificationError(
                     "corollary", f"{family} m={m}: order {order} != 2^{n}")

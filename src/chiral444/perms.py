@@ -25,10 +25,14 @@ acting regularly, since it reads one point of the product; so
 does not use it: it decides each relator at every point, on the relator's
 lift to the base group's points.  The normal closures behind the derived
 series keep their generators as words in the group's generators and grow one
-orbit as generators join.  The family pipeline reads its members' derived
-series off one series of the base group (``families.derived_orders``);
-``PermGroup.derived_length`` is the generic engine and the cross-check the
-tests run against it.
+orbit as generators join.
+
+The family pipeline builds no permutation of a member's degree for its
+checks: ``families.verify_member`` reads each relation, order, subgroup and
+derived series off lifts to the base group's points, and only
+``families.member_triple`` makes a member's ``PermGroup``, for the coset
+geometry and for the tests.  This module is the generic engine and the
+cross-check the tests run against those reads.
 """
 
 from __future__ import annotations
@@ -36,65 +40,24 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .words import Presentation, Word, commutator
 
-# the read-only int32 arange of each degree some live array still holds, such
-# as a regular group's own orbit (``_whole``): each is freed with the last
-# holder, so a member's ids do not outlive the member
-_ARANGES: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
-# images per chunk of the bijection check in ``Permutation.__init__``
-_CHUNK = 2 ** 20
-
-
-def _arange(n: int) -> np.ndarray:
-    a = _ARANGES.get(n)
-    if a is None:
-        a = np.arange(n, dtype=np.int32)
-        a.setflags(write=False)
-        _ARANGES[n] = a
-    return a
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two image arrays are equal, decided on their first 64 entries
-    when those differ, so that two different permutations of a large degree
-    are told apart without a pass over them."""
-    return np.array_equal(a[:64], b[:64]) and np.array_equal(a, b)
-
 
 class Permutation:
     """A bijection of {0..degree-1}, stored as an image array.
 
     The constructor checks the bijection: the images lie in range and hit
-    every point, marked in a byte per point.  The marks are scattered
-    through intp indices, 2**20 images at a time, since numpy converts an
-    int32 index array on a slower path, and the chunks bound the intp copy
-    to 8 MiB whatever the degree.  ``_owned`` runs the same check on an
-    int32 array that its maker hands over, without the constructor's copy.
+    every point, marked in a byte per point.
     """
 
     __slots__ = ("images", "_hash")
 
     def __init__(self, images):
-        self._take(np.array(images, dtype=np.int32))
-
-    @classmethod
-    def _owned(cls, arr: np.ndarray) -> "Permutation":
-        """A permutation on ``arr``, an int32 array that the caller hands
-        over and writes no more: checked as the constructor checks, but not
-        copied first."""
-        self = object.__new__(cls)
-        self._take(arr)
-        return self
-
-    def _take(self, arr: np.ndarray):
-        """Check that ``arr`` is a bijection and keep it, read-only."""
+        arr = np.array(images, dtype=np.int32)
         if arr.ndim != 1:
             raise ValueError("images must be a one-dimensional sequence")
         n = arr.shape[0]
@@ -103,8 +66,7 @@ class Permutation:
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("images is not a bijection of {0..degree-1}")
         hit = np.zeros(n, dtype=bool)  # n images that hit every point
-        for lo in range(0, n, _CHUNK):
-            hit[arr[lo:lo + _CHUNK].astype(np.intp)] = True
+        hit[arr] = True
         if not hit.all():
             raise ValueError("images is not a bijection of {0..degree-1}")
         arr.setflags(write=False)
@@ -121,7 +83,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._trusted(_arange(degree).copy())
+        return cls._trusted(np.arange(degree, dtype=np.int32))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
@@ -152,7 +114,7 @@ class Permutation:
     def inverse(self) -> "Permutation":
         n = self.images.shape[0]
         inv = np.empty(n, dtype=np.int32)
-        inv[self.images] = _arange(n)
+        inv[self.images] = np.arange(n)
         return Permutation._trusted(inv)
 
     def __pow__(self, n: int) -> "Permutation":
@@ -169,11 +131,7 @@ class Permutation:
         return Permutation.identity(self.degree) if result is None else result
 
     def is_identity(self) -> bool:
-        # the head first, so that a large degree's arange is made only for
-        # a permutation that starts as the identity does
-        head = self.images[:64]
-        return (np.array_equal(head, np.arange(head.shape[0]))
-                and np.array_equal(self.images, _arange(self.degree)))
+        return np.array_equal(self.images, np.arange(self.degree))
 
     def order(self) -> int:
         """Least n >= 1 with p**n the identity: the lcm of the cycle lengths.
@@ -186,7 +144,7 @@ class Permutation:
         number about log2 of the longest cycle, each a numpy pass over the
         points.  The cycle lengths are the label counts.
         """
-        lab = _arange(self.degree)
+        lab = np.arange(self.degree)
         q = self.images
         while True:
             new = np.minimum(lab, lab[q])
@@ -216,7 +174,7 @@ class Permutation:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and _same(self.images, other.images)
+        return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -327,7 +285,7 @@ def _whole(n: int) -> Orbit:
     """The orbit of id 0 under a group's own generators: every id, in id
     order.  Its mask is one True broadcast to n entries, read-only and
     allocating nothing, as every query on it reads it and none writes it."""
-    return Orbit(_arange(n), np.broadcast_to(np.True_, (n,)))
+    return Orbit(np.arange(n, dtype=np.int32), np.broadcast_to(np.True_, (n,)))
 
 
 def orbit(maps: Sequence[np.ndarray], n: int) -> Orbit:
@@ -500,7 +458,7 @@ class _RegularAction:
             elif e < 0:
                 if i not in self._inverses:
                     inv = np.empty(self.n, dtype=mp.dtype)
-                    inv[mp] = _arange(self.n)
+                    inv[mp] = np.arange(self.n)
                     self._inverses[i] = inv
                 steps.append((self._inverses[i], -e))
         return steps
@@ -542,7 +500,7 @@ def _closure_action(gens: Sequence[Permutation], degree: int) -> _RegularAction:
         index[img.tobytes()] = len(rows)
         rows.append(img)
 
-    add(_arange(degree))
+    add(np.arange(degree, dtype=np.int32))
     for row in rows:  # a queue: rows grows as it is walked
         for g in gens:
             img = g.images[row]
@@ -594,7 +552,6 @@ class PermGroup:
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
         gens: list[Permutation] = []
         for g in generators:
-            # compared, not hashed: a hash reads the whole image array
             if not g.is_identity() and g not in gens:
                 gens.append(g)
         if gens:

@@ -15,7 +15,10 @@ product of the group's degree is formed.  The mirror test follows each
 relator's image under s1 -> s1^-1, s2 -> s1^2 s2, s3 -> s3 as a word in the
 s_i; the image is a pure function of the relator and is kept per word
 (``_mirror_image``), so the relators every family member shares, U's nine
-and the mirror witness, are substituted once per process.
+and the mirror witness, are substituted once per process.  The type and
+mirror rules take those reads as functions (``canonical_type``,
+``mirror_verdict``), so that ``families.verify_member`` applies them to its
+voltage cover.
 
 The geometry is built on the group's right-regular action on the positions
 of ``elements()`` (``PermGroup.right_action``, renumbered): the rank-i face
@@ -50,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -129,22 +132,32 @@ _CANONICAL_RELATIONS = (("(s1*s2)^2", Word((1, 2, 1, 2))),
                         ("(s1*s2*s3)^2", Word((1, 2, 3, 1, 2, 3))))
 
 
+def canonical_type(holds: Callable[[Word], bool],
+                   generator_order: Callable[[int], int]) -> SchlafliType:
+    """The type of a triple, checking the canonical even relations and that
+    each s_i has order at least 2, given whether a word holds and the order
+    of s_i (1-based)."""
+    for name, w in _CANONICAL_RELATIONS:
+        if not holds(w):
+            raise TripleError(f"canonical relation {name} = 1 fails")
+    orders = tuple(generator_order(i) for i in (1, 2, 3))
+    if min(orders) < 2:
+        raise TripleError(f"generator orders {orders} must all be at least 2")
+    return SchlafliType(*orders)
+
+
 def validate_rotation_triple(group: PermGroup,
                              sigma: Sequence[Permutation]) -> SchlafliType:
     """Check that sigma are elements of the group, the canonical even
     relations and generation; return the type."""
     _require_elements(group, sigma)
-    for name, w in _CANONICAL_RELATIONS:
-        if group.word_id(w, sigma) != 0:
-            raise TripleError(f"canonical relation {name} = 1 fails")
-    orders = tuple(group.word_order(Word((i,)), sigma) for i in (1, 2, 3))
-    if min(orders) < 2:
-        raise TripleError(f"generator orders {orders} must all be at least 2")
+    schlafli = canonical_type(lambda w: group.word_id(w, sigma) == 0,
+                              lambda i: group.word_order(Word((i,)), sigma))
     # a group built on the triple itself is generated by it
     if (not all(any(g is s for s in sigma) for g in group.generators)
             and group.subgroup(sigma).order() != group.order()):
         raise TripleError("the triple does not generate the group")
-    return SchlafliType(*orders)
+    return schlafli
 
 
 def intersection_condition(t: RotationTriple, cap: int = 10_000) -> bool:
@@ -261,13 +274,22 @@ def chirality_verdict(t: RotationTriple,
     miss does not.
     """
     group, sigma = t.group, t.sigma
-    candidates = t.presentation.relators
-    if preferred_witness is not None and group.word_id(preferred_witness, sigma) == 0:
-        candidates = (preferred_witness,) + candidates
-    for r in candidates:
+    return mirror_verdict(t.presentation.relators,
+                          lambda w: group.word_id(w, sigma) == 0,
+                          lambda w: group.word_order(w, sigma), preferred_witness)
+
+
+def mirror_verdict(relators: Sequence[Word], holds: Callable[[Word], bool],
+                   order: Callable[[Word], int],
+                   preferred_witness: Word | None = None) -> ChiralityReport:
+    """``chirality_verdict``'s rule, given whether a word in the s_i holds
+    and a word's order."""
+    if preferred_witness is not None and holds(preferred_witness):
+        relators = (preferred_witness, *relators)
+    for r in relators:
         img = _mirror_image(r)
-        if group.word_id(img, sigma) != 0:
-            return ChiralityReport("chiral", r, group.word_order(img, sigma))
+        if not holds(img):
+            return ChiralityReport("chiral", r, order(img))
     return ChiralityReport("regular", None, None)
 
 
@@ -284,6 +306,14 @@ def enantiomorph(t: RotationTriple) -> RotationTriple:
 
 class GeometryCapError(ValueError):
     """The group has more elements than the geometry's ``element_cap``."""
+
+
+def check_element_cap(order: int, element_cap: int = 2 ** 16) -> None:
+    """Raise GeometryCapError when a group of ``order`` elements is too large
+    for the geometry."""
+    if order > element_cap:
+        raise GeometryCapError(
+            f"group order {order} exceeds the exhaustive cap {element_cap}")
 
 
 @dataclass(eq=False)
@@ -431,9 +461,7 @@ def coset_geometry_from_subgroups(t: RotationTriple,
     """
     g = t.group
     order = g.order()
-    if order > element_cap:
-        raise GeometryCapError(
-            f"group order {order} exceeds the exhaustive cap {element_cap}")
+    check_element_cap(order, element_cap)
     bfs = orbit([g.right_action(s) for s in g.generators], order).order
     pos = np.argsort(bfs)
     faces = [_face_numbers(_orbit_labels(order, [pos[g.right_action(s)[bfs]] for s in gens]))

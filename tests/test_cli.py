@@ -3,11 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from chiral444 import cli
 from chiral444.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -24,6 +24,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_child(tmp_path, *argv):
+    """The CLI run in a child process, killed after 120 s: its exit code,
+    stdout, stderr and peak resident set in MiB.  The peak is the child's
+    own ``ru_maxrss``, reaped by ``os.wait4``, so that no other child of
+    this process counts; no limit is set on the child."""
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out, "w") as fo, open(err, "w") as fe:
+        proc = subprocess.Popen([sys.executable, "-m", "chiral444", *argv],
+                                stdout=fo, stderr=fe, env=_src_env())
+        timer = threading.Timer(120, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out.read_text(), err.read_text(), usage.ru_maxrss / 1024
 
 
 def test_enumerate_subgroup_index(capsys):
@@ -75,7 +94,7 @@ def test_enumerate_dump_is_standardized(capsys):
 def test_verify_q1_json_round_trip(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--family", "Q", "--m", "1",
-                           "--jobs", "1", "--json", str(path))
+                           "--json", str(path))
     assert code == 0
     assert "order 2048" in out and "verdict=chiral" in out
     doc = json.loads(path.read_text())
@@ -94,9 +113,9 @@ def _strip_timings(doc):
 
 def test_verify_json_deterministic_modulo_timings(tmp_path, capsys):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    run_cli(capsys, "verify", "--family", "Q", "--m", "1", "--jobs", "1",
+    run_cli(capsys, "verify", "--family", "Q", "--m", "1",
             "--json", str(p1))
-    run_cli(capsys, "verify", "--family", "Q", "--m", "1", "--jobs", "1",
+    run_cli(capsys, "verify", "--family", "Q", "--m", "1",
             "--json", str(p2))
     d1 = _strip_timings(json.loads(p1.read_text()))
     d2 = _strip_timings(json.loads(p2.read_text()))
@@ -109,7 +128,7 @@ def test_verify_reports_match_golden(tmp_path, capsys, family, exit_code):
     # verdict, order or count must update tests/data/verify_reports.json
     path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "--family", family, "--m", "1..4",
-                         "--jobs", "1", "--json", str(path))
+                         "--json", str(path))
     assert code == exit_code
     golden = json.loads((Path(__file__).resolve().parent / "data"
                          / "verify_reports.json").read_text())
@@ -121,45 +140,13 @@ def test_verify_exit_code_tracks_aggregate(tmp_path, capsys):
     # (see the axiom analysis in the project notes), so verify reports FAIL
     path = tmp_path / "p1.json"
     code, out, _ = run_cli(capsys, "verify", "--family", "P", "--m", "1",
-                           "--jobs", "1", "--json", str(path))
+                           "--json", str(path))
     assert code == 3
     doc = json.loads(path.read_text())
     assert doc["aggregate_pass"] is False
     assert doc["members"][0]["intersection_condition"] is False
     assert doc["members"][0]["order"] == 1024
     assert doc["members"][0]["verdict"] == "chiral"
-
-
-def test_verify_parallel_two_members(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--family", "Q", "--m", "1..2",
-                           "--jobs", "2")
-    assert code == 0
-    assert "Q m=1" in out and "Q m=2" in out
-    assert "aggregate: pass" in out
-
-
-def test_verify_starts_no_more_workers_than_members(capsys, monkeypatch):
-    # the pool is replaced by one that records max_workers and runs the
-    # jobs in this process, so no worker is ever started
-    asked = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    code, out, _ = run_cli(capsys, "verify", "--family", "Q", "--m", "1..2",
-                           "--jobs", "5000")
-    assert code == 0 and "aggregate: pass" in out
-    assert asked == [2]
 
 
 def test_verify_bad_range_exit_one(capsys):
@@ -169,8 +156,7 @@ def test_verify_bad_range_exit_one(capsys):
 
 @pytest.mark.parametrize("argv", [("polytope", "--family", "P", "--m", "0"),
                                   ("polytope", "--family", "Q", "--m", "-2"),
-                                  ("corollary", "--k-max", "-1"),
-                                  ("verify", "--family", "Q", "--jobs", "0")])
+                                  ("corollary", "--k-max", "-1")])
 def test_bad_member_arguments_exit_one(argv):
     # in a child process, so that an uncaught exception would show as a
     # traceback and exit 1 from the interpreter rather than from the CLI
@@ -264,6 +250,28 @@ def test_polytope_command_over_cap_exit_one(capsys):
     assert err == "group order 131072 exceeds the exhaustive cap 65536\n"
 
 
+def test_polytope_refuses_a_member_over_the_cap_before_building_it(tmp_path):
+    # Q at m = 256 has 2^27 elements; its three images alone would take
+    # 1.5 GiB, so a small peak shows the cap was checked first
+    code, out, err, peak = run_child(tmp_path, "polytope", "--family", "Q", "--m", "256")
+    assert code == 1 and out == ""
+    assert err == "group order 134217728 exceeds the exhaustive cap 65536\n"
+    assert peak < 150, f"peak RSS {peak:.0f} MiB"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("verify", "--family", "Q", "--m", "256"), "aggregate: pass (1 members, "),
+    (("corollary", "--k-max", "8"), "n=27: family Q, m=256, order 134217728 = 2^27\n")],
+    ids=["verify", "corollary"])
+def test_large_members_run_in_small_memory(tmp_path, argv, line):
+    # verify and corollary read every claim off the family's voltage cover,
+    # so Q at m = 256 (order 2^27) builds nothing of the member's degree
+    code, out, err, peak = run_child(tmp_path, *argv)
+    assert code == 0, err
+    assert line in out
+    assert peak < 150, f"peak RSS {peak:.0f} MiB"
+
+
 def test_corollary_command(capsys):
     code, out, _ = run_cli(capsys, "corollary", "--k-max", "1")
     assert code == 0
@@ -276,18 +284,17 @@ def test_usage_error_exit_one(capsys):
 
 
 def test_verify_parallel_cap_exit_two(capsys):
-    # Q's m = 1 table needs 2048 cosets, so both workers hit the cap, and the
-    # error must cross the process pool intact
+    # Q's m = 1 table needs 2048 cosets, so the first member hits the cap
     code, _, err = run_cli(capsys, "verify", "--family", "Q", "--m", "1..2",
-                           "--max-cosets", "1000", "--jobs", "2")
+                           "--max-cosets", "1000")
     assert code == 2
     assert "cap of 1000 cosets" in err
 
 
 def test_verify_parallel_geometry_cap_exit_one(capsys):
-    # the m = 8 worker's member is past the geometry's element cap, and the
-    # error must cross the process pool as bad input, not as a traceback
+    # the m = 8 member is past the geometry's element cap: bad input, not a
+    # traceback, and refused before it is built
     code, _, err = run_cli(capsys, "verify", "--family", "Q", "--m", "1,8",
-                           "--axioms", "--jobs", "2")
+                           "--axioms")
     assert code == 1
     assert err == "group order 131072 exceeds the exhaustive cap 65536\n"

@@ -1,15 +1,14 @@
 """The Z_m^2 voltage cover against Todd-Coxeter, and its certificate."""
 
-import gc
 import itertools
 import math
-import pickle
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chiral444 import perms
+from chiral444 import families, perms
 from chiral444.cli import main
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import (_CANONICAL, FAMILIES, EnumerationIncomplete,
@@ -20,11 +19,13 @@ from chiral444.families import (_CANONICAL, FAMILIES, EnumerationIncomplete,
                                 _state, _todd_coxeter_triple, _voltages,
                                 _VoltageCover, derived_orders, expected_order,
                                 family_presentation, member_triple,
-                                presentation_U, reference_triple,
-                                subgroup_seed_words, verify_member)
+                                mirror_witness_relator, presentation_U,
+                                reference_triple, subgroup_seed_words,
+                                verify_member)
 from chiral444.perms import PermGroup, Permutation, evaluate
 from chiral444.words import Presentation, Word
-from chiral444.polytope import intersection_condition, quotient_criterion
+from chiral444.polytope import (chirality_verdict, intersection_condition,
+                                quotient_criterion, validate_rotation_triple)
 
 
 def _base(family):
@@ -144,8 +145,9 @@ def test_intransitive_cover_fails_the_certificate():
             _certify_cover(family_presentation("P", m), _VoltageCover(base, table), m)
         sigma = [Permutation(img) for img in _cover_images(base, table, m)]
         assert not PermGroup(sigma).is_transitive()
-    t = _certify_cover(family_presentation("P", 3), _VoltageCover(base, 2 * phi), 3)
-    assert t.group.order() == 1024 * 9 and t.group.is_transitive()
+    assert _certify_cover(family_presentation("P", 3), _VoltageCover(base, 2 * phi), 3) == 1024 * 9
+    sigma = [Permutation(img) for img in _cover_images(base, 2 * phi, 3)]
+    assert PermGroup(sigma).is_transitive()
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -165,17 +167,6 @@ def test_member_triple_runs_no_search_over_the_cover(family, monkeypatch):
     for m in (2, 3):
         t = member_triple(family, m)
         assert t.group.order() == expected_order(family, m)
-
-
-def test_member_ids_are_freed_with_the_member():
-    # the group's own orbit is the arange of its degree, shared through
-    # perms._ARANGES only while some array still holds it
-    n = expected_order("Q", 8)
-    t = member_triple("Q", 8)
-    assert t.group.order() == n and n in perms._ARANGES
-    del t
-    gc.collect()
-    assert n not in perms._ARANGES
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -276,16 +267,6 @@ def test_small_conjugation_cap_raises():
     assert info.value.stage == "conjugation" and info.value.cap == 4000
 
 
-def test_errors_survive_pickling():
-    exc = pickle.loads(pickle.dumps(EnumerationIncomplete("enumerate", 1000)))
-    assert type(exc) is EnumerationIncomplete
-    assert (exc.stage, exc.cap) == ("enumerate", 1000)
-    assert str(exc) == str(EnumerationIncomplete("enumerate", 1000))
-    exc = pickle.loads(pickle.dumps(VerificationError("cover", "not transitive")))
-    assert type(exc) is VerificationError
-    assert (exc.stage, str(exc)) == ("cover", "[cover] not transitive")
-
-
 # -- the derived series of U on G_1's points ----------------------------------
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -319,8 +300,7 @@ def test_m1_report_needs_no_conjugation_proof(capsys):
         full = verify_member(family, 1)
         small.timings_ms = full.timings_ms = {}
         assert small == full and small.derived_length == 3
-    assert main(["verify", "--family", "Q", "--m", "2", "--max-cosets", "4000",
-                 "--jobs", "1"]) == 2
+    assert main(["verify", "--family", "Q", "--m", "2", "--max-cosets", "4000"]) == 2
     assert "cap of 4000 cosets" in capsys.readouterr().err
 
 
@@ -472,6 +452,62 @@ def test_verify_member_builds_no_subgroup_orbit(family, monkeypatch):
         raise AssertionError("a subgroup orbit on the member's action")
 
     monkeypatch.setattr(PermGroup, "subgroup", refuse)
+    for m in (1, 2, 3):
+        got = verify_member(family, m, opts)
+        got.timings_ms = want[m].timings_ms = {}
+        assert got == want[m]
+
+
+# -- every check of verify_member, read off the cover ---------------------------
+
+@pytest.mark.parametrize("family, m", [(f, m) for f in "PQ" for m in (*range(1, 9), 16)])
+def test_span_reads_match_the_member(family, m):
+    # the report's order, type and mirror verdict against the per-action
+    # engine on the member's own permutations
+    got = verify_member(family, m, VerifyOptions(axioms=False))
+    t = member_triple(family, m)
+    verdict = chirality_verdict(t, preferred_witness=mirror_witness_relator())
+    assert got.order == t.group.order() == expected_order(family, m)
+    assert got.schlafli == validate_rotation_triple(t.group, t.sigma).as_tuple()
+    assert got.verdict == verdict.verdict and got.witness_order == verdict.witness_order
+    assert got.witness_relator == (t.presentation.word_str(verdict.witness_relator)
+                                   if verdict.witness_relator else None)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_word_order_on_the_cover_matches_the_member(family):
+    # d m / gcd(m, V) against the length of id 0's cycle on the member, for
+    # random words of U; at m = 4, 6 and 8 some words pick up a voltage V
+    # with 1 < gcd(m, V) < m, so the gcd is not just 1 or m
+    cover, rng = _cover(family), random.Random(1912)
+    words = [Word(tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(rng.randint(1, 12))))
+             for _ in range(60)]
+    partial = set()
+    for m in (2, 3, 4, 6, 8):
+        t = member_triple(family, m)
+        for w in words:
+            assert cover.word_order(w, m) == t.group.word_order(w, t.sigma), (w, m)
+            end, volt = cover.lift(w)
+            c, v = int(end[0]), volt[0]
+            while c:
+                c, v = int(end[c]), v + volt[c]
+            if 1 < math.gcd(m, *v.tolist()) < m:
+                partial.add(m)
+    assert {4, 6, 8} <= partial
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_verify_member_builds_no_member(family, monkeypatch):
+    # without the axiom suite every check is read off the cover, so neither
+    # the member's triple nor its images are built
+    opts = VerifyOptions(axioms=False)
+    want = {m: verify_member(family, m, opts) for m in (1, 2, 3)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member of the cover's degree was built")
+
+    monkeypatch.setattr(families, "member_triple", refuse)
+    monkeypatch.setattr(families, "_cover_images", refuse)
     for m in (1, 2, 3):
         got = verify_member(family, m, opts)
         got.timings_ms = want[m].timings_ms = {}

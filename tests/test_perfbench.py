@@ -31,14 +31,16 @@ spans = _load("spans")
 @pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("make", [ops.ladder_op, ops.polytope_op])
 def test_operation_matches_its_pinned_facts(make, traced):
-    op = make("P", 1)
-    tracer = spans.Tracer() if traced else spans.NullTracer()
-    # an open span around the operation, as run.py opens one
-    with tracer.span("op", op="test"):
-        observed = op.run(tracer)
-    assert ops.check(ops.load_facts()[op.facts][op.id], observed) == []
-    if traced:
-        assert {s["name"] for s in tracer.spans} > {"op", "families.member_triple"}
+    # m = 1 is G_1 itself; Q at m = 2 is a member of the voltage cover
+    for family, m in (("P", 1), ("Q", 2)):
+        op = make(family, m)
+        tracer = spans.Tracer() if traced else spans.NullTracer()
+        # an open span around the operation, as run.py opens one
+        with tracer.span("op", op="test"):
+            observed = op.run(tracer)
+        assert ops.check(ops.load_facts()[op.facts][op.id], observed) == []
+        if traced:
+            assert {s["name"] for s in tracer.spans} > {"op", "families.member_triple"}
 
 
 def test_coset_probes_match_their_expected_index():
