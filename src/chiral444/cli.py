@@ -7,9 +7,11 @@ cap); 2 enumeration exhausted the coset cap (with --require-complete, or
 mid-verification); 3 checks ran but some failed.
 
 ``verify`` checks its members one after another in this process, each
-read off its family's voltage cover.  ``polytope`` and ``verify --axioms``
-compare a member's certified order with the geometry's element cap before
-building the member.
+read off its family's voltage cover, and logs each to stderr as it
+finishes; its report lines go to stdout only once every member has run,
+so a run that a cap stops prints none.  ``polytope`` and
+``verify --axioms`` compare each member's certified order with the
+geometry's element cap before building any member.
 """
 
 from __future__ import annotations
@@ -155,8 +157,15 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     opts = VerifyOptions(max_cosets=args.max_cosets, axioms=True if args.axioms else None)
     t0 = time.perf_counter()
+    reports = []
     try:
-        reports = [verify_member(args.family, m, opts) for m in ms]
+        if args.axioms:
+            # every member within the geometry's element cap, before any runs
+            for m in ms:
+                check_element_cap(certified_order(args.family, m, opts))
+        for m in ms:
+            reports.append(verify_member(args.family, m, opts))
+            _log(f"[verify] {args.family} m={m} done")
     except EnumerationIncomplete as exc:
         _log(str(exc))
         return EXIT_CAP
@@ -164,7 +173,6 @@ def cmd_verify(args) -> int:
         _log(str(exc))
         return EXIT_INPUT
     for r in reports:
-        _log(f"[verify] {r.family} m={r.m} done")
         print(_member_lines(r))
     aggregate = all(r.passed for r in reports)
     print(f"aggregate: {'pass' if aggregate else 'FAIL'} "

@@ -50,6 +50,21 @@ m = 1 member, solvability, mirror test with witness, and (optionally) the
 polytope axiom suite.  Every check but the axiom suite is read off the
 cover on G_1's points; only ``member_triple`` builds a member's
 permutations, for the coset geometry and the tests' cross-check.
+
+What a member costs.  Everything above that m does not enter is built once
+per family and kept: G_1, the voltages, the conjugation proof, the spans
+and the derived series, and for each word's shortest root u four integers
+(``_Root``): its period d, the gcd g of the voltage sums of u^d, and the
+length e and voltage W of point 0's cycle under it.  A member's reads are
+then divisibility tests on integers: u^k holds at m iff d | k and
+m | (k/d) g, and has order o / gcd(o, k) for o = e m / gcd(m, W); a span's
+order is |C| m^2 / (gcd(s1, m) gcd(s2, m)) for its lattice's elementary
+divisors s1, s2; a meet counts the pair's potential differences, sorted
+once per pair into classes mod L_H + L_K.  The seed relators w^{4m} are
+held as a root and an exponent (``words.Word``), so no member spells out
+its presentation, and nothing keyed by m is kept.  A warm
+``verify_member`` without the axiom suite takes 45-90 microseconds at
+m = 1 and at m = 2^17 alike (2-core x86 VM).
 """
 
 from __future__ import annotations
@@ -58,7 +73,7 @@ import functools
 import itertools
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import ClassVar, Iterable, NamedTuple, Sequence
@@ -66,7 +81,7 @@ from typing import ClassVar, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .coset import CosetTable, EnumerationConfig, enumerate_cosets
-from .perms import PermGroup, Permutation, _root
+from .perms import PermGroup, Permutation
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
                        canonical_type, check_element_cap, mirror_verdict,
                        verify_axioms)
@@ -279,7 +294,7 @@ def reference_triple(family: str, opts: VerifyOptions | None = None) -> Rotation
     It is the base of every cover member and the reference for the quotient
     criterion.
     """
-    return _state(family, (opts or VerifyOptions()).max_cosets).reference
+    return _state(family).reference((opts or VerifyOptions()).max_cosets)
 
 
 def _walks(word: Word, base: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -416,15 +431,33 @@ def _compose(a: _Lift, b: _Lift) -> _Lift:
     return b[0][a[0]], a[1] + b[1][a[0]]
 
 
+class _Root(NamedTuple):
+    """What a word's shortest root u gives on G_1's points, found once per
+    root (``_VoltageCover._period``): ``lift``, u's walks from every point;
+    ``period`` d, the order of their end map, so that the walks of u^d all
+    close; ``volt``, the voltage sums of u^d, and ``gcd`` g, their gcd;
+    ``cycle`` e, the length of point 0's cycle under the end map, and
+    ``cycle_gcd``, the gcd of the voltage W that cycle picks up."""
+
+    lift: _Lift
+    period: int
+    volt: np.ndarray
+    gcd: int
+    cycle: int
+    cycle_gcd: int
+
+
 class _VoltageCover:
     """G_1's regular table ``base`` with a voltage table ``phi``: the Z_m^2
-    cover at every m, with U's relators decided for every m at once.
+    cover at every m, with every word decided for every m at once.
 
     A word lifts to a pair (end, volt): from each point c of G_1 its walk
     ends at ``end[c]`` and picks up the voltage sum ``volt[c]`` in Z^2.  On
     the cover at m the word sends (c, v) to (end[c], v + volt[c] mod m), so
     it is the identity there iff every walk is closed and every voltage sum
-    is 0 mod m.
+    is 0 mod m.  A word is read through its shortest root u, w = u^k: the
+    four integers of u's ``_Root`` (d, g, e, W) answer ``holds`` and
+    ``word_order`` at every m by divisibility alone.
     """
 
     def __init__(self, base: np.ndarray, phi: np.ndarray):
@@ -435,16 +468,12 @@ class _VoltageCover:
             self.inv[g, base[g]] = np.arange(n)
         self._id = np.arange(n)
         self._id.setflags(write=False)
-        self._periods: dict[tuple[int, ...], tuple] = {}  # root -> ``_period``
-        # U's relators are the same at every m, so each is decided once
-        self._gcds = {r: self._gcd(r) for r in presentation_U().relators}
+        self._roots: dict[tuple[int, ...], _Root] = {}
 
-    def _period(self, root: tuple[int, ...]) -> tuple[_Lift, int, np.ndarray]:
-        """The lift of the word ``root``, letter by letter, its period d (the
-        order of its end map, so that its d-th power ends every walk where it
-        started) and the voltages of that d-th power.  Kept per root, with
-        read-only arrays."""
-        got = self._periods.get(root)
+    def _period(self, root: tuple[int, ...]) -> _Root:
+        """The ``_Root`` of the word ``root``, lifted letter by letter and
+        kept per root, with read-only arrays."""
+        got = self._roots.get(root)
         if got is None:
             step = self._id, np.zeros((self._id.shape[0], 2), dtype=np.int64)
             for x in root:
@@ -455,9 +484,15 @@ class _VoltageCover:
                     step = _compose(step, (self.inv[g], -self.phi[g][self.inv[g]]))
             for arr in step:
                 arr.setflags(write=False)
+            end, volt = step[0].tolist(), step[1]
             d = Permutation._trusted(step[0].astype(np.int32)).order()
-            got = step, d, self._power(step, d)[1]
-            self._periods[root] = got
+            power = self._power(step, d)[1]
+            c, e, w = end[0], 1, volt[0]
+            while c:
+                c, e, w = end[c], e + 1, w + volt[c]
+            got = _Root(step, d, power, int(np.gcd.reduce(power, axis=None)),
+                        e, math.gcd(*w.tolist()))
+            self._roots[root] = got
         return got
 
     def _power(self, step: _Lift, k: int) -> _Lift:
@@ -476,43 +511,39 @@ class _VoltageCover:
         (base[g], phi[g]) and its inverse to (inv[g], -phi[g][inv[g]]), and
         lifts compose letter by letter (``_compose``).
 
-        A power u^k of a shorter word u, such as a family relator
-        (w1)^{4m}, is read off u's period d (``_period``): lift(u^d) is
-        (id, V), so lift(u^k) is (id, (k // d) V) followed by
-        lift(u^(k mod d)), taken by repeated squaring; it costs
-        O(log d) compositions whatever m is.
+        A power u^k of its shortest root u, such as a family relator
+        (w1)^{4m}, is read off u's period d: lift(u^d) is (id, V), so
+        lift(u^k) is (id, (k // d) V) followed by lift(u^(k mod d)), taken
+        by repeated squaring; it costs O(log d) compositions whatever m is.
+        The pipeline reads ``holds`` and ``word_order`` instead; the lift
+        is what the tests check those reads against.
         """
-        root, k = _root(word.letters)
-        step, d, volt = self._period(root)
-        q, k = divmod(k, d)
-        end, rest = self._power(step, k)
-        return end, q * volt + rest
-
-    def _gcd(self, word: Word) -> int | None:
-        """The gcd of the voltage sums of ``word``'s walks, or None when a
-        walk does not close."""
-        end, volt = self.lift(word)
-        if not np.array_equal(end, self._id):
-            return None
-        return int(np.gcd.reduce(volt, axis=None))
+        root, k = word.as_power()
+        r = self._period(root)
+        q, k = divmod(k, r.period)
+        end, rest = self._power(r.lift, k)
+        return end, q * r.volt + rest
 
     def holds(self, word: Word, m: int) -> bool:
-        """Whether ``word`` is the identity on the cover at m: every walk
-        closes and m divides every voltage sum, so m divides their gcd."""
-        g = self._gcds[word] if word in self._gcds else self._gcd(word)
-        return g is not None and g % m == 0
+        """Whether ``word`` = u^k is the identity on the cover at m.  Its
+        walks all close iff u's period d divides k, and then its voltage
+        sums are (k/d) times those of u^d, all 0 mod m iff m divides
+        (k/d) g."""
+        root, k = word.as_power()
+        r = self._period(root)
+        q, rest = divmod(k, r.period)
+        return not rest and q * r.gcd % m == 0
 
     def word_order(self, word: Word, m: int) -> int:
-        """The order of ``word``'s element on the cover at m, the length of
-        the cycle of (0, 0) under it: point 0's cycle under the lift's end
-        map has some length d and picks up a voltage V, so the d-th power
-        takes (0, v) to (0, v + V), and V has order m / gcd(m, V1, V2) in
-        Z_m^2."""
-        end, volt = self.lift(word)
-        c, v, d = int(end[0]), volt[0], 1
-        while c:
-            c, v, d = int(end[c]), v + volt[c], d + 1
-        return d * m // math.gcd(m, *v.tolist())
+        """The order of ``word`` = u^k's element on the cover at m.  The
+        cycle of (0, 0) under u runs e times round point 0's cycle under the
+        end map, each time picking up W, until t W = 0 mod m: u has order
+        o = e m / gcd(m, W) (the cover's action is regular), so u^k has
+        order o / gcd(o, k)."""
+        root, k = word.as_power()
+        r = self._period(root)
+        o = r.cycle * m // math.gcd(m, r.cycle_gcd)
+        return o // math.gcd(o, k)
 
     @functools.cached_property
     def derived(self) -> "_DerivedSeries":
@@ -580,10 +611,25 @@ def _rows(lattice: tuple[int, int, int]) -> list[tuple[int, int]]:
     return [(a, b), (0, d)]
 
 
+def _reduce_mod(v: tuple[int, int], lattice: tuple[int, int, int]) -> tuple[int, int]:
+    """The one representative of v + L that the Hermite normal form
+    ``lattice`` of L picks: x in [0, a) when a > 0, y in [0, d) when d > 0."""
+    (x, y), (a, b, d) = v, lattice
+    if a:
+        i, x = divmod(x, a)
+        y -= i * b
+    return x, (y % d if d else y)
+
+
 def _index_mod(lattice: tuple[int, int, int], m: int) -> int:
-    """[Z^2 : L + mZ^2] for L the lattice with Hermite normal form ``lattice``."""
-    a, _, d = _hnf(_rows(lattice) + [(m, 0), (0, m)])
-    return a * d
+    """[Z^2 : L + mZ^2] for L the lattice with Hermite normal form
+    ``lattice``: Z^2/L is Z/s1 + Z/s2 for L's elementary divisors s1 | s2
+    (0 standing for Z), so the index is gcd(s1, m) gcd(s2, m).  s1 is the
+    gcd of the basis entries a, b, d and s1 s2 = a d."""
+    a, b, d = lattice
+    s1 = math.gcd(a, b, d)
+    s2 = a * d // s1 if s1 else 0
+    return math.gcd(s1, m) * math.gcd(s2, m)
 
 
 def _inverse_lift(lift: _Lift) -> _Lift:
@@ -593,16 +639,19 @@ def _inverse_lift(lift: _Lift) -> _Lift:
     return inv, -volt[inv]
 
 
-class _Term(NamedTuple):
+class _Term:
     """A subgroup H of U on G_1's points with Z^2 voltages.  H takes the
     point (0, 0) to the points (c, pot[c] + L) for c in its orbit C on
-    G_1's points (``mask``), where L = H cap N is ``lattice``, in Hermite
-    normal form.  ``gens`` are the lifts of its generators."""
+    G_1's points (``mask``, of ``size`` points), where L = H cap N is
+    ``lattice``, in Hermite normal form.  ``gens`` are the lifts of its
+    generators."""
 
-    gens: tuple[_Lift, ...]
-    mask: np.ndarray
-    pot: np.ndarray
-    lattice: tuple[int, int, int]
+    def __init__(self, gens: tuple[_Lift, ...], mask: np.ndarray, pot: np.ndarray,
+                 lattice: tuple[int, int, int]):
+        self.gens, self.mask, self.pot, self.lattice = gens, mask, pot, lattice
+        self.size = int(np.count_nonzero(mask))
+        # other term -> the pair's ``_meet`` data, found once per pair
+        self._meets: dict[_Term, tuple] = {}
 
     def contains(self, c: int, v: np.ndarray) -> bool:
         """Whether H has the element that takes (0, 0) to (c, v)."""
@@ -611,23 +660,33 @@ class _Term(NamedTuple):
 
     def order(self, m: int) -> int:
         """|H's image in G_m| = |C| m^2 / [Z^2 : L + mZ^2]."""
-        return int(np.count_nonzero(self.mask)) * m * m // _index_mod(self.lattice, m)
+        return self.size * m * m // _index_mod(self.lattice, m)
+
+    def _meet(self, other: "_Term") -> tuple[tuple[int, int, int], tuple]:
+        """The sum S = L_H + L_K, in Hermite normal form, and how many points
+        c of C_H cap C_K have p_H(c) - p_K(c) in each class of Z^2 / S, as
+        (class representative, count) pairs."""
+        both = np.flatnonzero(self.mask & other.mask)
+        total = _hnf(_rows(self.lattice) + _rows(other.lattice))
+        diffs = (self.pot[both] - other.pot[both]).tolist()
+        return total, tuple(Counter(_reduce_mod(v, total) for v in diffs).items())
 
     def meet_order(self, other: "_Term", m: int) -> int:
         """|H cap K| in G_m for K = ``other``, by the voltage-lift count of
         Malnic-Nedela-Skoviera: the points of H's orbit over c are
         (c, p_H(c) + A), those of K's (c, p_K(c) + B), for A = L_H + mZ^2
         and B = L_K + mZ^2.  Two cosets meet iff their offsets differ by an
-        element of A + B, and then in a coset of A cap B.  So the meet is the
-        number of c in C_H cap C_K with p_H(c) - p_K(c) in A + B, one
-        vectorised test against that lattice's Hermite normal form, times
-        |(A cap B)/mZ^2| = m^2 [Z^2 : A + B] / ([Z^2 : A] [Z^2 : B]).
+        element of A + B = S + mZ^2, and then in a coset of A cap B.  So the
+        meet is the number of c in C_H cap C_K with p_H(c) - p_K(c) in
+        S + mZ^2, read off the pair's classes mod S (``_meet``, once per
+        pair), times |(A cap B)/mZ^2| = m^2 [Z^2 : A + B] / ([Z^2 : A] [Z^2 : B]).
         """
-        both = np.flatnonzero(self.mask & other.mask)
-        a, b, d = _hnf(_rows(self.lattice) + _rows(other.lattice) + [(m, 0), (0, m)])
-        x, y = (self.pot[both] - other.pot[both]).T
-        # mZ^2 lies in the sum, so a and d are positive
-        hits = int(np.count_nonzero((x % a == 0) & ((y - x // a * b) % d == 0)))
+        meet = self._meets.get(other)
+        if meet is None:
+            meet = self._meets[other] = self._meet(other)
+        total, classes = meet
+        a, b, d = _hnf(_rows(total) + [(m, 0), (0, m)])
+        hits = sum(count for v, count in classes if _in_lattice(v, (a, b, d)))
         return hits * m * m * a * d // (_index_mod(self.lattice, m)
                                         * _index_mod(other.lattice, m))
 
@@ -734,32 +793,51 @@ class _DerivedSeries:
 
 
 class _FamilyState:
-    """What a process keeps of a family at a coset cap, each built when first
-    asked: the m = 1 member, its voltage cover, the conjugation proof."""
+    """What a process keeps of a family, each built when first asked and
+    shared by every coset cap: the m = 1 member, its voltage cover, the
+    conjugation proof.  It records the cosets that G_1's enumeration and the
+    proof used, so that a smaller cap raises EnumerationIncomplete exactly
+    where a fresh run with that cap would."""
 
-    def __init__(self, family: str, cap: int):
+    def __init__(self, family: str):
         _family(family)  # an unknown family raises, and is not kept
-        self.family, self.cap = family, cap
-        self.proved = False
+        self.family = family
+        self._reference: RotationTriple | None = None
+        self.reference_cosets = 0  # the Felsch run's definitions
+        self.proof_rungs: frozenset[int] = frozenset()  # cosets_used of each check
 
-    @functools.cached_property
-    def reference(self) -> RotationTriple:
-        return _todd_coxeter_triple(_enumerate_member(self.family, 1, self.cap))
+    def reference(self, cap: int) -> RotationTriple:
+        """G_1 within ``cap`` cosets.  A Felsch run defines cosets in the
+        same order at every cap and stops only when it would define one past
+        the cap, so it completes iff its definitions are within the cap."""
+        if self._reference is None:
+            table = _enumerate_member(self.family, 1, cap)
+            self._reference = _todd_coxeter_triple(table)
+            self.reference_cosets = table.definitions
+        elif cap < self.reference_cosets:
+            raise EnumerationIncomplete("enumerate", cap)
+        return self._reference
 
     @functools.cached_property
     def cover(self) -> _VoltageCover:
-        base = np.stack([p.images for p in self.reference.sigma]).astype(np.int64)
+        """G_1's voltage cover; ``reference`` must have been asked first."""
+        base = np.stack([p.images for p in self._reference.sigma]).astype(np.int64)
         return _VoltageCover(base, _voltages(self.family, base))
 
-    def prove_conjugation(self):
-        """The upper half of every cover certificate, proved once."""
-        if not self.proved:
-            if not all(c.verified for c in verify_conjugation_action(self.family, self.cap)):
-                raise EnumerationIncomplete("conjugation", self.cap)
-            self.proved = True
+    def prove_conjugation(self, cap: int):
+        """The upper half of every cover certificate.  A relation that a
+        rung proved is proved by that rung at every cap whose ladder has it
+        (``_ladder``), so the proof is read again only at a cap whose ladder
+        misses one of the rungs it used."""
+        ladder = _ladder(cap)
+        if not self.proof_rungs or not all(r in ladder for r in self.proof_rungs):
+            checks = verify_conjugation_action(self.family, cap)
+            if not all(c.verified for c in checks):
+                raise EnumerationIncomplete("conjugation", cap)
+            self.proof_rungs = frozenset(c.cosets_used for c in checks)
 
 
-_state = functools.cache(_FamilyState)  # one per family and cap
+_state = functools.cache(_FamilyState)  # one per family
 
 
 def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> int:
@@ -808,20 +886,25 @@ def certified_order(family: str, m: int, opts: VerifyOptions | None = None) -> i
       <x^m, y^m> normal in U with N/<x^m, y^m> abelian on two generators of
       order dividing m, so |G_m| <= |G_1| m^2.
 
-    A member pays only for its presentation and the lifts of its two seed
-    relators, read off their roots' periods (``_VoltageCover.lift``); the
-    rest is built once per family, or for both families, and kept.
+    A member pays only for its presentation, whose seed relators are held
+    as a root and an exponent, and a few integer reads per relator
+    (``_VoltageCover.holds``), whatever m is; the rest is built once per
+    family, or for both families, and kept.
 
     Raises EnumerationIncomplete when the m = 1 enumeration or the
     conjugation proof exceeds ``opts.max_cosets``, and VerificationError
     when the cover fails its certificate.
     """
-    opts = opts or VerifyOptions()
-    pres = family_presentation(family, m)
-    state = _state(family, opts.max_cosets)
+    return _certified_order(_state(family), family_presentation(family, m), m,
+                            (opts or VerifyOptions()).max_cosets)
+
+
+def _certified_order(state: _FamilyState, pres: Presentation, m: int, cap: int) -> int:
+    """``certified_order`` of the member that ``pres`` presents."""
+    ref = state.reference(cap)
     if m == 1:
-        return state.reference.group.order()
-    state.prove_conjugation()
+        return ref.group.order()
+    state.prove_conjugation(cap)
     return _certify_cover(pres, state.cover, m)
 
 
@@ -836,15 +919,15 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     them.  Raises as ``certified_order`` does.
     """
     opts = opts or VerifyOptions()
-    certified_order(family, m, opts)
-    state = _state(family, opts.max_cosets)
+    pres, state = family_presentation(family, m), _state(family)
+    _certified_order(state, pres, m, opts.max_cosets)
     if m == 1:
         # a group of its own, so that nothing a caller keeps on the member's
         # group is kept on the cached reference
-        ref = state.reference
+        ref = state.reference(opts.max_cosets)
         return RotationTriple(PermGroup.regular(ref.sigma), ref.sigma, ref.presentation)
     sigma = tuple(Permutation(img) for img in _cover_images(state.cover.base, state.cover.phi, m))
-    return RotationTriple(PermGroup.regular(sigma), sigma, family_presentation(family, m))
+    return RotationTriple(PermGroup.regular(sigma), sigma, pres)
 
 
 def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> list[int]:
@@ -881,9 +964,10 @@ def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> li
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    state = _state(family, (opts or VerifyOptions()).max_cosets)
+    cap, state = (opts or VerifyOptions()).max_cosets, _state(family)
+    state.reference(cap)
     if m >= 2:
-        state.prove_conjugation()
+        state.prove_conjugation(cap)
     return state.cover.derived.orders(m)
 
 
@@ -926,8 +1010,9 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     """
     opts = opts or VerifyOptions()
     timer = _Timer()
-    order = certified_order(family, m, opts)
-    cover = _state(family, opts.max_cosets).cover
+    pres, state = family_presentation(family, m), _state(family)
+    order = _certified_order(state, pres, m, opts.max_cosets)
+    cover = state.cover
     timer.lap("enumerate")
 
     spans = cover.canonical
@@ -945,7 +1030,6 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     solvable = dlength is not None
     timer.lap("solvability")
 
-    pres = family_presentation(family, m)
     verdict = mirror_verdict(pres.relators, lambda w: cover.holds(w, m),
                              lambda w: cover.word_order(w, m), mirror_witness_relator())
     timer.lap("mirror")
@@ -1034,6 +1118,19 @@ def _rung(cap: int) -> tuple[int, frozenset[Word]]:
     return got
 
 
+@functools.cache
+def _ladder(cap: int) -> tuple[int, ...]:
+    """The rungs of the conjugation proof up to ``cap``: 2000, 4000, ...
+    while below it, then ``cap`` itself."""
+    caps = []
+    c = min(2000, cap)
+    while True:
+        caps.append(c)
+        if c >= cap:
+            return tuple(caps)
+        c = min(c * 2, cap)
+
+
 def verify_conjugation_action(family: str, cap: int = 1_000_000) -> list[ConjugationCheck]:
     """Prove the conjugation relations by partial-enumeration traces.
 
@@ -1052,14 +1149,7 @@ def verify_conjugation_action(family: str, cap: int = 1_000_000) -> list[Conjuga
     status: dict[str, ConjugationCheck] = {
         label: ConjugationCheck(label, False, None) for label, _ in relations
     }
-    caps = []
-    c = min(2000, cap)
-    while True:
-        caps.append(c)
-        if c >= cap:
-            break
-        c = min(c * 2, cap)
-    for current in caps:
+    for current in _ladder(cap):
         pending = [(lbl, w) for lbl, w in relations if not status[lbl].verified]
         if not pending:
             break

@@ -196,17 +196,6 @@ def perm_commutator(p: Permutation, q: Permutation) -> Permutation:
 
 
 @functools.lru_cache(maxsize=4096)
-def _root(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The shortest u with ``letters`` = u^k, and k (u is the empty word and
-    k is 1 for the empty word).  Kept per letter tuple: the same relators
-    are asked for by every member of a family."""
-    n = len(letters)
-    r = next((r for r in range(1, n // 2 + 1)
-              if n % r == 0 and letters[:r] * (n // r) == letters), n)
-    return letters[:r], (n // r if n else 1)
-
-
-@functools.lru_cache(maxsize=4096)
 def _runs(letters: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The runs of a letter and its inverse in ``letters``, as (0-based
     generator index, exponent) pairs; kept per letter tuple."""
@@ -227,7 +216,7 @@ def evaluate(w: Word, images: Sequence[Permutation]) -> Permutation:
     for p in images:
         if p.degree != degree:
             raise ValueError("degree mismatch among images")
-    root, k = _root(w.letters)
+    root, k = w.as_power()
     inv_cache: dict[int, Permutation] = {}
     acc = Permutation.identity(degree)
     for x in root:
@@ -645,7 +634,7 @@ class PermGroup:
         """
         self._built()
         act = self._action
-        root, k = _root(w.letters)
+        root, k = w.as_power()
         steps = act.factors(root, images)
         x = 0
         for done in range(1, k + 1):
@@ -662,7 +651,7 @@ class PermGroup:
         for the shortest root u of w = u^k and divided by its gcd with k."""
         self._built()
         act = self._action
-        root, k = _root(w.letters)
+        root, k = w.as_power()
         steps = act.factors(root, images)
         x, length = act.follow(steps, 0), 1
         while x != 0:

@@ -5,6 +5,14 @@ Letters of a word are signed integers: ``+k`` is the generator with index
 coset-table tracing branch-free.  Words are value objects; ``*``, ``**`` and
 ``inverse`` act in the free group and always return freely reduced words
 when their operands are freely reduced.
+
+A power u^k of a cyclically reduced word, as ``**`` makes it, is held as
+its shortest root and exponent and spelt out only for a consumer that walks
+its letters (coset enumeration, printing).  So a family relator (w1)^(4m)
+costs O(len(w1)) to build, reduce and keep whatever m is, and the readers
+of words (``perms.PermGroup.word_id``, ``word_order``, ``evaluate``, the
+voltage cover of ``families``) take the root and exponent from
+``Word.as_power``, found once per word object.
 """
 
 from __future__ import annotations
@@ -40,68 +48,130 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Word:
-    """A word over free-group generators, stored as signed letters."""
+def _root(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The shortest u with ``letters`` = u^k, and k (u is the empty word and
+    k is 1 for the empty word)."""
+    n = len(letters)
+    r = next((r for r in range(1, n // 2 + 1)
+              if n % r == 0 and letters[:r] * (n // r) == letters), n)
+    return letters[:r], (n // r if n else 1)
 
-    __slots__ = ("letters",)
+
+class Word:
+    """A word over free-group generators, stored as signed letters.
+
+    A power u^k of a cyclically reduced word u, such as a family relator
+    (w1)^(4m), is held as its shortest root and exponent (``as_power``), so
+    that it costs O(len(u)) memory whatever k is.  Its letters are spelt out
+    only when asked for (``letters``, ``__iter__``); every other method,
+    ``==`` and ``hash`` included, gives what the spelt-out word gives.
+    """
+
+    __slots__ = ("_letters", "_base", "_exp")
 
     def __init__(self, letters: Iterable[int] = ()):
         letters = tuple(letters)
         for x in letters:
             if type(x) is not int or x == 0:
                 raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
-        self.letters = letters
+        self._letters = letters
+        self._base = None
+
+    @classmethod
+    def _power(cls, root: tuple[int, ...], k: int) -> "Word":
+        """u^k for a nonempty, cyclically reduced, primitive root u."""
+        w = object.__new__(cls)
+        w._letters, w._base, w._exp = None, root, k
+        return w
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        ls = self._letters
+        return ls if ls is not None else self._base * self._exp
+
+    def as_power(self) -> tuple[tuple[int, ...], int]:
+        """(u, k) for the shortest u with this word = u^k; for the empty
+        word, ((), 1).  Found once per word."""
+        if self._base is None:
+            self._base, self._exp = _root(self._letters)
+        return self._base, self._exp
 
     def __len__(self) -> int:
-        return len(self.letters)
+        if self._letters is None:
+            return len(self._base) * self._exp
+        return len(self._letters)
 
     def __iter__(self):
         return iter(self.letters)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        if not isinstance(other, Word):
+            return False
+        if self._letters is not None and other._letters is not None:
+            return self._letters == other._letters
+        return len(self) == len(other) and self.as_power() == other.as_power()
 
     def __hash__(self) -> int:
         return hash(self.letters)
 
     def __repr__(self) -> str:
-        return f"Word({self.letters!r})"
+        if self._letters is None:
+            return f"Word({self._base!r} * {self._exp})"
+        return f"Word({self._letters!r})"
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return self._letters is None or bool(self._letters)
 
     def is_reduced(self) -> bool:
-        ls = self.letters
+        if self._letters is None:
+            return True
+        ls = self._letters
         return all(ls[i] != -ls[i + 1] for i in range(len(ls) - 1))
 
     def free_reduce(self) -> "Word":
         """The unique freely reduced word equal to this one."""
         if self.is_reduced():
             return self
-        return Word(_reduce(self.letters))
+        return Word(_reduce(self._letters))
+
+    def _cyclically_reduced(self) -> bool:
+        ls = self._letters
+        return ls is None or (self.is_reduced() and (len(ls) < 2 or ls[0] != -ls[-1]))
 
     def cyclic_reduce(self) -> "Word":
         """Strip cancelling first/last letter pairs (input freely reduced)."""
+        if self._cyclically_reduced():
+            return self
         ls = list(self.free_reduce().letters)
         while len(ls) >= 2 and ls[0] == -ls[-1]:
             ls = ls[1:-1]
         return Word(ls)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
+        if self._letters is None:
+            return Word._power(tuple(-x for x in reversed(self._base)), self._exp)
+        return Word(tuple(-x for x in reversed(self._letters)))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(_reduce(self.letters + other.letters))
 
     def __pow__(self, n: int) -> "Word":
+        """The n-th power, freely reduced; held as a root and exponent
+        when this word is cyclically reduced and |n| >= 2."""
         if n == 0:
             return Word()
         base = self if n > 0 else self.inverse()
+        if abs(n) == 1:
+            return base.free_reduce()
+        if base and base._cyclically_reduced():
+            root, k = base.as_power()
+            return Word._power(root, k * abs(n))
         return Word(_reduce(base.letters * abs(n)))
 
     def max_index(self) -> int:
         """Largest 0-based generator index used, or -1 for the empty word."""
-        return max((abs(x) for x in self.letters), default=0) - 1
+        ls = self._letters if self._letters is not None else self._base
+        return max((abs(x) for x in ls), default=0) - 1
 
 
 def commutator(u: Word, v: Word) -> Word:

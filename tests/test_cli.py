@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chiral444 import cli
 from chiral444.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -298,3 +299,44 @@ def test_verify_parallel_geometry_cap_exit_one(capsys):
                            "--axioms")
     assert code == 1
     assert err == "group order 131072 exceeds the exhaustive cap 65536\n"
+
+
+def test_verify_logs_each_member_as_it_finishes(capsys, monkeypatch):
+    # P fails at odd m, so the range exits 3; each member's line is on
+    # stderr before the next member starts, and stdout comes at the end
+    verify, pieces = cli.verify_member, []
+
+    def spy(family, m, opts):
+        pieces.append(capsys.readouterr())
+        return verify(family, m, opts)
+
+    monkeypatch.setattr(cli, "verify_member", spy)
+    code = main(["verify", "--family", "P", "--m", "1..3"])
+    pieces.append(capsys.readouterr())
+    assert code == 3
+    assert [p.err for p in pieces] == ["", "[verify] P m=1 done\n", "[verify] P m=2 done\n",
+                                       "[verify] P m=3 done\n"]
+    assert [p.out for p in pieces[:3]] == ["", "", ""]
+    lines = pieces[3].out.splitlines()
+    assert [l.split(":")[0] for l in lines[:3]] == ["P m=1", "P m=2", "P m=3"]
+    assert [l.endswith("-> FAIL") for l in lines[:3]] == [True, False, True]
+    assert lines[3].startswith("aggregate: FAIL (3 members, ")
+
+
+def test_verify_cut_by_the_cap_logs_the_members_it_finished(capsys):
+    # 4000 cosets complete Q's m = 1 table but not the conjugation proof:
+    # m = 1 is logged, m = 2 exits 2, and stdout stays empty
+    code, out, err = run_cli(capsys, "verify", "--family", "Q", "--m", "1..3",
+                             "--max-cosets", "4000")
+    assert code == 2 and out == ""
+    assert err == ("[verify] Q m=1 done\n[conjugation] enumeration exhausted the cap "
+                   "of 4000 cosets; rerun with a larger cap to resume\n")
+
+
+def test_corollary_to_k_20(capsys):
+    # every 2^n from 2^10 to 2^51, each order read off a voltage cover
+    code, out, _ = run_cli(capsys, "corollary", "--k-max", "20")
+    assert code == 0
+    lines = out.splitlines()
+    assert [int(l.split(":")[0][2:]) for l in lines] == list(range(10, 52))
+    assert lines[-1] == f"n=51: family Q, m={2 ** 20}, order {2 ** 51} = 2^51"

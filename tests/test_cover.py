@@ -14,7 +14,7 @@ from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import (_CANONICAL, FAMILIES, EnumerationIncomplete,
                                 VerificationError, VerifyOptions,
                                 _certify_cover, _cover_images, _hnf,
-                                _in_lattice, _index_mod,
+                                _in_lattice, _index_mod, _rows,
                                 _intersection_condition, _normal_closure,
                                 _state, _todd_coxeter_triple, _voltages,
                                 _VoltageCover, derived_orders, expected_order,
@@ -24,7 +24,8 @@ from chiral444.families import (_CANONICAL, FAMILIES, EnumerationIncomplete,
                                 verify_member)
 from chiral444.perms import PermGroup, Permutation, evaluate
 from chiral444.words import Presentation, Word
-from chiral444.polytope import (chirality_verdict, intersection_condition,
+from chiral444.polytope import (_CANONICAL_RELATIONS, _mirror_image,
+                                chirality_verdict, intersection_condition,
                                 quotient_criterion, validate_rotation_triple)
 
 
@@ -34,7 +35,8 @@ def _base(family):
 
 def _cover(family):
     """The family's voltage cover, as the pipeline keeps it."""
-    return _state(family, VerifyOptions().max_cosets).cover
+    reference_triple(family)
+    return _state(family).cover
 
 
 def _invariants(t, ref):
@@ -402,8 +404,7 @@ def test_lattice_helpers_match_brute_force(gens):
 _MEETS = (((1,), (2, 3)), ((1, 2), (3,)), ((1, 2), (2, 3)))
 
 
-@pytest.mark.parametrize("family, m", [(f, m) for f in "PQ" for m in range(1, 9)]
-                         + [("Q", 16)])
+@pytest.mark.parametrize("family, m", [(f, m) for f in "PQ" for m in (*range(1, 9), 16)])
 def test_canonical_spans_match_the_member(family, m):
     # each span read at m against the orbit search of the same subgroup on
     # the member's action, and each meet against the two orbits' masks
@@ -512,3 +513,75 @@ def test_verify_member_builds_no_member(family, monkeypatch):
         got = verify_member(family, m, opts)
         got.timings_ms = want[m].timings_ms = {}
         assert got == want[m]
+
+
+# -- the per-root integer reads against the lifts and the member ---------------
+
+_MS = (*range(1, 9), 16, 2 ** 10)
+
+
+def _pipeline_words(family):
+    """Every word the pipeline asks the cover about: U's relators, the
+    canonical relations, the mirror witness and its image, and the seed
+    relators of every m in ``_MS``."""
+    witness = mirror_witness_relator()
+    return (list(presentation_U().relators) + [w for _, w in _CANONICAL_RELATIONS]
+            + [witness, _mirror_image(witness)]
+            + [w for m in _MS for w in subgroup_seed_words(family, m)])
+
+
+def _lifted_reads(cover, w, m):
+    """Whether ``w`` holds at m and its order there, read off its lift: every
+    walk closes with voltages 0 mod m; point 0's cycle under the end map of
+    length d picks up V, and (0, 0)'s cycle has length d m / gcd(m, V)."""
+    end, volt = cover.lift(w)
+    holds = bool(np.array_equal(end, np.arange(end.shape[0])) and not (volt % m).any())
+    c, v, d = int(end[0]), volt[0], 1
+    while c:
+        c, v, d = int(end[c]), v + volt[c], d + 1
+    return holds, d * m // math.gcd(m, *v.tolist())
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_integer_reads_match_the_lifts_and_the_member(family):
+    cover = _cover(family)
+    words = _pipeline_words(family)
+    verdicts = set()
+    for m in _MS:
+        t = member_triple(family, m) if m <= 16 else None
+        for w in words:
+            got = cover.holds(w, m), cover.word_order(w, m)
+            assert got == _lifted_reads(cover, w, m), (w, m)
+            if t is not None:
+                assert got == (t.group.word_id(w, t.sigma) == 0,
+                               t.group.word_order(w, t.sigma)), (w, m)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def _vectorised_meet(h, k, m):
+    """|H cap K| at m by testing every point of C_H cap C_K against the
+    Hermite normal form of L_H + L_K + mZ^2 (the count before the residue
+    classes)."""
+    both = np.flatnonzero(h.mask & k.mask)
+    a, b, d = _hnf(_rows(h.lattice) + _rows(k.lattice) + [(m, 0), (0, m)])
+    x, y = (h.pot[both] - k.pot[both]).T
+    hits = int(np.count_nonzero((x % a == 0) & ((y - x // a * b) % d == 0)))
+    return hits * m * m * a * d // (_index_mod(h.lattice, m) * _index_mod(k.lattice, m))
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_residue_meets_match_the_vectorised_count(family):
+    # the canonical pairs and U's derived terms, at every m up to 64: P at
+    # odd m, where the intersection condition fails, included
+    cover = _cover(family)
+    spans = cover.canonical
+    terms = ([spans[ix] for ix in _CANONICAL]
+             + [cover.derived.term(k) for k in range(4)])
+    fails = set()
+    for m in range(1, 65):
+        for h, k in itertools.permutations(terms, 2):
+            assert h.meet_order(k, m) == _vectorised_meet(h, k, m), m
+        if not _intersection_condition(spans, m):
+            fails.add(m % 2)
+    assert fails == ({1} if family == "P" else set())

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -253,3 +255,74 @@ def test_conjugation_relations_from_the_action_table(family):
     want = _HAND_WRITTEN[family](*(u.atom(n) for n in "abc"),
                                  *subgroup_seed_words(family))
     assert conjugation_relations(family) == want
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_family_presentation_equals_its_spelt_out_form(family):
+    # the seed relators are held as root and exponent; the presentation is
+    # the one whose relators are spelt out letter by letter
+    u = presentation_U()
+    for m in range(1, 9):
+        p = family_presentation(family, m)
+        flat = Presentation(u.names, [Word(r.letters) for r in p.relators])
+        assert p.relators == flat.relators and p == flat and hash(p) == hash(flat)
+        assert p.render() == flat.render()
+        for r, s in zip(p.relators, flat.relators):
+            assert p.word_str(r) == flat.word_str(s) and hash(r) == hash(s)
+        root = FAMILIES[family].roots[0].letters
+        assert p.relators[9].as_power() == (root, 4 * m)
+        assert p.relators[9]._letters is None
+
+
+def test_large_family_presentation_builds_in_small_memory():
+    presentation_U()
+    tracemalloc.start()
+    try:
+        p = family_presentation("Q", 2 ** 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak} bytes"
+    assert len(p.relators[10]) == 2 * 4 * 2 ** 20
+
+
+def test_family_state_is_shared_by_caps(monkeypatch):
+    # a fresh state per family: G_1 and the conjugation proof are built once
+    # and reused by a second cap; a cap below what they used raises exactly
+    # where a fresh run with that cap does
+    monkeypatch.setattr(families, "_state", functools.cache(families._FamilyState))
+    enumerate_member, prove = families._enumerate_member, families.verify_conjugation_action
+    runs, proofs = [], []
+    monkeypatch.setattr(families, "_enumerate_member",
+                        lambda f, m, cap: runs.append(cap) or enumerate_member(f, m, cap))
+    monkeypatch.setattr(families, "verify_conjugation_action",
+                        lambda f, cap: proofs.append(cap) or prove(f, cap))
+    want = verify_member("P", 2, VerifyOptions(axioms=False))
+    got = verify_member("P", 2, VerifyOptions(max_cosets=500_000, axioms=False))
+    got.timings_ms = want.timings_ms = {}
+    assert got == want and runs == [1_000_000] and proofs == [1_000_000]
+
+    state = families._state("P")
+    used = state.reference_cosets
+    assert 1024 <= used < 4000
+    assert enumerate_member("P", 1, used).is_complete  # a fresh run at the cap
+    with pytest.raises(families.EnumerationIncomplete):
+        enumerate_member("P", 1, used - 1)
+    assert verify_member("P", 1, VerifyOptions(max_cosets=used)).order == 1024
+    with pytest.raises(families.EnumerationIncomplete) as info:
+        verify_member("P", 1, VerifyOptions(max_cosets=used - 1))
+    assert info.value.stage == "enumerate" and info.value.cap == used - 1
+
+    # the proof used rungs up to 16000; 12000 and 8000 prove too little
+    assert max(state.proof_rungs) == 16000
+    for cap in (16000, 12000, 8000):
+        fresh = all(c.verified for c in prove("P", cap))
+        if fresh:
+            assert families.certified_order("P", 2, VerifyOptions(max_cosets=cap)) == 4096
+        else:
+            with pytest.raises(families.EnumerationIncomplete) as info:
+                families.certified_order("P", 2, VerifyOptions(max_cosets=cap))
+            assert info.value.stage == "conjugation" and info.value.cap == cap
+    # 16000's ladder has every rung the proof used, so it is not run again
+    assert proofs[:2] == [1_000_000, 12000] and 16000 not in proofs
+    assert runs == [1_000_000]

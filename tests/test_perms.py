@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import family_presentation, presentation_U
-from chiral444.perms import (PermGroup, Permutation, _root, _runs, evaluate,
+from chiral444.perms import (PermGroup, Permutation, _runs, evaluate,
                              extends_to_homomorphism, orbit, perm_commutator)
 from chiral444.rewrite import IntMatrix, smith_normal_form
-from chiral444.words import Presentation, Word, parse_presentation
+from chiral444.words import Presentation, Word, _root, parse_presentation
 
 
 def closure(gens):

@@ -171,3 +171,34 @@ def test_render_round_trip_random(relator_letters):
 def test_word_str_syllables():
     assert word_str(Word((1, 1, 1, -2)), ["a", "b"]) == "a^3*b^-1"
     assert word_str(Word(()), ["a"]) == "a^0"
+
+
+@given(words, st.integers(min_value=-6, max_value=6))
+def test_power_words_act_as_their_letters(w, n):
+    # a power of a cyclically reduced word is held as a root and exponent;
+    # every method gives what the spelt-out word gives
+    u = w.cyclic_reduce()
+    p = u ** n
+    flat = Word(p.letters)
+    assert p == flat and flat == p and hash(p) == hash(flat)
+    assert len(p) == len(flat) and bool(p) == bool(flat) and list(p) == list(flat)
+    assert p.as_power() == flat.as_power() == Word(p.letters).as_power()
+    assert p.is_reduced() and p.free_reduce() == flat and p.cyclic_reduce() == flat
+    assert p.inverse() == flat.inverse() and p.max_index() == flat.max_index()
+    assert p * u == flat * u and u * p == u * flat
+    assert (p ** 3) == Word(flat.letters * 3).free_reduce()
+    if flat:
+        assert word_str(p, "abcd") == word_str(flat, "abcd")
+    if abs(n) >= 2 and u:
+        root, k = u.as_power()
+        assert p.as_power() == ((root if n > 0 else Word(root).inverse().letters), k * abs(n))
+
+
+def test_large_power_is_not_spelt_out():
+    u = Word((1, -3))
+    p = u ** (4 * 2 ** 20)
+    assert p._letters is None and len(p) == 2 ** 23
+    assert p.as_power() == ((1, -3), 2 ** 22)
+    assert p.inverse().as_power() == ((3, -1), 2 ** 22)
+    assert p == Word((3, -1)) ** -(2 ** 22) and p != u ** (4 * 2 ** 20 - 1)
+    assert Presentation(["a", "b", "c"], [p]).relators[0] is p
