@@ -8,11 +8,11 @@ when their operands are freely reduced.
 
 A power u^k of a cyclically reduced word, as ``**`` makes it, is held as
 its shortest root and exponent and spelt out only for a consumer that walks
-its letters (coset enumeration, printing).  So a family relator (w1)^(4m)
-costs O(len(w1)) to build, reduce and keep whatever m is, and the readers
+its letters (coset enumeration).  So a family relator (w1)^(4m) costs
+O(len(w1)) to build, reduce, hash and keep whatever m is, and the readers
 of words (``perms.PermGroup.word_id``, ``word_order``, ``evaluate``, the
-voltage cover of ``families``) take the root and exponent from
-``Word.as_power``, found once per word object.
+voltage cover of ``families``, ``hash`` and ``word_str``) take the root and
+exponent from ``Word.as_power``, found once per word object.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class Word:
         return len(self) == len(other) and self.as_power() == other.as_power()
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self.as_power())
 
     def __repr__(self) -> str:
         if self._letters is None:
@@ -294,24 +294,51 @@ class Presentation:
         return "\n".join(lines) + "\n"
 
 
+def _syllable(x: int, run: int, names: Sequence[str]) -> str:
+    """A run of ``run`` letters x as ``name`` or ``name^e``."""
+    name = names[abs(x) - 1]
+    e = run if x > 0 else -run
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _syllables(letters: tuple[int, ...], names: Sequence[str]) -> list[str]:
+    """Each maximal run of one letter, rendered."""
+    parts, i, n = [], 0, len(letters)
+    while i < n:
+        j = i + 1
+        while j < n and letters[j] == letters[i]:
+            j += 1
+        parts.append(_syllable(letters[i], j - i, names))
+        i = j
+    return parts
+
+
 def word_str(w: Word, names: Sequence[str]) -> str:
-    """Render a word in the file-format expression syntax."""
-    if not w.letters:
+    """Render a word in the file-format expression syntax: its syllables
+    (maximal runs of one letter) as ``name`` or ``name^e``, joined by ``*``.
+
+    A power u^k held as its root is rendered without spelling out its
+    letters: u's rendering k times over, where the syllable that ends one
+    copy of u and the one that starts the next merge if they are runs of
+    the same letter.
+    """
+    if not w:
         if not names:
             raise ValueError("cannot render the empty word without generators")
         return f"{names[0]}^0"
-    parts = []
-    i = 0
-    ls = w.letters
-    while i < len(ls):
-        j = i
-        while j < len(ls) and ls[j] == ls[i]:
-            j += 1
-        name = names[abs(ls[i]) - 1]
-        e = (j - i) if ls[i] > 0 else -(j - i)
-        parts.append(name if e == 1 else f"{name}^{e}")
-        i = j
-    return "*".join(parts)
+    if w._letters is not None:
+        return "*".join(_syllables(w._letters, names))
+    root, k = w.as_power()
+    parts = _syllables(root, names)
+    x = root[0]
+    if len(parts) == 1:  # a primitive root of one syllable is one letter
+        return _syllable(x, k, names)
+    if x != root[-1]:
+        return "*".join(["*".join(parts)] * k)
+    head = next(i for i, y in enumerate(root) if y != x)
+    tail = next(i for i, y in enumerate(reversed(root)) if y != x)
+    seam = "*".join(parts[1:-1] + [_syllable(x, head + tail, names)])
+    return "*".join(parts[:1] + [seam] * (k - 1) + parts[1:])
 
 
 class _Token(NamedTuple):

@@ -1,8 +1,10 @@
 """The Z_m^2 voltage cover against Todd-Coxeter, and its certificate."""
 
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,61 @@ def test_voltages_determine_every_edge(family):
                 pt = int(np.flatnonzero(base[g] == pt)[0])
                 total -= phi[g, pt]
         assert pt == 0 and tuple(total) == target
+
+
+# SHA-256 of each family's voltage table as little-endian int64, (g, c, axis)
+# in C order: the deduction may change, its solution may not
+_PHI_SHA256 = {
+    "P": "5e9a61e0375456143d3f18921e3a5384ad2bb55e027792c3f4f2c2d3f678163c",
+    "Q": "0b21db899ea28d3049efcd58d0f42cce6c6055857be7b5115cf88e930ab27c71",
+}
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_voltage_tables_are_pinned(family):
+    phi = _voltages(family, _base(family))
+    digest = hashlib.sha256(np.ascontiguousarray(phi, dtype="<i8").tobytes()).hexdigest()
+    assert digest == _PHI_SHA256[family]
+
+
+def test_voltages_peak_memory():
+    # family Q's table is solved in a compact working set: flat arrays of
+    # about 9 bytes a term, with no Python object per term or cycle
+    base = _base("Q")
+    _voltages("Q", base)  # one-time imports are not the solve's working set
+    tracemalloc.start()
+    try:
+        _voltages("Q", base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+_ONE_POINT = np.zeros((3, 1), dtype=np.int64)  # the trivial group: every edge a loop
+
+
+@pytest.mark.parametrize("base, relators, seeds, match", [
+    # a^4 does not close on Z_3 (a = b = c the 3-cycle)
+    (np.stack([np.roll(np.arange(3), -1)] * 3), None, None, "not trivial in the m = 1 group"),
+    # x = a^2 alone fixes a, at voltage (1, 0) / 2
+    (_ONE_POINT, [], ("a^2", "b"), "no integral solution"),
+    # no cycle crosses c
+    (_ONE_POINT, [], ("a", "b"), "1 of 3 edge voltages are not determined"),
+    # the relator a and x = a ask a for 0 and for (1, 0)
+    (_ONE_POINT, ["a", "c"], ("a", "b"), "does not sum to its voltage"),
+])
+def test_voltages_raise_on_each_failure(monkeypatch, base, relators, seeds, match):
+    u = presentation_U()
+    if relators is not None:
+        pres = Presentation(u.names, [u.parse_word(r) for r in relators])
+        monkeypatch.setattr(families, "presentation_U", lambda: pres)
+    if seeds is not None:
+        words = tuple(u.parse_word(w) for w in seeds)
+        monkeypatch.setattr(families, "subgroup_seed_words", lambda family, m=1: words)
+    with pytest.raises(VerificationError, match=match) as err:
+        _voltages("P", base)
+    assert err.value.stage == "voltages"
 
 
 def test_corrupted_voltage_fails_the_certificate():

@@ -1,5 +1,10 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
+
+from chiral444.families import family_presentation
 
 from chiral444.words import (ParseError, Presentation, PresentationError, Word,
                              commutator, parse_presentation, substitute,
@@ -171,6 +176,43 @@ def test_render_round_trip_random(relator_letters):
 def test_word_str_syllables():
     assert word_str(Word((1, 1, 1, -2)), ["a", "b"]) == "a^3*b^-1"
     assert word_str(Word(()), ["a"]) == "a^0"
+    # a power merges the syllables across each seam of its root
+    assert word_str(Word((1, 2, 1)) ** 3, "ab") == "a*b*a^2*b*a^2*b*a"
+    assert word_str(Word((-1, 2, -1)) ** -2, "ab") == "a*b^-1*a^2*b^-1*a"
+    assert word_str(Word((-2,)) ** 5, "ab") == "b^-5"
+
+
+def _spelt_str(letters, names):
+    """The letter-by-letter rendering of a spelt-out word."""
+    return "*".join(names[abs(x) - 1] if x > 0 and len(run) == 1
+                    else f"{names[abs(x) - 1]}^{len(run) if x > 0 else -len(run)}"
+                    for x, run in ((x, list(g)) for x, g in itertools.groupby(letters)))
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_family_relators_hash_and_render_as_spelt_out(family, m):
+    pres = family_presentation(family, m)
+    for r in pres.relators:
+        flat = Word(r.letters)
+        assert hash(r) == hash(flat) and flat in {r}
+        assert pres.word_str(r) == pres.word_str(flat) == _spelt_str(r.letters, pres.names)
+
+
+def test_large_power_hashes_and_renders_from_its_root():
+    # u^k is hashed through (u, k), so the seed relators of Q at m = 2^20
+    # are not spelt out (2^23 letters, a 64 MiB tuple); it is rendered by
+    # repeating u's rendering
+    p = family_presentation("Q", 2 ** 20)
+    tracemalloc.start()
+    try:
+        hash(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    w = Word((2, -3)) ** 2 ** 16
+    assert w._letters is None and word_str(w, "abc") == "*".join(["b*c^-1"] * 2 ** 16)
 
 
 @given(words, st.integers(min_value=-6, max_value=6))
