@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .coset import EnumerationConfig, enumerate_cosets
+from .coset import DEFAULT_MAX_COSETS, EnumerationConfig, enumerate_cosets
 from .families import (FAMILIES, EnumerationIncomplete, MemberReport,
                        VerifyOptions, certified_order, corollary_orders,
                        member_triple, verify_conjugation_action, verify_member)
@@ -65,6 +65,10 @@ _CAP_HELP = ("coset cap for the m = 1 enumeration and for the one-time proof of 
              "(about 16,000 cosets for P and 32,000 for Q); exit 2 when exhausted")
 
 
+def _add_max_cosets(parser: argparse.ArgumentParser, help: str | None = None):
+    parser.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS, help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chiral444",
@@ -78,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("file", help="presentation file path")
     p_enum.add_argument("--subgroup", default="", help="comma-separated subgroup generator words")
     p_enum.add_argument("--strategy", choices=["hlt", "felsch"], default="hlt")
-    p_enum.add_argument("--max-cosets", type=int, default=1_000_000)
+    _add_max_cosets(p_enum)
     p_enum.add_argument("--require-complete", action="store_true",
                         help="exit 2 when the enumeration does not complete")
     p_enum.add_argument("--dump", action="store_true",
@@ -87,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify family members end to end, one at a time")
     p_verify.add_argument("--family", choices=list(FAMILIES), required=True)
     p_verify.add_argument("--m", default="1", help="range like 1..4, or a comma list")
-    p_verify.add_argument("--max-cosets", type=int, default=1_000_000,
-                          help=_CAP_HELP)
+    _add_max_cosets(p_verify, _CAP_HELP)
     p_verify.add_argument("--axioms", action="store_true",
                           help="run the axiom suite for every member (default: m = 1 only)")
     p_verify.add_argument("--json", metavar="PATH", help="write the JSON report here")
@@ -96,24 +99,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = sub.add_parser("conjugation",
                             help="prove the conjugation relations by partial enumeration")
     p_conj.add_argument("--family", choices=list(FAMILIES), required=True)
-    p_conj.add_argument("--max-cosets", type=int, default=1_000_000)
+    _add_max_cosets(p_conj)
 
     p_poly = sub.add_parser("polytope", help="build one member's geometry and verify the axioms")
     p_poly.add_argument("--family", choices=list(FAMILIES), required=True)
     p_poly.add_argument("--m", type=int, default=1)
-    p_poly.add_argument("--max-cosets", type=int, default=1_000_000, help=_CAP_HELP)
+    _add_max_cosets(p_poly, _CAP_HELP)
     p_poly.add_argument("--dump-geometry", metavar="PATH", help="write the face-incidence dump here")
 
     p_cor = sub.add_parser("corollary", help="verify the 2-power orders 2^(10+2k), 2^(11+2k)")
     p_cor.add_argument("--k-max", type=int, default=5,
                        help="largest k; the default 5 reaches orders 2^20 and 2^21")
-    p_cor.add_argument("--max-cosets", type=int, default=1_000_000, help=_CAP_HELP)
+    _add_max_cosets(p_cor, _CAP_HELP)
     return parser
 
 
 def cmd_enumerate(args) -> int:
     try:
-        text = open(args.file, encoding="utf-8").read()
+        with open(args.file, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         _log(f"cannot read {args.file}: {exc}")
         return EXIT_INPUT

@@ -42,10 +42,14 @@ class _CapHit(Exception):
     pass
 
 
+# the coset cap of every enumeration, proof and command that is given none
+DEFAULT_MAX_COSETS = 1_000_000
+
+
 @dataclass(frozen=True)
 class EnumerationConfig:
     strategy: Strategy = "hlt"
-    max_cosets: int = 1_000_000
+    max_cosets: int = DEFAULT_MAX_COSETS
 
     def __post_init__(self):
         if self.max_cosets < 1:

@@ -80,8 +80,9 @@ from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .coset import CosetTable, EnumerationConfig, enumerate_cosets
-from .perms import PermGroup, Permutation
+from .coset import (DEFAULT_MAX_COSETS, CosetTable, EnumerationConfig,
+                    enumerate_cosets)
+from .perms import PermGroup, Permutation, _spanning_tree, orbit
 from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
                        canonical_type, check_element_cap, mirror_verdict,
                        verify_axioms)
@@ -204,7 +205,7 @@ class VerifyOptions:
     strategy: ClassVar[str] = "felsch"
     intersection_cap: ClassVar[int] = 10_000
 
-    max_cosets: int = 1_000_000
+    max_cosets: int = DEFAULT_MAX_COSETS
     axioms: bool | None = None
 
 
@@ -346,8 +347,9 @@ def _voltages(family: str, base: np.ndarray) -> np.ndarray:
     """Voltage phi[g, c] in Z^2 of each edge c -> c.g of the m = 1 group.
 
     phi[g, c] is the (x, y)-coordinate in N = <x, y> = Z^2 of t_c g t_{c.g}^-1,
-    where the transversal words t_c follow a BFS spanning tree from point 0,
-    so tree edges carry 0.  Each relator of U spells a closed walk from every
+    where the transversal words t_c follow the queue-BFS spanning tree from
+    point 0 that ``perms.orbit`` and ``perms._spanning_tree`` give, so tree
+    edges carry 0.  Each relator of U spells a closed walk from every
     point whose voltages sum to 0; the walks of x and y from point 0 sum to
     (1, 0) and (0, 1).  Each walk is one cycle, an equation over the edges
     it crosses on balance.
@@ -372,17 +374,9 @@ def _voltages(family: str, base: np.ndarray) -> np.ndarray:
     for g in range(ngens):
         inv[g, base[g]] = np.arange(n)
     known = np.zeros(nedges, dtype=bool)
-    table = memoryview(base)
-    seen = [False] * n
-    seen[0] = True
-    tree = [0]
-    for c in tree:
-        for g in range(ngens):
-            t = table[g, c]
-            if not seen[t]:
-                seen[t] = True
-                known[g * n + c] = True
-                tree.append(t)
+    orb = orbit(list(base), n)
+    parent, via = _spanning_tree(orb, base)
+    known[via[1:] * n + orb.order[parent[1:]]] = True  # the tree edges
 
     every, origin = np.arange(n), np.zeros(1, dtype=np.intp)
     words = [(r, (0, 0), every) for r in presentation_U().relators]
@@ -825,17 +819,17 @@ class _DerivedSeries:
 
 class _FamilyState:
     """What a process keeps of a family, each built when first asked and
-    shared by every coset cap: the m = 1 member, its voltage cover, the
-    conjugation proof.  It records the cosets that G_1's enumeration and the
-    proof used, so that a smaller cap raises EnumerationIncomplete exactly
-    where a fresh run with that cap would."""
+    shared by every coset cap: the m = 1 member and its voltage cover.  It
+    records the cosets that G_1's enumeration used and the caps whose
+    conjugation proof passed, so that a smaller cap raises
+    EnumerationIncomplete exactly where a fresh run with that cap would."""
 
     def __init__(self, family: str):
         _family(family)  # an unknown family raises, and is not kept
         self.family = family
         self._reference: RotationTriple | None = None
         self.reference_cosets = 0  # the Felsch run's definitions
-        self.proof_rungs: frozenset[int] = frozenset()  # cosets_used of each check
+        self.proved: set[int] = set()  # the caps whose conjugation proof passed
 
     def reference(self, cap: int) -> RotationTriple:
         """G_1 within ``cap`` cosets.  A Felsch run defines cosets in the
@@ -856,16 +850,15 @@ class _FamilyState:
         return _VoltageCover(base, _voltages(self.family, base))
 
     def prove_conjugation(self, cap: int):
-        """The upper half of every cover certificate.  A relation that a
-        rung proved is proved by that rung at every cap whose ladder has it
-        (``_ladder``), so the proof is read again only at a cap whose ladder
-        misses one of the rungs it used."""
-        ladder = _ladder(cap)
-        if not self.proof_rungs or not all(r in ladder for r in self.proof_rungs):
-            checks = verify_conjugation_action(self.family, cap)
-            if not all(c.verified for c in checks):
+        """The upper half of every cover certificate, proved within ``cap``.
+        The proof at a cap is a function of the cap alone, so a cap whose
+        proof passed is not read again; any other cap reruns it on the rungs
+        the process has enumerated (``_rung``), which gives the verdict of a
+        fresh run."""
+        if cap not in self.proved:
+            if not all(c.verified for c in verify_conjugation_action(self.family, cap)):
                 raise EnumerationIncomplete("conjugation", cap)
-            self.proof_rungs = frozenset(c.cosets_used for c in checks)
+            self.proved.add(cap)
 
 
 _state = functools.cache(_FamilyState)  # one per family
@@ -1133,23 +1126,16 @@ def conjugation_relations(family: str) -> list[tuple[str, Word]]:
     return out
 
 
-# U's partial coset tables depend on the cap alone, so each rung of the cap
-# ladder is enumerated once per process, for both families: cap ->
-# (definitions, the conjugation words of every family its trace proves)
-_rungs: dict[int, tuple[int, frozenset[Word]]] = {}
-
-
-def _rung(cap: int) -> tuple[int, frozenset[Word]]:
-    got = _rungs.get(cap)
-    if got is None:
-        table = enumerate_cosets(presentation_U(), [], EnumerationConfig(max_cosets=cap))
-        words = {w for f in FAMILIES for _, w in conjugation_relations(f)}
-        got = table.definitions, frozenset(w for w in words if table.trace(1, w) == 1)
-        _rungs[cap] = got
-    return got
-
-
 @functools.cache
+def _rung(cap: int) -> tuple[int, frozenset[Word]]:
+    """U's partial coset table at ``cap``, which depends on the cap alone, as
+    its definitions and the conjugation words of every family its trace
+    proves; enumerated once per process, for both families."""
+    table = enumerate_cosets(presentation_U(), [], EnumerationConfig(max_cosets=cap))
+    words = {w for f in FAMILIES for _, w in conjugation_relations(f)}
+    return table.definitions, frozenset(w for w in words if table.trace(1, w) == 1)
+
+
 def _ladder(cap: int) -> tuple[int, ...]:
     """The rungs of the conjugation proof up to ``cap``: 2000, 4000, ...
     while below it, then ``cap`` itself."""
@@ -1162,7 +1148,8 @@ def _ladder(cap: int) -> tuple[int, ...]:
         c = min(c * 2, cap)
 
 
-def verify_conjugation_action(family: str, cap: int = 1_000_000) -> list[ConjugationCheck]:
+def verify_conjugation_action(family: str,
+                              cap: int = DEFAULT_MAX_COSETS) -> list[ConjugationCheck]:
     """Prove the conjugation relations by partial-enumeration traces.
 
     Caps escalate geometrically from 2000 up to ``cap``; a relation is
@@ -1173,8 +1160,8 @@ def verify_conjugation_action(family: str, cap: int = 1_000_000) -> list[Conjuga
     Each rung is U's partial table at its cap, the same for both families:
     the first call to reach a rung enumerates it, traces the relations of
     every family on it and keeps only those verdicts and its definition
-    count (``_rung``), so a later call, for either family, builds no rung
-    again.
+    count (``_rung``), so a later call, for either family and any cap,
+    reads the verdicts again without building a rung twice.
     """
     relations = conjugation_relations(family)
     status: dict[str, ConjugationCheck] = {

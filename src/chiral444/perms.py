@@ -11,9 +11,9 @@ its generators: in a regular action the orbit of a point is in bijection
 with the group, so order and membership are orbit bookkeeping, and no
 stabilizer chain is built.  A group given as regular (every family member)
 has its points as ids: id k sends point 0 to point k.  ``orbit`` is the one
-search behind every orbit: a BFS, or under a single map the cycle through
-point 0.  An orbit is its ids, in the order the search reaches them, and a
-mask; the BFS tree that spells elements is built only when asked for.
+search behind every orbit, a queue BFS.  An orbit is its ids, in the order
+the search reaches them, and a mask; the BFS tree that spells elements is
+built only when asked for.
 
 Once the action is built, a word whose images are elements of the group is
 decided on id 0: followed through the action letter by letter, it is the
@@ -248,10 +248,6 @@ def extends_to_homomorphism(pres: Presentation, images: Sequence[Permutation]) -
 # the most entries (elements x degree) that closing a group up explicitly may hold
 _CLOSURE_CAP = 2 ** 20
 
-# the longest cycle walked a point at a time: by ``orbit`` for a single map,
-# and to invert a letter by stepping forward along its cycles
-_WALK = 64
-
 _UNSET = object()  # a cached value not computed yet
 _FAR = np.iinfo(np.int64).max  # beyond every position in a BFS layer
 
@@ -278,40 +274,10 @@ def _whole(n: int) -> Orbit:
 
 
 def orbit(maps: Sequence[np.ndarray], n: int) -> Orbit:
-    """The orbit of point 0 under the image arrays ``maps`` on 0..n-1.
-
-    Points come in the order of a queue BFS: by the position of the point
-    they are reached from, then by map index (``_bfs``).  Under one map the
-    orbit is the cycle through point 0, which a BFS would reach one point
-    per layer; it is followed a point at a time for up to 64 steps, and past
-    that by pointer doubling: with the first L points of the cycle known and
-    q = map^L, the next L are q of them, and q^2 is q[q].  That is about
-    log2 of the cycle's length numpy passes over the n points.
-    """
-    if len(maps) != 1:
-        return _bfs(_trivial_orbit(n), maps, 0)
-    step = maps[0]
-    pts = [0]
-    while len(pts) <= _WALK:
-        x = int(step[pts[-1]])
-        if x == 0:
-            break
-        pts.append(x)
-    if x == 0:
-        cyc = np.array(pts, dtype=np.int32)
-    else:
-        cyc = np.zeros(1, dtype=np.int32)
-        while True:
-            nxt = step[cyc]
-            back = np.flatnonzero(nxt == 0)
-            if back.size:
-                cyc = np.concatenate([cyc, nxt[:back[0]]]).astype(np.int32)
-                break
-            cyc = np.concatenate([cyc, nxt])
-            step = step[step]
-    mask = np.zeros(n, dtype=bool)
-    mask[cyc] = True
-    return Orbit(cyc, mask)
+    """The orbit of point 0 under the image arrays ``maps`` on 0..n-1, in
+    the order of a queue BFS: by the position of the point they are reached
+    from, then by map index (``_bfs``)."""
+    return _bfs(_trivial_orbit(n), maps, 0)
 
 
 def _bfs(orb: Orbit, maps: Sequence, first: int) -> Orbit:
@@ -373,15 +339,6 @@ def _spanning_tree(orb: Orbit, maps: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return first // k, first % k
 
 
-def _cycle_length(img: np.ndarray) -> int | None:
-    """The length of point 0's cycle under ``img`` when it closes within 64
-    steps, else None."""
-    x, length = int(img[0]), 1
-    while x != 0 and length < _WALK:
-        x, length = int(img[x]), length + 1
-    return length if x == 0 else None
-
-
 class _RegularAction:
     """A group's right-regular action on its ids 0..n-1, one per element:
     right multiplication by element k takes id 0, the identity, to id k.
@@ -397,10 +354,10 @@ class _RegularAction:
                  index: dict[bytes, int] | None = None):
         self.n = n
         self.rows, self.index = rows, index
-        # per letter of the images ``factors`` was last given: its map and
-        # the map's order (or None), and the inverse map once formed
+        # per letter of the images ``factors`` was last given: its map, and
+        # the inverse map once formed
         self._images: Sequence[Permutation] | None = None
-        self._letters: dict[int, tuple[np.ndarray, int | None]] = {}
+        self._letters: dict[int, np.ndarray] = {}
         self._inverses: dict[int, np.ndarray] = {}
 
     def map(self, p: Permutation) -> np.ndarray:
@@ -421,13 +378,10 @@ class _RegularAction:
         """The word ``letters`` in ``images``, elements of the group, as
         (image array, times) steps, one per run of a letter and its inverse.
 
-        When id 0's cycle under a letter's map closes after L <= 64
-        steps, L is the letter's order (every cycle of an element of a
-        regular group is as long as its order), so the run's exponent is
-        taken mod L and an inverse letter is L - 1 steps forward.  Otherwise
-        a negative run applies the inverse map, the array inverse of the
-        letter's.  Both are kept for the next call on the same ``images``
-        object, such as a group's generators.
+        A positive run applies the letter's map, and a negative run its
+        inverse map, the array inverse of the letter's.  Both are kept for
+        the next call on the same ``images`` object, such as a group's
+        generators.
         """
         if self._images is not images:
             self._images, self._letters, self._inverses = images, {}, {}
@@ -437,11 +391,8 @@ class _RegularAction:
                 raise ValueError(f"word uses generator index {i} with only "
                                  f"{len(images)} images")
             if i not in self._letters:
-                mp = self.map(images[i])
-                self._letters[i] = (mp, _cycle_length(mp))
-            mp, order = self._letters[i]
-            if order:
-                e %= order
+                self._letters[i] = self.map(images[i])
+            mp = self._letters[i]
             if e > 0:
                 steps.append((mp, e))
             elif e < 0:
@@ -585,9 +536,6 @@ class PermGroup:
 
     def order(self) -> int:
         return int(self._built().order.shape[0])
-
-    def is_trivial(self) -> bool:
-        return not self.generators
 
     def is_transitive(self) -> bool:
         """Whether the generators act transitively on the points."""

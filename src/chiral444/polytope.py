@@ -44,8 +44,7 @@ count, and it decides strong flag-connectivity (P3) for the four section
 classes whose flags are whole flags, (0,3), (-1,3), (0,4) and (-1,4): the
 flags are grouped once per rank by their other three faces, and each
 class's components are labelled by min-label propagation over the groupings
-of its middle ranks, warm-started from the components of a class with fewer
-middle ranks.
+of its middle ranks.
 """
 
 from __future__ import annotations
@@ -398,17 +397,14 @@ def stabilizer_generators(sigma: Sequence[Permutation]) -> list[list[Permutation
     return [[s2, s3], [s1 * s2, s3], [s1, s2 * s3], [s1, s2]]
 
 
-def _min_labels(n: int, relax, start: np.ndarray | None = None) -> np.ndarray:
+def _min_labels(n: int, relax) -> np.ndarray:
     """The smallest index in each connected component of a graph on 0..n-1.
 
     ``relax(lab)`` lowers each index's label to the smallest label among its
     neighbours.  Labels only ever name an index of the same component that is
-    no larger, so ``lab[lab]`` is a valid label too (pointer jumping).  The
-    labels start from ``start`` when given, which must keep that rule: the
-    component labels of a finer partition, such as the graph on fewer of
-    the same edges, do.
+    no larger, so ``lab[lab]`` is a valid label too (pointer jumping).
     """
-    lab = np.arange(n, dtype=np.int64) if start is None else start
+    lab = np.arange(n, dtype=np.int64)
     while True:
         new = relax(lab)
         jumped = new[new]
@@ -585,7 +581,7 @@ def _runs(table: np.ndarray) -> tuple[np.ndarray, int]:
     return np.cumsum(new) - 1, int(np.count_nonzero(new))
 
 
-def _components(n: int, axes, start: np.ndarray | None = None) -> np.ndarray:
+def _components(n: int, axes) -> np.ndarray:
     """Component labels (``_min_labels``) of the chains under the groupings
     ``axes``."""
 
@@ -596,7 +592,7 @@ def _components(n: int, axes, start: np.ndarray | None = None) -> np.ndarray:
             lab = low[gid]
         return lab
 
-    return _min_labels(n, relax, start)
+    return _min_labels(n, relax)
 
 
 def _one_per_section(geom: CosetGeometry, table: np.ndarray, ranks: Sequence[int],
@@ -639,23 +635,16 @@ def _connected_classes(geom: CosetGeometry, vep: np.ndarray, flags: np.ndarray):
     flags (f0, f1, f2, f3), grouped once by the faces off each rank (off
     rank 3 by ``_runs``: ``_extend`` emits the flags of each
     vertex-edge-polygon chain as one run); each class's components are
-    found over the groupings of its middle ranks.  (-1,3) and (0,4) start
-    from the components of (0,3), and (-1,4) from the least of their two
-    labels, each the label of a finer partition of the class's flag graph.
+    found over the groupings of its middle ranks.
     """
     yield (-1, 2), _sections_connected(geom, -1, 2, vep)
     yield (1, 4), _sections_connected(geom, 1, 4)
     n = flags.shape[0]
     ranks = (0, 1, 2, 3)
     axes = _flag_graph(flags, ranks, geom.nfaces, (0, 1, 2)) + [_runs(flags)]
-    lab03 = _components(n, axes[1:3])
-    yield (0, 3), _one_per_section(geom, flags, ranks, lab03, 0, 3)
-    lab13 = _components(n, axes[:3], lab03)
-    yield (-1, 3), _one_per_section(geom, flags, ranks, lab13, -1, 3)
-    lab04 = _components(n, axes[1:], lab03)
-    yield (0, 4), _one_per_section(geom, flags, ranks, lab04, 0, 4)
-    lab14 = _components(n, axes, np.minimum(lab13, lab04))
-    yield (-1, 4), _one_per_section(geom, flags, ranks, lab14, -1, 4)
+    for (i, j), middle in (((0, 3), axes[1:3]), ((-1, 3), axes[:3]),
+                           ((0, 4), axes[1:]), ((-1, 4), axes)):
+        yield (i, j), _one_per_section(geom, flags, ranks, _components(n, middle), i, j)
 
 
 def verify_axioms(geom: CosetGeometry) -> AxiomReport:
@@ -668,9 +657,8 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
     (-1,2) sections; extended by rank 3 it is the table of flags, the
     maximal chains through all ranks.  Its length is the flag count, and it
     serves P3 for the four section classes between a face of rank -1 or 0
-    and one of rank 3 or 4 (``_connected_classes``): (-1,3) and (0,4) start
-    their component labels from those of (0,3), and (-1,4) from the least
-    of theirs.  Neither table outlives the call.
+    and one of rank 3 or 4 (``_connected_classes``).  Neither table
+    outlives the call.
     """
     p1_ok = all(c > 0 for c in geom.face_counts())  # formal faces exist by construction
 

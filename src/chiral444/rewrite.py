@@ -488,9 +488,6 @@ class _TietzeState:
                     out.append(x)
             self._insert(out)
 
-    def gen_occurrences(self, g: int) -> int:
-        return sum(sum(1 for x in self.rels[rid] if abs(x) - 1 == g) for rid in self.occ[g])
-
 
 def _tietze_core(ngens: int, relators: Sequence[Word], budget: int) -> _TietzeState:
     st = _TietzeState(ngens, relators)

@@ -80,6 +80,16 @@ def test_enumerate_missing_file_exit_one(capsys):
     assert code == 1
 
 
+def test_enumerate_closes_its_file():
+    # in a child process in development mode, where an unclosed file is
+    # reported when it is collected, and raised as an error here
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-m", "chiral444", "enumerate", str(DATA / "G1.pres")],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0 and "index 1024" in proc.stdout
+    assert "ResourceWarning" not in proc.stderr
+
+
 def test_enumerate_dump_is_standardized(capsys):
     code, out, _ = run_cli(capsys, "enumerate", str(DATA / "G1.pres"),
                            "--strategy", "felsch", "--dump")

@@ -162,7 +162,7 @@ def test_conjugation_ladder_is_shared_and_pinned(order, monkeypatch):
         tables[cfg.max_cosets] = enumerate_cosets(pres, subgroup, cfg)
         return tables[cfg.max_cosets]
 
-    monkeypatch.setattr(families, "_rungs", {})
+    families._rung.cache_clear()
     monkeypatch.setattr(families, "enumerate_cosets", enumerate_once)
     for fam in order * 2:
         assert [c.cosets_used for c in verify_conjugation_action(fam)] == COSETS_USED[fam]
@@ -287,20 +287,29 @@ def test_large_family_presentation_builds_in_small_memory():
 
 
 def test_family_state_is_shared_by_caps(monkeypatch):
-    # a fresh state per family: G_1 and the conjugation proof are built once
-    # and reused by a second cap; a cap below what they used raises exactly
-    # where a fresh run with that cap does
+    # a fresh state per family: G_1 is built once and reused by a second
+    # cap, and no rung of U's cap ladder is enumerated twice; a cap below
+    # what G_1 or the conjugation proof used raises exactly where a fresh
+    # run with that cap does
     monkeypatch.setattr(families, "_state", functools.cache(families._FamilyState))
     enumerate_member, prove = families._enumerate_member, families.verify_conjugation_action
-    runs, proofs = [], []
+    runs, rungs = [], []
     monkeypatch.setattr(families, "_enumerate_member",
                         lambda f, m, cap: runs.append(cap) or enumerate_member(f, m, cap))
-    monkeypatch.setattr(families, "verify_conjugation_action",
-                        lambda f, cap: proofs.append(cap) or prove(f, cap))
+
+    def enumerate_rung(pres, subgroup, cfg):
+        if pres is families.presentation_U():
+            assert cfg.max_cosets not in rungs, f"rung {cfg.max_cosets} enumerated twice"
+            rungs.append(cfg.max_cosets)
+        return enumerate_cosets(pres, subgroup, cfg)
+
+    families._rung.cache_clear()
+    monkeypatch.setattr(families, "enumerate_cosets", enumerate_rung)
     want = verify_member("P", 2, VerifyOptions(axioms=False))
     got = verify_member("P", 2, VerifyOptions(max_cosets=500_000, axioms=False))
     got.timings_ms = want.timings_ms = {}
-    assert got == want and runs == [1_000_000] and proofs == [1_000_000]
+    assert got == want and runs == [1_000_000]
+    assert rungs == [2000, 4000, 8000, 16000]
 
     state = families._state("P")
     used = state.reference_cosets
@@ -314,7 +323,7 @@ def test_family_state_is_shared_by_caps(monkeypatch):
     assert info.value.stage == "enumerate" and info.value.cap == used - 1
 
     # the proof used rungs up to 16000; 12000 and 8000 prove too little
-    assert max(state.proof_rungs) == 16000
+    assert max(c.cosets_used for c in prove("P", 1_000_000)) == 16000
     for cap in (16000, 12000, 8000):
         fresh = all(c.verified for c in prove("P", cap))
         if fresh:
@@ -323,6 +332,6 @@ def test_family_state_is_shared_by_caps(monkeypatch):
             with pytest.raises(families.EnumerationIncomplete) as info:
                 families.certified_order("P", 2, VerifyOptions(max_cosets=cap))
             assert info.value.stage == "conjugation" and info.value.cap == cap
-    # 16000's ladder has every rung the proof used, so it is not run again
-    assert proofs[:2] == [1_000_000, 12000] and 16000 not in proofs
+    # of the caps asked, only 12000 is a rung the first proof did not reach
+    assert rungs == [2000, 4000, 8000, 16000, 12000]
     assert runs == [1_000_000]

@@ -49,3 +49,11 @@ def test_coset_probes_match_their_expected_index():
     assert [op_id for op_id, _, _ in results] == ["cosetP1", "cosetQ1"]
     for _, observed, expected in results:
         assert ops.check(expected, observed) == []
+
+
+@pytest.mark.parametrize("op", ops.STRUCTURE_OPS, ids=lambda op: op.id)
+def test_structure_operation_matches_its_pinned_facts(op):
+    # the conjugation proof, the normality cross-check and the rewrite of N,
+    # untraced, as the benchmark's structure workload runs them
+    observed = op.run(spans.NullTracer())
+    assert ops.check(ops.load_facts()[op.facts][op.id], observed) == []
