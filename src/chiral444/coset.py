@@ -1,22 +1,28 @@
-"""Todd-Coxeter coset enumeration: HLT with lookahead, and Felsch.
+"""Todd-Coxeter coset enumeration by the Felsch strategy.
 
 Coset indices are 1-based with coset 1 the subgroup itself.  Tables are
 stored flat: entry (coset, signed generator) lives at ``coset*width + col``
-where column ``2*i`` is generator ``i`` and ``2*i + 1`` its inverse.
+where column ``2*i`` is generator ``i`` and ``2*i + 1`` its inverse; row 0
+is all zeros.
 
 A partial table is sound: every defined entry is forced by a definition, a
 relator deduction, or a coincidence merge, so a trace from coset 1 that
-returns 1 proves membership of the traced word in the subgroup.
+returns 1 proves membership of the traced word in the subgroup.  In a table
+of the trivial subgroup each live coset k stands for one group element
+u_k, the product along any path of defined entries from coset 1, and an
+entry k.g = l is the equation u_k g = u_l.  So there a trace of w from any
+live coset k that returns to k proves u_k w = u_k, that is w = 1
+(``CosetTable.closing_cosets``).  With a nontrivial subgroup H the same
+trace proves only u_k w u_k^-1 in H, which says nothing of w.
 
-Both strategies deduce the same way.  Felsch queues each entry it sets
-and scans, from that entry, the relator rotations that start with its
-column (one entry of each inverse pair suffices: the rotations of the
-inverse relators walk the same cycles the other way).  HLT's lookahead,
-which runs periodically and when the cap is hit, makes one deduction-only
-pass over the whole table and then processes the entries that pass set
-in that Felsch way, until nothing more follows.  Deductions reach a
-unique fixed point whatever their order, so the table a cap leaves is the
-same as with whole passes repeated until one changes nothing.
+Felsch defines the first empty entry in coset order, then queues each entry
+it sets and scans, from that entry, the relator rotations that start with
+its column (one entry of each inverse pair suffices: the rotations of the
+inverse relators walk the same cycles the other way), until nothing more
+follows.  It defines cosets in the same order at every cap and stops only
+when it would define one past the cap, so a cap leaves the table that any
+larger cap passes through after the same definitions, closed under
+deduction.
 """
 
 from __future__ import annotations
@@ -24,14 +30,12 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .perms import Permutation
 from .words import Presentation, Word
-
-Strategy = Literal["hlt", "felsch"]
 
 
 class TableError(RuntimeError):
@@ -48,13 +52,18 @@ DEFAULT_MAX_COSETS = 1_000_000
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    strategy: Strategy = "hlt"
+    """``max_cosets`` caps the cosets an enumeration defines.  ``strategy``
+    accepts only "felsch", the one strategy there is; it stays because the
+    benchmark's operations pass it, and can go when they stop (ROADMAP
+    item 7)."""
+
+    strategy: str = "felsch"
     max_cosets: int = DEFAULT_MAX_COSETS
 
     def __post_init__(self):
         if self.max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
-        if self.strategy not in ("hlt", "felsch"):
+        if self.strategy != "felsch":
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
@@ -112,6 +121,29 @@ class CosetTable:
                 return None
             cur = v
         return cur
+
+    def closing_cosets(self, words: Sequence[Word]) -> list[int | None]:
+        """For each word w, the least live coset k whose trace of w returns
+        to k, or None if there is none: a proof that w = 1 in the presented
+        group, with k its witness.  Sound only in a table of the trivial
+        subgroup (see the module docstring), so a table with subgroup words
+        raises TableError.
+
+        Every live coset is traced at once, one numpy gather per letter; a
+        trace that meets a missing entry goes to row 0 and stays there."""
+        if self.subgroup_words:
+            raise TableError("a closed trace proves a word trivial only in a "
+                             "table of the trivial subgroup")
+        cols = np.array(self._tab, dtype=np.int32).reshape(-1, self._width).T.copy()
+        live = np.array(self._live, dtype=np.int32)
+        out = []
+        for w in words:
+            cur = live
+            for col in _cols(w):
+                cur = cols[col][cur]
+            hit = np.flatnonzero(cur == live)
+            out.append(int(live[hit[0]]) if hit.size else None)
+        return out
 
     def audit(self):
         """Check table invariants; raise TableError on any violation."""
@@ -194,23 +226,15 @@ class CosetTable:
 
 class _Enumerator:
     def __init__(self, pres: Presentation, subgroup: Sequence[Word], cfg: EnumerationConfig):
-        self.pres = pres
-        self.subgroup = list(subgroup)
-        self.cfg = cfg
         self.W = 2 * pres.ngens
         self.rel_cols = tuple(_cols(r) for r in pres.relators)
         self.sub_cols = tuple(_cols(w.free_reduce()) for w in subgroup)
-        self.felsch = cfg.strategy == "felsch"
-        # whether set entries are queued in ``deds``: always under Felsch,
-        # and under HLT while a lookahead runs
-        self.record = self.felsch
         self.max_cosets = cfg.max_cosets
         self._zrow = [0] * self.W
         self.tab: list[int] = [0] * (2 * self.W)  # dummy row 0 plus coset 1
         self.p = [0, 1]
         self.n = 1
-        self.n_dead = 0
-        self.deds: list[tuple[int, int]] = []
+        self.deds: list[tuple[int, int]] = []  # the entries set, to scan from
         self._q: list[int] = []
 
     # -- basic operations ------------------------------------------------
@@ -235,8 +259,7 @@ class _Enumerator:
         self.p.append(b)
         self.tab[a * self.W + col] = b
         self.tab[b * self.W + (col ^ 1)] = a
-        if self.record:
-            self.deds.append((a, col))
+        self.deds.append((a, col))
         return b
 
     def _merge(self, x: int, y: int):
@@ -246,7 +269,6 @@ class _Enumerator:
             if x > y:
                 x, y = y, x
             self.p[y] = x
-            self.n_dead += 1
             self._q.append(y)
 
     def _coincide(self, a: int, b: int):
@@ -255,7 +277,6 @@ class _Enumerator:
         q.clear()
         self._merge(a, b)
         qi = 0
-        record = self.record
         while qi < len(q):
             g = q[qi]
             qi += 1
@@ -280,8 +301,7 @@ class _Enumerator:
                     else:
                         tab[mu * W + col] = nu
                         tab[nu * W + ic] = mu
-                        if record:
-                            self.deds.append((mu, col))
+                        self.deds.append((mu, col))
 
     def _scan_fill(self, a: int, w: tuple[int, ...]):
         """Scan w from a, defining cosets until the scan closes."""
@@ -313,132 +333,16 @@ class _Enumerator:
                 col = w[i]
                 tab[f * W + col] = b
                 tab[b * W + (col ^ 1)] = f
-                if self.record:
-                    self.deds.append((f, col))
+                self.deds.append((f, col))
                 return
             self._define(f, w[i])
 
-    def _scan(self, a: int, w: tuple[int, ...]):
-        """Like _scan_fill but never defines; deduces or coincides only."""
-        tab = self.tab
-        W = self.W
-        i, j = 0, len(w) - 1
-        f = b = a
-        while i <= j:
-            v = tab[f * W + w[i]]
-            if not v:
-                break
-            f = v
-            i += 1
-        else:
-            if f != b:
-                self._coincide(f, b)
-            return
-        while j >= i:
-            v = tab[b * W + (w[j] ^ 1)]
-            if not v:
-                break
-            b = v
-            j -= 1
-        if j < i:
-            self._coincide(f, b)
-        elif j == i:
-            col = w[i]
-            tab[f * W + col] = b
-            tab[b * W + (col ^ 1)] = f
-            if self.record:
-                self.deds.append((f, col))
-
-    # -- strategies --------------------------------------------------------
-
-    def run(self) -> bool:
-        if self.felsch:
-            return self._run_felsch()
-        return self._run_hlt()
-
-    def _run_hlt(self) -> bool:
-        p = self.p
-        # Periodic lookahead keeps the definition count near the final index:
-        # coincidences found early kill whole subtrees of junk cosets before
-        # the main scan wastes definitions on them.
-        look_mark = self.n
-        try:
-            for w in self.sub_cols:
-                if w:
-                    self._scan_fill(1, w)
-            a = 1
-            while a <= self.n:
-                if p[a] == a:
-                    for w in self.rel_cols:
-                        self._scan_fill(a, w)
-                        if p[a] != a:
-                            break
-                    else:
-                        base = a * self.W
-                        for col in range(self.W):
-                            if not self.tab[base + col]:
-                                self._define(a, col)
-                    if self.n - look_mark > max(5000, 2 * (self.n - self.n_dead)):
-                        self._lookahead()
-                        look_mark = self.n
-                a += 1
-            return True
-        except _CapHit:
-            self._lookahead()
-            return self._closed()
-
-    def _lookahead(self):
-        """Deduce without defining until nothing more follows: one pass
-        scans every relator from every live coset, and the entries it sets,
-        by deduction or coincidence, are then processed Felsch-style
-        (``_process_deductions``), which scans only the relator rotations
-        through them.  That is the fixed point that whole passes repeated
-        until one changes nothing would reach."""
-        self.record = True
-        a = 1
-        while a <= self.n:
-            if self.p[a] == a:
-                for w in self.rel_cols:
-                    self._scan(a, w)
-                    if self.p[a] != a:
-                        break
-            a += 1
-        self._process_deductions()
-        self.record = self.felsch
-
-    def _closed(self) -> bool:
-        """True iff all live rows are full and all relations close."""
-        tab, W = self.tab, self.W
-        live = [k for k in range(1, self.n + 1) if self.p[k] == k]
-        for c in live:
-            base = c * W
-            for col in range(W):
-                if not tab[base + col]:
-                    return False
-        for w in self.sub_cols:
-            if self._trace_raw(1, w) != 1:
-                return False
-        for r in self.rel_cols:
-            for c in live:
-                if self._trace_raw(c, r) != c:
-                    return False
-        return True
-
-    def _trace_raw(self, start: int, w: tuple[int, ...]) -> int | None:
-        tab, W = self.tab, self.W
-        cur = start
-        for col in w:
-            v = tab[cur * W + col]
-            if not v:
-                return None
-            cur = v
-        return cur
-
     @functools.cached_property
-    def _rots(self) -> list[list[tuple[int, ...]]]:
+    def _rots(self) -> list[list[tuple[tuple[int, ...], tuple[int, ...], int]]]:
         """The distinct rotations of the relators and their inverses, by
         first column: the scans that a deduction at that column can
-        complete."""
+        complete.  Each is held as its columns, their inverse columns and
+        its last index."""
         rots: list[list[tuple[int, ...]]] = [[] for _ in range(self.W)]
         seen: set[tuple[int, ...]] = set()
         for r in self.rel_cols:
@@ -449,11 +353,12 @@ class _Enumerator:
                     if rot not in seen:
                         seen.add(rot)
                         rots[rot[0]].append(rot)
-        for bucket in rots:
-            bucket.sort()
-        return rots
+        return [[(w, tuple(c ^ 1 for c in w), len(w) - 1) for w in sorted(bucket)]
+                for bucket in rots]
 
-    def _run_felsch(self) -> bool:
+    def run(self) -> bool:
+        """Enumerate until the table closes (True) or the cap is hit (False)."""
+        tab, p, W = self.tab, self.p, self.W
         try:
             for w in self.sub_cols:
                 if w:
@@ -462,11 +367,11 @@ class _Enumerator:
             a, col = 1, 0
             while True:
                 while a <= self.n:
-                    if self.p[a] != a or col >= self.W:
+                    if p[a] != a or col >= W:
                         a += 1
                         col = 0
                         continue
-                    if self.tab[a * self.W + col]:
+                    if tab[a * W + col]:
                         col += 1
                         continue
                     break
@@ -479,19 +384,54 @@ class _Enumerator:
 
     def _process_deductions(self):
         """Scan, from each queued entry, the relator rotations that start
-        with its column, until the queue is empty."""
-        deds = self.deds
-        rots = self._rots
+        with its column, until the queue is empty.
+
+        A scan of w from g runs forward along w while entries are defined,
+        then backward from g along w's inverse.  If the two ends meet, the
+        scan closes, and two different end cosets coincide; if one entry is
+        missing between them, it is deduced and queued.  The scans run
+        inline, the hot loop of every enumeration."""
+        tab, W, p, deds, rots = self.tab, self.W, self.p, self.deds, self._rots
         while deds:
             g, col = deds.pop()
-            if self.p[g] != g:
+            if p[g] != g:
                 g = self._rep(g)
-            if not self.tab[g * self.W + col]:
+            h = tab[g * W + col]
+            if not h:
                 continue
-            for w in rots[col]:
-                self._scan(g, w)
-                if self.p[g] != g:
-                    break
+            for w, winv, last in rots[col]:
+                # every rotation here starts with col, whose entry is h
+                i, j, f = 1, last, h
+                while i <= j:
+                    v = tab[f * W + w[i]]
+                    if not v:
+                        break
+                    f = v
+                    i += 1
+                else:
+                    if f != g:
+                        self._coincide(f, g)
+                        if p[g] != g:
+                            break
+                        h = tab[g * W + col]
+                    continue
+                b = g
+                while j >= i:
+                    v = tab[b * W + winv[j]]
+                    if not v:
+                        break
+                    b = v
+                    j -= 1
+                if j < i:
+                    self._coincide(f, b)
+                    if p[g] != g:
+                        break
+                    h = tab[g * W + col]
+                elif j == i:
+                    c = w[i]
+                    tab[f * W + c] = b
+                    tab[b * W + winv[i]] = f
+                    deds.append((f, c))
 
 
 def enumerate_cosets(pres: Presentation, subgroup: Sequence[Word] = (),

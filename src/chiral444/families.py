@@ -15,13 +15,13 @@ The point (c, v1, v2), numbered c m^2 + v1 m + v2, is the element's id
 from U's relator cycles on G_1's Cayley graph (``_voltages``).  Each cover
 member carries a two-sided order certificate: the family relators hold on a
 transitive action of degree |G_1| m^2 (lower bound), and the conjugation
-relations, proved once per family by traces in U's partial coset tables
-(enumerated once for both families), bound |G_m| by |G_1| m^2 (upper
-bound).  A relator is decided at every point of the cover without forming
-its product there: its walk is lifted to G_1's points with the voltage sum
-it picks up (``_VoltageCover``), and it holds iff every walk closes with a
-sum of 0 mod m.  Transitivity is read off the span of U's generator lifts,
-so no search runs over the cover's points.
+relations, proved once per family by traces from every coset of U's
+partial Felsch tables (enumerated once for both families), bound |G_m| by
+|G_1| m^2 (upper bound).  A relator is decided at every point of the cover
+without forming its product there: its walk is lifted to G_1's points with
+the voltage sum it picks up (``_VoltageCover``), and it holds iff every
+walk closes with a sum of 0 mod m.  Transitivity is read off the span of
+U's generator lifts, so no search runs over the cover's points.
 
 Solvability is decided for every m from one derived series of U per family
 (``derived_orders``), built on G_1's points with the same voltages: term k
@@ -200,7 +200,10 @@ class VerifyOptions:
     ``axioms`` asks for the axiom suite (None: only at m = 1).  The class
     constants ``strategy`` (how the m = 1 member is enumerated) and
     ``intersection_cap`` (of ``polytope``'s orbit searches, which
-    ``verify_member`` does not run) change no result, so they are fixed."""
+    ``verify_member`` does not run) change no result, so they are fixed.
+    ``strategy`` is "felsch", the one strategy ``coset`` has; it stays
+    because the benchmark's operations pass it on, and can go with them
+    (ROADMAP item 7)."""
 
     strategy: ClassVar[str] = "felsch"
     intersection_cap: ClassVar[int] = 10_000
@@ -272,8 +275,8 @@ class _Timer:
 
 
 def _enumerate_member(family: str, m: int, cap: int) -> CosetTable:
-    cfg = EnumerationConfig(strategy=VerifyOptions.strategy, max_cosets=cap)
-    table = enumerate_cosets(family_presentation(family, m), [], cfg)
+    table = enumerate_cosets(family_presentation(family, m), [],
+                             EnumerationConfig(max_cosets=cap))
     if not table.is_complete:
         raise EnumerationIncomplete("enumerate", cap)
     return table
@@ -850,11 +853,12 @@ class _FamilyState:
         return _VoltageCover(base, _voltages(self.family, base))
 
     def prove_conjugation(self, cap: int):
-        """The upper half of every cover certificate, proved within ``cap``.
-        The proof at a cap is a function of the cap alone, so a cap whose
-        proof passed is not read again; any other cap reruns it on the rungs
-        the process has enumerated (``_rung``), which gives the verdict of a
-        fresh run."""
+        """The upper half of every cover certificate, proved within ``cap``
+        by ``verify_conjugation_action``.  The proof at a cap is a function
+        of the cap alone, so a cap whose proof passed is not read again; any
+        other cap reruns it on U's Felsch rungs (``_rung``), reading those
+        the process has enumerated and enumerating the others, which gives
+        the verdict of a fresh run."""
         if cap not in self.proved:
             if not all(c.verified for c in verify_conjugation_action(self.family, cap)):
                 raise EnumerationIncomplete("conjugation", cap)
@@ -1101,9 +1105,15 @@ def normality_cross_check(family: str, m: int,
 
 @dataclass(frozen=True)
 class ConjugationCheck:
+    """One conjugation relation's proof: ``cosets_used``, the definitions of
+    the rung table that proved it, and ``witness_coset``, the coset of that
+    table whose trace of the relation's word closes (None while
+    unverified)."""
+
     label: str
     verified: bool
     cosets_used: int | None
+    witness_coset: int | None
 
 
 def conjugation_relations(family: str) -> list[tuple[str, Word]]:
@@ -1127,13 +1137,16 @@ def conjugation_relations(family: str) -> list[tuple[str, Word]]:
 
 
 @functools.cache
-def _rung(cap: int) -> tuple[int, frozenset[Word]]:
-    """U's partial coset table at ``cap``, which depends on the cap alone, as
-    its definitions and the conjugation words of every family its trace
-    proves; enumerated once per process, for both families."""
+def _rung(cap: int) -> tuple[int, dict[Word, int]]:
+    """U's partial Felsch table at ``cap``, which depends on the cap alone,
+    as its definitions and, for each conjugation word of either family that
+    it proves, the witness coset whose trace of the word closes
+    (``CosetTable.closing_cosets``); enumerated once per process, for both
+    families."""
     table = enumerate_cosets(presentation_U(), [], EnumerationConfig(max_cosets=cap))
-    words = {w for f in FAMILIES for _, w in conjugation_relations(f)}
-    return table.definitions, frozenset(w for w in words if table.trace(1, w) == 1)
+    words = list(dict.fromkeys(w for f in FAMILIES for _, w in conjugation_relations(f)))
+    return table.definitions, {w: k for w, k in zip(words, table.closing_cosets(words))
+                               if k is not None}
 
 
 def _ladder(cap: int) -> tuple[int, ...]:
@@ -1150,22 +1163,29 @@ def _ladder(cap: int) -> tuple[int, ...]:
 
 def verify_conjugation_action(family: str,
                               cap: int = DEFAULT_MAX_COSETS) -> list[ConjugationCheck]:
-    """Prove the conjugation relations by partial-enumeration traces.
+    """Prove the conjugation relations by traces in U's partial tables.
 
-    Caps escalate geometrically from 2000 up to ``cap``; a relation is
-    verified once a sound trace from coset 1 returns 1, and the cap that
-    first achieved it is recorded.  Unverified-within-cap is an outcome, not
-    an error.
+    Caps escalate geometrically from 2000 up to ``cap``; each rung is U's
+    partial Felsch table at its cap.  A table of the trivial subgroup
+    proves a word trivial when its trace from some live coset k returns to
+    k, so each relation is traced from every live coset at once
+    (``CosetTable.closing_cosets``).  A relation is verified on the first
+    rung that proves it, and its check records that rung's definitions and
+    the least closing coset k, the witness: k stands for the element u_k
+    that the path to k along the table's BFS tree from coset 1 spells, and
+    w = 1 because u_k w = u_k.  Unverified-within-cap is an outcome, not an
+    error.  Both families' relations close at rung 4000.
 
-    Each rung is U's partial table at its cap, the same for both families:
-    the first call to reach a rung enumerates it, traces the relations of
-    every family on it and keeps only those verdicts and its definition
-    count (``_rung``), so a later call, for either family and any cap,
-    reads the verdicts again without building a rung twice.
+    Each rung is the same for both families: the first call to reach a
+    rung enumerates it, traces the relations of every family on it and
+    keeps only those witnesses and its definition count (``_rung``), so a
+    later call, for either family and any cap, reads them again without
+    building a rung twice.  A rung depends on its cap alone, so a smaller
+    cap proves exactly what a fresh run with it would.
     """
     relations = conjugation_relations(family)
     status: dict[str, ConjugationCheck] = {
-        label: ConjugationCheck(label, False, None) for label, _ in relations
+        label: ConjugationCheck(label, False, None, None) for label, _ in relations
     }
     for current in _ladder(cap):
         pending = [(lbl, w) for lbl, w in relations if not status[lbl].verified]
@@ -1174,7 +1194,7 @@ def verify_conjugation_action(family: str,
         definitions, proved = _rung(current)
         for label, word in pending:
             if word in proved:
-                status[label] = ConjugationCheck(label, True, definitions)
+                status[label] = ConjugationCheck(label, True, definitions, proved[word])
     return [status[label] for label, _ in relations]
 
 

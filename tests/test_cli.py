@@ -10,6 +10,8 @@ import pytest
 
 from chiral444 import cli
 from chiral444.cli import main
+from chiral444.coset import enumerate_cosets
+from chiral444.families import bundled_presentation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "chiral444" / "data"
@@ -91,15 +93,18 @@ def test_enumerate_closes_its_file():
 
 
 def test_enumerate_dump_is_standardized(capsys):
-    code, out, _ = run_cli(capsys, "enumerate", str(DATA / "G1.pres"),
-                           "--strategy", "felsch", "--dump")
-    assert code == 0
+    code, out, err = run_cli(capsys, "enumerate", str(DATA / "G1.pres"), "--dump")
+    assert code == 0 and err.startswith("[enumerate] felsch definitions=1060 ")
     lines = out.strip().split("\n")
     assert lines[0] == "index 1024"
     assert len(lines) == 1 + 1024
-    code2, out2, _ = run_cli(capsys, "enumerate", str(DATA / "G1.pres"),
-                             "--strategy", "hlt", "--dump")
-    assert out2.strip().split("\n")[1:] == lines[1:]
+    table = enumerate_cosets(bundled_presentation("G1"), []).standardize()
+    assert "".join(l + "\n" for l in lines[1:]) == table.dump()
+    # Felsch is the one strategy, so there is no option to choose one
+    for strategy in ("felsch", "hlt"):
+        code, out, _ = run_cli(capsys, "enumerate", str(DATA / "G1.pres"),
+                               "--strategy", strategy)
+        assert code == 1 and out == ""
 
 
 def test_verify_q1_json_round_trip(tmp_path, capsys):
@@ -199,11 +204,19 @@ def test_python_m_runs_the_cli():
 
 
 def test_conjugation_table(capsys):
+    # each relation with the rung that proved it and the coset whose trace
+    # closed there
     code, out, _ = run_cli(capsys, "conjugation", "--family", "P")
     assert code == 0
-    lines = [l for l in out.strip().split("\n") if l]
-    assert len(lines) == 7
-    assert all("verified" in l and "unverified" not in l for l in lines)
+    assert out.splitlines() == [
+        "a^-1*x*a = y     verified   (cap 2000, coset 1)",
+        "b^-1*x*b = y     verified   (cap 2000, coset 84)",
+        "c^-1*x*c = y     verified   (cap 2000, coset 1)",
+        "a^-1*y*a = x     verified   (cap 2000, coset 238)",
+        "b^-1*y*b = x^-1  verified   (cap 2000, coset 55)",
+        "c^-1*y*c = x^-1  verified   (cap 2000, coset 193)",
+        "[x,y] = 1        verified   (cap 4000, coset 18)",
+    ]
 
 
 def test_conjugation_tiny_cap_unverified(capsys):
@@ -334,13 +347,13 @@ def test_verify_logs_each_member_as_it_finishes(capsys, monkeypatch):
 
 
 def test_verify_cut_by_the_cap_logs_the_members_it_finished(capsys):
-    # 4000 cosets complete Q's m = 1 table but not the conjugation proof:
-    # m = 1 is logged, m = 2 exits 2, and stdout stays empty
+    # 3000 cosets complete Q's m = 1 table (2074) but not the conjugation
+    # proof (3601): m = 1 is logged, m = 2 exits 2, and stdout stays empty
     code, out, err = run_cli(capsys, "verify", "--family", "Q", "--m", "1..3",
-                             "--max-cosets", "4000")
+                             "--max-cosets", "3000")
     assert code == 2 and out == ""
     assert err == ("[verify] Q m=1 done\n[conjugation] enumeration exhausted the cap "
-                   "of 4000 cosets; rerun with a larger cap to resume\n")
+                   "of 3000 cosets; rerun with a larger cap to resume\n")
 
 
 def test_corollary_to_k_20(capsys):

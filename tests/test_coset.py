@@ -1,9 +1,9 @@
 import pytest
 
-from chiral444.coset import (EnumerationConfig, TableError, _Enumerator,
+from chiral444.coset import (CosetTable, EnumerationConfig, TableError,
                              enumerate_cosets)
 from chiral444.families import presentation_U, subgroup_seed_words
-from chiral444.words import Word, parse_presentation
+from chiral444.words import Presentation, Word, parse_presentation
 
 # known finite groups: (source text, subgroup words, expected index)
 CORPUS = [
@@ -19,8 +19,31 @@ CORPUS = [
 ]
 
 
+def _reversed_generators(p: Presentation, words):
+    """``p`` and the subgroup ``words`` with the generators listed in reverse,
+    on which Felsch fills the columns, so defines cosets, in another order.
+    (The order of the relators does not matter: Felsch scans their
+    rotations sorted.)"""
+    n = p.ngens
+
+    def flip(w):
+        return Word(tuple((n + 1 - abs(x)) * (1 if x > 0 else -1) for x in w.letters))
+
+    return Presentation(p.names[::-1], [flip(r) for r in p.relators]), [flip(w) for w in words]
+
+
+def _columns_back(t: CosetTable, p: Presentation, words) -> CosetTable:
+    """A complete table of ``_reversed_generators(p, words)`` with its
+    columns put back in p's generator order."""
+    n, W = p.ngens, 2 * p.ngens
+    tab = [t._tab[k * W + 2 * (n - 1 - c // 2) + c % 2]
+           for k in range(t.degree + 1) for c in range(W)]
+    return CosetTable(p, words, "complete", tab, W, list(range(1, t.degree + 1)),
+                      t.definitions)
+
+
 @pytest.mark.parametrize("text,sub,index", CORPUS)
-@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+@pytest.mark.parametrize("strategy", ["felsch"])  # the one EnumerationConfig accepts
 def test_corpus_indices(text, sub, index, strategy):
     p = parse_presentation(text)
     words = p.parse_words(sub) if sub else []
@@ -32,11 +55,13 @@ def test_corpus_indices(text, sub, index, strategy):
 
 @pytest.mark.parametrize("text,sub,index", CORPUS)
 def test_corpus_standardized_tables_agree(text, sub, index):
+    # the standardized table is the action's, whatever order built it
     p = parse_presentation(text)
     words = p.parse_words(sub) if sub else []
-    h = enumerate_cosets(p, words, EnumerationConfig(strategy="hlt")).standardize()
-    f = enumerate_cosets(p, words, EnumerationConfig(strategy="felsch")).standardize()
-    assert h.dump() == f.dump()
+    f = enumerate_cosets(p, words).standardize()
+    r = _columns_back(enumerate_cosets(*_reversed_generators(p, words)), p, words)
+    r.audit()
+    assert r.standardize().dump() == f.dump()
 
 
 def test_paper_subgroup_indices():
@@ -51,10 +76,11 @@ def test_paper_subgroup_indices():
 def test_standardize_agreement_on_index_1024_subgroup():
     u = presentation_U()
     words = list(subgroup_seed_words("P", 1))
-    h = enumerate_cosets(u, words, EnumerationConfig(strategy="hlt")).standardize()
-    f = enumerate_cosets(u, words, EnumerationConfig(strategy="felsch")).standardize()
-    assert h.degree == 1024
-    assert h.dump() == f.dump()
+    f = enumerate_cosets(u, words)
+    r = _columns_back(enumerate_cosets(*_reversed_generators(u, words)), u, words)
+    assert f.degree == r.degree == 1024
+    assert r.dump() != f.dump()  # two runs that number the cosets apart ...
+    assert r.standardize().dump() == f.standardize().dump()  # ... on one action
 
 
 def test_standardize_idempotent_and_partial_rejected():
@@ -135,20 +161,30 @@ def test_partial_monotonicity_trace_one_persists():
     assert seen_one
 
 
-@pytest.mark.parametrize("cap", [2000, 12000])
-def test_lookahead_reaches_the_fixed_point_of_full_passes(cap):
-    # a partial table ends with a lookahead: one full deduction pass, then
-    # the entries it set processed Felsch-style.  A further full pass (at
-    # 12000 cosets also after the lookahead in the middle of the run) must
-    # change nothing.
-    e = _Enumerator(presentation_U(), [], EnumerationConfig(max_cosets=cap))
-    assert not e.run()
-    tab, p = list(e.tab), list(e.p)
-    for a in range(1, e.n + 1):
-        for w in e.rel_cols:
-            if e.p[a] == a:
-                e._scan(a, w)
-    assert e.tab == tab and e.p == p
+def test_closing_cosets_are_the_closed_traces():
+    # the all-coset trace in numpy agrees with trace() from every live
+    # coset, on a partial table with dead cosets and missing entries
+    u = presentation_U()
+    t = enumerate_cosets(u, [], EnumerationConfig(max_cosets=2000))
+    assert t.degree < t.definitions  # some cosets died
+    x, y = subgroup_seed_words("P", 1)
+    a, b = u.atom("a"), u.atom("b")
+    words = [b.inverse() * x * b * y.inverse(), a.inverse() * x * a * y.inverse(),
+             x, x.inverse() * y.inverse() * x * y, Word(())]
+    want = [next((k for k in t._live if t.trace(k, w) == k), None) for w in words]
+    assert t.closing_cosets(words) == want
+    assert want[0] > 1 and want[1] == 1 and want[2] is None and want[4] == 1
+
+
+def test_closing_cosets_need_the_trivial_subgroup():
+    # in a table of H = <a^2>, a^2's trace closes at coset 1, which shows
+    # a^2 in H, not a^2 = 1: the all-coset proof refuses such a table
+    p = parse_presentation("gens a; rels a^4;")
+    t = enumerate_cosets(p, p.parse_words("a^2"))
+    assert t.trace(1, p.parse_word("a^2")) == 1
+    with pytest.raises(TableError, match="trivial subgroup"):
+        t.closing_cosets([p.parse_word("a^2")])
+    assert enumerate_cosets(p, []).closing_cosets([p.parse_word("a^2")]) == [None]
 
 
 def test_permutation_rep_transposition():
@@ -179,6 +215,8 @@ def test_config_validation():
         EnumerationConfig(max_cosets=0)
     with pytest.raises(ValueError):
         EnumerationConfig(strategy="nope")
+    with pytest.raises(ValueError):
+        EnumerationConfig(strategy="hlt")  # Felsch is the one strategy
 
 
 def test_subgroup_word_must_fit_presentation():

@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from chiral444 import families, perms
 from chiral444.cli import main
-from chiral444.coset import EnumerationConfig, enumerate_cosets
+from chiral444.coset import enumerate_cosets
 from chiral444.families import (_CANONICAL, FAMILIES, EnumerationIncomplete,
                                 VerificationError, VerifyOptions,
                                 _certify_cover, _cover_images, _hnf,
                                 _in_lattice, _index_mod, _rows,
                                 _intersection_condition, _normal_closure,
-                                _state, _todd_coxeter_triple, _voltages,
+                                _state, _voltages,
                                 _VoltageCover, derived_orders, expected_order,
                                 family_presentation, member_triple,
                                 mirror_witness_relator, presentation_U,
@@ -26,9 +26,10 @@ from chiral444.families import (_CANONICAL, FAMILIES, EnumerationIncomplete,
                                 verify_member)
 from chiral444.perms import PermGroup, Permutation, evaluate
 from chiral444.words import Presentation, Word
-from chiral444.polytope import (_CANONICAL_RELATIONS, _mirror_image,
-                                chirality_verdict, intersection_condition,
-                                quotient_criterion, validate_rotation_triple)
+from chiral444.polytope import (_CANONICAL_RELATIONS, RotationTriple,
+                                _mirror_image, chirality_verdict,
+                                intersection_condition, quotient_criterion,
+                                validate_rotation_triple)
 
 
 def _base(family):
@@ -53,16 +54,30 @@ def _invariants(t, ref):
     }
 
 
+def _reversed_generators(pres):
+    """``pres`` with its generators listed c, b, a: the same group, on which
+    Felsch fills the columns, so defines cosets, in another order.  (The
+    order of the relators does not matter: Felsch scans their rotations
+    sorted.)"""
+    n = pres.ngens
+    flip = lambda w: Word(tuple((n + 1 - abs(x)) * (1 if x > 0 else -1) for x in w.letters))
+    return Presentation(pres.names[::-1], [flip(r) for r in pres.relators])
+
+
 @pytest.mark.parametrize("family", ["P", "Q"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_cover_matches_todd_coxeter(family, m):
-    # HLT, so that even at m = 1 the table is not the Felsch reference's
+    # Felsch on the generators listed c, b, a, so that even at m = 1 the
+    # table is not the Felsch reference's
     ref = reference_triple(family)
     cover = _invariants(member_triple(family, m), ref)
-    table = enumerate_cosets(family_presentation(family, m), [],
-                             EnumerationConfig(strategy="hlt"))
+    pres = family_presentation(family, m)
+    table = enumerate_cosets(_reversed_generators(pres), [])
     assert table.is_complete
-    tc = _invariants(_todd_coxeter_triple(table), ref)
+    sigma = tuple(table.permutation_rep()[::-1])  # a, b, c
+    if m == 1:
+        assert any(not np.array_equal(s.images, r.images) for s, r in zip(sigma, ref.sigma))
+    tc = _invariants(RotationTriple(PermGroup.regular(sigma), sigma, pres), ref)
     assert cover == tc
     assert cover["order"] == (1024 if family == "P" else 2048) * m * m
     if family == "P" and m in (1, 3):
@@ -319,11 +334,11 @@ def test_lift_without_a_short_period_squares():
 
 
 def test_small_conjugation_cap_raises():
-    # 4000 cosets complete P's m = 1 table (about 1060) but not the
-    # conjugation proof (about 16,000)
+    # 2000 cosets complete P's m = 1 table (1060) but not the conjugation
+    # proof (2097)
     with pytest.raises(EnumerationIncomplete) as info:
-        member_triple("P", 2, VerifyOptions(max_cosets=4000))
-    assert info.value.stage == "conjugation" and info.value.cap == 4000
+        member_triple("P", 2, VerifyOptions(max_cosets=2000))
+    assert info.value.stage == "conjugation" and info.value.cap == 2000
 
 
 # -- the derived series of U on G_1's points ----------------------------------
@@ -351,16 +366,17 @@ def test_derived_series_of_u(family, sizes):
 
 
 def test_m1_report_needs_no_conjugation_proof(capsys):
-    # 4000 cosets complete each family's m = 1 table but not the conjugation
-    # proof (about 16,000 for P, 32,000 for Q): m = 1 still gets a full
-    # report, its solvability included, and m = 2 still exits 2
-    for family in "PQ":
-        small = verify_member(family, 1, VerifyOptions(max_cosets=4000))
+    # 2000 cosets complete P's m = 1 table (1060) and 3000 complete Q's
+    # (2074), but neither completes the conjugation proof (2097 for P, 3601
+    # for Q): m = 1 still gets a full report, its solvability included, and
+    # m = 2 still exits 2
+    for family, cap in (("P", 2000), ("Q", 3000)):
+        small = verify_member(family, 1, VerifyOptions(max_cosets=cap))
         full = verify_member(family, 1)
         small.timings_ms = full.timings_ms = {}
         assert small == full and small.derived_length == 3
-    assert main(["verify", "--family", "Q", "--m", "2", "--max-cosets", "4000"]) == 2
-    assert "cap of 4000 cosets" in capsys.readouterr().err
+    assert main(["verify", "--family", "Q", "--m", "2", "--max-cosets", "3000"]) == 2
+    assert "cap of 3000 cosets" in capsys.readouterr().err
 
 
 def _mask_at(term, m):

@@ -140,15 +140,16 @@ def test_conjugation_action_verifies_all_relations():
         assert all(c.cosets_used is not None and c.cosets_used <= 10 ** 6 for c in checks)
 
 
-# U's partial tables at three rungs of the conjugation ladder: live cosets
-# and the SHA-256 of ``dump()``
+# U's partial Felsch tables at the two rungs of the conjugation ladder:
+# live cosets and the SHA-256 of ``dump()``
 U_RUNGS = {
-    2000: (1210, "6aa418f6144d60f110ea1491c013b57d746cfdccd703a80ac25a5ec8cc3ef4aa"),
-    16000: (6885, "758916e1bbe767aaabdb5845b3a14f34a384579f49ea7a44ce3be1fbf68cede1"),
-    32000: (12834, "0e6e5dba917caf1b4cc316288f47e18c1351628ca2e618b0a4bc224bf3d526db"),
+    2000: (1979, "c8aa8c82f5c45b1f2b5112e9d3d6799f44243cc3c47a5be1faef288160e426ad"),
+    4000: (3935, "4ae55b69154752a9e1d6702a349cc038919cc1ea828fc3175ba779b763c2574f"),
 }
-COSETS_USED = {"P": [2000, 16000, 2000, 16000, 16000, 16000, 16000],
-               "Q": [32000, 2000, 2000, 16000, 32000, 32000, 32000]}
+COSETS_USED = {"P": [2000, 2000, 2000, 2000, 2000, 2000, 4000],
+               "Q": [2000, 2000, 2000, 2000, 2000, 2000, 4000]}
+WITNESS_COSETS = {"P": [1, 84, 1, 238, 55, 193, 18],
+                  "Q": [99, 1, 1, 86, 99, 99, 3010]}
 
 
 @pytest.mark.parametrize("order", ["PQ", "QP"])
@@ -165,11 +166,75 @@ def test_conjugation_ladder_is_shared_and_pinned(order, monkeypatch):
     families._rung.cache_clear()
     monkeypatch.setattr(families, "enumerate_cosets", enumerate_once)
     for fam in order * 2:
-        assert [c.cosets_used for c in verify_conjugation_action(fam)] == COSETS_USED[fam]
-    assert sorted(tables) == [2000, 4000, 8000, 16000, 32000]
+        checks = verify_conjugation_action(fam)
+        assert [c.cosets_used for c in checks] == COSETS_USED[fam]
+        assert [c.witness_coset for c in checks] == WITNESS_COSETS[fam]
+    assert sorted(tables) == [2000, 4000]
     for cap, (live, digest) in U_RUNGS.items():
         assert tables[cap].degree == live
         assert hashlib.sha256(tables[cap].dump().encode()).hexdigest() == digest
+
+
+def _transversal(table, k):
+    """The word u_k along the BFS tree of the table's defined entries from
+    coset 1 to coset k, letters tried in column order."""
+    letters = [x for g in range(1, table.presentation.ngens + 1) for x in (g, -g)]
+    parent = {1: None}
+    queue = [1]
+    for c in queue:
+        for x in letters:
+            d = table.entry(c, x)
+            if d is not None and d not in parent:
+                parent[d] = (c, x)
+                queue.append(d)
+    word = []
+    while parent[k] is not None:
+        k, x = parent[k]
+        word.append(x)
+    return Word(tuple(reversed(word)))
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_conjugation_witnesses_replay(family):
+    # each check's witness replays on a fresh table at its rung: the trace
+    # of w from k returns to k, and k is the coset of u_k, so u_k w = u_k in
+    # U and w = 1
+    u = presentation_U()
+    tables = {}
+    for (label, w), c in zip(conjugation_relations(family), verify_conjugation_action(family)):
+        assert c.label == label and c.verified
+        if c.cosets_used not in tables:
+            tables[c.cosets_used] = enumerate_cosets(u, [], EnumerationConfig(max_cosets=c.cosets_used))
+        table, k = tables[c.cosets_used], c.witness_coset
+        assert table.trace(k, w) == k
+        uk = _transversal(table, k)
+        assert table.trace(1, uk) == k
+        assert table.trace(1, uk * w * uk.inverse()) == 1
+    assert any(c.witness_coset != 1 for c in verify_conjugation_action(family))
+
+
+# the smallest cap whose proof passes: a fresh U table at that many cosets
+# proves every relation of the family, one fewer does not
+FIRST_PROVING_CAP = {"P": 2097, "Q": 3601}
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_conjugation_cap_is_exact(family, monkeypatch):
+    monkeypatch.setattr(families, "_state", functools.cache(families._FamilyState))
+    words = [w for _, w in conjugation_relations(family)]
+    first = FIRST_PROVING_CAP[family]
+    for cap in (first - 1, first, 4000, first - 1):
+        fresh = enumerate_cosets(presentation_U(), [], EnumerationConfig(max_cosets=cap))
+        proves = None not in fresh.closing_cosets(words)
+        assert proves == (cap >= first)
+        assert all(c.verified for c in verify_conjugation_action(family, cap)) == proves
+        opts = VerifyOptions(max_cosets=cap, axioms=False)
+        if proves:
+            assert families.certified_order(family, 2, opts) == expected_order(family, 2)
+        else:
+            with pytest.raises(families.EnumerationIncomplete) as info:
+                families.certified_order(family, 2, opts)
+            assert info.value.stage == "conjugation" and info.value.cap == cap
 
 
 def test_conjugation_action_small_cap_reports_unverified():
@@ -309,7 +374,7 @@ def test_family_state_is_shared_by_caps(monkeypatch):
     got = verify_member("P", 2, VerifyOptions(max_cosets=500_000, axioms=False))
     got.timings_ms = want.timings_ms = {}
     assert got == want and runs == [1_000_000]
-    assert rungs == [2000, 4000, 8000, 16000]
+    assert rungs == [2000, 4000]
 
     state = families._state("P")
     used = state.reference_cosets
@@ -322,16 +387,19 @@ def test_family_state_is_shared_by_caps(monkeypatch):
         verify_member("P", 1, VerifyOptions(max_cosets=used - 1))
     assert info.value.stage == "enumerate" and info.value.cap == used - 1
 
-    # the proof used rungs up to 16000; 12000 and 8000 prove too little
-    assert max(c.cosets_used for c in prove("P", 1_000_000)) == 16000
-    for cap in (16000, 12000, 8000):
+    # the proof used rungs 2000 and 4000; 3000 and 2097 prove enough, 2096
+    # too little (test_conjugation_cap_is_exact)
+    assert max(c.cosets_used for c in prove("P", 1_000_000)) == 4000
+    for cap in (4000, 3000, 2097, 2096):
         fresh = all(c.verified for c in prove("P", cap))
+        assert fresh == (cap >= 2097)
         if fresh:
             assert families.certified_order("P", 2, VerifyOptions(max_cosets=cap)) == 4096
         else:
             with pytest.raises(families.EnumerationIncomplete) as info:
                 families.certified_order("P", 2, VerifyOptions(max_cosets=cap))
             assert info.value.stage == "conjugation" and info.value.cap == cap
-    # of the caps asked, only 12000 is a rung the first proof did not reach
-    assert rungs == [2000, 4000, 8000, 16000, 12000]
+    # of the caps asked, 3000, 2097 and 2096 are rungs the first proof did
+    # not reach
+    assert rungs == [2000, 4000, 3000, 2097, 2096]
     assert runs == [1_000_000]
