@@ -2,9 +2,9 @@
 
 Data goes to stdout (or --json PATH); progress goes to stderr.  Exit codes:
 0 all requested checks passed; 1 invalid input (arguments, unreadable file,
-presentation parse error, a member too large for the coset geometry's element
-cap); 2 enumeration exhausted the coset cap (with --require-complete, or
-mid-verification); 3 checks ran but some failed.
+unwritable output path, presentation parse error, a member too large for the
+coset geometry's element cap); 2 enumeration exhausted the coset cap (with
+--require-complete, or mid-verification); 3 checks ran but some failed.
 
 ``verify`` checks its members one after another in this process, each
 read off its family's voltage cover, and logs each to stderr as it
@@ -44,6 +44,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _log(msg: str):
     print(msg, file=sys.stderr)
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to path; log and return False when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _log(f"cannot write {path}: {exc}")
+        return False
+    return True
 
 
 def _parse_m_range(text: str) -> list[int]:
@@ -191,9 +202,8 @@ def cmd_verify(args) -> int:
             "members": [r.to_json_dict() for r in reports],
             "aggregate_pass": aggregate,
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if not _write(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n"):
+            return EXIT_INPUT
         _log(f"[verify] JSON written to {args.json}")
     return EXIT_OK if aggregate else EXIT_FAILED
 
@@ -236,8 +246,8 @@ def cmd_polytope(args) -> int:
         ftype, vtype = section_type(geom)
         print(f"schlafli: {rpt.schlafli}  facets {ftype}  vertex figures {vtype}")
     if args.dump_geometry:
-        with open(args.dump_geometry, "w", encoding="utf-8") as fh:
-            fh.write(geom.dump())
+        if not _write(args.dump_geometry, geom.dump()):
+            return EXIT_INPUT
         _log(f"[polytope] geometry dump written to {args.dump_geometry}")
     ok = rpt.all_ok and rpt.flag_count == 2 * geom.group_order
     return EXIT_OK if ok else EXIT_FAILED

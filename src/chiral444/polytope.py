@@ -231,19 +231,6 @@ def _mirror_image(r: Word) -> Word:
     return substitute(r, _mirror_words(r.max_index() + 1))
 
 
-def mirror_extends(t: RotationTriple) -> bool:
-    """Whether s1 -> s1^-1, s2 -> s1^2 s2, s3 -> s3 extends to the group.
-
-    For a finite group with generating images this is exactly the existence
-    of the mirror automorphism, so True means the polytope is regular.
-    Each relator's mirror image (``_mirror_image``) is followed on id 0 as
-    it stands, not cyclically reduced: a word and its cyclic reduction are
-    conjugate, so one is the identity exactly when the other is.
-    """
-    return all(t.group.word_id(_mirror_image(r), t.sigma) == 0
-               for r in t.presentation.relators)
-
-
 @dataclass(frozen=True)
 class ChiralityReport:
     verdict: str  # "chiral" | "regular"
@@ -261,8 +248,10 @@ def chirality_verdict(t: RotationTriple,
     group whose mirror image is nontrivial, with the order of that image.
     ``preferred_witness`` is tried first, and cited only when it holds in
     the group (its ``word_id`` is 0) and its image does not; otherwise the
-    relators of ``t.presentation`` are tried in order.  Each image is
-    followed on id 0 as ``mirror_extends`` follows it.
+    relators of ``t.presentation`` are tried in order.  Each image
+    (``_mirror_image``) is followed on id 0 as it stands, not cyclically
+    reduced: a word and its cyclic reduction are conjugate, so one is the
+    identity exactly when the other is.
 
     The two verdicts are not equally sound.  "chiral" is sound whenever
     every relator of ``t.presentation`` holds in the group: the witness is

@@ -1,9 +1,17 @@
-"""Subgroup presentations, abelian invariants, and integer normal forms.
+"""Reidemeister-Schreier rewriting, Tietze simplification and abelian invariants.
 
 Reidemeister-Schreier rewriting takes a complete coset table and produces a
-presentation of the subgroup on Schreier generators.  Abelian invariants go
-through an exact Smith normal form; large sparse relator matrices are peeled
-by unit pivots first so only a small dense core reaches the cubic algorithm.
+presentation of the subgroup on Schreier generators; Tietze moves shorten
+it, and its abelian invariants come from exact integer elimination: the
+sparse relator matrix is peeled by unit pivots first, so only a small dense
+core reaches the diagonal elimination of ``_invariant_factors``.
+
+No pipeline step calls this module.  It is kept only because the
+benchmark's ``structure`` operation (``perfbench/ops.py``) imports
+``reidemeister_schreier``, ``tietze_simplify`` and ``abelian_invariants``;
+ROADMAP item 7 deletes it once a benchmark change drops that operation.
+Until then the rank-two tests use it as evidence for the fact the
+construction rests on, that N = <x, y> in U is free abelian of rank two.
 """
 
 from __future__ import annotations
@@ -11,218 +19,48 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .coset import CosetTable, TableError
 from .words import Presentation, Word
 
 
-class IntMatrix:
-    """Dense matrix of exact Python integers."""
+def _invariant_factors(rows: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors of an integer matrix, in divisibility order.
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in r) for r in data)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.data]!r})"
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = list(zip(*other.data)) if other.data else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
-        )
-
-    def diagonal(self) -> list[int]:
-        return [self.data[i][i] for i in range(min(self.rows, self.cols))]
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.det() in (1, -1)
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with D = U*M*V diagonal, d_i | d_{i+1}, U,V unimodular.
-
-    Pivots are chosen smallest nonzero absolute value first, ties broken
-    row-major, so the decomposition is deterministic.
+    Pivot on an entry of smallest absolute value, ties row-major, reduce its
+    column by row operations and its row by column operations, and split the
+    pivot off once both are clear; a remainder left behind is a smaller
+    pivot for the next step.  The diagonal this leaves presents the same
+    group when each pair (a, b) on it becomes (gcd, lcm), which puts it in
+    divisibility order.
     """
-    a = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        # row_dst += k*row_src
-        if k:
-            ad, asrc = a[dst], a[src]
-            for j in range(nc):
-                ad[j] += k * asrc[j]
-            ud, usrc = u[dst], u[src]
-            for j in range(nr):
-                ud[j] += k * usrc[j]
-
-    def add_col(dst, src, k):
-        if k:
-            for row in a:
-                row[dst] += k * row[src]
-            for row in v:
-                row[dst] += k * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while True:
-        # smallest nonzero |entry| in the trailing submatrix, row-major ties
-        best = None
-        pi = pj = -1
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pi, pj = i, j
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if best is None:
-            break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                x = a[i][t]
-                if x:
-                    q = x // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, nc):
-                x = a[t][j]
-                if x:
-                    q = x // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty:
-                if all(a[i][t] == 0 for i in range(t + 1, nr)) and all(
-                        a[t][j] == 0 for j in range(t + 1, nc)):
-                    break
-        t += 1
-
-    rank = t
-    for i in range(rank):
-        if a[i][i] < 0:
-            negate_row(i)
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            d0, d1 = a[i][i], a[i + 1][i + 1]
-            if d1 % d0 == 0:
-                continue
-            changed = True
-            add_row(i, i + 1, 1)            # brings d1 into position (i, i+1)
-            g = math.gcd(d0, d1)
-            # column transform [[x, -d1//g], [y, d0//g]] has determinant 1
-            x, y = _bezout(d0, d1)
-            ci, cj = i, i + 1
-            for row in a:
-                r0, r1 = row[ci], row[cj]
-                row[ci] = x * r0 + y * r1
-                row[cj] = (-(d1 // g)) * r0 + (d0 // g) * r1
-            for row in v:
-                r0, r1 = row[ci], row[cj]
-                row[ci] = x * r0 + y * r1
-                row[cj] = (-(d1 // g)) * r0 + (d0 // g) * r1
-            # clear the (i+1, i) entry, divisible by the new pivot g
-            add_row(i + 1, i, -(a[i + 1][i] // a[i][i]))
-            if a[i + 1][i + 1] < 0:
-                negate_row(i + 1)
-    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """(x, y) with x*p + y*q = gcd(p, q)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while q:
-        k, p, q = p // q, q, p % q
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    return x0, y0
-
-
-def sublattice_index(b: IntMatrix) -> int | None:
-    """Index of the sublattice spanned by the rows of a 2x2 basis in Z^2.
-
-    Returns None for a degenerate (infinite-index) basis.
-    """
-    if (b.rows, b.cols) != (2, 2):
-        raise ValueError("expected a 2x2 basis matrix")
-    d = b.det()
-    return abs(d) if d else None
+    a = [list(r) for r in rows if any(r)]
+    diag: list[int] = []
+    while a:
+        _, pi, pj = min((abs(x), i, j) for i, r in enumerate(a)
+                        for j, x in enumerate(r) if x)
+        prow = a[pi]
+        p = prow[pj]
+        for i, r in enumerate(a):
+            if i != pi and r[pj]:
+                q = r[pj] // p
+                for j, x in enumerate(prow):
+                    r[j] -= q * x
+        for j in range(len(prow)):
+            if j != pj and prow[j]:
+                q = prow[j] // p
+                for r in a:
+                    r[j] -= q * r[pj]
+        if sum(map(bool, prow)) > 1 or sum(bool(r[pj]) for r in a) > 1:
+            continue
+        diag.append(abs(p))
+        a = [r[:pj] + r[pj + 1:] for i, r in enumerate(a) if i != pi]
+        a = [r for r in a if any(r)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
+    return diag
 
 
 @dataclass(frozen=True)
@@ -240,15 +78,6 @@ class SubgroupPresentation:
     @property
     def relators(self) -> tuple[Word, ...]:
         return self.presentation.relators
-
-    def rewrite_to_ambient(self, w: Word) -> Word:
-        """Spell a subgroup word in the ambient generators."""
-        defs = [d for _, d in self.schreier_generators]
-        out = Word()
-        for x in w.letters:
-            d = defs[abs(x) - 1]
-            out = out * (d if x > 0 else d.inverse())
-        return out
 
 
 def reidemeister_schreier(pres: Presentation, table: CosetTable) -> SubgroupPresentation:
@@ -388,13 +217,8 @@ def abelian_invariants(p: Presentation | SubgroupPresentation) -> tuple[int, ...
         units += 1
 
     live_cols = sorted(set().union(*rows.values()) if rows else set())
-    core = IntMatrix([[rows[rid].get(c, 0) for c in live_cols]
-                      for rid in sorted(rows)])
-    if core.rows and core.cols:
-        _, d, _ = smith_normal_form(core)
-        diag = [x for x in d.diagonal() if x]
-    else:
-        diag = []
+    diag = _invariant_factors([[rows[rid].get(c, 0) for c in live_cols]
+                               for rid in sorted(rows)])
     rank = units + len(diag)
     finite = tuple(x for x in diag if x > 1)
     return finite + (0,) * (ngens - rank)
@@ -413,20 +237,10 @@ def _canonical_cyclic(letters: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-def is_commutator_relator(w: Word) -> bool:
-    """True when w is g^e h^f g^-e h^-f for distinct generators, e,f = +-1."""
-    ls = w.letters
-    if len(ls) != 4:
-        return False
-    a, b, c, d = ls
-    return abs(a) != abs(b) and c == -a and d == -b
-
-
 class _TietzeState:
     def __init__(self, ngens: int, relators: Sequence[Word]):
         self.ngens = ngens
         self.alive = [True] * ngens
-        self.elim: dict[int, list[int]] = {}  # gen index -> replacement letters
         self.rels: dict[int, list[int]] = {}
         self.occ: dict[int, set[int]] = {i: set() for i in range(ngens)}
         self.gen_count = [0] * ngens
@@ -475,7 +289,6 @@ class _TietzeState:
         """Replace generator g (0-based) everywhere; g must not occur in
         the replacement."""
         self.alive[g] = False
-        self.elim[g] = replacement
         inv = [-x for x in reversed(replacement)]
         for rid in list(self.occ[g]):
             letters = self.rels[rid]
@@ -489,8 +302,15 @@ class _TietzeState:
             self._insert(out)
 
 
-def _tietze_core(ngens: int, relators: Sequence[Word], budget: int) -> _TietzeState:
-    st = _TietzeState(ngens, relators)
+def tietze_simplify(sp: SubgroupPresentation, budget: int = 100_000) -> SubgroupPresentation:
+    """Deterministic budgeted Tietze simplification.
+
+    Moves: eliminate a generator with a single occurrence in some relator,
+    drop relators that reduce to nothing or duplicate another, and shorten a
+    relator against a strictly shorter one sharing a long cyclic subword.
+    The result presents the same group.
+    """
+    st = _TietzeState(len(sp.schreier_generators), sp.relators)
 
     def elimination_round() -> bool:
         """Collect all single-occurrence candidates once, apply greedily."""
@@ -562,45 +382,12 @@ def _tietze_core(ngens: int, relators: Sequence[Word], budget: int) -> _TietzeSt
             st.moves += 1
             continue
         break
-    return st
 
-
-def tietze_simplify(sp: SubgroupPresentation, budget: int = 100_000) -> SubgroupPresentation:
-    """Deterministic budgeted Tietze simplification.
-
-    Moves: eliminate a generator with a single occurrence in some relator,
-    drop relators that reduce to nothing or duplicate another, and shorten a
-    relator against a strictly shorter one sharing a long cyclic subword.
-    The result presents the same group.
-    """
-    st = _tietze_core(len(sp.schreier_generators), sp.relators, budget)
-
-    survivors = [i for i in range(st.ngens) if st.alive[i]]
+    survivors = [g for g in range(st.ngens) if st.alive[g]]
     new_index = {g: k for k, g in enumerate(survivors)}
-    names = []
-    defs = []
-    for k, g in enumerate(survivors):
-        label, definition = sp.schreier_generators[g]
-        names.append(label)
-        defs.append((label, definition))
-    relators = []
-    for rid in sorted(st.rels):
-        letters = st.rels[rid]
-        relators.append(Word([
-            (new_index[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in letters
-        ]))
-    pres = Presentation(names, relators)
-    return SubgroupPresentation(sp.base, tuple(defs), pres)
-
-
-def simplify_presentation(p: Presentation, budget: int = 100_000) -> Presentation:
-    """Tietze simplification for a plain presentation (generators may drop)."""
-    st = _tietze_core(p.ngens, p.relators, budget)
-    survivors = [i for i in range(p.ngens) if st.alive[i]]
-    new_index = {g: k for k, g in enumerate(survivors)}
-    names = [p.generators[g].name for g in survivors]
+    defs = tuple(sp.schreier_generators[g] for g in survivors)
     relators = [
         Word([(new_index[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in st.rels[rid]])
         for rid in sorted(st.rels)
     ]
-    return Presentation(names, relators)
+    return SubgroupPresentation(sp.base, defs, Presentation([lbl for lbl, _ in defs], relators))

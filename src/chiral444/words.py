@@ -13,6 +13,19 @@ O(len(w1)) to build, reduce, hash and keep whatever m is, and the readers
 of words (``perms.PermGroup.word_id``, ``word_order``, ``evaluate``, the
 voltage cover of ``families``, ``hash`` and ``word_str``) take the root and
 exponent from ``Word.as_power``, found once per word object.
+
+Presentation files (``parse_presentation``) are a sequence of statements,
+each ended by ``;``: ``gens`` followed by generator names and ``rels``
+followed by relator expressions, the items of either separated by ``,``.
+A ``#`` starts a comment that runs to the end of its line.  Names start
+with a letter, then letters, digits or ``_``.  Expressions read::
+
+    expr := term ("*" term)*
+    term := atom ("^" int)?
+    atom := name | "(" expr ")" | "[" expr "," expr "]"
+
+where ``int`` may be negative and ``[u, v]`` is the commutator
+u^-1 v^-1 u v.  For example ``gens a, b; rels a^4, b^2, (a*b)^2;``.
 """
 
 from __future__ import annotations
@@ -460,7 +473,7 @@ class _Parser:
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse presentation-file source (see the grammar in the README)."""
+    """Parse presentation-file source (the grammar is in the module docstring)."""
     parser = _Parser(text)
     names: list[str] = []
     table: dict[str, int] = {}

@@ -170,6 +170,18 @@ def test_verify_bad_range_exit_one(capsys):
     assert code == 1
 
 
+def test_verify_unwritable_json_exit_one(tmp_path):
+    # P, m = 1 fails (exit 3 with a JSON path that can be written); a path
+    # that cannot be written is bad input, reported without a traceback
+    # after the report lines
+    path = tmp_path / "missing" / "report.json"
+    code, out, err, _ = run_child(tmp_path, "verify", "--family", "P", "--m", "1",
+                                  "--json", str(path))
+    assert code == 1
+    assert out.startswith("P m=1: order 1024 ") and "aggregate: FAIL" in out
+    assert f"cannot write {path}: " in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [("polytope", "--family", "P", "--m", "0"),
                                   ("polytope", "--family", "Q", "--m", "-2"),
                                   ("corollary", "--k-max", "-1")])
@@ -258,6 +270,15 @@ def test_polytope_command_p1_dump_matches_golden(capsys, tmp_path):
     assert "P3 False" in out
     golden = Path(__file__).resolve().parent / "data" / "g1_geometry.txt"
     assert dump.read_bytes() == golden.read_bytes()
+
+
+def test_polytope_unwritable_dump_exit_one(tmp_path):
+    dump = tmp_path / "missing" / "geom.txt"
+    code, out, err, _ = run_child(tmp_path, "polytope", "--family", "Q", "--m", "1",
+                                  "--dump-geometry", str(dump))
+    assert code == 1
+    assert out.startswith("Q m=1: order 2048\n") and "flags: 4096" in out
+    assert f"cannot write {dump}: " in err and "Traceback" not in err
 
 
 def test_polytope_command_q4_within_cap(capsys):

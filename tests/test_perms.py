@@ -9,7 +9,6 @@ from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import family_presentation, presentation_U
 from chiral444.perms import (PermGroup, Permutation, _runs, evaluate,
                              extends_to_homomorphism, orbit, perm_commutator)
-from chiral444.rewrite import IntMatrix, smith_normal_form
 from chiral444.words import Presentation, Word, _root, parse_presentation
 
 
@@ -439,22 +438,16 @@ def test_mirror_on_abelianized_rotation_quotient():
         rows.append(vec)
     m = [[-1, 0, 0], [2, 1, 0], [0, 0, 1]]
     mapped = [[sum(v[k] * m[k][j] for k in range(3)) for j in range(3)] for v in rows]
-    # lattice membership via the Smith normal form of the relator matrix
-    u_mat, d, v_mat = smith_normal_form(IntMatrix(rows))
-    diag = d.diagonal()
-
+    # lattice membership on the abelianized group's complete coset table:
+    # v lies in the relator lattice iff s1^v1 * s2^v2 * s3^v3 is trivial
     def in_lattice(vec):
-        # solve xs * D = vec * V  (rows of D span the transformed lattice)
-        rhs = [sum(vec[k] * v_mat.data[k][j] for k in range(3)) for j in range(3)]
-        for j in range(3):
-            dj = diag[j] if j < len(diag) else 0
-            if dj == 0:
-                if rhs[j] != 0:
-                    return False
-            elif rhs[j] % dj != 0:
-                return False
-        return True
+        w = Word()
+        for k, v in enumerate(vec):
+            w = w * Word((k + 1,)) ** v
+        return t.trace(1, w) == 1
 
+    assert all(in_lattice(v) for v in rows)
+    assert not in_lattice([1, 0, 0])
     assert all(in_lattice(v) for v in mapped)
 
 

@@ -12,7 +12,7 @@ from chiral444.perms import PermGroup, Permutation, orbit
 from chiral444.polytope import (ChiralityReport, RotationTriple, TripleError,
                                 build_coset_geometry, chirality_verdict,
                                 coset_geometry_from_subgroups, enantiomorph,
-                                intersection_condition, mirror_extends,
+                                intersection_condition,
                                 quotient_criterion, section_type,
                                 stabilizer_generators,
                                 validate_rotation_triple, verify_axioms)
@@ -163,14 +163,14 @@ def test_second_family_quotient_maps_onto_first():
 
 
 def test_mirror_extends_false_for_members_true_for_abelianized():
-    assert not mirror_extends(member_triple("P", 1))
-    assert not mirror_extends(member_triple("Q", 1))
+    assert chirality_verdict(member_triple("P", 1)).verdict == "chiral"
+    assert chirality_verdict(member_triple("Q", 1)).verdict == "chiral"
     p = parse_presentation("gens s1,s2,s3; rels s1^4, s2^4, s3^4, (s1*s2)^2,"
                            " (s2*s3)^2, (s1*s2*s3)^2, [s1,s2], [s1,s3], [s2,s3];")
     t = enumerate_cosets(p, [])
     perms = t.permutation_rep()
     trip = RotationTriple(PermGroup.regular(perms), tuple(perms), p)
-    assert mirror_extends(trip)
+    assert chirality_verdict(trip) == ChiralityReport("regular", None, None)
 
 
 def test_chirality_verdict_with_witness():
@@ -210,7 +210,6 @@ def test_mirror_images_of_shared_relators_are_formed_once(monkeypatch):
         t = member_triple(f, m)
         assert chirality_verdict(t, wit) == ChiralityReport("chiral", wit, 2)
         assert chirality_verdict(t).verdict == "chiral"
-        assert not mirror_extends(t)
         enantiomorph(t)  # takes every relator's image
     u = presentation_U().relators
     assert wit in u
@@ -273,7 +272,6 @@ def test_copied_sigma_take_the_membership_path_with_the_same_answers(fam, m):
     assert validate_rotation_triple(t.group, t.sigma) == validate_rotation_triple(p.group, p.sigma)
     assert chirality_verdict(t, wit) == chirality_verdict(p, wit)
     assert chirality_verdict(t) == chirality_verdict(p)
-    assert mirror_extends(t) == mirror_extends(p)
     assert quotient_criterion(t, ref) == quotient_criterion(p, _copied(ref))
     assert intersection_condition(t) == intersection_condition(p)
     with pytest.raises(TripleError):
