@@ -11,7 +11,9 @@ read off its family's voltage cover, and logs each to stderr as it
 finishes; its report lines go to stdout only once every member has run,
 so a run that a cap stops prints none.  ``polytope`` and
 ``verify --axioms`` compare each member's certified order with the
-geometry's element cap before building any member.
+geometry's element cap before building any member; ``polytope`` logs the
+milliseconds of its four stages (member, geometry, axioms, sections) as
+one stderr line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import time
 
 from . import __version__
 from .coset import DEFAULT_MAX_COSETS, EnumerationConfig, enumerate_cosets
-from .families import (FAMILIES, EnumerationIncomplete, MemberReport,
+from .families import (FAMILIES, EnumerationIncomplete, MemberReport, StageTimer,
                        VerifyOptions, certified_order, corollary_orders,
                        member_triple, verify_conjugation_action, verify_member)
 from .polytope import (GeometryCapError, build_coset_geometry,
@@ -194,7 +196,7 @@ def cmd_verify(args) -> int:
           f"({len(reports)} members, {time.perf_counter() - t0:.1f}s)")
     if args.json:
         doc = {
-            "schema_version": 1,
+            "schema_version": 2,
             "tool": "chiral444",
             "version": __version__,
             "config": {"family": args.family, "m": ms, "max_cosets": args.max_cosets,
@@ -233,8 +235,13 @@ def cmd_polytope(args) -> int:
     except GeometryCapError as exc:
         _log(str(exc))
         return EXIT_INPUT
-    geom = build_coset_geometry(member_triple(args.family, args.m, opts))
+    timer = StageTimer()
+    triple = member_triple(args.family, args.m, opts)
+    timer.lap("member")
+    geom = build_coset_geometry(triple)
+    timer.lap("geometry")
     rpt = verify_axioms(geom)
+    timer.lap("axioms")
     counts = geom.face_counts()
     print(f"{args.family} m={args.m}: order {geom.group_order}")
     print(f"faces by rank: {counts[0]} vertices, {counts[1]} edges, "
@@ -245,6 +252,8 @@ def cmd_polytope(args) -> int:
     if rpt.equivelar:
         ftype, vtype = section_type(geom)
         print(f"schlafli: {rpt.schlafli}  facets {ftype}  vertex figures {vtype}")
+    timer.lap("sections")
+    _log("[polytope] " + " ".join(f"{k}={v:.1f}ms" for k, v in timer.timings.items()))
     if args.dump_geometry:
         if not _write(args.dump_geometry, geom.dump()):
             return EXIT_INPUT

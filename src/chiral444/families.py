@@ -223,7 +223,7 @@ class MemberReport:
     derived_length: int | None
     intersection_condition: bool
     quotient_criterion: bool
-    verdict: str
+    verdict: str  # "chiral" | "regular" | "not-a-polytope"
     witness_order: int | None
     witness_relator: str | None
     axioms: AxiomReport | None
@@ -243,7 +243,7 @@ class MemberReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "family": self.family,
             "m": self.m,
             "order": self.order,
@@ -263,7 +263,9 @@ class MemberReport:
         }
 
 
-class _Timer:
+class StageTimer:
+    """Milliseconds per stage, each stage timed from the previous lap."""
+
     def __init__(self):
         self.timings: dict[str, float] = {}
         self._t = time.perf_counter()
@@ -735,7 +737,12 @@ def _span(gens: Sequence[_Lift], n: int) -> _Term:
     while gens and frontier.size:
         ends = np.concatenate([end[frontier] for end, _ in gens])
         pots = np.concatenate([pot[frontier] + volt[frontier] for _, volt in gens])
-        new, first = np.unique(ends, return_index=True)
+        # each end once, with the index of its first occurrence
+        first = np.argsort(ends, kind="stable")
+        new = ends[first]
+        once = np.ones(new.shape[0], dtype=bool)
+        np.not_equal(new[1:], new[:-1], out=once[1:])
+        new, first = new[once], first[once]
         fresh = ~mask[new]
         frontier, first = new[fresh], first[fresh]
         mask[frontier] = True
@@ -743,7 +750,12 @@ def _span(gens: Sequence[_Lift], n: int) -> _Term:
     pts = np.flatnonzero(mask)
     disc = np.concatenate([pot[pts] + volt[pts] - pot[end[pts]] for end, volt in gens]
                           or [np.zeros((0, 2), dtype=np.int64)])
-    disc = np.unique(disc[disc.any(axis=1)], axis=0)
+    # the distinct nonzero discrepancies, in any order (_hnf is canonical)
+    disc = disc[disc.any(axis=1)]
+    disc = disc[np.lexsort(disc.T)]
+    once = np.ones(disc.shape[0], dtype=bool)
+    np.any(disc[1:] != disc[:-1], axis=1, out=once[1:])
+    disc = disc[once]
     return _Term(tuple(gens), mask, pot, _hnf(map(tuple, disc.tolist())))
 
 
@@ -1028,7 +1040,10 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     to ``member_triple``'s action, the tests' cross-check.  The criterion
     compares each order at m with the one at 1, the reference member's;
     that the map onto the reference is a homomorphism is not checked
-    again, since every relator's walk closes at every point of G_1.
+    again, since every relator's walk closes at every point of G_1.  A
+    member whose intersection condition fails is the rotation group of no
+    polytope, so its verdict is "not-a-polytope", whatever the mirror test
+    finds; the mirror witness is still reported.
 
     Solvability and the derived length come from ``derived_orders``.  The
     conjugation proof runs only for m >= 2, so at m = 1 the report needs no
@@ -1037,7 +1052,7 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     element cap (``polytope.check_element_cap``).
     """
     opts = opts or VerifyOptions()
-    timer = _Timer()
+    timer = StageTimer()
     pres, state = family_presentation(family, m), _state(family)
     order = _certified_order(state, pres, m, opts.max_cosets)
     cover = state.cover
@@ -1058,8 +1073,8 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     solvable = dlength is not None
     timer.lap("solvability")
 
-    verdict = mirror_verdict(pres.relators, lambda w: cover.holds(w, m),
-                             lambda w: cover.word_order(w, m), mirror_witness_relator())
+    mirror = mirror_verdict(pres.relators, lambda w: cover.holds(w, m),
+                            lambda w: cover.word_order(w, m), mirror_witness_relator())
     timer.lap("mirror")
 
     axioms = None
@@ -1075,10 +1090,10 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
         schlafli=schlafli.as_tuple(),
         solvable=solvable, derived_length=dlength,
         intersection_condition=ic, quotient_criterion=qc,
-        verdict=verdict.verdict,
-        witness_order=verdict.witness_order,
-        witness_relator=(pres.word_str(verdict.witness_relator)
-                         if verdict.witness_relator else None),
+        verdict=mirror.verdict if ic else "not-a-polytope",
+        witness_order=mirror.witness_order,
+        witness_relator=(pres.word_str(mirror.witness_relator)
+                         if mirror.witness_relator else None),
         axioms=axioms,
         timings_ms=timer.timings,
     )

@@ -142,7 +142,8 @@ class Permutation:
         no label, every label is its cycle's minimum (along x, q(x), q(q(x)),
         ... the labels cannot rise without coming back down), so the rounds
         number about log2 of the longest cycle, each a numpy pass over the
-        points.  The cycle lengths are the label counts.
+        points.  The cycle lengths are the label counts, and the distinct
+        ones are those that a count of the counts finds.
         """
         lab = np.arange(self.degree)
         q = self.images
@@ -151,8 +152,8 @@ class Permutation:
             if np.array_equal(new, lab):
                 break
             lab, q = new, q[q]
-        lengths = np.bincount(lab)
-        return math.lcm(*np.unique(lengths[lengths > 0]).tolist())
+        cycles_of_length = np.bincount(np.bincount(lab))
+        return math.lcm(*(np.flatnonzero(cycles_of_length[1:]) + 1).tolist())
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as tuples of 1-based points."""

@@ -23,28 +23,34 @@ voltage cover.
 The geometry is built on the group's right-regular action on the positions
 of ``elements()`` (``PermGroup.right_action``, renumbered): the rank-i face
 gS_i is the S_i-orbit of g's position, and two faces are incident when they
-share one.  Each face is labelled by the smallest position in its orbit,
-found by min-label propagation over the stabilizer generators' maps, and
-faces are numbered in the order of those labels.  A ``CosetGeometry`` holds
-the face counts and, per pair of ranks, the sorted distinct keys of its
-incident pairs (sorted, then compared with their neighbours); the axioms
-P1-P4, the flag count and the section types are joins and group-bys on
-those arrays.
+share one.  Each face is labelled by the smallest position in its orbit
+(``_orbit_labels``: min-label propagation over the stabilizer generators'
+maps, with one pointer jump a round), and faces are numbered in the order
+of those labels.  A ``CosetGeometry`` holds the face counts and, per pair
+of ranks, the sorted distinct keys of its incident pairs (sorted, then
+compared with their neighbours); the axioms P1-P4, the flag count and the
+section types are joins and groupings on those arrays.  No join searches
+unsorted keys, and no grouping calls ``np.unique``.
 
 For each incident pair of faces and each rank between them, the number of
 faces of that rank incident to both is counted once per geometry and kept
 on it (``_between``).  When one end is a formal face the count is a
-``bincount`` of one incidence array; only the four triples of real ranks
-join chains of three faces.
+``bincount`` of one incidence array; the four triples of real ranks count
+chains of three faces, merging the chains' end keys into the pairs' keys.
 
-``verify_axioms`` builds one table of vertex-edge-polygon chains.  It gives
-the (0,1,2) counts and the components of the (-1,2) sections, and extended
-by rank 3 it is the flag table (f0, f1, f2, f3).  Its length is the flag
-count, and it decides strong flag-connectivity (P3) for the four section
-classes whose flags are whole flags, (0,3), (-1,3), (0,4) and (-1,4): the
-flags are grouped once per rank by their other three faces, and each
-class's components are labelled by min-label propagation over the groupings
-of its middle ranks.
+Chains grow one rank at a time (``_extend``) through each incidence
+pair's CSR arrays, which the geometry keeps, and come out sorted.
+``verify_axioms`` builds three tables.  The vertex-edge-polygon chains give
+the (0,1,2) counts and the components of the (-1,2) sections; the
+edge-polygon-facet chains give the (1,2,3) counts and those of the (1,4)
+sections.  The first table extended by rank 3 is the flag table
+(f0, f1, f2, f3).  Its length is the flag count, and it decides strong
+flag-connectivity (P3) for the four section classes whose flags are whole
+flags, (0,3), (-1,3), (0,4) and (-1,4).  The flags are grouped once per
+rank by their other three faces: off rank 3 the groups are runs of the
+table, off any other rank runs of one sort.  Each grouping is held as a
+permutation whose cycles are its groups, so each class's components are
+the orbits (``_orbit_labels``) of the groupings of its middle ranks.
 """
 
 from __future__ import annotations
@@ -325,6 +331,8 @@ class CosetGeometry:
     ``between[(i, mid, j)]`` keeps, once ``_between`` has counted them, the
     read-only counts of rank-``mid`` faces between each incident (rank-i,
     rank-j) pair, so that ``verify_axioms`` and ``section_type`` share them.
+    ``csr[(i, j)]`` keeps, once ``_incident_faces`` has made it, the rank-j
+    faces incident to each rank-i face, which ``_extend`` reads.
     """
 
     triple: RotationTriple
@@ -333,6 +341,8 @@ class CosetGeometry:
     nfaces: tuple[int, int, int, int]
     incidence: dict[tuple[int, int], np.ndarray]
     between: dict[tuple[int, int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    csr: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def face_counts(self) -> tuple[int, int, int, int]:
@@ -386,35 +396,30 @@ def stabilizer_generators(sigma: Sequence[Permutation]) -> list[list[Permutation
     return [[s2, s3], [s1 * s2, s3], [s1, s2 * s3], [s1, s2]]
 
 
-def _min_labels(n: int, relax) -> np.ndarray:
-    """The smallest index in each connected component of a graph on 0..n-1.
+def _orbit_labels(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
+    """The smallest index in each index's orbit under the permutations
+    ``maps`` of 0..n-1.
 
-    ``relax(lab)`` lowers each index's label to the smallest label among its
-    neighbours.  Labels only ever name an index of the same component that is
-    no larger, so ``lab[lab]`` is a valid label too (pointer jumping).
+    Each index starts as its own label, and labels only ever name a no
+    larger index of the same orbit.  Each round relaxes every label to the
+    least of its own and its images' labels, one map after another, and
+    then makes one pointer jump, ``lab[lab]``, also a valid label.  Since
+    lab[j] <= j, a round's labels are pointwise at most the relaxed ones,
+    which are at most the old ones, so a round changes nothing only when
+    no relaxation lowers a label and every label labels itself.  Then
+    lab[k] <= lab[r[k]] on every cycle of every map r, so the label is
+    constant on each orbit, and it is an index of the orbit no larger than
+    any: its smallest.
     """
     lab = np.arange(n, dtype=np.int64)
     while True:
-        new = relax(lab)
-        jumped = new[new]
-        while not np.array_equal(jumped, new):
-            new, jumped = jumped, jumped[jumped]
+        new = lab
+        for r in maps:
+            new = np.minimum(new, new[r])
+        new = new[new]
         if np.array_equal(new, lab):
             return lab
         lab = new
-
-
-def _orbit_labels(n: int, maps: Sequence[np.ndarray]) -> np.ndarray:
-    """The smallest element id in each element's orbit under ``maps``."""
-
-    def relax(lab):
-        # at the fixed point lab[k] <= lab[r[k]] on every cycle of every r,
-        # so the label is constant on each orbit
-        for r in maps:
-            lab = np.minimum(lab, lab[r])
-        return lab
-
-    return _min_labels(n, relax)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -469,23 +474,46 @@ def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 16) -> Coset
         t, stabilizer_generators(t.sigma), element_cap)
 
 
+def _incident_faces(geom: CosetGeometry, i: int, j: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rank-j faces incident to each rank-i face (ranks 0..3), as CSR
+    arrays made once per geometry and kept on it: the faces, grouped by
+    their rank-i face in increasing order; each rank-i face's degree; and
+    where its group starts."""
+    csr = geom.csr.get((i, j))
+    if csr is None:
+        lo, hi = np.divmod(geom.incidence[(i, j)], geom.nfaces[j])
+        degree = np.bincount(lo, minlength=geom.nfaces[i])
+        csr = geom.csr[(i, j)] = (hi, degree, np.cumsum(degree) - degree)
+    return csr
+
+
 def _extend(geom: CosetGeometry, rows: np.ndarray, ranks: Sequence[int],
             rank: int) -> np.ndarray:
     """Chains of ``rows`` (one column per rank of the increasing ``ranks``)
-    extended in every way by a face of the greater ``rank``; ranks 0..3."""
-    prev, size = ranks[-1], geom.nfaces[rank]
-    lo, hi = np.divmod(geom.incidence[(prev, rank)], size)
-    degree = np.bincount(lo, minlength=geom.nfaces[prev])
-    first = np.cumsum(degree) - degree
-    # extend every row by each face incident to its last face
-    reps = degree[rows[:, -1]]
-    rows = np.repeat(rows, reps, axis=0)
-    offset = np.arange(rows.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
-    new = hi[first[rows[:, -1]] + offset]
-    keep = np.ones(rows.shape[0], dtype=bool)
+    extended in every way by a face of the greater ``rank``; ranks 0..3.
+
+    The extensions of each row come out as one run, in the order of the
+    rows, so the chains of ``_chains`` are sorted and a table's chains that
+    share all faces but the last are contiguous (``_flag_graph``)."""
+    hi, degree, first = _incident_faces(geom, ranks[-1], rank)
+    last = rows[:, -1]
+    reps = degree[last]
+    # slot s extends row src[s]; the row's slots, from start on, read the
+    # faces incident to its last face, from first[last] on
+    start = np.cumsum(reps) - reps
+    src = np.repeat(np.arange(rows.shape[0]), reps)
+    new = hi[np.arange(src.shape[0]) + (first[last] - start)[src]]
+    size = geom.nfaces[rank]
+    keep = np.ones(src.shape[0], dtype=bool)
     for q, r in enumerate(ranks[:-1]):
-        keep &= np.isin(rows[:, q] * size + new, geom.incidence[(r, rank)])
-    return np.column_stack([rows[keep], new[keep]])
+        keep &= np.isin(rows[src, q] * size + new, geom.incidence[(r, rank)], kind="table")
+    src, new = src[keep], new[keep]
+    out = np.empty((src.shape[0], len(ranks) + 1), dtype=np.int64, order="F")
+    for q in range(len(ranks)):
+        np.take(rows[:, q], src, out=out[:, q])
+    out[:, -1] = new
+    return out
 
 
 def _chains(geom: CosetGeometry, ranks: Sequence[int]) -> np.ndarray:
@@ -505,9 +533,12 @@ def _between(geom: CosetGeometry, i: int, mid: int, j: int,
     The counts are made once per geometry and kept, read-only, in
     ``geom.between``.  Between the two formal faces every rank-``mid`` face
     counts; with one formal end, the other end's incident ``mid`` faces are
-    counted off one incidence array.  The four triples of real ranks join
+    counted off one incidence array.  The four triples of real ranks count
     the chains of ranks (i, mid, j), which a caller that has them passes as
-    ``chains``.
+    ``chains``, by their ends.  Every chain's ends are an incident pair
+    (``_extend`` keeps no other), so in the sorted merge of the pairs' keys
+    with the chains' end keys each key opens one run, one longer than its
+    count.  The merge holds one entry per pair and per chain.
     """
     counts = geom.between.get((i, mid, j))
     if counts is not None:
@@ -524,8 +555,12 @@ def _between(geom: CosetGeometry, i: int, mid: int, j: int,
         if chains is None:
             chains = _chains(geom, (i, mid, j))
         keys = geom.incidence[(i, j)]
-        hits = np.searchsorted(keys, chains[:, 0] * geom.rank_size(j) + chains[:, 2])
-        counts = np.bincount(hits, minlength=keys.shape[0])
+        merged = np.concatenate([keys, chains[:, 0] * geom.rank_size(j) + chains[:, 2]])
+        merged.sort()
+        bounds = np.empty(keys.shape[0] + 1, dtype=np.int64)
+        bounds[0], bounds[-1] = 0, merged.shape[0]
+        bounds[1:-1] = np.flatnonzero(merged[1:] != merged[:-1]) + 1
+        counts = np.diff(bounds) - 1
     counts.flags.writeable = False
     geom.between[(i, mid, j)] = counts
     return counts
@@ -542,46 +577,54 @@ def _key(n: int, cols: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray
     return key
 
 
+def _starts(n: int, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """For n rows given by columns ``cols``, whether each row starts a run
+    of rows equal to it."""
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
+
+
+def _cycles(new: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """The permutation that takes each row to the next row of its group and
+    the group's last row to its first, for groups listed as runs of
+    ``order`` (the identity when None) that start where ``new`` holds."""
+    n = new.shape[0]
+    succ = np.arange(1, n + 1)
+    last = np.ones(n, dtype=bool)
+    last[:-1] = new[1:]
+    succ[last] = np.flatnonzero(new)
+    if order is None:
+        return succ
+    cyc = np.empty(n, dtype=np.int64)
+    cyc[order] = order[succ]
+    return cyc
+
+
 def _flag_graph(table: np.ndarray, ranks: Sequence[int], sizes: Sequence[int],
-                mids: Sequence[int]) -> list[tuple[np.ndarray, int]]:
+                mids: Sequence[int]) -> list[np.ndarray]:
     """Per rank t of ``mids``, the chains of ``table`` (one column per rank
-    of ``ranks``) grouped by their faces off rank t: a group id per chain,
-    and the number of groups.  Two chains of one section are adjacent when
-    they share a group."""
+    of ``ranks``, made by ``_chains``) grouped by their faces off rank t,
+    as a permutation of the chains whose cycles are the groups
+    (``_cycles``).  Two chains of one section are adjacent when they share
+    a group.  Off the last rank the groups are runs of the table, as
+    ``_extend`` emits the extensions of each chain; off any other rank they
+    are runs of one sort of the chains' keys."""
+    n = table.shape[0]
     cols = list(table.T)
     axes = []
     for k, t in enumerate(ranks):
-        if t in mids:
-            key = _key(table.shape[0], cols[:k] + cols[k + 1:], sizes[:k] + sizes[k + 1:])
-            groups, gid = np.unique(key, return_inverse=True)
-            axes.append((gid, groups.shape[0]))
+        if t not in mids:
+            continue
+        if k == len(ranks) - 1:
+            axes.append(_cycles(_starts(n, cols[:-1])))
+        else:
+            key = _key(n, cols[:k] + cols[k + 1:], sizes[:k] + sizes[k + 1:])
+            order = np.argsort(key)
+            axes.append(_cycles(_starts(n, [key[order]]), order))
     return axes
-
-
-def _runs(table: np.ndarray) -> tuple[np.ndarray, int]:
-    """The rows of ``table`` grouped by their columns but the last, for a
-    table whose rows that agree there are contiguous, as ``_extend`` emits
-    the extensions of each row: a group id per row, and the number of
-    groups."""
-    new = np.zeros(table.shape[0], dtype=bool)
-    new[:1] = True
-    for k in range(table.shape[1] - 1):
-        new[1:] |= table[1:, k] != table[:-1, k]
-    return np.cumsum(new) - 1, int(np.count_nonzero(new))
-
-
-def _components(n: int, axes) -> np.ndarray:
-    """Component labels (``_min_labels``) of the chains under the groupings
-    ``axes``."""
-
-    def relax(lab):
-        for gid, ngroups in axes:
-            low = np.full(ngroups, n, dtype=np.int64)
-            np.minimum.at(low, gid, lab)
-            lab = low[gid]
-        return lab
-
-    return _min_labels(n, relax)
 
 
 def _one_per_section(geom: CosetGeometry, table: np.ndarray, ranks: Sequence[int],
@@ -598,42 +641,41 @@ def _one_per_section(geom: CosetGeometry, table: np.ndarray, ranks: Sequence[int
 
 
 def _sections_connected(geom: CosetGeometry, i: int, j: int,
-                        table: np.ndarray | None = None) -> bool:
+                        table: np.ndarray) -> bool:
     """Whether the flags of every (rank-i, rank-j) section are connected
     through flags that differ in one face, given as components of the
-    chain graph.  ``table``, when given, holds the chains of the real ranks
-    from max(i, 0) to min(j, 3)."""
+    chain graph.  ``table`` holds the chains of the real ranks from
+    max(i, 0) to min(j, 3)."""
     ranks = tuple(range(max(i, 0), min(j, 3) + 1))  # a formal rank has one face
-    if table is None:
-        table = _chains(geom, ranks)
     axes = _flag_graph(table, ranks, [geom.rank_size(r) for r in ranks],
                        range(i + 1, j))
-    lab = _components(table.shape[0], axes)
+    lab = _orbit_labels(table.shape[0], axes)
     return _one_per_section(geom, table, ranks, lab, i, j)
 
 
-def _connected_classes(geom: CosetGeometry, vep: np.ndarray, flags: np.ndarray):
+def _connected_classes(geom: CosetGeometry, vep: np.ndarray, epf: np.ndarray,
+                       flags: np.ndarray):
     """Yield ((i, j), connected) for each section class (i, j) of rank at
     least 2: whether the flags of each of its sections are connected (a
     section without flags counts as connected).  A caller that stops at the
     first False skips the rest.
 
     The classes (-1,2) and (1,4) go by ``_sections_connected``, (-1,2) on
-    ``vep``, the table of vertex-edge-polygon chains.  The four others,
-    (0,3), (-1,3), (0,4) and (-1,4), share the one table ``flags`` of the
-    flags (f0, f1, f2, f3), grouped once by the faces off each rank (off
-    rank 3 by ``_runs``: ``_extend`` emits the flags of each
-    vertex-edge-polygon chain as one run); each class's components are
-    found over the groupings of its middle ranks.
+    ``vep``, the table of vertex-edge-polygon chains, and (1,4) on ``epf``,
+    that of edge-polygon-facet chains.  The four others, (0,3), (-1,3),
+    (0,4) and (-1,4), share the one table ``flags`` of the flags
+    (f0, f1, f2, f3), grouped once by the faces off each rank
+    (``_flag_graph``); each class's components are found over the
+    groupings of its middle ranks.
     """
     yield (-1, 2), _sections_connected(geom, -1, 2, vep)
-    yield (1, 4), _sections_connected(geom, 1, 4)
+    yield (1, 4), _sections_connected(geom, 1, 4, epf)
     n = flags.shape[0]
     ranks = (0, 1, 2, 3)
-    axes = _flag_graph(flags, ranks, geom.nfaces, (0, 1, 2)) + [_runs(flags)]
+    axes = _flag_graph(flags, ranks, geom.nfaces, ranks)
     for (i, j), middle in (((0, 3), axes[1:3]), ((-1, 3), axes[:3]),
                            ((0, 4), axes[1:]), ((-1, 4), axes)):
-        yield (i, j), _one_per_section(geom, flags, ranks, _components(n, middle), i, j)
+        yield (i, j), _one_per_section(geom, flags, ranks, _orbit_labels(n, middle), i, j)
 
 
 def verify_axioms(geom: CosetGeometry) -> AxiomReport:
@@ -641,20 +683,24 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
 
     Failures are recorded in the report, never raised.  The counts of faces
     between incident pairs are made here, 16 of the 20 by a ``bincount``,
-    and kept on the geometry for ``section_type``.  One table of
+    and kept on the geometry for ``section_type``.  The table of
     vertex-edge-polygon chains gives the (0,1,2) counts and P3 for the
-    (-1,2) sections; extended by rank 3 it is the table of flags, the
-    maximal chains through all ranks.  Its length is the flag count, and it
-    serves P3 for the four section classes between a face of rank -1 or 0
-    and one of rank 3 or 4 (``_connected_classes``).  Neither table
-    outlives the call.
+    (-1,2) sections, and that of edge-polygon-facet chains, built once,
+    the (1,2,3) counts and P3 for the (1,4) sections.  Extended by rank 3
+    the first is the table of flags, the maximal chains through all ranks.
+    Its length is the flag count, and it serves P3 for the four section
+    classes between a face of rank -1 or 0 and one of rank 3 or 4
+    (``_connected_classes``).  No table outlives the call.
     """
     p1_ok = all(c > 0 for c in geom.face_counts())  # formal faces exist by construction
 
     # faces strictly between each incident pair, per middle rank; the
-    # vertex-edge-polygon chains give the (0,1,2) counts and, below, the flags
+    # vertex-edge-polygon chains give the (0,1,2) counts and, below, the
+    # flags, and the edge-polygon-facet chains the (1,2,3) counts
     vep = _chains(geom, (0, 1, 2))
+    epf = _chains(geom, (1, 2, 3))
     _between(geom, 0, 1, 2, vep)
+    _between(geom, 1, 2, 3, epf)
     between = {(i, mid, j): _between(geom, i, mid, j)
                for i in range(-1, 3) for j in range(i + 2, 5)
                for mid in range(i + 1, j)}
@@ -670,7 +716,7 @@ def verify_axioms(geom: CosetGeometry) -> AxiomReport:
     # with an empty middle rank fails, one with at most one flag passes
     flags = _extend(geom, vep, (0, 1, 2), 3)
     p3_ok = (all(c.all() for (i, _, j), c in between.items() if j >= i + 3)
-             and all(ok for _, ok in _connected_classes(geom, vep, flags)))
+             and all(ok for _, ok in _connected_classes(geom, vep, epf, flags)))
 
     flag_count = int(flags.shape[0])
 

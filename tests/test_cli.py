@@ -116,7 +116,7 @@ def test_verify_q1_json_round_trip(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert doc["aggregate_pass"] is True
     assert doc["members"][0]["order"] == 2048
-    assert doc["members"][0]["schema_version"] == 1
+    assert doc["schema_version"] == doc["members"][0]["schema_version"] == 2
     # round trip: emitting the parsed document reproduces it
     assert json.loads(json.dumps(doc)) == doc
 
@@ -154,6 +154,7 @@ def test_verify_reports_match_golden(tmp_path, capsys, family, exit_code):
 def test_verify_exit_code_tracks_aggregate(tmp_path, capsys):
     # the first family-P member fails the direct intersection condition
     # (see the axiom analysis in the project notes), so verify reports FAIL
+    # and calls it no polytope
     path = tmp_path / "p1.json"
     code, out, _ = run_cli(capsys, "verify", "--family", "P", "--m", "1",
                            "--json", str(path))
@@ -162,7 +163,8 @@ def test_verify_exit_code_tracks_aggregate(tmp_path, capsys):
     assert doc["aggregate_pass"] is False
     assert doc["members"][0]["intersection_condition"] is False
     assert doc["members"][0]["order"] == 1024
-    assert doc["members"][0]["verdict"] == "chiral"
+    assert doc["members"][0]["verdict"] == "not-a-polytope"
+    assert "verdict=not-a-polytope (witness order 2)" in out
 
 
 def test_verify_bad_range_exit_one(capsys):
@@ -261,6 +263,31 @@ def test_polytope_command_p2_dump_is_pinned(capsys, tmp_path):
         "fe71c6f06845fffe2c04670466018efb19ed211af5a1419899c6ea079edab071")
 
 
+def test_polytope_command_q2_dump_is_pinned(capsys, tmp_path):
+    dump = tmp_path / "geom.txt"
+    code, out, _ = run_cli(capsys, "polytope", "--family", "Q", "--m", "2",
+                           "--dump-geometry", str(dump))
+    assert code == 0
+    assert "flags: 16384 (2*order = 16384)" in out
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "f22e4708b636ce2488756add596b26f61b1a6225803c9fa4a3b5f28bbcf67ae5")
+
+
+def test_polytope_command_at_the_element_cap_is_pinned(capsys, tmp_path):
+    # P at m = 8 has order 2^16, the geometry's element cap
+    dump = tmp_path / "geom.txt"
+    code, out, _ = run_cli(capsys, "polytope", "--family", "P", "--m", "8",
+                           "--dump-geometry", str(dump))
+    assert code == 0
+    assert out == ("P m=8: order 65536\n"
+                   "faces by rank: 32 vertices, 8192 edges, 8192 polygons, 512 facets\n"
+                   "P1 True  P2 True  P3 True  P4 True  equivelar True\n"
+                   "flags: 131072 (2*order = 131072)\n"
+                   "schlafli: (4, 4, 4)  facets (4, 4)  vertex figures (4, 4)\n")
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "5ea668bf0cad909c27bc02a3f4b0965982156de8d3eb0027819f55f90b83347e")
+
+
 def test_polytope_command_p1_dump_matches_golden(capsys, tmp_path):
     # P, m = 1 fails P3, so the command exits 3; the dump is still written
     dump = tmp_path / "geom.txt"
@@ -270,6 +297,32 @@ def test_polytope_command_p1_dump_matches_golden(capsys, tmp_path):
     assert "P3 False" in out
     golden = Path(__file__).resolve().parent / "data" / "g1_geometry.txt"
     assert dump.read_bytes() == golden.read_bytes()
+
+
+def test_polytope_logs_its_stage_times(capsys):
+    code, out, err = run_cli(capsys, "polytope", "--family", "Q", "--m", "1")
+    assert code == 0 and "flags: 4096" in out
+    line, = [x for x in err.splitlines() if x.startswith("[polytope] member=")]
+    for stage in ("member", "geometry", "axioms", "sections"):
+        assert f" {stage}=" in line
+
+
+def test_pipeline_runs_never_import_numpy_ma():
+    # numpy's np.unique imports numpy.ma on its first call, 10-20 ms
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from chiral444.cli import main",
+        "for argv in (['verify', '--family', 'Q', '--m', '2'],",
+        "             ['polytope', '--family', 'Q', '--m', '2'],",
+        "             ['corollary', '--k-max', '3']):",
+        "    with contextlib.redirect_stdout(io.StringIO()), \\",
+        "            contextlib.redirect_stderr(io.StringIO()):",
+        "        assert main(argv) == 0, argv",
+        "print('numpy.ma' in sys.modules)"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_polytope_unwritable_dump_exit_one(tmp_path):

@@ -69,8 +69,12 @@ def test_verify_member_first_members():
     assert r.order == 1024 == r.expected_order
     assert r.schlafli == (4, 4, 4)
     assert r.solvable
-    assert r.verdict == "chiral" and r.witness_order == 2
-    assert r.quotient_criterion
+    # P at m = 1 fails the intersection condition, so it is no polytope;
+    # the mirror test's witness is still reported
+    assert not r.intersection_condition
+    assert r.verdict == "not-a-polytope" and r.witness_order == 2
+    assert r.witness_relator is not None
+    assert r.quotient_criterion and not r.passed
     q = verify_member("Q", 1)
     assert q.order == 2048
     assert q.verdict == "chiral" and q.witness_order == 2
@@ -81,7 +85,22 @@ def test_verify_member_first_members():
 def test_verify_member_order_scaling():
     r = verify_member("P", 3, VerifyOptions(axioms=False))
     assert r.order == 9216 == 1024 * 9
+    assert r.solvable and r.verdict == "not-a-polytope"
+    r = verify_member("P", 2, VerifyOptions(axioms=False))
+    assert r.order == 4096 == 1024 * 4
     assert r.solvable and r.verdict == "chiral"
+
+
+@pytest.mark.parametrize("family, verdicts", [
+    ("P", ("not-a-polytope", "chiral", "not-a-polytope", "chiral")),
+    ("Q", ("chiral",) * 4)])
+def test_verdict_is_not_a_polytope_exactly_where_the_intersection_fails(family, verdicts):
+    opts = VerifyOptions(axioms=False)
+    reports = [verify_member(family, m, opts) for m in range(1, 5)]
+    assert tuple(r.verdict for r in reports) == verdicts
+    for r in reports:
+        assert r.intersection_condition == (r.verdict != "not-a-polytope")
+        assert r.witness_order == 2 and r.witness_relator is not None
 
 
 def test_member_report_json_round_trip():

@@ -12,12 +12,14 @@ import random
 from collections import deque
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from chiral444.families import member_triple
 from chiral444.perms import Permutation
 from chiral444.polytope import (CosetGeometry, _between, _chains,
-                                _connected_classes, coset_geometry_from_subgroups,
-                                section_type, stabilizer_generators, verify_axioms)
+                                _connected_classes, _flag_graph, _orbit_labels,
+                                coset_geometry_from_subgroups, section_type,
+                                stabilizer_generators, verify_axioms)
 from test_polytope import simplex_triple
 
 RANKS = range(-1, 5)
@@ -359,6 +361,7 @@ def test_p3_section_classes_match_oracle():
                                  for a, b in oracle.incident_pairs(i, j))
                      for i, j in P3_CLASSES}
         classes = _connected_classes(geom, _chains(geom, (0, 1, 2)),
+                                     _chains(geom, (1, 2, 3)),
                                      _chains(geom, (0, 1, 2, 3)))
         assert dict(classes) == connected
         failing = [(i, j) for i, j in P3_CLASSES
@@ -371,3 +374,62 @@ def test_p3_section_classes_match_oracle():
         got = observed(geom)
         assert got[0]["p3"] is False
         assert got == expected(oracle)
+
+
+def union_find_minima(n, pairs):
+    """The least index of each index's component of the graph on 0..n-1
+    with edges ``pairs``, by union-find that hangs the larger root under
+    the smaller, so that every root is its component's least index."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
+
+
+@st.composite
+def permutation_sets(draw):
+    n = draw(st.integers(0, 40))
+    maps = draw(st.lists(st.permutations(range(n)), max_size=4))
+    return n, maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_sets())
+def test_orbit_labels_are_union_find_minima(case):
+    n, maps = case
+    pairs = [(k, r[k]) for r in maps for k in range(n)]
+    got = _orbit_labels(n, [np.array(r, dtype=np.int64) for r in maps])
+    assert got.tolist() == union_find_minima(n, pairs)
+
+
+@st.composite
+def chain_tables(draw):
+    """A table of rows, one column per rank, sorted as ``_chains`` emits
+    them (rows that agree off the last column are contiguous), with the
+    ranks whose groupings join the rows."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]), max_size=40))
+    mids = draw(st.sets(st.sampled_from(range(len(sizes)))))
+    return sizes, sorted(rows), mids
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_tables())
+def test_flag_graph_components_are_union_find_minima(case):
+    # two rows are adjacent when they agree off one of the ranks ``mids``
+    sizes, rows, mids = case
+    ranks = tuple(range(len(sizes)))
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes))
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(rows)), 2)
+             for t in mids
+             if rows[a][:t] + rows[a][t + 1:] == rows[b][:t] + rows[b][t + 1:]]
+    got = _orbit_labels(len(rows), _flag_graph(table, ranks, sizes, mids))
+    assert got.tolist() == union_find_minima(len(rows), pairs)
