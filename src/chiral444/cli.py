@@ -132,7 +132,7 @@ def cmd_enumerate(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _log(f"cannot read {args.file}: {exc}")
         return EXIT_INPUT
     try:
@@ -273,7 +273,9 @@ def cmd_corollary(args) -> int:
         _log(str(exc))
         return EXIT_CAP
     for e in entries:
-        print(f"n={e.n}: family {e.family}, m={e.m}, order {e.order} = 2^{e.n}")
+        mark = ("" if e.intersection_condition
+                else " (unwitnessed: the intersection condition fails)")
+        print(f"n={e.n}: family {e.family}, m={e.m}, order {e.order} = 2^{e.n}{mark}")
     return EXIT_OK
 
 

@@ -1215,18 +1215,24 @@ def verify_conjugation_action(family: str,
 
 @dataclass(frozen=True)
 class CorollaryEntry:
+    """One 2-power order, with the member that has it and whether that
+    member passes the intersection condition: a member that fails it is the
+    rotation group of no polytope, so it does not witness the order."""
+
     n: int
     family: str
     m: int
     order: int
+    intersection_condition: bool
 
 
 def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[CorollaryEntry]:
     """Members with 2-power orders: for k = 0..k_max, family P at m = 2^k has
     order 2^(10+2k) and family Q has 2^(11+2k), covering every 2^n, n >= 10.
 
-    Each order is ``certified_order``'s, read off the family's voltage cover,
-    so no member is built.
+    Each order is ``certified_order``'s, and each intersection condition
+    ``verify_member``'s, both read off the family's voltage cover, so no
+    member is built.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -1239,5 +1245,6 @@ def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[Coro
             if order != 2 ** n:
                 raise VerificationError(
                     "corollary", f"{family} m={m}: order {order} != 2^{n}")
-            out.append(CorollaryEntry(n, family, m, order))
+            ic = _intersection_condition(_state(family).cover.canonical, m)
+            out.append(CorollaryEntry(n, family, m, order, ic))
     return out

@@ -5,21 +5,23 @@ by ``str()`` are 1-based to match the usual written convention.  The action
 convention is fixed once, here: products act left to right, ``(p * q)(x) =
 q(p(x))``, matching the order in which coset tables trace words.
 
-A ``PermGroup`` is handled through its right-regular action on element ids
-0..|G|-1, id 0 the identity, and each subgroup as the orbit of id 0 under
-its generators: in a regular action the orbit of a point is in bijection
-with the group, so order and membership are orbit bookkeeping, and no
-stabilizer chain is built.  A group given as regular (every family member)
-has its points as ids: id k sends point 0 to point k.  ``orbit`` is the one
-search behind every orbit, a queue BFS.  An orbit is its ids, in the order
-the search reaches them, and a mask; the BFS tree that spells elements is
-built only when asked for.
+A whole ``PermGroup`` is made one way, ``PermGroup.regular``, from
+generators the caller has proved to act regularly on their points (a
+complete coset table of the trivial subgroup, a certified cover).  Its
+points are its element ids 0..|G|-1: id k is the element that sends point 0
+to point k, id 0 the identity, and right multiplication by an element is
+its own image array.  Each subgroup is the orbit of id 0 under its
+generators: in a regular action the orbit of a point is in bijection with
+the group, so order and membership are orbit bookkeeping, and no
+stabilizer chain is built.  ``orbit`` is the one search behind every orbit,
+a queue BFS.  An orbit is its ids, in the order the search reaches them,
+and a mask; the BFS tree that spells elements is built only when asked for.
 
-Once the action is built, a word whose images are elements of the group is
-decided on id 0: followed through the action letter by letter, it is the
-identity iff it brings id 0 back to 0, and its order is the length of id 0's
-cycle (``PermGroup.word_id``, ``PermGroup.word_order``).  No product of the
-full degree is formed.  The rule needs the images to be elements of a group
+A word whose images are elements of the group is decided on id 0: followed
+through the action letter by letter, it is the identity iff it brings id 0
+back to 0, and its order is the length of id 0's cycle
+(``PermGroup.word_id``, ``PermGroup.word_order``).  No product of the full
+degree is formed.  The rule needs the images to be elements of a group
 acting regularly, since it reads one point of the product; so
 ``families._certify_cover``, which is what shows a cover to be such a group,
 does not use it: it decides each relator at every point, on the relator's
@@ -44,7 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .words import Presentation, Word, commutator
+from .words import Word, commutator
 
 
 class Permutation:
@@ -192,10 +194,6 @@ class Permutation:
         return f"Permutation[{self.degree}] {self}"
 
 
-def perm_commutator(p: Permutation, q: Permutation) -> Permutation:
-    return p.inverse() * q.inverse() * p * q
-
-
 @functools.lru_cache(maxsize=4096)
 def _runs(letters: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The runs of a letter and its inverse in ``letters``, as (0-based
@@ -234,20 +232,6 @@ def evaluate(w: Word, images: Sequence[Permutation]) -> Permutation:
             acc = acc * p
     return acc ** k if k > 1 else acc
 
-
-def extends_to_homomorphism(pres: Presentation, images: Sequence[Permutation]) -> bool:
-    """True iff every relator evaluates to the identity at the images.
-
-    For a finite group with images that generate it, this also certifies an
-    automorphism: a surjective endomorphism of a finite group is bijective.
-    """
-    if len(images) != pres.ngens:
-        raise ValueError("one image per generator required")
-    return all(evaluate(r, images).is_identity() for r in pres.relators)
-
-
-# the most entries (elements x degree) that closing a group up explicitly may hold
-_CLOSURE_CAP = 2 ** 20
 
 _UNSET = object()  # a cached value not computed yet
 _FAR = np.iinfo(np.int64).max  # beyond every position in a BFS layer
@@ -341,59 +325,35 @@ def _spanning_tree(orb: Orbit, maps: Sequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _RegularAction:
-    """A group's right-regular action on its ids 0..n-1, one per element:
-    right multiplication by element k takes id 0, the identity, to id k.
-
-    A group given as regular (``PermGroup.regular``) acts on its own points,
-    which are its ids.  A group closed up element by element acts on the ids
-    of its elements: ``rows[k]`` is the image array of element k and
-    ``index`` finds an id from an image array.  ``map`` is the one place the
-    two differ: right multiplication by p takes id x to ``map(p)[x]``.
+    """A group's right-regular action on its points 0..n-1, which are its
+    ids: right multiplication by element k takes id 0, the identity, to id
+    k, and right multiplication by an element p is ``p.images``.  It holds
+    what the handles on one group share: n, and the inverse maps of the
+    letters of the images ``factors`` was last given.
     """
 
-    def __init__(self, n: int, rows: np.ndarray | None = None,
-                 index: dict[bytes, int] | None = None):
+    def __init__(self, n: int):
         self.n = n
-        self.rows, self.index = rows, index
-        # per letter of the images ``factors`` was last given: its map, and
-        # the inverse map once formed
         self._images: Sequence[Permutation] | None = None
-        self._letters: dict[int, np.ndarray] = {}
         self._inverses: dict[int, np.ndarray] = {}
-
-    def map(self, p: Permutation) -> np.ndarray:
-        """Right multiplication by p, an element of the group, as an image
-        array on the ids: p's own image array when the group acts on its
-        points, and otherwise the id of (element k) * p for each id k, looked
-        up in ``index``, which raises ValueError when p is not in the group."""
-        if self.rows is None:
-            return p.images
-        try:
-            return np.array([self.index[r.tobytes()] for r in p.images[self.rows]],
-                            dtype=np.intp)
-        except KeyError:
-            raise ValueError("the permutation is not in the group") from None
 
     def factors(self, letters: tuple[int, ...],
                 images: Sequence[Permutation]) -> list[tuple[np.ndarray, int]]:
         """The word ``letters`` in ``images``, elements of the group, as
         (image array, times) steps, one per run of a letter and its inverse.
 
-        A positive run applies the letter's map, and a negative run its
-        inverse map, the array inverse of the letter's.  Both are kept for
-        the next call on the same ``images`` object, such as a group's
-        generators.
+        A positive run applies the letter's image array, and a negative run
+        its inverse, which is kept for the next call on the same ``images``
+        object, such as a group's generators.
         """
         if self._images is not images:
-            self._images, self._letters, self._inverses = images, {}, {}
+            self._images, self._inverses = images, {}
         steps = []
         for i, e in _runs(letters):
             if i >= len(images):
                 raise ValueError(f"word uses generator index {i} with only "
                                  f"{len(images)} images")
-            if i not in self._letters:
-                self._letters[i] = self.map(images[i])
-            mp = self._letters[i]
+            mp = images[i].images
             if e > 0:
                 steps.append((mp, e))
             elif e < 0:
@@ -428,58 +388,31 @@ class _IdMap:
         return _RegularAction.follow(self.steps, ks)
 
 
-def _closure_action(gens: Sequence[Permutation], degree: int) -> _RegularAction:
-    """The regular action of the group generated by ``gens``, closed up
-    element by element in queue BFS order from the identity."""
-    rows: list[np.ndarray] = []
-    index: dict[bytes, int] = {}
-
-    def add(img: np.ndarray):
-        if (len(rows) + 1) * degree > _CLOSURE_CAP:
-            raise ValueError(f"closing the group up needs more than {_CLOSURE_CAP} "
-                             f"entries (elements x degree)")
-        index[img.tobytes()] = len(rows)
-        rows.append(img)
-
-    add(np.arange(degree, dtype=np.int32))
-    for row in rows:  # a queue: rows grows as it is walked
-        for g in gens:
-            img = g.images[row]
-            if img.tobytes() not in index:
-                add(img)
-    return _RegularAction(len(rows), np.stack(rows), index)
-
-
 class PermGroup:
     """A finite permutation group, handled through its right-regular action.
 
-    The elements have ids 0..|G|-1, id 0 being the identity, and each
-    generator acts on the ids by right multiplication.  Every handle on the
-    group, its own and each ``subgroup()``, holds the orbit of id 0 under
-    its generators: its ids in BFS order (the group's own: every id, in id
-    order), sized to the orbit, and a mask over all the ids.  The order is
-    the orbit's size, membership one lookup in the mask.  A subgroup's BFS
-    evaluates its generators' id maps on each frontier only.
+    A whole group is made by ``PermGroup.regular(gens)``, from generators
+    proved to act regularly: the points are the ids 0..|G|-1, id k the
+    element that sends point 0 to point k, id 0 the identity, and each
+    generator acts on the ids by right multiplication, which is its own
+    image array.  Every handle on the group, its own and each
+    ``subgroup()``, holds the orbit of id 0 under its generators: its ids in
+    BFS order (the group's own: every id, in id order), sized to the orbit,
+    and a mask over all the ids.  The order is the orbit's size, membership
+    one lookup in the mask.  A subgroup's BFS evaluates its generators' id
+    maps on each frontier only.  A group built with the bare constructor has
+    no ids: every query on them raises ValueError, and only
+    ``is_transitive`` reads its points.
 
-    The regular action comes in one of two ways:
-
-    - ``PermGroup.regular(gens)``, for generators proved to act regularly:
-      the ids are the points, id k the element sending point 0 to point k,
-      and no search is run;
-    - ``PermGroup(gens)``: on the first query the elements are closed up as
-      image arrays, in BFS order from the identity, and numbered in that
-      order.  This raises ValueError rather than hold more than 2**20
-      entries (elements x degree).
-
-    Once the action is built, a word is decided without forming a product.
-    ``word_id`` follows id 0 through the action letter by letter, and the
-    word is the identity iff it comes back to id 0; ``word_order`` counts
-    the steps of id 0's cycle.  The images must be elements of the group: on
-    a regular action the id that id 0 reaches names the only element the
-    product can be, and it is that element only when the product is in the
-    group.  That is why ``families._certify_cover`` checks its relators at
-    every point of the cover, on their lifts to the base group: until it
-    has, the cover is not known to be one group acting regularly.
+    A word is decided without forming a product.  ``word_id`` follows id 0
+    through the action letter by letter, and the word is the identity iff
+    it comes back to id 0; ``word_order`` counts the steps of id 0's cycle.
+    The images must be elements of the group: on a regular action the id
+    that id 0 reaches names the only element the product can be, and it is
+    that element only when the product is in the group.  That is why
+    ``families._certify_cover`` checks its relators at every point of the
+    cover, on their lifts to the base group: until it has, the cover is not
+    known to be one group acting regularly.
 
     The derived series is grown the same way.  Each normal closure keeps its
     generators as words in this handle's generators; a word joins when the
@@ -491,17 +424,17 @@ class PermGroup:
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
-        gens: list[Permutation] = []
-        for g in generators:
-            if not g.is_identity() and g not in gens:
-                gens.append(g)
-        if gens:
-            degree = gens[0].degree
-            for g in gens:
-                if g.degree != degree:
-                    raise ValueError("generators must share a degree")
+        given = list(generators)
+        if given:
+            degree = given[0].degree
+            if any(g.degree != degree for g in given):
+                raise ValueError("generators must share a degree")
         elif degree is None:
             raise ValueError("degree required for a group with no generators")
+        gens: list[Permutation] = []
+        for g in given:
+            if not g.is_identity() and g not in gens:
+                gens.append(g)
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.degree = degree
         self._action: _RegularAction | None = None
@@ -514,7 +447,8 @@ class PermGroup:
         """The group of ``generators``, which the caller has proved to act
         regularly on their points (a transitive coset table of the trivial
         subgroup, a certified cover); nothing is checked here.  Its ids are
-        its points: id k is the element that sends point 0 to point k."""
+        its points: id k is the element that sends point 0 to point k.  The
+        trivial group is given by the identity on one point."""
         group = cls(generators)
         group._action = _RegularAction(group.degree)
         group._orbit = _whole(group.degree)
@@ -523,15 +457,14 @@ class PermGroup:
     def _built(self) -> Orbit:
         if self._orbit is None:
             if self._action is None:
-                self._action = _closure_action(self.generators, self.degree)
-                self._orbit = _whole(self._action.n)
-            else:
-                self._orbit = orbit(self._maps(), self._action.n)
+                raise ValueError("a group built bare has no element ids; build the "
+                                 "whole group with PermGroup.regular")
+            self._orbit = orbit(self._maps(), self._action.n)
         return self._orbit
 
     def _maps(self) -> list[np.ndarray]:
         """Right multiplication by each generator, as a map on the ids."""
-        return [self._action.map(g) for g in self.generators]
+        return [g.images for g in self.generators]
 
     # -- queries -----------------------------------------------------------
 
@@ -540,13 +473,8 @@ class PermGroup:
 
     def is_transitive(self) -> bool:
         """Whether the generators act transitively on the points."""
-        pts = orbit([g.images for g in self.generators], self.degree)
+        pts = orbit(self._maps(), self.degree)
         return pts.order.shape[0] == self.degree
-
-    def is_regular(self) -> bool:
-        """Regular action: transitive on the points, with trivial point
-        stabilizers."""
-        return self.order() == self.degree and self.is_transitive()
 
     def subgroup(self, generators: Iterable[Permutation]) -> "PermGroup":
         """The subgroup generated by ``generators``, which must be elements of
@@ -564,13 +492,6 @@ class PermGroup:
         if self._action is not other._action:
             raise ValueError("the two groups are not on the same action")
         return int(np.count_nonzero(mask & other_mask))
-
-    def right_action(self, p: Permutation) -> np.ndarray:
-        """Right multiplication by an element p of the group, as the map
-        k -> id of (element k) * p on the whole group's ids: p's own image
-        array for a group given as regular, whose ids are its points."""
-        self._built()
-        return self._action.map(p)
 
     def word_id(self, w: Word, images: Sequence[Permutation]) -> int:
         """The id of the element ``w`` spells in ``images``, which must be
@@ -614,10 +535,7 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         orb = self._built()
-        try:
-            k = int(self._action.map(p)[0])
-        except ValueError:
-            return False
+        k = int(p.images[0])
         return bool(orb.mask[k]) and self._element(k) == p
 
     def _spelling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -644,12 +562,9 @@ class PermGroup:
             acc = acc * self.generators[gi]
         return acc
 
-    def elements(self, cap: int | None = None) -> list[Permutation]:
+    def elements(self) -> list[Permutation]:
         """All elements, in BFS order from the identity (the k-th need not
-        have id k); guarded by ``cap``."""
-        n = self.order()
-        if cap is not None and n > cap:
-            raise ValueError(f"group order {n} exceeds cap {cap}")
+        have id k)."""
         _, parent, via = self._spelling()
         elems = [Permutation.identity(self.degree)]
         for pos, gi in zip(parent[1:].tolist(), via[1:].tolist()):
@@ -668,10 +583,6 @@ class PermGroup:
         h.generators = tuple(evaluate(w, self.generators) for w in words)
         h._action, h._orbit = self._action, orb
         return h
-
-    def derived_subgroup(self) -> "PermGroup":
-        """Normal closure of generator commutators within this group."""
-        return self._handle(*self._derived(self._letters()))
 
     def _derived(self, words: Sequence[Word]) -> tuple[tuple[Word, ...], Orbit]:
         """The derived subgroup K' of the subgroup K that ``words`` generate,

@@ -20,17 +20,18 @@ mirror rules take those reads as functions (``canonical_type``,
 ``mirror_verdict``), so that ``families.verify_member`` applies them to its
 voltage cover.
 
-The geometry is built on the group's right-regular action on the positions
-of ``elements()`` (``PermGroup.right_action``, renumbered): the rank-i face
-gS_i is the S_i-orbit of g's position, and two faces are incident when they
-share one.  Each face is labelled by the smallest position in its orbit
-(``_orbit_labels``: min-label propagation over the stabilizer generators'
-maps, with one pointer jump a round), and faces are numbered in the order
-of those labels.  A ``CosetGeometry`` holds the face counts and, per pair
-of ranks, the sorted distinct keys of its incident pairs (sorted, then
-compared with their neighbours); the axioms P1-P4, the flag count and the
-section types are joins and groupings on those arrays.  No join searches
-unsorted keys, and no grouping calls ``np.unique``.
+The geometry is built on the group's right-regular action: right
+multiplication by s is s's image array on the group's ids, which are its
+points, and the ids are renumbered by their positions in ``elements()``.
+The rank-i face gS_i is the S_i-orbit of g's position, and two faces are
+incident when they share one.  Each face is labelled by the smallest
+position in its orbit (``_orbit_labels``: min-label propagation over the
+stabilizer generators' maps, with one pointer jump a round), and faces are
+numbered in the order of those labels.  A ``CosetGeometry`` holds the face
+counts and, per pair of ranks, the sorted distinct keys of its incident
+pairs (sorted, then compared with their neighbours); the axioms P1-P4, the
+flag count and the section types are joins and groupings on those arrays.
+No join searches unsorted keys, and no grouping calls ``np.unique``.
 
 For each incident pair of faces and each rank between them, the number of
 faces of that rank incident to both is counted once per geometry and kept
@@ -126,7 +127,7 @@ def _require_elements(group: PermGroup, sigma: Sequence[Permutation]) -> None:
 def _homomorphism(pres: Presentation, group: PermGroup,
                   sigma: Sequence[Permutation]) -> bool:
     """Whether every relator of ``pres`` holds at ``sigma``, elements of
-    ``group`` (see ``perms.extends_to_homomorphism``)."""
+    ``group``."""
     if len(sigma) != pres.ngens:
         raise ValueError("one image per generator required")
     return all(group.word_id(r, sigma) == 0 for r in pres.relators)
@@ -298,16 +299,20 @@ def enantiomorph(t: RotationTriple) -> RotationTriple:
 # coset geometry and the abstract-polytope axioms
 
 
+# the most elements a group may have for its coset geometry to be built
+ELEMENT_CAP = 2 ** 16
+
+
 class GeometryCapError(ValueError):
-    """The group has more elements than the geometry's ``element_cap``."""
+    """The group has more elements than the geometry's ``ELEMENT_CAP``."""
 
 
-def check_element_cap(order: int, element_cap: int = 2 ** 16) -> None:
+def check_element_cap(order: int) -> None:
     """Raise GeometryCapError when a group of ``order`` elements is too large
     for the geometry."""
-    if order > element_cap:
+    if order > ELEMENT_CAP:
         raise GeometryCapError(
-            f"group order {order} exceeds the exhaustive cap {element_cap}")
+            f"group order {order} exceeds the exhaustive cap {ELEMENT_CAP}")
 
 
 @dataclass(eq=False)
@@ -441,20 +446,20 @@ def _face_numbers(lab: np.ndarray) -> np.ndarray:
 
 
 def coset_geometry_from_subgroups(t: RotationTriple,
-                                  subgroup_gens: Sequence[Sequence[Permutation]],
-                                  element_cap: int = 2 ** 16) -> CosetGeometry:
+                                  subgroup_gens: Sequence[Sequence[Permutation]]
+                                  ) -> CosetGeometry:
     """Build the ranked incidence structure from explicit stabilizer choices.
 
-    The id maps of right multiplication are renumbered by the ids' positions
-    in ``elements()``, a BFS from id 0.  Raises GeometryCapError when the
-    group has more than ``element_cap`` elements.
+    The image arrays of right multiplication on the ids are renumbered by
+    the ids' positions in ``elements()``, a BFS from id 0.  Raises
+    GeometryCapError when the group has more than ``ELEMENT_CAP`` elements.
     """
     g = t.group
     order = g.order()
-    check_element_cap(order, element_cap)
-    bfs = orbit([g.right_action(s) for s in g.generators], order).order
+    check_element_cap(order)
+    bfs = orbit([s.images for s in g.generators], order).order
     pos = np.argsort(bfs)
-    faces = [_face_numbers(_orbit_labels(order, [pos[g.right_action(s)[bfs]] for s in gens]))
+    faces = [_face_numbers(_orbit_labels(order, [pos[s.images[bfs]] for s in gens]))
              for gens in subgroup_gens]
     nfaces = tuple(int(f.max()) + 1 for f in faces)
     incidence = {(i, j): _distinct(faces[i] * nfaces[j] + faces[j])
@@ -463,15 +468,14 @@ def coset_geometry_from_subgroups(t: RotationTriple,
                          incidence)
 
 
-def build_coset_geometry(t: RotationTriple, element_cap: int = 2 ** 16) -> CosetGeometry:
+def build_coset_geometry(t: RotationTriple) -> CosetGeometry:
     """Coset geometry on the canonical stabilizers S_0..S_3.
 
     The caller is expected to have verified the intersection condition, so
     that the construction yields a polytope; verify_axioms independently
     validates the outcome rather than trusting it.
     """
-    return coset_geometry_from_subgroups(
-        t, stabilizer_generators(t.sigma), element_cap)
+    return coset_geometry_from_subgroups(t, stabilizer_generators(t.sigma))
 
 
 def _incident_faces(geom: CosetGeometry, i: int, j: int

@@ -82,6 +82,15 @@ def test_enumerate_missing_file_exit_one(capsys):
     assert code == 1
 
 
+def test_enumerate_file_not_utf8_exit_one(tmp_path, capsys):
+    bad = tmp_path / "bad.pres"
+    bad.write_bytes(b"gens a;\xff rels a^2;")
+    code, out, err = run_cli(capsys, "enumerate", str(bad))
+    assert code == 1 and out == ""
+    assert err == (f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff in "
+                   f"position 7: invalid start byte\n")
+
+
 def test_enumerate_closes_its_file():
     # in a child process in development mode, where an unclosed file is
     # reported when it is collected, and raised as an error here
@@ -374,6 +383,40 @@ def test_corollary_command(capsys):
     code, out, _ = run_cli(capsys, "corollary", "--k-max", "1")
     assert code == 0
     assert "n=10" in out and "n=13" in out
+
+
+def test_corollary_output_is_pinned(capsys):
+    # P at m = 1 fails the intersection condition, so n = 10 is unwitnessed
+    code, out, _ = run_cli(capsys, "corollary", "--k-max", "5")
+    assert code == 0
+    assert out == (
+        "n=10: family P, m=1, order 1024 = 2^10 (unwitnessed: the intersection "
+        "condition fails)\n"
+        "n=11: family Q, m=1, order 2048 = 2^11\n"
+        "n=12: family P, m=2, order 4096 = 2^12\n"
+        "n=13: family Q, m=2, order 8192 = 2^13\n"
+        "n=14: family P, m=4, order 16384 = 2^14\n"
+        "n=15: family Q, m=4, order 32768 = 2^15\n"
+        "n=16: family P, m=8, order 65536 = 2^16\n"
+        "n=17: family Q, m=8, order 131072 = 2^17\n"
+        "n=18: family P, m=16, order 262144 = 2^18\n"
+        "n=19: family Q, m=16, order 524288 = 2^19\n"
+        "n=20: family P, m=32, order 1048576 = 2^20\n"
+        "n=21: family Q, m=32, order 2097152 = 2^21\n")
+
+
+def test_every_help_matches_golden(capsys, monkeypatch):
+    # argparse wraps help to the terminal width, so it is rendered at 80
+    # columns; tests/data/help.txt is Python 3.11's argparse rendering
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for argv in ([], ["enumerate"], ["verify"], ["conjugation"], ["polytope"],
+                 ["corollary"]):
+        argv = [*argv, "--help"]
+        assert main(argv) == 0
+        parts.append(f"$ chiral444 {' '.join(argv)}\n{capsys.readouterr().out}")
+    golden = Path(__file__).resolve().parent / "data" / "help.txt"
+    assert "".join(parts) == golden.read_text()
 
 
 def test_usage_error_exit_one(capsys):

@@ -280,6 +280,18 @@ def test_corollary_orders_k3():
     assert [e.n for e in entries] == list(range(10, 18))
 
 
+def test_corollary_marks_n10_as_its_only_unwitnessed_order():
+    # P at m = 1 fails the intersection condition, so it witnesses no
+    # polytope of order 2^10; every other member up to k = 8 passes.  The
+    # entries agree with verify_member's condition where both are run
+    entries = corollary_orders(8)
+    assert [e.n for e in entries if not e.intersection_condition] == [10]
+    opts = VerifyOptions(axioms=False)
+    for e in entries[:4]:
+        report = verify_member(e.family, e.m, opts)
+        assert e.intersection_condition == report.intersection_condition
+
+
 def test_verify_options_fields_and_constants():
     # strategy and intersection_cap change no result, so they are class
     # constants, still readable on an instance

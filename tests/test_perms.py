@@ -7,25 +7,44 @@ from hypothesis import given, strategies as st
 
 from chiral444.coset import EnumerationConfig, enumerate_cosets
 from chiral444.families import family_presentation, presentation_U
-from chiral444.perms import (PermGroup, Permutation, _runs, evaluate,
-                             extends_to_homomorphism, orbit, perm_commutator)
+from chiral444.perms import PermGroup, Permutation, _runs, evaluate, orbit
+from chiral444.polytope import _homomorphism
 from chiral444.words import Presentation, Word, _root, parse_presentation
+
+
+def _bfs_elements(gens):
+    """The elements of <gens>, found by brute force in queue BFS order from
+    the identity."""
+    elems = [Permutation.identity(gens[0].degree)]
+    seen = set(elems)
+    for e in elems:  # a queue: elems grows as it is walked
+        for g in gens:
+            x = e * g
+            if x not in seen:
+                seen.add(x)
+                elems.append(x)
+    return elems
 
 
 def closure(gens):
     """Brute-force element closure; the oracle for chain order and membership."""
-    seen = {Permutation.identity(gens[0].degree)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                x = e * g
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return seen
+    return set(_bfs_elements(gens))
+
+
+def regular_image(elems, p):
+    """Right multiplication by p, an element of the group that ``elems``
+    lists, on the ids of the elements: id k goes to the id of elems[k] * p."""
+    ids = {e: k for k, e in enumerate(elems)}
+    return Permutation([ids[e * p] for e in elems])
+
+
+def regular_group(gens):
+    """<gens> as ``PermGroup.regular`` of its right-regular action on its
+    elements' ids, numbered in the closure oracle's BFS order, and the list
+    of those elements: the group's element of id k is
+    ``regular_image(elems, elems[k])``."""
+    elems = _bfs_elements(gens)
+    return PermGroup.regular([regular_image(elems, g) for g in gens]), elems
 
 
 def test_permutation_validation():
@@ -141,15 +160,15 @@ def family_presentation_images():
 
 
 def test_build_chain_s3():
-    g = PermGroup([Permutation.from_cycles(3, (1, 2)),
-                   Permutation.from_cycles(3, (1, 2, 3))])
+    g, _ = regular_group([Permutation.from_cycles(3, (1, 2)),
+                          Permutation.from_cycles(3, (1, 2, 3))])
     assert g.order() == 6
 
 
 def test_chain_order_128_group():
     p = parse_presentation("gens u,v; rels u^4, v^4, (u*v)^2, (u^2*v^2)^4;")
     t = enumerate_cosets(p, [])
-    g = PermGroup(t.permutation_rep())
+    g = PermGroup.regular(t.permutation_rep())
     assert g.order() == 128
 
 
@@ -162,50 +181,72 @@ def test_chain_vs_closure_on_corpus():
          Permutation.from_cycles(8, (2, 8), (3, 7), (4, 6))],  # dihedral of order 16
     ]
     for gens in corpus:
-        g = PermGroup(gens)
+        g, bfs = regular_group(gens)
         elems = closure(gens)
         assert g.order() == len(elems) <= 5000
-        # membership agrees with the closure oracle
+        # membership agrees with the closure oracle, on the regular images
+        # of its elements and on permutations of the ids that are not
+        # right multiplications
+        members = {regular_image(bfs, e) for e in elems}
         for e in list(elems)[:50]:
-            assert g.contains(e)
-        degree = gens[0].degree
+            assert g.contains(regular_image(bfs, e))
+        degree = g.degree
         rng = random.Random(7)
         for _ in range(20):
             images = list(range(degree))
             rng.shuffle(images)
             p = Permutation(images)
-            assert g.contains(p) == (p in elems)
+            assert g.contains(p) == (p in members)
+            near = regular_image(bfs, rng.choice(bfs)) * Permutation.from_cycles(
+                degree, tuple(rng.sample(range(1, degree + 1), 2)))
+            assert g.contains(near) == (near in members)
 
 
 def test_elements_enumeration_matches_closure():
     gens = [Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (1, 2, 3, 4))]
-    g = PermGroup(gens)
+    g, bfs = regular_group(gens)
     elems = g.elements()
     assert len(elems) == g.order() == 24
-    assert set(elems) == closure(gens)
-    with pytest.raises(ValueError):
-        g.elements(cap=10)
+    assert set(elems) == {regular_image(bfs, e) for e in closure(gens)}
 
 
 def test_identity_group_and_contains():
-    g = PermGroup([], degree=5)
+    # the trivial subgroup of C_5 on its 5 points, and the trivial group on
+    # one point
+    g = PermGroup.regular([Permutation.from_cycles(5, (1, 2, 3, 4, 5))]).subgroup([])
     assert g.order() == 1
     assert g.contains(Permutation.identity(5))
     assert not g.contains(Permutation.from_cycles(5, (1, 2)))
     with pytest.raises(ValueError):
         g.contains(Permutation.identity(4))
+    one = PermGroup.regular([Permutation.identity(1)])
+    assert one.order() == 1 and one.generators == ()
+    assert one.contains(Permutation.identity(1))
+
+
+def test_a_bare_group_has_no_ids():
+    # only PermGroup.regular makes a whole group; a bare one is never closed
+    # up, and reads only its points
+    c = Permutation.from_cycles(6, (1, 2, 3, 4, 5, 6))
+    bare = PermGroup([c])
+    for query in (bare.order, lambda: bare.subgroup([c]), lambda: bare.contains(c),
+                  bare.elements, bare.derived_length):
+        with pytest.raises(ValueError, match="PermGroup.regular"):
+            query()
+    assert bare.is_transitive() and not PermGroup([c * c]).is_transitive()
 
 
 def test_derived_series_abelian():
-    g = PermGroup([Permutation.from_cycles(6, (1, 2, 3)), Permutation.from_cycles(6, (4, 5))])
+    g, _ = regular_group([Permutation.from_cycles(6, (1, 2, 3)),
+                          Permutation.from_cycles(6, (4, 5))])
     series = g.derived_series()
     assert len(series) == 1 and series[0].order() == 1
     assert g.is_solvable() and g.derived_length() == 1
 
 
 def test_derived_series_s5_not_solvable():
-    g = PermGroup([Permutation.from_cycles(5, (1, 2)),
-                   Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
+    g, _ = regular_group([Permutation.from_cycles(5, (1, 2)),
+                          Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
     series = g.derived_series()
     assert series[-1].order() == 60  # stabilizes at the alternating group
     assert not g.is_solvable()
@@ -214,21 +255,21 @@ def test_derived_series_s5_not_solvable():
 
 def test_derived_series_128_group_solvable():
     p = parse_presentation("gens u,v; rels u^4, v^4, (u*v)^2, (u^2*v^2)^4;")
-    g = PermGroup(enumerate_cosets(p, []).permutation_rep())
+    g = PermGroup.regular(enumerate_cosets(p, []).permutation_rep())
     assert g.is_solvable()
     # |G'| = |G| / |G^ab|, with the abelianization from the relator matrix
     from chiral444.rewrite import abelian_invariants
     ab = abelian_invariants(p)
     assert ab == (2, 4)
-    d = g.derived_subgroup()
+    d = g.derived_series()[0]
     assert d.order() * math.prod(ab) == 128
 
 
 def test_is_solvable_is_derived_length_not_none():
-    a5 = PermGroup([Permutation.from_cycles(5, (1, 2, 3)),
-                    Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
-    s4 = PermGroup([Permutation.from_cycles(4, (1, 2)),
-                    Permutation.from_cycles(4, (1, 2, 3, 4))])
+    a5, _ = regular_group([Permutation.from_cycles(5, (1, 2, 3)),
+                           Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
+    s4, _ = regular_group([Permutation.from_cycles(4, (1, 2)),
+                           Permutation.from_cycles(4, (1, 2, 3, 4))])
     p1 = PermGroup.regular(family_presentation_images())
     for g, length in ((a5, None), (s4, 3), (p1, p1.derived_length())):
         assert g.derived_length() == length
@@ -322,31 +363,33 @@ def test_generator_order_in_first_member():
 
 
 def test_extends_to_homomorphism_identity_images():
+    # the pipeline's rule: every relator holds at the images, read on id 0
     pres = presentation_U()
     g1 = family_presentation("P", 1)
     t = enumerate_cosets(g1, [], EnumerationConfig(strategy="felsch"))
     images = t.permutation_rep()
-    assert extends_to_homomorphism(g1, images)
+    group = PermGroup.regular(images)
+    assert _homomorphism(g1, group, images)
     with pytest.raises(ValueError):
-        extends_to_homomorphism(pres, images[:2])
+        _homomorphism(pres, group, images[:2])
 
 
 def test_subgroup_intersection_masks():
     # in S_4: <(1 2 3 4)> meets <(1 2)> trivially, <(1 2 3 4)> meets the
     # Klein four-group {e, (1 2)(3 4), (1 3)(2 4), (1 4)(2 3)} in
     # {e, (1 3)(2 4)}, and a subgroup meets itself in itself
-    g = PermGroup([Permutation.from_cycles(4, (1, 2)),
-                   Permutation.from_cycles(4, (1, 2, 3, 4))])
-    c4 = g.subgroup([Permutation.from_cycles(4, (1, 2, 3, 4))])
-    t = g.subgroup([Permutation.from_cycles(4, (1, 2))])
-    v4 = g.subgroup([Permutation.from_cycles(4, (1, 2), (3, 4)),
-                     Permutation.from_cycles(4, (1, 3), (2, 4))])
+    s4 = [Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (1, 2, 3, 4))]
+    g, elems = regular_group(s4)
+    c4 = g.subgroup([regular_image(elems, Permutation.from_cycles(4, (1, 2, 3, 4)))])
+    t = g.subgroup([regular_image(elems, Permutation.from_cycles(4, (1, 2)))])
+    v4 = g.subgroup([regular_image(elems, Permutation.from_cycles(4, (1, 2), (3, 4))),
+                     regular_image(elems, Permutation.from_cycles(4, (1, 3), (2, 4)))])
     assert (c4.order(), t.order(), v4.order()) == (4, 2, 4)
     assert c4.intersection_order(t) == 1
     assert c4.intersection_order(v4) == v4.intersection_order(c4) == 2
     assert g.intersection_order(g) == 24 and g.intersection_order(v4) == 4
     assert len(closure(c4.generators) & closure(v4.generators)) == 2
-    other = PermGroup([Permutation.from_cycles(4, (1, 2))])
+    other = regular_group(s4)[0].subgroup(t.generators)  # the same subgroup on another action
     with pytest.raises(ValueError):
         t.intersection_order(other)
 
@@ -354,11 +397,11 @@ def test_subgroup_intersection_masks():
 def test_whole_group_mask_is_read_only_and_answers_queries():
     # a group's own orbit is every id, its mask one broadcast True: it is
     # never written, and intersections and membership read it as a mask
-    a4 = PermGroup([Permutation.from_cycles(4, (1, 2, 3)),
-                    Permutation.from_cycles(4, (2, 3, 4))])  # closed up
+    a4, _ = regular_group([Permutation.from_cycles(4, (1, 2, 3)),
+                           Permutation.from_cycles(4, (2, 3, 4))])
     p1 = PermGroup.regular(enumerate_cosets(family_presentation("P", 1), []).permutation_rep())
-    outside = (Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(p1.degree, (5, 6)))
-    for g, (order, sub_order), out in zip((a4, p1), ((12, 3), (1024, 4)), outside):
+    for g, (order, sub_order) in zip((a4, p1), ((12, 3), (1024, 4))):
+        out = Permutation.from_cycles(g.degree, (5, 6))  # fixes point 0
         whole = g._built()
         assert not whole.mask.flags.writeable
         assert whole.mask.shape == (order,) and whole.mask.all()
@@ -371,32 +414,18 @@ def test_whole_group_mask_is_read_only_and_answers_queries():
         assert not g.contains(out)
 
 
-def test_closure_size_guard():
-    # S_9 on 9 points has 9! * 9 > 2**20 entries to close up; the guard
-    # stops the closure early instead
-    s9 = PermGroup([Permutation.from_cycles(9, (1, 2)),
-                    Permutation.from_cycles(9, (1, 2, 3, 4, 5, 6, 7, 8, 9))])
-    with pytest.raises(ValueError, match="closing the group up"):
-        s9.order()
-    # a group not given as regular is closed up, which the guard refuses at
-    # once on a large degree
-    c = Permutation(np.roll(np.arange(2 ** 21), 1))
-    with pytest.raises(ValueError, match="closing the group up"):
-        PermGroup([c]).order()
-
-
 def test_free_action_subgroups_match_closure():
     pres = family_presentation("P", 1)
     t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
     perms = t.permutation_rep()
     g = PermGroup.regular(perms)
-    assert g.is_regular()
+    assert g.order() == g.degree and g.is_transitive()
     a, b, c = perms
     for gens in ([b, c], [a, b], [a], [a * b, c]):
         sub = g.subgroup(gens)
         elems = closure(gens)
         assert sub.order() == len(elems)
-        assert set(sub.elements(cap=2000)) == elems
+        assert set(sub.elements()) == elems
         for e in list(elems)[:20]:
             assert sub.contains(e)
         outside = a if a not in elems else perms[2]
@@ -426,7 +455,7 @@ def test_mirror_on_abelianized_rotation_quotient():
     images = t.permutation_rep()
     s1, s2, s3 = images
     mirror = [s1.inverse(), s1 * s1 * s2, s3]
-    assert extends_to_homomorphism(p, mirror)
+    assert _homomorphism(p, PermGroup.regular(images), mirror)
 
     # independent oracle: the linear map e1 -> -e1, e2 -> 2e1+e2, e3 -> e3
     # maps the abelianized relator lattice into itself
@@ -452,11 +481,11 @@ def test_mirror_on_abelianized_rotation_quotient():
 
 
 def test_right_action_follows_elements():
-    # id(e) = right_action(e)[0] is the id e takes id 0 to: the ids are
-    # 0..|G|-1, id 0 is the identity, and right_action(s) takes id(e) to
-    # id(e * s).  Checked on a group given as regular, whose ids are its
-    # points, on one closed up, and on the 4-simplex rotation group (A_5 on
-    # 5 points), which does not act regularly
+    # id(e) = e.images[0] is the id e takes id 0 to: the ids are 0..|G|-1,
+    # id 0 is the identity, and right multiplication by s, s's image array,
+    # takes id(e) to id(e * s).  Checked on a coset table, and on C_6 and
+    # the 4-simplex rotation group (A_5 on 5 points) made regular on the
+    # closure oracle's ids, where the element of id k is the oracle's k-th
     pres = family_presentation("P", 1)
     t = enumerate_cosets(pres, [], EnumerationConfig(strategy="felsch"))
     perms = t.permutation_rep()
@@ -464,34 +493,21 @@ def test_right_action_follows_elements():
     s1, s2, s3 = (Permutation.from_cycles(5, (1, 2, 3)),
                   Permutation.from_cycles(5, (2, 3, 4)),
                   Permutation.from_cycles(5, (3, 4, 5)))
-    given = PermGroup.regular(perms)
-    for g, extra in ((given, perms[0] * perms[2]),
-                     (PermGroup([c6]), c6 ** 3),
-                     (PermGroup([s1, s2, s3]), s1 * s3)):
+    cases = [(PermGroup.regular(perms), None, perms[0] * perms[2])]
+    for gens, extra in (([c6], c6 ** 3), ([s1, s2, s3], s1 * s3)):
+        g, bfs = regular_group(gens)
+        cases.append((g, bfs, regular_image(bfs, extra)))
+    for g, bfs, extra in cases:
         elems = g.elements()
         assert elems[0].is_identity()
-        ids = [int(g.right_action(e)[0]) for e in elems]
+        ids = [int(e.images[0]) for e in elems]
         assert ids[0] == 0 and sorted(ids) == list(range(g.order()))
-        if g is given:
-            assert ids == [int(e.images[0]) for e in elems]
+        if bfs is not None:
+            assert all(e == regular_image(bfs, bfs[k]) for e, k in zip(elems, ids))
         of = dict(zip(elems, ids))
         for s in g.generators + (extra,):
-            act = g.right_action(s)
+            act = s.images
             assert all(int(act[of[e]]) == of[e * s] for e in elems)
-
-
-def test_is_regular_needs_the_whole_orbit():
-    c6 = Permutation.from_cycles(6, (1, 2, 3, 4, 5, 6))
-    assert PermGroup([c6]).is_regular()
-    assert PermGroup([c6]).subgroup([c6]).is_regular()
-    assert PermGroup.regular([c6]).is_regular()
-    # order 3 on 6 points: not transitive
-    assert not PermGroup([c6]).subgroup([c6 * c6]).is_regular()
-    assert not PermGroup.regular([c6]).subgroup([c6 * c6]).is_regular()
-    # S_3 on 3 points is transitive but not regular
-    s3 = PermGroup([Permutation.from_cycles(3, (1, 2)),
-                    Permutation.from_cycles(3, (1, 2, 3))])
-    assert not s3.is_regular()
 
 
 # -- words followed on id 0, and the grown derived series ----------------------
@@ -506,14 +522,15 @@ def _random_words(rng, ngens, count):
 
 
 def _closed_up_groups():
-    a5 = PermGroup([Permutation.from_cycles(5, (1, 2, 3)),
-                    Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
-    s4 = PermGroup([Permutation.from_cycles(4, (1, 2)),
-                    Permutation.from_cycles(4, (1, 2, 3, 4))])
-    simplex = PermGroup([Permutation.from_cycles(5, (1, 2, 3)),
-                         Permutation.from_cycles(5, (2, 3, 4)),
-                         Permutation.from_cycles(5, (3, 4, 5))])
-    return {"A5": a5, "S4": s4, "simplex": simplex}
+    """Small groups made regular on the closure oracle's ids."""
+    gens = {"A5": [Permutation.from_cycles(5, (1, 2, 3)),
+                   Permutation.from_cycles(5, (1, 2, 3, 4, 5))],
+            "S4": [Permutation.from_cycles(4, (1, 2)),
+                   Permutation.from_cycles(4, (1, 2, 3, 4))],
+            "simplex": [Permutation.from_cycles(5, (1, 2, 3)),
+                        Permutation.from_cycles(5, (2, 3, 4)),
+                        Permutation.from_cycles(5, (3, 4, 5))]}
+    return {name: regular_group(g)[0] for name, g in gens.items()}
 
 
 def _assert_id_zero_matches_products(g, words):
@@ -522,7 +539,7 @@ def _assert_id_zero_matches_products(g, words):
         product = evaluate(w, images)
         k = g.word_id(w, images)
         assert (k == 0) == product.is_identity()
-        assert k == int(g.right_action(product)[0])  # the product's own id
+        assert k == int(product.images[0])  # the product's own id
         assert g.word_order(w, images) == product.order()
 
 
@@ -551,7 +568,7 @@ def test_word_id_inverts_long_cycles():
     # of a letter and its inverse applies their net exponent
     c = Permutation(np.roll(np.arange(300), 1))
     g = PermGroup.regular([c])
-    assert g.word_id(Word((-1,)), [c]) == int(g.right_action(c.inverse())[0])
+    assert g.word_id(Word((-1,)), [c]) == int(c.inverse().images[0])
     assert g.word_order(Word((1,) * 7), [c]) == 300 // math.gcd(300, 7)
     assert g.word_id(Word((1, -1) * 5), [c]) == 0
 
@@ -574,7 +591,8 @@ def oracle_derived_series(group):
     while True:
         gens = cur.generators
         nxt = oracle_normal_closure(
-            group, [perm_commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]],
+            group, [a.inverse() * b.inverse() * a * b
+                    for i, a in enumerate(gens) for b in gens[i + 1:]],
             gens)
         if nxt.order() == cur.order():
             if not series:
@@ -590,8 +608,8 @@ def oracle_derived_series(group):
 @pytest.mark.parametrize("name", ["A5", "S4", "simplex", "S5", "P1", "Q1", "P2"])
 def test_grown_derived_series_matches_the_product_oracle(name):
     from chiral444.families import member_triple
-    s5 = PermGroup([Permutation.from_cycles(5, (1, 2)),
-                    Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
+    s5, _ = regular_group([Permutation.from_cycles(5, (1, 2)),
+                           Permutation.from_cycles(5, (1, 2, 3, 4, 5))])
     groups = {**_closed_up_groups(), "S5": s5}
     g = groups[name] if name in groups else member_triple(name[0], int(name[1:])).group
     grown, oracle = g.derived_series(), oracle_derived_series(g)
@@ -602,7 +620,7 @@ def test_grown_derived_series_matches_the_product_oracle(name):
     assert g.derived_length() == length
     assert (name in ("A5", "simplex", "S5")) == (length is None)
     # the grown orbit's BFS tree spells the formed generators' closure
-    d = g.derived_subgroup()
+    d = grown[0]
     if d.order() <= 200:
         assert set(d.elements()) == closure(d.generators)
 
@@ -628,19 +646,22 @@ def test_single_map_orbit_is_the_cycle_through_zero():
         orb = orbit([p.images], p.degree)
         assert orb.order.tolist() == walk
         assert np.flatnonzero(orb.mask).tolist() == sorted(walk)
-        # <p> as a subgroup of the group p generates, closed up (the last
-        # case has too many entries for that): its orbit is the cycle of id
-        # 0 under p's id map, and its elements come as the powers of p
+        # <p> as a subgroup of the group p generates, made regular on the
+        # closure oracle's ids (the last case has too many entries for the
+        # oracle): its orbit is the cycle of id 0 under p's id map, and its
+        # elements come as the powers of p
         if math.lcm(*lengths) * p.degree <= 2 ** 20:
-            elems = PermGroup([p]).subgroup([p]).elements()
-            assert elems == [p ** i for i in range(p.order())]
+            g, bfs = regular_group([p])
+            assert bfs == [p ** i for i in range(p.order())]
+            q, = g.generators
+            assert g.subgroup([q]).elements() == [q ** i for i in range(q.order())]
 
 
 def test_long_cycle_group_in_seconds():
     # a long cycle's orbit is one cycle, found a BFS layer per point
     c = Permutation(np.roll(np.arange(2 ** 12), 1))
     g = PermGroup.regular([c])
-    assert g.order() == 2 ** 12 and g.is_regular()
+    assert g.order() == 2 ** 12 == g.degree and g.is_transitive()
     assert g.subgroup([c ** (2 ** 6)]).order() == 2 ** 6
 
 

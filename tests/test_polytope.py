@@ -17,7 +17,7 @@ from chiral444.polytope import (ChiralityReport, RotationTriple, TripleError,
                                 stabilizer_generators,
                                 validate_rotation_triple, verify_axioms)
 from chiral444.words import Presentation, Word, parse_presentation, substitute
-from test_perms import closure
+from test_perms import closure, regular_group
 
 
 def test_validate_family_members():
@@ -28,7 +28,7 @@ def test_validate_family_members():
 
 
 def test_validate_rejects_identity_triple():
-    g = PermGroup([Permutation.from_cycles(3, (1, 2, 3))])
+    g = PermGroup.regular([Permutation.from_cycles(3, (1, 2, 3))])
     e = Permutation.identity(3)
     with pytest.raises(TripleError):
         validate_rotation_triple(g, (e, e, e))
@@ -40,7 +40,7 @@ def test_validate_rejects_non_generation():
                            " (s2*s3)^2, (s1*s2*s3)^2, [s1,s2], [s1,s3], [s2,s3];")
     t = enumerate_cosets(p, [])
     s1, s2, s3 = t.permutation_rep()
-    g = PermGroup([s1, s2, s3])
+    g = PermGroup.regular([s1, s2, s3])
     with pytest.raises(TripleError):
         validate_rotation_triple(g, (s1, s1, s1 * s1 * s1))
 
@@ -53,13 +53,13 @@ def test_sigma_outside_the_group_is_rejected():
     a = Permutation.from_cycles(4, (1, 2), (3, 4))
     pres = parse_presentation("gens s1,s2,s3; rels s1^2, s2^2, s3^2, (s1*s2)^2,"
                               " (s2*s3)^2, (s1*s2*s3)^2;")
-    for g in (PermGroup.regular([c4]), PermGroup([c4])):
-        with pytest.raises(TripleError, match="not an element"):
-            validate_rotation_triple(g, (a, a, c4 * c4))
-        with pytest.raises(TripleError, match="not an element"):
-            RotationTriple(g, (a, a, c4 * c4), pres)
+    g = PermGroup.regular([c4])
     with pytest.raises(TripleError, match="not an element"):
-        validate_rotation_triple(PermGroup([c4]), (Permutation.identity(5),) * 3)
+        validate_rotation_triple(g, (a, a, c4 * c4))
+    with pytest.raises(TripleError, match="not an element"):
+        RotationTriple(g, (a, a, c4 * c4), pres)
+    with pytest.raises(TripleError, match="not an element"):
+        validate_rotation_triple(g, (Permutation.identity(5),) * 3)
 
 
 def test_intersection_condition_h1_and_g2():
@@ -68,11 +68,13 @@ def test_intersection_condition_h1_and_g2():
 
 
 def degenerate_triple() -> RotationTriple:
-    """All three sigmas equal to the square of a 4-cycle, a group of order 2."""
+    """All three sigmas equal to the square of a 4-cycle, a group of order 2,
+    made regular on its two elements."""
     g4 = Permutation.from_cycles(4, (1, 2, 3, 4))
-    s = g4 * g4
+    group, _ = regular_group([g4 * g4])
+    s, = group.generators
     text = "gens s1,s2,s3; rels s1^2, s2^2, s3^2, (s1*s2)^2, (s2*s3)^2, (s1*s2*s3)^2;"
-    return RotationTriple(PermGroup([s]), (s, s, s), parse_presentation(text))
+    return RotationTriple(group, (s, s, s), parse_presentation(text))
 
 
 def test_intersection_condition_degenerate_containment():
@@ -106,15 +108,15 @@ def test_engine_subgroups_match_closure(name, holds):
 @pytest.mark.parametrize("name", ["P1", "Q1", "simplex", "degenerate"])
 def test_frontier_orbits_match_full_maps(name):
     # a subgroup handle evaluates its id maps on each BFS frontier only; its
-    # orbit equals the one under the full right_action maps, and its order
-    # the brute-force closure's
+    # orbit equals the one under the generators' full image arrays, and its
+    # order the brute-force closure's
     t = {"P1": lambda: member_triple("P", 1), "Q1": lambda: member_triple("Q", 1),
          "simplex": simplex_triple, "degenerate": degenerate_triple}[name]()
     g = t.group
     s1, s2, s3 = t.sigma
     for gens in ([s1], [s2], [s3], [s1, s2], [s2, s3], [s1 * s2, s3], [s1, s2 * s3]):
         sub = g.subgroup(gens)
-        full = orbit([g.right_action(s) for s in sub.generators], g.order())
+        full = orbit([s.images for s in sub.generators], g.order())
         assert np.array_equal(sub._built().mask, full.mask)
         assert np.array_equal(sub._built().order, full.order)
         assert sub.order() == len(closure(gens))
@@ -133,7 +135,7 @@ def test_quotient_criterion_identity_and_collapse():
     ref = reference_triple("Q")
     assert quotient_criterion(ref, ref)
     trivial_sigma = tuple(Permutation.identity(1) for _ in range(3))
-    trivial = RotationTriple(PermGroup([], degree=1), trivial_sigma, ref.presentation)
+    trivial = RotationTriple(PermGroup.regular(trivial_sigma), trivial_sigma, ref.presentation)
     assert not quotient_criterion(ref, trivial)
 
 
@@ -316,16 +318,16 @@ def test_enantiomorph_intersection_condition_equivalence():
 
 
 def simplex_triple() -> RotationTriple:
-    """The 4-simplex rotation triple on 5 points, type {3,3,3}."""
+    """The 4-simplex rotation triple, type {3,3,3}: the rotations on 5
+    points, made regular on the 60 elements they generate."""
     r0 = Permutation.from_cycles(5, (1, 2))
     r1 = Permutation.from_cycles(5, (2, 3))
     r2 = Permutation.from_cycles(5, (3, 4))
     r3 = Permutation.from_cycles(5, (4, 5))
-    s1, s2, s3 = r0 * r1, r1 * r2, r2 * r3
+    group, _ = regular_group([r0 * r1, r1 * r2, r2 * r3])
     pres = parse_presentation(
         "gens s1,s2,s3; rels s1^3, s2^3, s3^3, (s1*s2)^2, (s2*s3)^2, (s1*s2*s3)^2;")
-    group = PermGroup([s1, s2, s3])
-    return RotationTriple(group, (s1, s2, s3), pres)
+    return RotationTriple(group, group.generators, pres)
 
 
 def brute_force_simplex_flags() -> int:
@@ -384,9 +386,16 @@ def test_degenerate_stabilizer_breaks_diamond():
 
 
 def test_geometry_cap_refuses_large_groups():
-    t = member_triple("Q", 1)
-    with pytest.raises(ValueError):
-        build_coset_geometry(t, element_cap=100)
+    # the cap is 2^16 elements: P at m = 9 has 82944, and is refused before
+    # any face is built
+    polytope.check_element_cap(polytope.ELEMENT_CAP)
+    with pytest.raises(polytope.GeometryCapError,
+                       match="group order 65537 exceeds the exhaustive cap 65536"):
+        polytope.check_element_cap(2 ** 16 + 1)
+    t = member_triple("P", 9)
+    with pytest.raises(polytope.GeometryCapError,
+                       match="group order 82944 exceeds the exhaustive cap 65536"):
+        build_coset_geometry(t)
 
 
 def test_geometry_dump_shape():

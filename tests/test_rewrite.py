@@ -25,7 +25,7 @@ def test_abelian_invariants_klein():
     assert t.degree == 4
     perms = t.permutation_rep()
     from chiral444.perms import PermGroup, evaluate
-    g = PermGroup(perms)
+    g = PermGroup.regular(perms)
     assert all(e.order() <= 2 for e in g.elements())
     assert abelian_invariants(p) == (2, 2)
 
