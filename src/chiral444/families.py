@@ -38,7 +38,7 @@ are read the same way, off the spans of U's canonical subgroups <a>, <b>,
 once per family.  A span at m is its subgroup's orbit of (0, 0), the points
 (c, p(c) + L + mZ^2), so |<X> cap <Y>| in G_m is the number of c in
 C_X cap C_Y with p_X(c) - p_Y(c) in L_X + L_Y + mZ^2, times
-|(L_X + mZ^2) cap (L_Y + mZ^2) / mZ^2| (``_Term.meet_order``).  This is the
+|(L_X + mZ^2) cap (L_Y + mZ^2) / mZ^2| (``_meet_order``).  This is the
 same statement as the orbit searches of ``polytope.intersection_condition``
 on the member: the member is the certified regular cover whose s_i is the
 lift of generator i, so each of its subgroups is that orbit of id 0.  The
@@ -46,25 +46,31 @@ per-action engine stays as the tests' cross-check.
 
 ``verify_member`` runs the full pipeline on a member: rotation-triple
 validation, the intersection condition, the quotient criterion against the
-m = 1 member, solvability, mirror test with witness, and (optionally) the
-polytope axiom suite.  Every check but the axiom suite is read off the
-cover on G_1's points; only ``member_triple`` builds a member's
-permutations, for the coset geometry and the tests' cross-check.
+family's reference member, solvability, mirror test with witness, and
+(optionally) the polytope axiom suite.  Every check but the axiom suite
+evaluates the family's certificate at m; only ``member_triple`` builds a
+member's permutations, for the coset geometry and the tests' cross-check.
 
-What a member costs.  Everything above that m does not enter is built once
-per family and kept: G_1, the voltages, the conjugation proof, the spans
-and the derived series, and for each word's shortest root u four integers
-(``_Root``): its period d, the gcd g of the voltage sums of u^d, and the
-length e and voltage W of point 0's cycle under it.  A member's reads are
-then divisibility tests on integers: u^k holds at m iff d | k and
-m | (k/d) g, and has order o / gcd(o, k) for o = e m / gcd(m, W); a span's
-order is |C| m^2 / (gcd(s1, m) gcd(s2, m)) for its lattice's elementary
-divisors s1, s2; a meet counts the pair's potential differences, sorted
-once per pair into classes mod L_H + L_K.  The seed relators w^{4m} are
-held as a root and an exponent (``words.Word``), so no member spells out
-its presentation, and nothing keyed by m is kept.  A warm
-``verify_member`` without the axiom suite takes 45-90 microseconds at
-m = 1 and at m = 2^17 alike (2-core x86 VM).
+The certificate.  What m does not enter is built once per family, on its
+first member read, and kept: G_1, the voltages, the conjugation proof, the
+spans and the derived series.  ``family_certificate`` reads off them the
+integers every report needs (``FamilyCertificate``), holding no m: the
+four integers (``_Root``) of the shortest root u of each word the pipeline
+asks about, namely its period d, the gcd g of the voltage sums of u^d, and
+the length e and voltage W of point 0's cycle under it; the orbit size and
+lattice of each canonical span and of each term of U's derived series; and
+for each pair of the intersection condition, S = L_H + L_K with the counts
+of its classes.  A member's checks evaluate them at m, each with one
+module-level formula: u^k holds iff d | k and m | (k/d) g
+(``_power_holds``) and has order o / gcd(o, k) for o = e m / gcd(m, W)
+(``_power_order``); a span has |C| m^2 / [Z^2 : L + mZ^2] elements
+(``_span_order``); a meet is the count above (``_meet_order``); and the
+derived orders are the terms' span orders until trivial or stable
+(``_derived_orders``).  Each formula is the statement it replaces on the
+cover at m, which ``certified_order`` certifies as G_m's regular
+representation.  No presentation or other object of the member is built
+and nothing keyed by m is kept, so a warm ``verify_member`` without the
+axiom suite costs the same at every m.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
@@ -83,25 +89,31 @@ import numpy as np
 from .coset import (DEFAULT_MAX_COSETS, CosetTable, EnumerationConfig,
                     enumerate_cosets)
 from .perms import PermGroup, Permutation, _spanning_tree, orbit
-from .polytope import (AxiomReport, RotationTriple, build_coset_geometry,
-                       canonical_type, check_element_cap, mirror_verdict,
-                       verify_axioms)
-from .words import Presentation, Word, parse_presentation
+from .polytope import (_CANONICAL_RELATIONS, AxiomReport, RotationTriple,
+                       _mirror_image, build_coset_geometry, canonical_type,
+                       check_element_cap, mirror_verdict, verify_axioms)
+from .words import Presentation, Word, parse_presentation, word_str
 
 
 @dataclass(frozen=True)
 class Family:
     """A quotient family of U: its kernel generators x = w1^4, y = w2^4,
     named ``kernel``, for the ``seeds`` w1, w2; ``base_order``, the paper's
-    order of the m = 1 member; and ``action[s][g]`` = (i, j) with
-    g^-1 s g = x^i y^j.  The action is stated, not read off the voltages, so
-    the conjugation proof needs no m = 1 member; the tests cross-check it."""
+    order of the m = 1 member; ``action[s][g]`` = (i, j) with
+    g^-1 s g = x^i y^j; and ``reference``, the quotient criterion's
+    reference member: the least m whose member passes the intersection
+    condition and the axiom suite (Q_1; P_2, since P fails the condition at
+    every odd m).  It serves the members at its multiples, which map onto
+    it generator by generator.  The action is stated, not read off the
+    voltages, so the conjugation proof needs no m = 1 member; the tests
+    cross-check it, and that the reference passes the axioms."""
 
     name: str
     seeds: tuple[str, str]
     kernel: tuple[str, str]
     base_order: int
     action: tuple[tuple[tuple[int, int], ...], ...]
+    reference: int
 
     @functools.cached_property
     def roots(self) -> tuple[Word, Word]:
@@ -112,14 +124,16 @@ class Family:
 
 FAMILIES = {f.name: f for f in (
     Family("P", ("a*c^-1", "c^-1*a"), ("x", "y"), 1024,
-           (((0, 1), (0, 1), (0, 1)), ((1, 0), (-1, 0), (-1, 0)))),
+           (((0, 1), (0, 1), (0, 1)), ((1, 0), (-1, 0), (-1, 0))), 2),
     Family("Q", ("b*c^-1", "c^-1*b"), ("z", "w"), 2048,
-           (((-1, 0), (0, 1), (0, 1)), ((0, 1), (-1, 0), (-1, 0)))),
+           (((-1, 0), (0, 1), (0, 1)), ((0, 1), (-1, 0), (-1, 0))), 1),
 )}
 
 # the canonical subgroups the intersection condition and the quotient
-# criterion ask for, as 1-based generator indices
+# criterion ask for, as 1-based generator indices, and the intersection
+# condition's three pairs of them
 _CANONICAL = ((1,), (2,), (3,), (1, 2), (2, 3))
+_MEETS = (((1,), (2, 3)), ((1, 2), (3,)), ((1, 2), (2, 3)))
 
 
 def _family(name: str) -> Family:
@@ -462,8 +476,8 @@ def _compose(a: _Lift, b: _Lift) -> _Lift:
 
 
 class _Root(NamedTuple):
-    """What a word's shortest root u gives on G_1's points, found once per
-    root (``_VoltageCover._period``): ``lift``, u's walks from every point;
+    """What a word's shortest root u gives on G_1's points
+    (``_VoltageCover._root``): ``lift``, u's walks from every point;
     ``period`` d, the order of their end map, so that the walks of u^d all
     close; ``volt``, the voltage sums of u^d, and ``gcd`` g, their gcd;
     ``cycle`` e, the length of point 0's cycle under the end map, and
@@ -487,7 +501,8 @@ class _VoltageCover:
     it is the identity there iff every walk is closed and every voltage sum
     is 0 mod m.  A word is read through its shortest root u, w = u^k: the
     four integers of u's ``_Root`` (d, g, e, W) answer ``holds`` and
-    ``word_order`` at every m by divisibility alone.
+    ``word_order`` at every m by divisibility alone (``_power_holds``,
+    ``_power_order``), and they are what ``family_certificate`` keeps.
     """
 
     def __init__(self, base: np.ndarray, phi: np.ndarray):
@@ -501,29 +516,32 @@ class _VoltageCover:
         self._roots: dict[tuple[int, ...], _Root] = {}
 
     def _period(self, root: tuple[int, ...]) -> _Root:
-        """The ``_Root`` of the word ``root``, lifted letter by letter and
-        kept per root, with read-only arrays."""
+        """The ``_Root`` of the word ``root`` (``_root``), kept per root."""
         got = self._roots.get(root)
         if got is None:
-            step = self._id, np.zeros((self._id.shape[0], 2), dtype=np.int64)
-            for x in root:
-                g = abs(x) - 1
-                if x > 0:
-                    step = _compose(step, (self.base[g], self.phi[g]))
-                else:
-                    step = _compose(step, (self.inv[g], -self.phi[g][self.inv[g]]))
-            for arr in step:
-                arr.setflags(write=False)
-            end, volt = step[0].tolist(), step[1]
-            d = Permutation._trusted(step[0].astype(np.int32)).order()
-            power = self._power(step, d)[1]
-            c, e, w = end[0], 1, volt[0]
-            while c:
-                c, e, w = end[c], e + 1, w + volt[c]
-            got = _Root(step, d, power, int(np.gcd.reduce(power, axis=None)),
-                        e, math.gcd(*w.tolist()))
-            self._roots[root] = got
+            got = self._roots[root] = self._root(root)
         return got
+
+    def _root(self, root: tuple[int, ...]) -> _Root:
+        """The ``_Root`` of the word ``root``, lifted letter by letter, with
+        read-only arrays."""
+        step = self._id, np.zeros((self._id.shape[0], 2), dtype=np.int64)
+        for x in root:
+            g = abs(x) - 1
+            if x > 0:
+                step = _compose(step, (self.base[g], self.phi[g]))
+            else:
+                step = _compose(step, (self.inv[g], -self.phi[g][self.inv[g]]))
+        for arr in step:
+            arr.setflags(write=False)
+        end, volt = step[0].tolist(), step[1]
+        d = Permutation._trusted(step[0].astype(np.int32)).order()
+        power = self._power(step, d)[1]
+        c, e, w = end[0], 1, volt[0]
+        while c:
+            c, e, w = end[c], e + 1, w + volt[c]
+        return _Root(step, d, power, int(np.gcd.reduce(power, axis=None)),
+                     e, math.gcd(*w.tolist()))
 
     def _power(self, step: _Lift, k: int) -> _Lift:
         """The k-th power of the lift ``step``, by repeated squaring."""
@@ -545,8 +563,8 @@ class _VoltageCover:
         (w1)^{4m}, is read off u's period d: lift(u^d) is (id, V), so
         lift(u^k) is (id, (k // d) V) followed by lift(u^(k mod d)), taken
         by repeated squaring; it costs O(log d) compositions whatever m is.
-        The pipeline reads ``holds`` and ``word_order`` instead; the lift
-        is what the tests check those reads against.
+        The pipeline reads its root's integers instead (``_root``); the
+        lift is what the tests check those reads against.
         """
         root, k = word.as_power()
         r = self._period(root)
@@ -555,25 +573,18 @@ class _VoltageCover:
         return end, q * r.volt + rest
 
     def holds(self, word: Word, m: int) -> bool:
-        """Whether ``word`` = u^k is the identity on the cover at m.  Its
-        walks all close iff u's period d divides k, and then its voltage
-        sums are (k/d) times those of u^d, all 0 mod m iff m divides
-        (k/d) g."""
+        """Whether ``word`` = u^k is the identity on the cover at m
+        (``_power_holds``)."""
         root, k = word.as_power()
         r = self._period(root)
-        q, rest = divmod(k, r.period)
-        return not rest and q * r.gcd % m == 0
+        return _power_holds(k, r.period, r.gcd, m)
 
     def word_order(self, word: Word, m: int) -> int:
-        """The order of ``word`` = u^k's element on the cover at m.  The
-        cycle of (0, 0) under u runs e times round point 0's cycle under the
-        end map, each time picking up W, until t W = 0 mod m: u has order
-        o = e m / gcd(m, W) (the cover's action is regular), so u^k has
-        order o / gcd(o, k)."""
+        """The order of ``word`` = u^k's element on the cover at m
+        (``_power_order``)."""
         root, k = word.as_power()
         r = self._period(root)
-        o = r.cycle * m // math.gcd(m, r.cycle_gcd)
-        return o // math.gcd(o, k)
+        return _power_order(k, r.cycle, r.cycle_gcd, m)
 
     @functools.cached_property
     def derived(self) -> "_DerivedSeries":
@@ -662,6 +673,74 @@ def _index_mod(lattice: tuple[int, int, int], m: int) -> int:
     return math.gcd(s1, m) * math.gcd(s2, m)
 
 
+# -- the formulas that read a member off its family's integers ---------------
+
+def _power_holds(k: int, period: int, gcd: int, m: int) -> bool:
+    """Whether u^k is the identity on the cover at m, for u of period d and
+    voltage gcd g (``_Root``): u^k's walks all close iff d | k, and then
+    its voltage sums are (k/d) times those of u^d, all 0 mod m iff
+    m | (k/d) g."""
+    q, rest = divmod(k, period)
+    return not rest and q * gcd % m == 0
+
+
+def _power_order(k: int, cycle: int, cycle_gcd: int, m: int) -> int:
+    """The order of u^k on the cover at m, for u whose end map puts point 0
+    on a cycle of length e picking up a voltage of gcd W (``_Root``): the
+    cycle of (0, 0) under u runs e times round that cycle, each time
+    picking up W, until t W = 0 mod m, so u has order o = e m / gcd(m, W)
+    (the cover's action is regular) and u^k has order o / gcd(o, k)."""
+    o = cycle * m // math.gcd(m, cycle_gcd)
+    return o // math.gcd(o, k)
+
+
+def _span_order(size: int, lattice: tuple[int, int, int], m: int) -> int:
+    """|H's image in G_m| = |C| m^2 / [Z^2 : L + mZ^2] for a subgroup H of U
+    with orbit C (of ``size`` points) on G_1 and H cap N = L, whose Hermite
+    normal form is ``lattice``: H takes (0, 0) to the points
+    (c, p(c) + L + mZ^2), c in C."""
+    return size * m * m // _index_mod(lattice, m)
+
+
+def _meet_order(h: tuple[int, int, int], k: tuple[int, int, int],
+                total: tuple[int, int, int], classes: tuple, m: int) -> int:
+    """|H cap K| in G_m by the voltage-lift count of Malnic-Nedela-Skoviera,
+    for subgroups H, K of U with lattices ``h``, ``k``, S = L_H + L_K
+    (``total``) and ``classes``: for each class v + S of Z^2 / S that some
+    point c of C_H cap C_K has p_H(c) - p_K(c) in, the lattice S + vZ in
+    Hermite normal form and how many points (``_Term._meet``).
+
+    The points of H's orbit over c are (c, p_H(c) + A), those of K's
+    (c, p_K(c) + B), for A = L_H + mZ^2 and B = L_K + mZ^2.  Two cosets meet
+    iff their offsets differ by an element of A + B = S + mZ^2, and then in
+    a coset of A cap B.  So the meet is the number of c whose class lies in
+    S + mZ^2, times |(A cap B)/mZ^2| = m^2 [Z^2 : A + B] / ([Z^2 : A] [Z^2 : B]).
+    A class v lies in S + mZ^2 iff adding v to it changes nothing, i.e. iff
+    [Z^2 : S + vZ + mZ^2] = [Z^2 : S + mZ^2]: both lattices have finite
+    index and one contains the other."""
+    index = _index_mod(total, m)
+    hits = sum(count for lattice, count in classes if _index_mod(lattice, m) == index)
+    return hits * m * m * index // (_index_mod(h, m) * _index_mod(k, m))
+
+
+def _derived_orders(terms: Sequence["_Span"], m: int) -> list[int]:
+    """|G_m'|, |G_m''|, ... until trivial or stable, the terms that
+    ``PermGroup.derived_series`` lists for G_m, from U's derived terms
+    U, U', ... (down to the trivial one): G_m^(k) is U^(k)'s image."""
+    size, out = terms[0].order(m), []
+    for term in terms[1:]:
+        nsize = term.order(m)
+        if nsize == size:
+            if not out:
+                out.append(nsize)
+            break
+        out.append(nsize)
+        if nsize == 1:
+            break
+        size = nsize
+    return out
+
+
 def _inverse_lift(lift: _Lift) -> _Lift:
     end, volt = lift
     inv = np.empty_like(end)
@@ -689,36 +768,29 @@ class _Term:
                                                    self.lattice)
 
     def order(self, m: int) -> int:
-        """|H's image in G_m| = |C| m^2 / [Z^2 : L + mZ^2]."""
-        return self.size * m * m // _index_mod(self.lattice, m)
+        """|H's image in G_m| (``_span_order``)."""
+        return _span_order(self.size, self.lattice, m)
 
     def _meet(self, other: "_Term") -> tuple[tuple[int, int, int], tuple]:
-        """The sum S = L_H + L_K, in Hermite normal form, and how many points
-        c of C_H cap C_K have p_H(c) - p_K(c) in each class of Z^2 / S, as
-        (class representative, count) pairs."""
+        """The sum S = L_H + L_K, in Hermite normal form, and for the class
+        v + S of each point c of C_H cap C_K that p_H(c) - p_K(c) lies in,
+        the lattice S + vZ: the distinct lattices, in Hermite normal form,
+        each with its number of points (what ``_meet_order`` reads)."""
         both = np.flatnonzero(self.mask & other.mask)
         total = _hnf(_rows(self.lattice) + _rows(other.lattice))
         diffs = (self.pot[both] - other.pot[both]).tolist()
-        return total, tuple(Counter(_reduce_mod(v, total) for v in diffs).items())
+        classes: Counter = Counter()
+        for v, count in Counter(_reduce_mod(v, total) for v in diffs).items():
+            classes[_hnf(_rows(total) + [v])] += count
+        return total, tuple(classes.items())
 
     def meet_order(self, other: "_Term", m: int) -> int:
-        """|H cap K| in G_m for K = ``other``, by the voltage-lift count of
-        Malnic-Nedela-Skoviera: the points of H's orbit over c are
-        (c, p_H(c) + A), those of K's (c, p_K(c) + B), for A = L_H + mZ^2
-        and B = L_K + mZ^2.  Two cosets meet iff their offsets differ by an
-        element of A + B = S + mZ^2, and then in a coset of A cap B.  So the
-        meet is the number of c in C_H cap C_K with p_H(c) - p_K(c) in
-        S + mZ^2, read off the pair's classes mod S (``_meet``, once per
-        pair), times |(A cap B)/mZ^2| = m^2 [Z^2 : A + B] / ([Z^2 : A] [Z^2 : B]).
-        """
+        """|H cap K| in G_m for K = ``other`` (``_meet_order``), the pair's
+        classes found once per pair."""
         meet = self._meets.get(other)
         if meet is None:
             meet = self._meets[other] = self._meet(other)
-        total, classes = meet
-        a, b, d = _hnf(_rows(total) + [(m, 0), (0, m)])
-        hits = sum(count for v, count in classes if _in_lattice(v, (a, b, d)))
-        return hits * m * m * a * d // (_index_mod(self.lattice, m)
-                                        * _index_mod(other.lattice, m))
+        return _meet_order(self.lattice, other.lattice, *meet, m)
 
 
 def _span(gens: Sequence[_Lift], n: int) -> _Term:
@@ -796,7 +868,7 @@ def _normal_closure(seeds: Sequence[Sequence[_Lift]], conj: Sequence[_Lift],
 class _DerivedSeries:
     """The derived series U = U^(0) > U' > U'' > ... of the base group, each
     term a ``_Term`` on G_1's points, built once per family and only as far
-    as a member asks.
+    as asked (``_build_certificate`` asks down to the trivial term).
 
     U^(k+1) is the normal closure in U of the commutators of U^(k)'s
     generators (as in ``PermGroup._derived``), built by ``_normal_closure``.
@@ -815,29 +887,145 @@ class _DerivedSeries:
             self.terms.append(_normal_closure(seeds, self.terms[0].gens, self.n))
         return self.terms[k]
 
-    def orders(self, m: int) -> list[int]:
-        """|G_m'|, |G_m''|, ... until trivial or stable, the terms that
-        ``PermGroup.derived_series`` lists for G_m."""
-        size, out = self.term(0).order(m), []
-        for k in itertools.count(1):
-            nsize = self.term(k).order(m)
-            if nsize == size:
-                if not out:
-                    out.append(nsize)
-                break
-            out.append(nsize)
-            if nsize == 1:
-                break
-            size = nsize
-        return out
+
+class _Read(NamedTuple):
+    """A word the pipeline asks about, as the certificate holds it: u^k for
+    a root u and k = k0 + km m, with u's ``_Root`` integers (d, g, e, W);
+    ``text``, the word as the report renders it (None when that depends on
+    m, as a seed relator's does); and ``image``, the read of its mirror
+    image (None for a word the mirror test does not ask about)."""
+
+    root: tuple[int, ...]
+    k0: int
+    km: int
+    period: int
+    gcd: int
+    cycle: int
+    cycle_gcd: int
+    text: str | None
+    image: "_Read | None"
+
+    def holds(self, m: int) -> bool:
+        return _power_holds(self.k0 + self.km * m, self.period, self.gcd, m)
+
+    def order(self, m: int) -> int:
+        return _power_order(self.k0 + self.km * m, self.cycle, self.cycle_gcd, m)
+
+
+class _Span(NamedTuple):
+    """A subgroup of U as the certificate holds it (``_Term``): the size of
+    its orbit on G_1's points and its lattice H cap N, in Hermite normal
+    form."""
+
+    size: int
+    lattice: tuple[int, int, int]
+
+    def order(self, m: int) -> int:
+        return _span_order(self.size, self.lattice, m)
+
+
+class _Meet(NamedTuple):
+    """A pair of spans H, K with S = L_H + L_K, in Hermite normal form, and
+    the counts of their potential differences by class mod S, each class
+    v + S held as the lattice S + vZ (``_Term._meet``)."""
+
+    h: _Span
+    k: _Span
+    total: tuple[int, int, int]
+    classes: tuple[tuple[tuple[int, int, int], int], ...]
+
+    def order(self, m: int) -> int:
+        return _meet_order(self.h.lattice, self.k.lattice, self.total, self.classes, m)
+
+
+@dataclass(frozen=True)
+class FamilyCertificate:
+    """What every member's report reads, per family and holding no m: the
+    integers that the formulas ``_power_holds``, ``_power_order``,
+    ``_span_order``, ``_meet_order`` and ``_derived_orders`` evaluate at m.
+
+    - ``points``: |G_1|, the number of G_1's points.
+    - ``relators``: U's relators, then the seed relators x^m and y^m, each
+      with the read of its mirror image; ``witness``, the mirror witness
+      relator's read, with its image's; ``relations``, the reads of the
+      canonical relations, keyed by their words
+      (``polytope._CANONICAL_RELATIONS``).
+    - ``spans``: the canonical spans, keyed as ``_CANONICAL``; ``meets``,
+      the intersection condition's three pairs of them (``_MEETS``).
+    - ``derived``: U's derived terms U, U', ... down to the trivial one.
+    - ``reference``: the quotient criterion's reference member
+      (``Family.reference``), or None when the certificate fails the
+      intersection condition there.
+    """
+
+    points: int
+    relators: tuple[_Read, ...]
+    witness: _Read
+    relations: dict[Word, _Read]
+    spans: dict[tuple[int, ...], _Span]
+    meets: tuple[_Meet, ...]
+    derived: tuple[_Span, ...]
+    reference: int | None
+
+    def text(self, r: _Read, m: int) -> str:
+        """The report's text of the word that ``r`` reads, at m."""
+        if r.text is not None:
+            return r.text
+        return presentation_U().word_str(Word(r.root) ** (r.k0 + r.km * m))
+
+
+def _build_certificate(family: str, cover: _VoltageCover,
+                       relators: Sequence[Word]) -> FamilyCertificate:
+    """The certificate of ``family`` read off its voltage cover, with
+    ``relators`` in the place of U's (the tests pass others).
+
+    Every integer comes from state the cover keeps: the ``_Root`` of each
+    word's root (``_VoltageCover._root``), the canonical spans and the
+    classes of their meets (``_VoltageCover.canonical``, ``_Term._meet``)
+    and U's derived series (``_VoltageCover.derived``).  Nothing is
+    checked here: a cover that fails at some m gives a certificate that
+    fails when it is evaluated there.
+    """
+    names = presentation_U().names
+
+    def read(word: Word, per_m: bool = False, text: str | None = None,
+             mirrored: bool = False) -> _Read:
+        # the word itself, or its m-th power when per_m is set
+        root, k = word.as_power()
+        r = cover._root(root)  # its integers are kept, and its arrays dropped
+        image = read(_mirror_image(word), per_m) if mirrored else None
+        return _Read(root, 0 if per_m else k, k if per_m else 0, r.period, r.gcd,
+                     r.cycle, r.cycle_gcd, text, image)
+
+    witness = mirror_witness_relator()
+    terms = cover.canonical
+    spans = {ix: _Span(t.size, t.lattice) for ix, t in terms.items()}
+    series = [cover.derived.term(0)]
+    while series[-1].size > 1 or any(series[-1].lattice):
+        series.append(cover.derived.term(len(series)))
+        if (series[-1].size, series[-1].lattice) == (series[-2].size, series[-2].lattice):
+            break  # stable and not trivial: the group is not solvable
+    cert = FamilyCertificate(
+        points=cover.base.shape[1],
+        relators=(tuple(read(r, text=word_str(r, names), mirrored=True) for r in relators)
+                  + tuple(read(x, per_m=True, mirrored=True)
+                          for x in subgroup_seed_words(family))),
+        witness=read(witness, text=word_str(witness, names), mirrored=True),
+        relations={w: read(w) for _, w in _CANONICAL_RELATIONS},
+        spans=spans,
+        meets=tuple(_Meet(spans[x], spans[y], *terms[x]._meet(terms[y])) for x, y in _MEETS),
+        derived=tuple(_Span(t.size, t.lattice) for t in series),
+        reference=_family(family).reference)
+    return cert if _intersection_condition(cert, cert.reference) else replace(cert, reference=None)
 
 
 class _FamilyState:
     """What a process keeps of a family, each built when first asked and
-    shared by every coset cap: the m = 1 member and its voltage cover.  It
-    records the cosets that G_1's enumeration used and the caps whose
-    conjugation proof passed, so that a smaller cap raises
-    EnumerationIncomplete exactly where a fresh run with that cap would."""
+    shared by every coset cap: the m = 1 member, its voltage cover and the
+    family's certificate.  It records the cosets that G_1's enumeration
+    used and the caps whose conjugation proof passed, so that a smaller cap
+    raises EnumerationIncomplete exactly where a fresh run with that cap
+    would."""
 
     def __init__(self, family: str):
         _family(family)  # an unknown family raises, and is not kept
@@ -864,6 +1052,11 @@ class _FamilyState:
         base = np.stack([p.images for p in self._reference.sigma]).astype(np.int64)
         return _VoltageCover(base, _voltages(self.family, base))
 
+    @functools.cached_property
+    def certificate(self) -> FamilyCertificate:
+        """The family's certificate, read off ``cover`` when first asked."""
+        return _build_certificate(self.family, self.cover, presentation_U().relators)
+
     def prove_conjugation(self, cap: int):
         """The upper half of every cover certificate, proved within ``cap``
         by ``verify_conjugation_action``.  The proof at a cap is a function
@@ -880,38 +1073,48 @@ class _FamilyState:
 _state = functools.cache(_FamilyState)  # one per family
 
 
-def _certify_cover(pres: Presentation, cover: _VoltageCover, m: int) -> int:
-    """The lower half of a cover certificate: every relator of ``pres``
-    holds on the cover at m and the cover acts transitively, so the
-    presented group has at least as many elements as the cover has points.
-    Returns that number, the cover's degree.
+def _certificate(family: str, m: int, cap: int) -> FamilyCertificate:
+    """The family's certificate, to be read at m within ``cap`` cosets: G_1
+    is enumerated within the cap and, for m >= 2, the conjugation proof
+    passes within it, checked at every call (``_FamilyState``)."""
+    state = _state(family)
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    state.reference(cap)
+    if m >= 2:
+        state.prove_conjugation(cap)
+    return state.certificate
 
-    Transitivity is read off the span of U's generator lifts (``_span``):
-    the orbit of (0, 0) on the cover at m is the points (c, p(c) + L + mZ^2)
-    for c in the orbit C of G_1's point 0, |C| m^2 / [Z^2 : L + mZ^2] of
-    them (``_Term.order``).  For the family's voltages C is G_1 and L is
-    Z^2, so the cover is transitive at every m, with no search over it.
 
-    Each relator is decided on its lift to G_1's points
-    (``_VoltageCover.holds``), which is the same statement as the relator
-    being the identity permutation of the cover, with no permutation of the
-    cover's degree formed.  It is not followed on id 0
-    (``PermGroup.word_id``): that rule reads one point of a product, so it
-    holds only in a group already known to act regularly, and this
-    certificate is part of what shows that.
-    """
-    degree = cover.base.shape[1] * m * m
-    for r in pres.relators:
-        if not cover.holds(r, m):
-            raise VerificationError("cover", f"relator {pres.word_str(r)} fails "
+def family_certificate(family: str, opts: VerifyOptions | None = None) -> FamilyCertificate:
+    """The family's certificate (``FamilyCertificate``), built once per
+    family on its first member read and kept, with G_1 enumerated and the
+    conjugation relations proved within ``opts.max_cosets``, so that it
+    certifies every member.  Raises EnumerationIncomplete as
+    ``certified_order`` does at m >= 2."""
+    return _certificate(family, 2, (opts or VerifyOptions()).max_cosets)
+
+
+def _certified_order(cert: FamilyCertificate, m: int) -> int:
+    """``certified_order`` read off the certificate: |G_1| at m = 1, and for
+    m >= 2 the lower half of the cover's order certificate, raising
+    VerificationError at the first relator that fails or when the cover is
+    not transitive."""
+    if m == 1:
+        return cert.points
+    degree = cert.points * m * m
+    for r in cert.relators:
+        if not r.holds(m):
+            raise VerificationError("cover", f"relator {cert.text(r, m)} fails "
                                              f"on the cover of degree {degree}")
-    if cover.derived.term(0).order(m) != degree:
+    if cert.derived[0].order(m) != degree:
         raise VerificationError("cover", "the cover action is not transitive")
     return degree
 
 
 def certified_order(family: str, m: int, opts: VerifyOptions | None = None) -> int:
-    """|G_m|, certified without building the member.
+    """|G_m|, certified without building the member, by evaluating the
+    family's certificate at m (``_certified_order``).
 
     At m = 1 it is the order of the cached ``reference_triple``, a complete
     coset table of the trivial subgroup.  For m >= 2 it is the degree of the
@@ -919,33 +1122,29 @@ def certified_order(family: str, m: int, opts: VerifyOptions | None = None) -> i
     voltage table, certified to be G_m's regular representation:
 
     - lower bound: every relator of ``family_presentation(family, m)`` holds
-      on the cover and the action is transitive, so |G_m| >= |G_1| m^2
-      (``_certify_cover``);
+      on the cover and the action is transitive, so |G_m| >= |G_1| m^2;
     - upper bound: the conjugation relations (proved once per family by
       ``verify_conjugation_action`` within ``opts.max_cosets``) make
       <x^m, y^m> normal in U with N/<x^m, y^m> abelian on two generators of
       order dividing m, so |G_m| <= |G_1| m^2.
 
-    A member pays only for its presentation, whose seed relators are held
-    as a root and an exponent, and a few integer reads per relator
-    (``_VoltageCover.holds``), whatever m is; the rest is built once per
-    family, or for both families, and kept.
+    The per-family part is the certificate's integers: each relator's root
+    (d, g), G_1's size, and the orbit size and lattice of U's span.  What is
+    evaluated at m is m | (k/d) g for each relator u^k (``_power_holds``),
+    which decides the relator on its walks over G_1's points, the same
+    statement as its being the identity permutation of the cover; and
+    |C| m^2 / [Z^2 : L + mZ^2] for the span of U's generator lifts
+    (``_span_order``), the orbit of (0, 0), which is the whole cover for the
+    family's voltages (C is G_1 and L is Z^2), so no search runs over it.
+    A relator is not followed on id 0 (``PermGroup.word_id``): that rule
+    holds only in a group already known to act regularly, and this
+    certificate is part of what shows that.  No presentation is built.
 
     Raises EnumerationIncomplete when the m = 1 enumeration or the
     conjugation proof exceeds ``opts.max_cosets``, and VerificationError
     when the cover fails its certificate.
     """
-    return _certified_order(_state(family), family_presentation(family, m), m,
-                            (opts or VerifyOptions()).max_cosets)
-
-
-def _certified_order(state: _FamilyState, pres: Presentation, m: int, cap: int) -> int:
-    """``certified_order`` of the member that ``pres`` presents."""
-    ref = state.reference(cap)
-    if m == 1:
-        return ref.group.order()
-    state.prove_conjugation(cap)
-    return _certify_cover(pres, state.cover, m)
+    return _certified_order(_certificate(family, m, (opts or VerifyOptions()).max_cosets), m)
 
 
 def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> RotationTriple:
@@ -959,29 +1158,31 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
     them.  Raises as ``certified_order`` does.
     """
     opts = opts or VerifyOptions()
-    pres, state = family_presentation(family, m), _state(family)
-    _certified_order(state, pres, m, opts.max_cosets)
+    certified_order(family, m, opts)
+    state = _state(family)
     if m == 1:
         # a group of its own, so that nothing a caller keeps on the member's
         # group is kept on the cached reference
         ref = state.reference(opts.max_cosets)
         return RotationTriple(PermGroup.regular(ref.sigma), ref.sigma, ref.presentation)
     sigma = tuple(Permutation(img) for img in _cover_images(state.cover.base, state.cover.phi, m))
-    return RotationTriple(PermGroup.regular(sigma), sigma, pres)
+    return RotationTriple(PermGroup.regular(sigma), sigma, family_presentation(family, m))
 
 
 def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> list[int]:
     """The orders of G_m's derived subgroups G_m', G_m'', ..., until trivial
     or stable: the terms ``PermGroup.derived_series`` lists for G_m, read
-    off one derived series of U per family (``_DerivedSeries``), so no
-    normal closure of G_m is formed.
+    off U's derived series (``_DerivedSeries``), which the family's
+    certificate holds down to the trivial term, so no normal closure of G_m
+    is formed.
 
     U acts on the points (c, v), c a point of G_1 and v in Z^2, through its
     generators' lifts: g takes (c, v) to (c.g, v + phi[g, c]).  Each term
-    U^(k) is held as its orbit C_k of G_1's point 0, a potential p_k(c) in
-    Z^2 for each c in C_k, and the lattice L_k spanned by the non-tree
-    discrepancies (``_span``).  The image of U^(k) in G_m is G_m^(k), and
-    |G_m^(k)| = |C_k| m^2 / [Z^2 : L_k + mZ^2].  Why that is sound:
+    U^(k) is held as the size of its orbit C_k of G_1's point 0 and the
+    lattice L_k spanned by the non-tree discrepancies (``_span``); that is
+    the per-family part.  The image of U^(k) in G_m is G_m^(k), and what is
+    evaluated at m is |G_m^(k)| = |C_k| m^2 / [Z^2 : L_k + mZ^2]
+    (``_derived_orders``).  Why that is sound:
 
     - m = 1: only C_k counts, and C_k is G_1^(k) whatever the lattices are.
       Deciding an element by the one point it takes (0, 0) to can only err
@@ -990,91 +1191,106 @@ def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> li
       closure in G_1 that ``PermGroup._derived`` builds.
     - m >= 2: here the lattices count, and the action must be U's
       right-regular action, so that each orbit of (0, 0) is its subgroup.
-      The conjugation proof (run here, once per family, as
-      ``certified_order`` runs it) makes N = <x, y> normal and abelian;
-      the voltages send x^v to a translation by v over point 0, so N is Z^2 and
-      x^v t_c -> (c, v) is a bijection from U onto the points.  The
-      reduction mod m of this action is the cover that ``certified_order``
-      certifies to be G_m's regular representation, so the image of U^(k)
-      there is G_m^(k), of the order above.
+      The conjugation proof (checked here, as ``certified_order`` checks
+      it) makes N = <x, y> normal and abelian; the voltages send x^v to a
+      translation by v over point 0, so N is Z^2 and x^v t_c -> (c, v) is a
+      bijection from U onto the points.  The reduction mod m of this action
+      is the cover that ``certified_order`` certifies to be G_m's regular
+      representation, so the image of U^(k) there is G_m^(k), of the order
+      above.
 
     ``PermGroup.derived_length`` on the member's group is the independent
     cross-check the tests run.  Raises EnumerationIncomplete as
     ``certified_order`` does.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    cap, state = (opts or VerifyOptions()).max_cosets, _state(family)
-    state.reference(cap)
-    if m >= 2:
-        state.prove_conjugation(cap)
-    return state.cover.derived.orders(m)
+    return _derived_orders(_certificate(family, m, (opts or VerifyOptions()).max_cosets).derived, m)
 
 
-def _intersection_condition(spans: dict[tuple[int, ...], _Term], m: int) -> bool:
+def _intersection_condition(cert: FamilyCertificate, m: int) -> bool:
     """The chiral intersection condition of the member at m, read off the
-    canonical spans (``_VoltageCover.canonical``): <s1> meets <s2,s3>
-    trivially, <s1,s2> meets <s3> trivially, and <s1,s2> meets <s2,s3> in
-    exactly <s2> (``polytope.intersection_condition``'s three tests)."""
-    return (spans[1,].meet_order(spans[2, 3], m) == 1
-            and spans[1, 2].meet_order(spans[3,], m) == 1
-            and spans[1, 2].meet_order(spans[2, 3], m) == spans[2,].order(m))
+    certificate's meets (``_meet_order``): <s1> meets <s2,s3> trivially,
+    <s1,s2> meets <s3> trivially, and <s1,s2> meets <s2,s3> in exactly <s2>
+    (``polytope.intersection_condition``'s three tests)."""
+    first, second, third = cert.meets
+    return (first.order(m) == 1 and second.order(m) == 1
+            and third.order(m) == cert.spans[2,].order(m))
+
+
+def _quotient_criterion(cert: FamilyCertificate, m: int) -> bool:
+    """The quotient criterion at m against the family's reference member
+    m0: it counts only where m0 | m, so that G_m maps onto G_m0 generator
+    by generator, and is then whether that map is injective on <s1,s2> or
+    on <s2,s3>, i.e. the span's order is the same at m and at m0."""
+    r = cert.reference
+    return (r is not None and m % r == 0
+            and any(cert.spans[ix].order(m) == cert.spans[ix].order(r)
+                    for ix in ((1, 2), (2, 3))))
 
 
 def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> MemberReport:
     """Run the full verification pipeline for one family member.
 
-    Without the axiom suite nothing of the member's degree is built: every
-    check is read off the family's voltage cover at m, which
-    ``certified_order`` has certified as the member's regular
-    representation whose s_i is the lift of generator i.  A word is the
-    identity iff it holds on the cover (``_VoltageCover.holds``): the
-    canonical relations and the mirror images.  A word's order is that of
-    its cycle through (0, 0) (``_VoltageCover.word_order``): the mirror
-    witness's.  A subgroup of the s_i is its orbit of (0, 0), the points
-    (c, p(c) + L + mZ^2) that its span on G_1's points reads at m
-    (``_VoltageCover.canonical``): the s_i's orders, the intersection
-    condition (``_Term.meet_order``) and the quotient criterion's orders
-    (``_Term.order``).  The type and the verdict follow the rules that
-    ``polytope.validate_rotation_triple`` and ``chirality_verdict`` apply
-    to ``member_triple``'s action, the tests' cross-check.  The criterion
-    compares each order at m with the one at 1, the reference member's;
-    that the map onto the reference is a homomorphism is not checked
-    again, since every relator's walk closes at every point of G_1.  A
-    member whose intersection condition fails is the rotation group of no
+    Without the axiom suite every check evaluates the family's certificate
+    (``FamilyCertificate``) at m: its integers are per family, built on the
+    family's first member read and kept, and each check is one formula of
+    them and m, so nothing of the member's degree and no presentation is
+    built, and nothing keyed by m is kept.  The formulas are sound because
+    ``certified_order`` certifies the family's voltage cover at m as the
+    member's regular representation whose s_i is the lift of generator i:
+
+    - a word u^k is the identity iff m | (k/d) g, and has order
+      o / gcd(o, k) with o = e m / gcd(m, W), for u's ``_Root`` integers
+      (``_power_holds``, ``_power_order``): the canonical relations, the
+      mirror witness and each relator's mirror image;
+    - a subgroup of the s_i is its orbit of (0, 0), so its order is
+      |C| m^2 / [Z^2 : L + mZ^2] (``_span_order``): the s_i's orders, the
+      quotient criterion's orders and the derived series (``derived_orders``);
+    - the intersection condition's meets are the voltage-lift count of
+      ``_meet_order``.
+
+    The type and the verdict follow the rules that
+    ``polytope.canonical_type`` and ``mirror_verdict`` apply to any triple,
+    here to the certificate's reads; ``polytope.validate_rotation_triple``
+    and ``chirality_verdict`` on ``member_triple``'s action are the tests'
+    cross-check.  The quotient criterion compares the orders at m with those
+    at the family's reference member m0 (``Family.reference``), one that
+    passed the intersection condition and the axiom suite, and only where
+    m0 | m (``_quotient_criterion``): P at odd m has none and reports False.
+    That the map onto the reference is a homomorphism is not checked again,
+    since every relator's walk closes at every point of G_1.  A member
+    whose intersection condition fails is the rotation group of no
     polytope, so its verdict is "not-a-polytope", whatever the mirror test
     finds; the mirror witness is still reported.
 
-    Solvability and the derived length come from ``derived_orders``.  The
-    conjugation proof runs only for m >= 2, so at m = 1 the report needs no
-    more cosets than G_1's enumeration.  The axiom suite builds the member
-    (``member_triple``) once its certified order is within the geometry's
-    element cap (``polytope.check_element_cap``).
+    The conjugation proof is checked only for m >= 2, so at m = 1 the
+    report needs no more cosets than G_1's enumeration.  The axiom suite
+    builds the member (``member_triple``) once its certified order is
+    within the geometry's element cap (``polytope.check_element_cap``).
     """
     opts = opts or VerifyOptions()
     timer = StageTimer()
-    pres, state = family_presentation(family, m), _state(family)
-    order = _certified_order(state, pres, m, opts.max_cosets)
-    cover = state.cover
+    cert = _certificate(family, m, opts.max_cosets)
+    order = _certified_order(cert, m)
     timer.lap("enumerate")
 
-    spans = cover.canonical
-    schlafli = canonical_type(lambda w: cover.holds(w, m), lambda i: spans[i,].order(m))
+    spans = cert.spans
+    schlafli = canonical_type(lambda w: cert.relations[w].holds(m),
+                              lambda i: spans[i,].order(m))
     timer.lap("validate")
 
-    ic = _intersection_condition(spans, m)
+    ic = _intersection_condition(cert, m)
     timer.lap("intersection")
 
-    qc = any(spans[ix].order(m) == spans[ix].order(1) for ix in ((1, 2), (2, 3)))
+    qc = _quotient_criterion(cert, m)
     timer.lap("quotient_criterion")
 
-    orders = derived_orders(family, m, opts)
+    orders = _derived_orders(cert.derived, m)
     dlength = len(orders) if orders[-1] == 1 else None
     solvable = dlength is not None
     timer.lap("solvability")
 
-    mirror = mirror_verdict(pres.relators, lambda w: cover.holds(w, m),
-                            lambda w: cover.word_order(w, m), mirror_witness_relator())
+    mirror = mirror_verdict(cert.relators, lambda r: r.holds(m), lambda r: r.order(m),
+                            cert.witness, image=lambda r: r.image)
     timer.lap("mirror")
 
     axioms = None
@@ -1092,8 +1308,8 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
         intersection_condition=ic, quotient_criterion=qc,
         verdict=mirror.verdict if ic else "not-a-polytope",
         witness_order=mirror.witness_order,
-        witness_relator=(pres.word_str(mirror.witness_relator)
-                         if mirror.witness_relator else None),
+        witness_relator=(cert.text(mirror.witness_relator, m)
+                         if mirror.witness_relator is not None else None),
         axioms=axioms,
         timings_ms=timer.timings,
     )
@@ -1231,7 +1447,7 @@ def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[Coro
     order 2^(10+2k) and family Q has 2^(11+2k), covering every 2^n, n >= 10.
 
     Each order is ``certified_order``'s, and each intersection condition
-    ``verify_member``'s, both read off the family's voltage cover, so no
+    ``verify_member``'s, both the family's certificate evaluated at m, so no
     member is built.
     """
     if k_max < 0:
@@ -1245,6 +1461,6 @@ def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[Coro
             if order != 2 ** n:
                 raise VerificationError(
                     "corollary", f"{family} m={m}: order {order} != 2^{n}")
-            ic = _intersection_condition(_state(family).cover.canonical, m)
+            ic = _intersection_condition(_state(family).certificate, m)
             out.append(CorollaryEntry(n, family, m, order, ic))
     return out

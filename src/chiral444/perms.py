@@ -23,9 +23,9 @@ back to 0, and its order is the length of id 0's cycle
 (``PermGroup.word_id``, ``PermGroup.word_order``).  No product of the full
 degree is formed.  The rule needs the images to be elements of a group
 acting regularly, since it reads one point of the product; so
-``families._certify_cover``, which is what shows a cover to be such a group,
-does not use it: it decides each relator at every point, on the relator's
-lift to the base group's points.  The normal closures behind the derived
+``families._certified_order``, which is what shows a cover to be such a
+group, does not use it: it decides each relator at every point, from the
+relator's lift to the base group's points.  The normal closures behind the derived
 series keep their generators as words in the group's generators and grow one
 orbit as generators join.
 
@@ -410,9 +410,9 @@ class PermGroup:
     The images must be elements of the group: on a regular action the id
     that id 0 reaches names the only element the product can be, and it is
     that element only when the product is in the group.  That is why
-    ``families._certify_cover`` checks its relators at every point of the
-    cover, on their lifts to the base group: until it has, the cover is not
-    known to be one group acting regularly.
+    ``families._certified_order`` decides its relators at every point of
+    the cover, from their lifts to the base group: until it has, the cover
+    is not known to be one group acting regularly.
 
     The derived series is grown the same way.  Each normal closure keeps its
     generators as words in this handle's generators; a word joins when the

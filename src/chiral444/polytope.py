@@ -18,7 +18,7 @@ s_i; the image is a pure function of the relator and is kept per word
 and the mirror witness, are substituted once per process.  The type and
 mirror rules take those reads as functions (``canonical_type``,
 ``mirror_verdict``), so that ``families.verify_member`` applies them to its
-voltage cover.
+family's certificate.
 
 The geometry is built on the group's right-regular action: right
 multiplication by s is s's image array on the group's ids, which are its
@@ -274,15 +274,17 @@ def chirality_verdict(t: RotationTriple,
                           lambda w: group.word_order(w, sigma), preferred_witness)
 
 
-def mirror_verdict(relators: Sequence[Word], holds: Callable[[Word], bool],
-                   order: Callable[[Word], int],
-                   preferred_witness: Word | None = None) -> ChiralityReport:
-    """``chirality_verdict``'s rule, given whether a word in the s_i holds
-    and a word's order."""
+def mirror_verdict(relators: Sequence, holds: Callable[..., bool],
+                   order: Callable[..., int], preferred_witness=None,
+                   image: Callable = _mirror_image) -> ChiralityReport:
+    """``chirality_verdict``'s rule, given whether a word in the s_i holds,
+    a word's order and a relator's mirror image (``_mirror_image`` by
+    default).  The words need not be ``Word``s: ``families.verify_member``
+    passes its certificate's reads of them, each with its image's read."""
     if preferred_witness is not None and holds(preferred_witness):
         relators = (preferred_witness, *relators)
     for r in relators:
-        img = _mirror_image(r)
+        img = image(r)
         if not holds(img):
             return ChiralityReport("chiral", r, order(img))
     return ChiralityReport("regular", None, None)

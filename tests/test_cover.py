@@ -13,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 from chiral444 import families, perms
 from chiral444.cli import main
 from chiral444.coset import enumerate_cosets
-from chiral444.families import (_CANONICAL, FAMILIES, EnumerationIncomplete,
+from chiral444.families import (_CANONICAL, _MEETS, FAMILIES, EnumerationIncomplete,
                                 VerificationError, VerifyOptions,
-                                _certify_cover, _cover_images, _hnf,
+                                _build_certificate, _certified_order,
+                                _cover_images, _hnf,
                                 _in_lattice, _index_mod, _rows,
                                 _intersection_condition, _normal_closure,
-                                _state, _voltages,
+                                _span, _state, _voltages,
                                 _VoltageCover, derived_orders, expected_order,
+                                family_certificate,
                                 family_presentation, member_triple,
                                 mirror_witness_relator, presentation_U,
                                 reference_triple, subgroup_seed_words,
@@ -170,25 +172,36 @@ def test_voltages_raise_on_each_failure(monkeypatch, base, relators, seeds, matc
     assert err.value.stage == "voltages"
 
 
+def _certificate_of(base, phi, relators=None):
+    """The family P certificate read off the cover with voltages ``phi``,
+    with ``relators`` in the place of U's."""
+    return _build_certificate("P", _VoltageCover(base, phi),
+                              presentation_U().relators if relators is None else relators)
+
+
 def test_corrupted_voltage_fails_the_certificate():
+    # the certificate of a corrupted cover is built, and fails when it is
+    # evaluated
     base = _base("P")
     phi = _voltages("P", base)
-    pres = family_presentation("P", 2)
-    _certify_cover(pres, _VoltageCover(base, phi), 2)
+    assert _certified_order(_certificate_of(base, phi), 2) == 4096
     bad = phi.copy()
     bad[1, 5, 0] += 1
-    with pytest.raises(VerificationError, match="relator"):
-        _certify_cover(pres, _VoltageCover(base, bad), 2)
+    with pytest.raises(VerificationError, match="relator") as info:
+        _certified_order(_certificate_of(base, bad), 2)
+    assert info.value.stage == "cover"
 
 
 def test_relator_nontrivial_in_g1_fails_the_certificate():
     # verify_member does not follow the relators on the reference group
     # again, because the certificate already closes every relator's walk
     # over G_1's points: a relator that is not trivial in G_1 fails it
-    pres = family_presentation("P", 2)
-    pres = Presentation(pres.names, (pres.atom("a"),) + pres.relators)
-    with pytest.raises(VerificationError, match="relator a fails"):
-        _certify_cover(pres, _cover("P"), 2)
+    u = presentation_U()
+    cert = _certificate_of(_base("P"), _cover("P").phi, (u.atom("a"),) + u.relators)
+    with pytest.raises(VerificationError, match="relator a fails") as info:
+        _certified_order(cert, 2)
+    assert info.value.stage == "cover"
+    assert str(info.value) == "[cover] relator a fails on the cover of degree 4096"
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -214,12 +227,14 @@ def test_intransitive_cover_fails_the_certificate():
     base = _base("P")
     phi = _voltages("P", base)
     zero = np.zeros((3, base.shape[1], 2), dtype=np.int64)
-    for table, m in ((zero, 2), (2 * phi, 2)):
-        with pytest.raises(VerificationError, match="not transitive"):
-            _certify_cover(family_presentation("P", m), _VoltageCover(base, table), m)
-        sigma = [Permutation(img) for img in _cover_images(base, table, m)]
+    for table in (zero, 2 * phi):
+        cert = _certificate_of(base, table)
+        with pytest.raises(VerificationError, match="not transitive") as info:
+            _certified_order(cert, 2)
+        assert info.value.stage == "cover"
+        sigma = [Permutation(img) for img in _cover_images(base, table, 2)]
         assert not PermGroup(sigma).is_transitive()
-    assert _certify_cover(family_presentation("P", 3), _VoltageCover(base, 2 * phi), 3) == 1024 * 9
+    assert _certified_order(_certificate_of(base, 2 * phi), 3) == 1024 * 9
     sigma = [Permutation(img) for img in _cover_images(base, 2 * phi, 3)]
     assert PermGroup(sigma).is_transitive()
 
@@ -381,15 +396,16 @@ def test_m1_report_needs_no_conjugation_proof(capsys):
 
 def _mask_at(term, m):
     """The points of the cover at m that the subgroup ``term`` of U takes
-    (0, 0, 0) to: (c, v) with c in its orbit and v - p(c) in L + mZ^2."""
+    (0, 0, 0) to, numbered as the cover's points are: (c, v) with c in its
+    orbit and v - p(c) in L + mZ^2, that coset of Z_m^2 found by search."""
     a, b, d = term.lattice
-    lattice = _hnf([(a, b), (0, d), (m, 0), (0, m)])
+    near = np.zeros((m, m), dtype=bool)
+    near[tuple(np.array(sorted(_closure([(a, b), (0, d)], m))).T)] = True
+    pts = np.flatnonzero(term.mask)
+    v = np.arange(m)
+    px, py = (term.pot[pts] % m).T
     mask = np.zeros((term.mask.shape[0], m, m), dtype=bool)
-    for c in np.flatnonzero(term.mask).tolist():
-        px, py = term.pot[c].tolist()
-        for v1 in range(m):
-            for v2 in range(m):
-                mask[c, v1, v2] = _in_lattice((v1 - px, v2 - py), lattice)
+    mask[pts] = near[((v - px[:, None]) % m)[:, :, None], ((v - py[:, None]) % m)[:, None, :]]
     return mask.ravel()
 
 
@@ -474,8 +490,6 @@ def test_lattice_helpers_match_brute_force(gens):
 
 # -- the canonical subgroups, read off their spans on G_1 --------------------
 
-_MEETS = (((1,), (2, 3)), ((1, 2), (3,)), ((1, 2), (2, 3)))
-
 
 @pytest.mark.parametrize("family, m", [(f, m) for f in "PQ" for m in (*range(1, 9), 16)])
 def test_canonical_spans_match_the_member(family, m):
@@ -488,7 +502,7 @@ def test_canonical_spans_match_the_member(family, m):
     for x, y in _MEETS:
         want = t.subgroup(*x).intersection_order(t.subgroup(*y))
         assert spans[x].meet_order(spans[y], m) == want, (x, y)
-    assert _intersection_condition(spans, m) == intersection_condition(t)
+    assert _intersection_condition(family_certificate(family), m) == intersection_condition(t)
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -514,13 +528,14 @@ def test_verify_member_builds_no_subgroup_orbit(family, monkeypatch):
     # the canonical spans, so verify asks the member's action for no
     # subgroup; the generic engine on the member is the cross-check
     opts = VerifyOptions(axioms=False)
-    ref = reference_triple(family)
+    r0 = FAMILIES[family].reference
+    ref = member_triple(family, r0)
     want = {}
     for m in (1, 2, 3):
         t = member_triple(family, m)
         want[m] = verify_member(family, m, opts)
         assert want[m].intersection_condition == intersection_condition(t)
-        assert want[m].quotient_criterion == quotient_criterion(t, ref)
+        assert want[m].quotient_criterion == (m % r0 == 0 and quotient_criterion(t, ref))
 
     def refuse(self, generators):
         raise AssertionError("a subgroup orbit on the member's action")
@@ -653,10 +668,89 @@ def test_residue_meets_match_the_vectorised_count(family):
     spans = cover.canonical
     terms = ([spans[ix] for ix in _CANONICAL]
              + [cover.derived.term(k) for k in range(4)])
+    cert = family_certificate(family)
     fails = set()
     for m in range(1, 65):
         for h, k in itertools.permutations(terms, 2):
             assert h.meet_order(k, m) == _vectorised_meet(h, k, m), m
-        if not _intersection_condition(spans, m):
+        if not _intersection_condition(cert, m):
             fails.add(m % 2)
     assert fails == ({1} if family == "P" else set())
+
+
+# -- the certificate against the lifts and the member ---------------------------
+
+def _lifted_report(family, m):
+    """What ``verify_member`` reports at m, each value found on the lifts of
+    U's generators (``_VoltageCover.lift``) and their spans (``_span``),
+    with every subgroup counted point by point on the cover at m."""
+    cover = _cover(family)
+    n = cover.base.shape[1]
+    gens = [cover.lift(Word((i,))) for i in (1, 2, 3)]
+    spans = {ix: _span([gens[i - 1] for i in ix], n) for ix in _CANONICAL}
+
+    def count(term, at):
+        return int(np.count_nonzero(_mask_at(term, at)))
+
+    def meets(at):
+        return [int(np.count_nonzero(_mask_at(spans[x], at) & _mask_at(spans[y], at)))
+                for x, y in _MEETS]
+
+    def condition(at):
+        return meets(at) == [1, 1, count(spans[2,], at)]
+
+    relators = list(presentation_U().relators) + list(subgroup_seed_words(family, m))
+    assert all(_lifted_reads(cover, r, m)[0] for r in relators)
+    order = count(_span(gens, n), m)
+    assert order == n * m * m
+    assert all(_lifted_reads(cover, w, m)[0] for _, w in _CANONICAL_RELATIONS)
+    r0 = FAMILIES[family].reference
+    series = [count(cover.derived.term(k), m) for k in range(1, 4)]
+    witness = mirror_witness_relator()
+    assert _lifted_reads(cover, witness, m)[0]
+    holds, witness_order = _lifted_reads(cover, _mirror_image(witness), m)
+    assert not holds
+    ic = condition(m)
+    return {
+        "order": order,
+        "schlafli": tuple(count(spans[i,], m) for i in (1, 2, 3)),
+        "intersection_condition": ic,
+        "quotient_criterion": (m % r0 == 0 and condition(r0)
+                               and any(count(spans[ix], m) == count(spans[ix], r0)
+                                       for ix in ((1, 2), (2, 3)))),
+        "derived_orders": series,
+        "derived_length": len(series) if series[-1] == 1 else None,
+        "verdict": "chiral" if ic else "not-a-polytope",
+        "witness_relator": presentation_U().word_str(witness),
+        "witness_order": witness_order,
+    }
+
+
+@pytest.mark.parametrize("family, m", [(f, m) for f in "PQ" for m in (*range(1, 9), 16, 32)])
+def test_certificate_matches_the_lifts_and_the_member(family, m):
+    # each value the report reads off the certificate, against the lifts and
+    # spans of U's generators counted on the cover at m, and at m <= 4
+    # against the per-action engine on the member's own permutations
+    r = verify_member(family, m, VerifyOptions(axioms=False))
+    got = {"order": r.order, "schlafli": r.schlafli,
+           "intersection_condition": r.intersection_condition,
+           "quotient_criterion": r.quotient_criterion,
+           "derived_orders": derived_orders(family, m), "derived_length": r.derived_length,
+           "verdict": r.verdict, "witness_relator": r.witness_relator,
+           "witness_order": r.witness_order}
+    assert got == _lifted_report(family, m)
+    if m > 4:
+        return
+    t = member_triple(family, m)
+    r0 = FAMILIES[family].reference
+    mirror = chirality_verdict(t, preferred_witness=mirror_witness_relator())
+    assert r.order == t.group.order()
+    assert r.schlafli == validate_rotation_triple(t.group, t.sigma).as_tuple()
+    assert r.intersection_condition == intersection_condition(t)
+    ref = member_triple(family, r0)
+    assert r.quotient_criterion == (m % r0 == 0 and intersection_condition(ref)
+                                    and quotient_criterion(t, ref))
+    assert r.verdict == (mirror.verdict if intersection_condition(t) else "not-a-polytope")
+    assert r.witness_relator == t.presentation.word_str(mirror.witness_relator)
+    assert r.witness_order == mirror.witness_order
+    assert r.derived_length == t.group.derived_length()

@@ -74,12 +74,30 @@ def test_verify_member_first_members():
     assert not r.intersection_condition
     assert r.verdict == "not-a-polytope" and r.witness_order == 2
     assert r.witness_relator is not None
-    assert r.quotient_criterion and not r.passed
+    # P_1 is no reference for the criterion, so it reports False
+    assert not r.quotient_criterion and not r.passed
     q = verify_member("Q", 1)
     assert q.order == 2048
     assert q.verdict == "chiral" and q.witness_order == 2
     assert q.intersection_condition
     assert q.passed
+
+
+@pytest.mark.parametrize("family, ms, criterion", [
+    ("P", (1, 2, 3, 4, 8), (False, True, False, True, True)),
+    ("Q", (1, 2, 3, 4), (True,) * 4)])
+def test_quotient_criterion_counts_only_against_a_polytope(family, ms, criterion):
+    # the criterion's reference passed the intersection condition and the
+    # axioms: Q_1 for Q, P_2 for P at even m (compared at 2, not at 1), and
+    # none for P at odd m, where P_1 fails the condition
+    opts = VerifyOptions(axioms=False)
+    assert tuple(verify_member(family, m, opts).quotient_criterion for m in ms) == criterion
+    r0 = FAMILIES[family].reference
+    assert r0 == {"P": 2, "Q": 1}[family]
+    ref = verify_member(family, r0, VerifyOptions(axioms=True))
+    assert ref.intersection_condition and ref.axioms.all_ok
+    assert all(not verify_member(family, m, opts).intersection_condition
+               for m in range(1, r0))
 
 
 def test_verify_member_order_scaling():
@@ -433,3 +451,51 @@ def test_family_state_is_shared_by_caps(monkeypatch):
     # not reach
     assert rungs == [2000, 4000, 3000, 2097, 2096]
     assert runs == [1_000_000]
+
+
+def test_reference_triple_builds_no_cover_or_certificate(monkeypatch):
+    # the set-up that the benchmark times is G_1 alone; the cover and the
+    # certificate are built on the family's first member read
+    monkeypatch.setattr(families, "_state", functools.cache(families._FamilyState))
+    for family in FAMILIES:
+        families.reference_triple(family)
+        state = families._state(family)
+        assert "cover" not in vars(state) and "certificate" not in vars(state)
+        families.presentation_U()
+        assert "certificate" not in vars(state)
+        verify_member(family, 1, VerifyOptions(axioms=False))
+        assert "certificate" in vars(state)
+
+
+@pytest.mark.parametrize("family, first", [("P", 2097), ("Q", 3601)])
+def test_small_caps_raise_once_the_certificate_exists(family, first, monkeypatch):
+    # a cap below what G_1's enumeration used (m = 1) or below the first
+    # proving cap of the conjugation relations (m >= 2) raises with the same
+    # stage and cap whether or not the certificate was built at the default
+    # cap first; a fresh state with no rung enumerated stands for a fresh
+    # process
+    def raised(call, m, cap):
+        with pytest.raises(families.EnumerationIncomplete) as info:
+            call(family, m, VerifyOptions(max_cosets=cap, axioms=False))
+        return info.value.stage, info.value.cap
+
+    def fresh():
+        monkeypatch.setattr(families, "_state", functools.cache(families._FamilyState))
+        families._rung.cache_clear()
+
+    fresh()
+    families.reference_triple(family)
+    used = families._state(family).reference_cosets
+    cases = ((1, used - 1), (2, used - 1), (2, first - 1), (3, first - 1))
+    want = [("enumerate", used - 1), ("enumerate", used - 1),
+            ("conjugation", first - 1), ("conjugation", first - 1)]
+    for (m, cap), stage in zip(cases, want):
+        fresh()
+        assert raised(verify_member, m, cap) == stage
+    fresh()
+    verify_member(family, 2, VerifyOptions(axioms=False))
+    assert "certificate" in vars(families._state(family))
+    for call in (verify_member, families.certified_order, derived_orders):
+        assert [raised(call, m, cap) for m, cap in cases] == want
+    assert verify_member(family, 2, VerifyOptions(max_cosets=first, axioms=False)).order \
+        == expected_order(family, 2)
