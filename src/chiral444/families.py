@@ -19,12 +19,13 @@ relations, proved once per family by traces from every coset of U's
 partial Felsch tables (enumerated once for both families), bound |G_m| by
 |G_1| m^2 (upper bound).  A relator is decided at every point of the cover
 without forming its product there: its walk is lifted to G_1's points with
-the voltage sum it picks up (``_VoltageCover``), and it holds iff every
-walk closes with a sum of 0 mod m.  Transitivity is read off the span of
-U's generator lifts, so no search runs over the cover's points.
+the voltage sum it picks up (``_VoltageCover.lift``, ``_root``), and it
+holds iff every walk closes with a sum of 0 mod m.  Transitivity is read
+off the span of U's generator lifts, so no search runs over the cover's
+points.
 
 Solvability is decided for every m from one derived series of U per family
-(``derived_orders``), built on G_1's points with the same voltages: term k
+(``_derived_series``), built on G_1's points with the same voltages: term k
 is its orbit C_k on G_1, a potential in Z^2 for each point of it, and the
 lattice L_k = U^(k) cap N, so |G_m^(k)| = |C_k| m^2 / [Z^2 : L_k + mZ^2].
 At m = 1 only the C_k count, and they are G_1's derived series; for m >= 2
@@ -34,8 +35,8 @@ member is the cross-check.
 
 The intersection condition and the quotient criterion's subgroup orders
 are read the same way, off the spans of U's canonical subgroups <a>, <b>,
-<c>, <a,b>, <b,c> on G_1's points (``_VoltageCover.canonical``), built
-once per family.  A span at m is its subgroup's orbit of (0, 0), the points
+<c>, <a,b>, <b,c> on G_1's points (``_span``), built once per family.  A
+span at m is its subgroup's orbit of (0, 0), the points
 (c, p(c) + L + mZ^2), so |<X> cap <Y>| in G_m is the number of c in
 C_X cap C_Y with p_X(c) - p_Y(c) in L_X + L_Y + mZ^2, times
 |(L_X + mZ^2) cap (L_Y + mZ^2) / mZ^2| (``_meet_order``).  This is the
@@ -52,16 +53,18 @@ evaluates the family's certificate at m; only ``member_triple`` builds a
 member's permutations, for the coset geometry and the tests' cross-check.
 
 The certificate.  What m does not enter is built once per family, on its
-first member read, and kept: G_1, the voltages, the conjugation proof, the
-spans and the derived series.  ``family_certificate`` reads off them the
-integers every report needs (``FamilyCertificate``), holding no m: the
-four integers (``_Root``) of the shortest root u of each word the pipeline
-asks about, namely its period d, the gcd g of the voltage sums of u^d, and
-the length e and voltage W of point 0's cycle under it; the orbit size and
-lattice of each canonical span and of each term of U's derived series; and
-for each pair of the intersection condition, S = L_H + L_K with the counts
-of its classes.  A member's checks evaluate them at m, each with one
-module-level formula: u^k holds iff d | k and m | (k/d) g
+first member read, and kept: G_1, the voltages (``_VoltageCover``) and the
+conjugation proof.  ``family_certificate`` reads off them the integers
+every report needs (``FamilyCertificate``), holding no m and no per-point
+array: the four integers (``_Read``) of the shortest root u of each word
+the pipeline asks about, namely its period d, the gcd g of the voltage
+sums of u^d, and the length e and voltage W of point 0's cycle under it;
+the orbit size and lattice of each canonical span and of each term of U's
+derived series (``_Span``); and for each pair of the intersection
+condition, S = L_H + L_K with the counts of its classes (``_Meet``).  The
+lifts, spans and terms these come from are built once, for the
+certificate, and dropped.  A member's checks evaluate the records at m,
+each with one module-level formula: u^k holds iff d | k and m | (k/d) g
 (``_power_holds``) and has order o / gcd(o, k) for o = e m / gcd(m, W)
 (``_power_order``); a span has |C| m^2 / [Z^2 : L + mZ^2] elements
 (``_span_order``); a meet is the count above (``_meet_order``); and the
@@ -475,133 +478,80 @@ def _compose(a: _Lift, b: _Lift) -> _Lift:
     return b[0][a[0]], a[1] + b[1][a[0]]
 
 
-class _Root(NamedTuple):
-    """What a word's shortest root u gives on G_1's points
-    (``_VoltageCover._root``): ``lift``, u's walks from every point;
-    ``period`` d, the order of their end map, so that the walks of u^d all
-    close; ``volt``, the voltage sums of u^d, and ``gcd`` g, their gcd;
-    ``cycle`` e, the length of point 0's cycle under the end map, and
-    ``cycle_gcd``, the gcd of the voltage W that cycle picks up."""
-
-    lift: _Lift
-    period: int
-    volt: np.ndarray
-    gcd: int
-    cycle: int
-    cycle_gcd: int
+def _inverse_lift(lift: _Lift) -> _Lift:
+    """The lift of a word's inverse: (p, v)^-1 = (p^-1, -v[p^-1])."""
+    end, volt = lift
+    inv = np.empty_like(end)
+    inv[end] = np.arange(end.shape[0])
+    return inv, -volt[inv]
 
 
 class _VoltageCover:
     """G_1's regular table ``base`` with a voltage table ``phi``: the Z_m^2
-    cover at every m, with every word decided for every m at once.
+    cover at every m.  ``letters`` holds each generator g's lift
+    (base[g], phi[g]) and ``inverses`` the lift of g^-1, each inverted once
+    (``_inverse_lift``); every lift, span and derived term is composed of
+    them.
 
     A word lifts to a pair (end, volt): from each point c of G_1 its walk
     ends at ``end[c]`` and picks up the voltage sum ``volt[c]`` in Z^2.  On
     the cover at m the word sends (c, v) to (end[c], v + volt[c] mod m), so
     it is the identity there iff every walk is closed and every voltage sum
-    is 0 mod m.  A word is read through its shortest root u, w = u^k: the
-    four integers of u's ``_Root`` (d, g, e, W) answer ``holds`` and
-    ``word_order`` at every m by divisibility alone (``_power_holds``,
-    ``_power_order``), and they are what ``family_certificate`` keeps.
+    is 0 mod m.  The pipeline reads a word through the integers of its
+    shortest root (``_read``); ``lift`` is what the tests check them
+    against.
     """
 
     def __init__(self, base: np.ndarray, phi: np.ndarray):
         self.base, self.phi = base, phi
-        n = base.shape[1]
-        self.inv = np.empty_like(base)
-        for g in range(base.shape[0]):
-            self.inv[g, base[g]] = np.arange(n)
-        self._id = np.arange(n)
-        self._id.setflags(write=False)
-        self._roots: dict[tuple[int, ...], _Root] = {}
-
-    def _period(self, root: tuple[int, ...]) -> _Root:
-        """The ``_Root`` of the word ``root`` (``_root``), kept per root."""
-        got = self._roots.get(root)
-        if got is None:
-            got = self._roots[root] = self._root(root)
-        return got
-
-    def _root(self, root: tuple[int, ...]) -> _Root:
-        """The ``_Root`` of the word ``root``, lifted letter by letter, with
-        read-only arrays."""
-        step = self._id, np.zeros((self._id.shape[0], 2), dtype=np.int64)
-        for x in root:
-            g = abs(x) - 1
-            if x > 0:
-                step = _compose(step, (self.base[g], self.phi[g]))
-            else:
-                step = _compose(step, (self.inv[g], -self.phi[g][self.inv[g]]))
-        for arr in step:
-            arr.setflags(write=False)
-        end, volt = step[0].tolist(), step[1]
-        d = Permutation._trusted(step[0].astype(np.int32)).order()
-        power = self._power(step, d)[1]
-        c, e, w = end[0], 1, volt[0]
-        while c:
-            c, e, w = end[c], e + 1, w + volt[c]
-        return _Root(step, d, power, int(np.gcd.reduce(power, axis=None)),
-                     e, math.gcd(*w.tolist()))
-
-    def _power(self, step: _Lift, k: int) -> _Lift:
-        """The k-th power of the lift ``step``, by repeated squaring."""
-        acc = self._id, np.zeros((self._id.shape[0], 2), dtype=np.int64)
-        while k:
-            if k & 1:
-                acc = _compose(acc, step)
-            k >>= 1
-            if k:
-                step = _compose(step, step)
-        return acc
+        self.letters = tuple((base[g], phi[g]) for g in range(base.shape[0]))
+        self.inverses = tuple(_inverse_lift(g) for g in self.letters)
+        for arr in itertools.chain(*self.letters, *self.inverses):
+            arr.setflags(write=False)  # a lift may hand them on as they are
 
     def lift(self, word: Word) -> _Lift:
-        """The walks of ``word`` from every point: a generator g lifts to
-        (base[g], phi[g]) and its inverse to (inv[g], -phi[g][inv[g]]), and
-        lifts compose letter by letter (``_compose``).
+        """The walks of ``word`` from every point.
 
         A power u^k of its shortest root u, such as a family relator
-        (w1)^{4m}, is read off u's period d: lift(u^d) is (id, V), so
-        lift(u^k) is (id, (k // d) V) followed by lift(u^(k mod d)), taken
-        by repeated squaring; it costs O(log d) compositions whatever m is.
-        The pipeline reads its root's integers instead (``_root``); the
-        lift is what the tests check those reads against.
+        (w1)^{4m}, is read off u's period d (``_root``): lift(u^d) is
+        (id, V), so lift(u^k) is (id, (k // d) V) followed by
+        lift(u^(k mod d)), taken by repeated squaring; it costs O(log d)
+        compositions whatever m is.
         """
         root, k = word.as_power()
-        r = self._period(root)
-        q, k = divmod(k, r.period)
-        end, rest = self._power(r.lift, k)
-        return end, q * r.volt + rest
+        step, period, volt = _root(self, root)
+        q, k = divmod(k, period)
+        end, rest = _power(step, k)
+        return end, q * volt + rest
 
-    def holds(self, word: Word, m: int) -> bool:
-        """Whether ``word`` = u^k is the identity on the cover at m
-        (``_power_holds``)."""
-        root, k = word.as_power()
-        r = self._period(root)
-        return _power_holds(k, r.period, r.gcd, m)
 
-    def word_order(self, word: Word, m: int) -> int:
-        """The order of ``word`` = u^k's element on the cover at m
-        (``_power_order``)."""
-        root, k = word.as_power()
-        r = self._period(root)
-        return _power_order(k, r.cycle, r.cycle_gcd, m)
+def _product(lifts: Sequence[_Lift], n: int) -> _Lift:
+    """The lift of the word that spells ``lifts`` in turn, on n points."""
+    if not lifts:
+        return np.arange(n), np.zeros((n, 2), dtype=np.int64)
+    return functools.reduce(_compose, lifts)
 
-    @functools.cached_property
-    def derived(self) -> "_DerivedSeries":
-        """U's derived series on these points, built when first asked."""
-        letters = [(self.base[g], self.phi[g]) for g in range(self.base.shape[0])]
-        return _DerivedSeries(letters)
 
-    @functools.cached_property
-    def canonical(self) -> dict[tuple[int, ...], "_Term"]:
-        """The spans of U's subgroups <a>, <b>, <c>, <a,b>, <b,c> on these
-        points, keyed by 1-based generator indices as
-        ``RotationTriple.subgroup`` is: at m they are the member's <s1>,
-        <s2>, <s3>, <s1,s2>, <s2,s3>, since s_i is the lift of generator i.
-        Built when first asked."""
-        n = self.base.shape[1]
-        return {ix: _span([(self.base[i - 1], self.phi[i - 1]) for i in ix], n)
-                for ix in _CANONICAL}
+def _power(step: _Lift, k: int) -> _Lift:
+    """The k-th power of the lift ``step``, by repeated squaring."""
+    factors = []
+    while k:
+        if k & 1:
+            factors.append(step)
+        k >>= 1
+        if k:
+            step = _compose(step, step)
+    return _product(factors, step[0].shape[0])
+
+
+def _root(cover: _VoltageCover, root: tuple[int, ...]) -> tuple[_Lift, int, np.ndarray]:
+    """The word ``root``'s lift, composed letter by letter of the cover's
+    generator lifts and their inverses, its period d, the order of its end
+    map, so that the walks of root^d all close, and their voltage sums."""
+    step = _product([cover.letters[x - 1] if x > 0 else cover.inverses[-x - 1] for x in root],
+                    cover.base.shape[1])
+    period = Permutation._trusted(step[0].astype(np.int32)).order()
+    return step, period, _power(step, period)[1]
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -677,7 +627,7 @@ def _index_mod(lattice: tuple[int, int, int], m: int) -> int:
 
 def _power_holds(k: int, period: int, gcd: int, m: int) -> bool:
     """Whether u^k is the identity on the cover at m, for u of period d and
-    voltage gcd g (``_Root``): u^k's walks all close iff d | k, and then
+    voltage gcd g (``_Read``): u^k's walks all close iff d | k, and then
     its voltage sums are (k/d) times those of u^d, all 0 mod m iff
     m | (k/d) g."""
     q, rest = divmod(k, period)
@@ -686,7 +636,7 @@ def _power_holds(k: int, period: int, gcd: int, m: int) -> bool:
 
 def _power_order(k: int, cycle: int, cycle_gcd: int, m: int) -> int:
     """The order of u^k on the cover at m, for u whose end map puts point 0
-    on a cycle of length e picking up a voltage of gcd W (``_Root``): the
+    on a cycle of length e picking up a voltage of gcd W (``_Read``): the
     cycle of (0, 0) under u runs e times round that cycle, each time
     picking up W, until t W = 0 mod m, so u has order o = e m / gcd(m, W)
     (the cover's action is regular) and u^k has order o / gcd(o, k)."""
@@ -726,7 +676,8 @@ def _meet_order(h: tuple[int, int, int], k: tuple[int, int, int],
 def _derived_orders(terms: Sequence["_Span"], m: int) -> list[int]:
     """|G_m'|, |G_m''|, ... until trivial or stable, the terms that
     ``PermGroup.derived_series`` lists for G_m, from U's derived terms
-    U, U', ... (down to the trivial one): G_m^(k) is U^(k)'s image."""
+    U, U', ... (``_derived_series``): G_m^(k) is U^(k)'s image, and the
+    orders at m are trivial or stable no later than the terms are."""
     size, out = terms[0].order(m), []
     for term in terms[1:]:
         nsize = term.order(m)
@@ -741,60 +692,42 @@ def _derived_orders(terms: Sequence["_Span"], m: int) -> list[int]:
     return out
 
 
-def _inverse_lift(lift: _Lift) -> _Lift:
-    end, volt = lift
-    inv = np.empty_like(end)
-    inv[end] = np.arange(end.shape[0])
-    return inv, -volt[inv]
-
-
 class _Term:
     """A subgroup H of U on G_1's points with Z^2 voltages.  H takes the
     point (0, 0) to the points (c, pot[c] + L) for c in its orbit C on
-    G_1's points (``mask``, of ``size`` points), where L = H cap N is
-    ``lattice``, in Hermite normal form.  ``gens`` are the lifts of its
-    generators."""
+    G_1's points (``mask``), where L = H cap N is ``lattice``, in Hermite
+    normal form.  ``span`` is what the certificate keeps of it, |C| and L;
+    ``gens`` are the lifts of its generators."""
 
     def __init__(self, gens: tuple[_Lift, ...], mask: np.ndarray, pot: np.ndarray,
                  lattice: tuple[int, int, int]):
         self.gens, self.mask, self.pot, self.lattice = gens, mask, pot, lattice
-        self.size = int(np.count_nonzero(mask))
-        # other term -> the pair's ``_meet`` data, found once per pair
-        self._meets: dict[_Term, tuple] = {}
+        self.span = _Span(int(np.count_nonzero(mask)), lattice)
 
     def contains(self, c: int, v: np.ndarray) -> bool:
         """Whether H has the element that takes (0, 0) to (c, v)."""
         return bool(self.mask[c]) and _in_lattice(tuple((v - self.pot[c]).tolist()),
                                                    self.lattice)
 
-    def order(self, m: int) -> int:
-        """|H's image in G_m| (``_span_order``)."""
-        return _span_order(self.size, self.lattice, m)
-
-    def _meet(self, other: "_Term") -> tuple[tuple[int, int, int], tuple]:
-        """The sum S = L_H + L_K, in Hermite normal form, and for the class
-        v + S of each point c of C_H cap C_K that p_H(c) - p_K(c) lies in,
-        the lattice S + vZ: the distinct lattices, in Hermite normal form,
-        each with its number of points (what ``_meet_order`` reads)."""
+    def _meet(self, other: "_Term") -> "_Meet":
+        """H and K = ``other`` as the certificate keeps their meet: the sum
+        S = L_H + L_K, in Hermite normal form, and for the class v + S of
+        each point c of C_H cap C_K that p_H(c) - p_K(c) lies in, the
+        lattice S + vZ: the distinct lattices, in Hermite normal form, each
+        with its number of points (what ``_meet_order`` reads)."""
         both = np.flatnonzero(self.mask & other.mask)
         total = _hnf(_rows(self.lattice) + _rows(other.lattice))
         diffs = (self.pot[both] - other.pot[both]).tolist()
         classes: Counter = Counter()
         for v, count in Counter(_reduce_mod(v, total) for v in diffs).items():
             classes[_hnf(_rows(total) + [v])] += count
-        return total, tuple(classes.items())
-
-    def meet_order(self, other: "_Term", m: int) -> int:
-        """|H cap K| in G_m for K = ``other`` (``_meet_order``), the pair's
-        classes found once per pair."""
-        meet = self._meets.get(other)
-        if meet is None:
-            meet = self._meets[other] = self._meet(other)
-        return _meet_order(self.lattice, other.lattice, *meet, m)
+        return _Meet(self.span, other.span, total, tuple(classes.items()))
 
 
 def _span(gens: Sequence[_Lift], n: int) -> _Term:
-    """The subgroup of U that lifts ``gens`` generate, on n points of G_1.
+    """The subgroup of U that lifts ``gens`` generate, on n points of G_1:
+    U's generators' lifts (``_VoltageCover.letters``) for the canonical
+    spans, a term's generators for U's derived series.
 
     A BFS over the ends of the lifts from point 0 gives the orbit C and each
     point's potential, the voltage sum along the tree path to it.  By
@@ -840,20 +773,20 @@ def _at_origin(lifts: Sequence[_Lift]) -> tuple[int, np.ndarray]:
     return c, v
 
 
-def _normal_closure(seeds: Sequence[Sequence[_Lift]], conj: Sequence[_Lift],
-                    n: int) -> _Term:
+def _normal_closure(seeds: Sequence[Sequence[_Lift]], cover: _VoltageCover) -> _Term:
     """The smallest subgroup of U that contains the products of ``seeds``
-    (each a sequence of lifts) and is normalized by the lifts ``conj``, on
-    n points of G_1.
+    (each a sequence of lifts) and is normal in U, on the cover's points:
+    it is normalized by the lifts of U's generators (``letters``), each
+    with its inverse (``inverses``).
 
     A queued element is decided by walking the one point (0, 0)
     (``_at_origin``); only an element off the subgroup so far is lifted over
-    every point, and joins, and then its conjugates by ``conj`` are queued.
-    Closure under g^-1 H g alone suffices: U has the maximal condition on
-    subgroups (it is an extension of Z^2 by the finite G_1), so
-    g^-1 H g <= H forces equality.  That condition also ends the queue.
+    every point, and joins, and then its conjugates by U's generators are
+    queued.  Closure under g^-1 H g alone suffices: U has the maximal
+    condition on subgroups (it is an extension of Z^2 by the finite G_1),
+    so g^-1 H g <= H forces equality.  That condition also ends the queue.
     """
-    letters = [(g, _inverse_lift(g)) for g in conj]
+    n = cover.base.shape[1]
     term = _span((), n)
     queue = list(seeds)
     for parts in queue:  # a queue: the conjugates of each joining element join it
@@ -861,36 +794,38 @@ def _normal_closure(seeds: Sequence[Sequence[_Lift]], conj: Sequence[_Lift],
             continue
         h = functools.reduce(_compose, parts)
         term = _span(term.gens + (h,), n)
-        queue.extend((gi, h, g) for g, gi in letters)
+        queue.extend((gi, h, g) for g, gi in zip(cover.letters, cover.inverses))
     return term
 
 
-class _DerivedSeries:
-    """The derived series U = U^(0) > U' > U'' > ... of the base group, each
-    term a ``_Term`` on G_1's points, built once per family and only as far
-    as asked (``_build_certificate`` asks down to the trivial term).
+def _derived_series(cover: _VoltageCover) -> list[_Term]:
+    """The derived series U = U^(0) > U' > U'' > ... of the base group on
+    the cover's points, until a term is trivial or the same as the one
+    before it, which is then the last (U is not solvable).  This is the one
+    place that rule is applied to U; ``_derived_orders`` reads the terms at
+    m, where the series may stop sooner.
 
     U^(k+1) is the normal closure in U of the commutators of U^(k)'s
     generators (as in ``PermGroup._derived``), built by ``_normal_closure``.
     """
-
-    def __init__(self, letters: Sequence[_Lift]):
-        self.n = letters[0][0].shape[0]
-        self.terms = [_span(letters, self.n)]
-
-    def term(self, k: int) -> _Term:
-        while len(self.terms) <= k:
-            gens = self.terms[-1].gens
-            inverses = [_inverse_lift(u) for u in gens]
-            seeds = [(inverses[i], inverses[j], gens[i], gens[j])
-                     for i in range(len(gens)) for j in range(i + 1, len(gens))]
-            self.terms.append(_normal_closure(seeds, self.terms[0].gens, self.n))
-        return self.terms[k]
+    terms = [_span(cover.letters, cover.base.shape[1])]
+    inverses = cover.inverses
+    while terms[-1].span != _Span(1, (0, 0, 0)):
+        gens = terms[-1].gens
+        terms.append(_normal_closure([(inverses[i], inverses[j], gens[i], gens[j])
+                                      for i in range(len(gens))
+                                      for j in range(i + 1, len(gens))], cover))
+        if terms[-1].span == terms[-2].span:
+            break
+        inverses = [_inverse_lift(u) for u in terms[-1].gens]
+    return terms
 
 
 class _Read(NamedTuple):
     """A word the pipeline asks about, as the certificate holds it: u^k for
-    a root u and k = k0 + km m, with u's ``_Root`` integers (d, g, e, W);
+    a root u and k = k0 + km m, with u's integers (``_read``): its period
+    d, the gcd g of the voltage sums of u^d, and the length e of point 0's
+    cycle under u's end map with the gcd of the voltage W it picks up;
     ``text``, the word as the report renders it (None when that depends on
     m, as a seed relator's does); and ``image``, the read of its mirror
     image (None for a word the mirror test does not ask about)."""
@@ -952,7 +887,8 @@ class FamilyCertificate:
       (``polytope._CANONICAL_RELATIONS``).
     - ``spans``: the canonical spans, keyed as ``_CANONICAL``; ``meets``,
       the intersection condition's three pairs of them (``_MEETS``).
-    - ``derived``: U's derived terms U, U', ... down to the trivial one.
+    - ``derived``: U's derived terms U, U', ... until trivial or stable
+      (``_derived_series``).
     - ``reference``: the quotient criterion's reference member
       (``Family.reference``), or None when the certificate fails the
       intersection condition there.
@@ -974,47 +910,52 @@ class FamilyCertificate:
         return presentation_U().word_str(Word(r.root) ** (r.k0 + r.km * m))
 
 
+def _read(cover: _VoltageCover, word: Word, per_m: bool = False,
+          text: str | None = None, mirrored: bool = False) -> _Read:
+    """The certificate's read of ``word`` = u^k, or of word^m when ``per_m``
+    is set (a seed relator), off u's lift (``_root``), whose arrays are
+    dropped; with ``mirrored``, its mirror image's read too."""
+    root, k = word.as_power()
+    (end, volt), period, power = _root(cover, root)
+    end = end.tolist()
+    c, e, w = end[0], 1, volt[0]
+    while c:
+        c, e, w = end[c], e + 1, w + volt[c]
+    image = _read(cover, _mirror_image(word), per_m) if mirrored else None
+    return _Read(root, 0 if per_m else k, k if per_m else 0, period,
+                 int(np.gcd.reduce(power, axis=None)), e, math.gcd(*w.tolist()), text, image)
+
+
 def _build_certificate(family: str, cover: _VoltageCover,
                        relators: Sequence[Word]) -> FamilyCertificate:
     """The certificate of ``family`` read off its voltage cover, with
     ``relators`` in the place of U's (the tests pass others).
 
-    Every integer comes from state the cover keeps: the ``_Root`` of each
-    word's root (``_VoltageCover._root``), the canonical spans and the
-    classes of their meets (``_VoltageCover.canonical``, ``_Term._meet``)
-    and U's derived series (``_VoltageCover.derived``).  Nothing is
-    checked here: a cover that fails at some m gives a certificate that
-    fails when it is evaluated there.
+    Each word's integers come from its root's lift (``_read``); the
+    canonical spans, the classes of their meets (``_span``,
+    ``_Term._meet``) and U's derived series (``_derived_series``) are built
+    here from the cover's generator lifts, and only their integers are
+    kept.  A span keyed by 1-based generator indices is, at m, the member's
+    subgroup of those s_i, as ``RotationTriple.subgroup`` keys it, since
+    s_i is the lift of generator i.  Nothing is checked here: a cover that
+    fails at some m gives a certificate that fails when it is evaluated
+    there.
     """
     names = presentation_U().names
-
-    def read(word: Word, per_m: bool = False, text: str | None = None,
-             mirrored: bool = False) -> _Read:
-        # the word itself, or its m-th power when per_m is set
-        root, k = word.as_power()
-        r = cover._root(root)  # its integers are kept, and its arrays dropped
-        image = read(_mirror_image(word), per_m) if mirrored else None
-        return _Read(root, 0 if per_m else k, k if per_m else 0, r.period, r.gcd,
-                     r.cycle, r.cycle_gcd, text, image)
-
     witness = mirror_witness_relator()
-    terms = cover.canonical
-    spans = {ix: _Span(t.size, t.lattice) for ix, t in terms.items()}
-    series = [cover.derived.term(0)]
-    while series[-1].size > 1 or any(series[-1].lattice):
-        series.append(cover.derived.term(len(series)))
-        if (series[-1].size, series[-1].lattice) == (series[-2].size, series[-2].lattice):
-            break  # stable and not trivial: the group is not solvable
+    n = cover.base.shape[1]
+    terms = {ix: _span([cover.letters[i - 1] for i in ix], n) for ix in _CANONICAL}
     cert = FamilyCertificate(
-        points=cover.base.shape[1],
-        relators=(tuple(read(r, text=word_str(r, names), mirrored=True) for r in relators)
-                  + tuple(read(x, per_m=True, mirrored=True)
+        points=n,
+        relators=(tuple(_read(cover, r, text=word_str(r, names), mirrored=True)
+                        for r in relators)
+                  + tuple(_read(cover, x, per_m=True, mirrored=True)
                           for x in subgroup_seed_words(family))),
-        witness=read(witness, text=word_str(witness, names), mirrored=True),
-        relations={w: read(w) for _, w in _CANONICAL_RELATIONS},
-        spans=spans,
-        meets=tuple(_Meet(spans[x], spans[y], *terms[x]._meet(terms[y])) for x, y in _MEETS),
-        derived=tuple(_Span(t.size, t.lattice) for t in series),
+        witness=_read(cover, witness, text=word_str(witness, names), mirrored=True),
+        relations={w: _read(cover, w) for _, w in _CANONICAL_RELATIONS},
+        spans={ix: t.span for ix, t in terms.items()},
+        meets=tuple(terms[x]._meet(terms[y]) for x, y in _MEETS),
+        derived=tuple(t.span for t in _derived_series(cover)),
         reference=_family(family).reference)
     return cert if _intersection_condition(cert, cert.reference) else replace(cert, reference=None)
 
@@ -1172,8 +1113,8 @@ def member_triple(family: str, m: int, opts: VerifyOptions | None = None) -> Rot
 def derived_orders(family: str, m: int, opts: VerifyOptions | None = None) -> list[int]:
     """The orders of G_m's derived subgroups G_m', G_m'', ..., until trivial
     or stable: the terms ``PermGroup.derived_series`` lists for G_m, read
-    off U's derived series (``_DerivedSeries``), which the family's
-    certificate holds down to the trivial term, so no normal closure of G_m
+    off U's derived series (``_derived_series``), whose terms the family's
+    certificate holds until trivial or stable, so no normal closure of G_m
     is formed.
 
     U acts on the points (c, v), c a point of G_1 and v in Z^2, through its
@@ -1239,7 +1180,7 @@ def verify_member(family: str, m: int, opts: VerifyOptions | None = None) -> Mem
     member's regular representation whose s_i is the lift of generator i:
 
     - a word u^k is the identity iff m | (k/d) g, and has order
-      o / gcd(o, k) with o = e m / gcd(m, W), for u's ``_Root`` integers
+      o / gcd(o, k) with o = e m / gcd(m, W), for u's integers (``_Read``)
       (``_power_holds``, ``_power_order``): the canonical relations, the
       mirror witness and each relator's mirror image;
     - a subgroup of the s_i is its orbit of (0, 0), so its order is
@@ -1457,10 +1398,10 @@ def corollary_orders(k_max: int, opts: VerifyOptions | None = None) -> list[Coro
     for k in range(k_max + 1):
         m = 2 ** k
         for family, n in (("P", 10 + 2 * k), ("Q", 11 + 2 * k)):
-            order = certified_order(family, m, opts)
+            cert = _certificate(family, m, opts.max_cosets)
+            order = _certified_order(cert, m)
             if order != 2 ** n:
                 raise VerificationError(
                     "corollary", f"{family} m={m}: order {order} != 2^{n}")
-            ic = _intersection_condition(_state(family).certificate, m)
-            out.append(CorollaryEntry(n, family, m, order, ic))
+            out.append(CorollaryEntry(n, family, m, order, _intersection_condition(cert, m)))
     return out

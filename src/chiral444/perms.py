@@ -25,16 +25,20 @@ degree is formed.  The rule needs the images to be elements of a group
 acting regularly, since it reads one point of the product; so
 ``families._certified_order``, which is what shows a cover to be such a
 group, does not use it: it decides each relator at every point, from the
-relator's lift to the base group's points.  The normal closures behind the derived
-series keep their generators as words in the group's generators and grow one
-orbit as generators join.
+integers its family certificate read off the relator's lift to the base
+group's points.  The normal closures behind the derived series keep their
+generators as words in the group's generators and grow one orbit as
+generators join.
 
 The family pipeline builds no permutation of a member's degree for its
-checks: ``families.verify_member`` reads each relation, order, subgroup and
-derived series off lifts to the base group's points, and only
-``families.member_triple`` makes a member's ``PermGroup``, for the coset
-geometry and for the tests.  This module is the generic engine and the
-cross-check the tests run against those reads.
+checks: ``families.verify_member`` evaluates its family's certificate at m
+(``families.FamilyCertificate``), whose records of each relation, order,
+subgroup and derived term were read once off lifts to the base group's
+points, and only ``families.member_triple`` makes a member's
+``PermGroup``, for the coset geometry and for the tests.  This module is
+the generic engine and the cross-check the tests run against those reads;
+``PermGroup.derived_series`` is the per-action check of
+``families.derived_orders``.
 """
 
 from __future__ import annotations
@@ -411,8 +415,9 @@ class PermGroup:
     that id 0 reaches names the only element the product can be, and it is
     that element only when the product is in the group.  That is why
     ``families._certified_order`` decides its relators at every point of
-    the cover, from their lifts to the base group: until it has, the cover
-    is not known to be one group acting regularly.
+    the cover, from the certificate's reads of their lifts to the base
+    group: until it has, the cover is not known to be one group acting
+    regularly.
 
     The derived series is grown the same way.  Each normal closure keeps its
     generators as words in this handle's generators; a word joins when the

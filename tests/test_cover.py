@@ -1,5 +1,7 @@
 """The Z_m^2 voltage cover against Todd-Coxeter, and its certificate."""
 
+import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -16,10 +18,10 @@ from chiral444.coset import enumerate_cosets
 from chiral444.families import (_CANONICAL, _MEETS, FAMILIES, EnumerationIncomplete,
                                 VerificationError, VerifyOptions,
                                 _build_certificate, _certified_order,
-                                _cover_images, _hnf,
-                                _in_lattice, _index_mod, _rows,
+                                _cover_images, _derived_orders, _derived_series,
+                                _hnf, _in_lattice, _index_mod, _rows,
                                 _intersection_condition, _normal_closure,
-                                _span, _state, _voltages,
+                                _read, _root, _span, _state, _voltages,
                                 _VoltageCover, derived_orders, expected_order,
                                 family_certificate,
                                 family_presentation, member_triple,
@@ -42,6 +44,17 @@ def _cover(family):
     """The family's voltage cover, as the pipeline keeps it."""
     reference_triple(family)
     return _state(family).cover
+
+
+@functools.cache
+def _terms(family):
+    """The family's canonical spans, keyed as ``_CANONICAL``, and U's derived
+    terms, as ``_Term``s on its cover: the certificate keeps only their
+    integers."""
+    cover = _cover(family)
+    n = cover.base.shape[1]
+    return ({ix: _span([cover.letters[i - 1] for i in ix], n) for ix in _CANONICAL},
+            _derived_series(cover))
 
 
 def _invariants(t, ref):
@@ -291,7 +304,7 @@ def test_lifted_relators_match_the_full_cover(family):
             cover = _VoltageCover(base, table)
             sigma = [Permutation(img) for img in _cover_images(base, table, m)]
             for r in pres.relators:
-                lifted = cover.holds(r, m)
+                lifted = _read(cover, r).holds(m)
                 assert lifted == evaluate(r, sigma).is_identity()
                 verdicts.add(lifted)
     assert verdicts == {True, False}
@@ -306,7 +319,7 @@ def _lift_letter_by_letter(cover, letters, start):
             volt = volt + cover.phi[g][end]
             end = cover.base[g][end]
         else:
-            end = cover.inv[g][end]
+            end = cover.inverses[g][0][end]
             volt = volt - cover.phi[g][end]
     return end, volt
 
@@ -328,7 +341,7 @@ def test_periodic_lift_matches_letter_by_letter(family):
     # period 4 and of U's relators' periods (1, 2 or 4)
     cover = _cover(family)
     roots = FAMILIES[family].roots
-    assert [cover._period(u.letters)[1] for u in roots] == [4, 4]
+    assert [_root(cover, u.letters)[1] for u in roots] == [4, 4]
     _assert_powers_lift_letter_by_letter(cover, roots + presentation_U().relators)
 
 
@@ -343,8 +356,8 @@ def test_lift_without_a_short_period_squares():
     phi = np.random.default_rng(67).integers(-3, 4, size=(3, n, 2))
     cover = _VoltageCover(base, phi)
     a, ab, c = Word((1,)), Word((1, -2)), Word((3, -1, 2))
-    assert cover._period(a.letters)[1] == 67
-    assert cover._period(ab.letters)[1] == 2
+    assert _root(cover, a.letters)[1] == 67
+    assert _root(cover, ab.letters)[1] == 2
     _assert_powers_lift_letter_by_letter(cover, (a, ab, c), k_max=140)
 
 
@@ -372,12 +385,38 @@ def test_derived_orders_match_the_per_member_series(family):
 def test_derived_series_of_u(family, sizes):
     # U, U', U'' meet N in all of Z^2 and U''' is trivial: every member has
     # derived length 3
-    series = _cover(family).derived
-    terms = [series.term(k) for k in range(4)]
-    assert [int(t.mask.sum()) for t in terms] == sizes
+    terms = family_certificate(family).derived
+    assert [t.size for t in terms] == sizes
     assert [t.lattice for t in terms] == [(1, 0, 1)] * 3 + [(0, 0, 0)]
     assert all(verify_member(family, m, VerifyOptions(axioms=False)).derived_length == 3
                for m in (1, 2, 5))
+
+
+def _a5_table():
+    """A5's regular table on its 60 elements: a = (1 2)(3 4), of order 2,
+    and b = (1 3 5), of order 3, which generate A5, and c the identity."""
+    a, b, c = (1, 0, 3, 2, 4), (2, 1, 4, 3, 0), tuple(range(5))
+    elems, index = [c], {c: 0}
+    for e in elems:  # a queue: right multiples join it
+        for g in (a, b):
+            f = tuple(g[x] for x in e)
+            if f not in index:
+                index[f] = len(elems)
+                elems.append(f)
+    assert len(elems) == 60
+    return np.array([[index[tuple(g[x] for x in e)] for e in elems] for g in (a, b, c)],
+                    dtype=np.int64)
+
+
+def test_derived_series_stops_at_its_first_stable_term():
+    # A5 is perfect: with all-zero voltages U's span is all 60 points with
+    # lattice 0, and so is its derived subgroup, so the series stops there,
+    # not solvable, and every m reads [60]; the per-action engine agrees
+    base = _a5_table()
+    terms = _derived_series(_VoltageCover(base, np.zeros((3, 60, 2), dtype=np.int64)))
+    assert [t.span for t in terms] == [(60, (0, 0, 0))] * 2
+    assert all(_derived_orders([t.span for t in terms], m) == [60] for m in (1, 2, 3))
+    assert PermGroup.regular([Permutation(row) for row in base]).derived_length() is None
 
 
 def test_m1_report_needs_no_conjugation_proof(capsys):
@@ -417,10 +456,9 @@ def test_normal_closure_of_lifts_matches_the_member(family):
     # points, so the closure of the lifts, read at m, is the member's orbit
     cover = _cover(family)
     u = presentation_U()
-    conj = [cover.lift(Word((i,))) for i in (1, 2, 3)]
     for text in ("b^2", "a*b^-1"):
         w = u.parse_word(text)
-        term = _normal_closure([(cover.lift(w),)], conj, cover.base.shape[1])
+        term = _normal_closure([(cover.lift(w),)], cover)
         for m in (1, 2, 3):
             g = member_triple(family, m).group
             orb = g._normal_closure([w], g._letters())[1]
@@ -495,14 +533,14 @@ def test_lattice_helpers_match_brute_force(gens):
 def test_canonical_spans_match_the_member(family, m):
     # each span read at m against the orbit search of the same subgroup on
     # the member's action, and each meet against the two orbits' masks
-    spans = _cover(family).canonical
+    cert = family_certificate(family)
     t = member_triple(family, m)
     for ix in _CANONICAL:
-        assert spans[ix].order(m) == t.subgroup(*ix).order(), ix
-    for x, y in _MEETS:
+        assert cert.spans[ix].order(m) == t.subgroup(*ix).order(), ix
+    for (x, y), meet in zip(_MEETS, cert.meets):
         want = t.subgroup(*x).intersection_order(t.subgroup(*y))
-        assert spans[x].meet_order(spans[y], m) == want, (x, y)
-    assert _intersection_condition(family_certificate(family), m) == intersection_condition(t)
+        assert meet.order(m) == want, (x, y)
+    assert _intersection_condition(cert, m) == intersection_condition(t)
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -511,15 +549,15 @@ def test_meet_order_matches_the_cover_masks(family):
     # the meets are also taken with U's derived terms, which meet N in Z^2,
     # and with <s2,s3>, whose lattice is nonzero too: there the factor is
     # up to m^2.  The masks are the points each term reaches, by search
-    cover = _cover(family)
-    terms = ([cover.canonical[ix] for ix in ((1, 2), (2, 3))]
-             + [cover.derived.term(k) for k in range(4)])
+    spans, series = _terms(family)
+    terms = [spans[1, 2], spans[2, 3], *series]
+    pairs = list(itertools.combinations(range(len(terms)), 2))
+    meets = {(i, j): (terms[i]._meet(terms[j]), terms[j]._meet(terms[i])) for i, j in pairs}
     for m in range(1, 7):
         masks = [_mask_at(term, m) for term in terms]
-        for i, j in itertools.combinations(range(len(terms)), 2):
+        for i, j in pairs:
             want = int(np.count_nonzero(masks[i] & masks[j]))
-            assert terms[i].meet_order(terms[j], m) == want, (i, j, m)
-            assert terms[j].meet_order(terms[i], m) == want, (j, i, m)
+            assert [meet.order(m) for meet in meets[i, j]] == [want, want], (i, j, m)
 
 
 @pytest.mark.parametrize("family", ["P", "Q"])
@@ -573,12 +611,12 @@ def test_word_order_on_the_cover_matches_the_member(family):
     cover, rng = _cover(family), random.Random(1912)
     words = [Word(tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(rng.randint(1, 12))))
              for _ in range(60)]
+    reads = [(_read(cover, w), cover.lift(w)) for w in words]
     partial = set()
     for m in (2, 3, 4, 6, 8):
         t = member_triple(family, m)
-        for w in words:
-            assert cover.word_order(w, m) == t.group.word_order(w, t.sigma), (w, m)
-            end, volt = cover.lift(w)
+        for w, (r, (end, volt)) in zip(words, reads):
+            assert r.order(m) == t.group.word_order(w, t.sigma), (w, m)
             c, v = int(end[0]), volt[0]
             while c:
                 c, v = int(end[c]), v + volt[c]
@@ -620,11 +658,12 @@ def _pipeline_words(family):
             + [w for m in _MS for w in subgroup_seed_words(family, m)])
 
 
-def _lifted_reads(cover, w, m):
-    """Whether ``w`` holds at m and its order there, read off its lift: every
-    walk closes with voltages 0 mod m; point 0's cycle under the end map of
-    length d picks up V, and (0, 0)'s cycle has length d m / gcd(m, V)."""
-    end, volt = cover.lift(w)
+def _lifted_reads(lift, m):
+    """Whether a word holds at m and its order there, read off its ``lift``:
+    every walk closes with voltages 0 mod m; point 0's cycle under the end
+    map of length d picks up V, and (0, 0)'s cycle has length
+    d m / gcd(m, V)."""
+    end, volt = lift
     holds = bool(np.array_equal(end, np.arange(end.shape[0])) and not (volt % m).any())
     c, v, d = int(end[0]), volt[0], 1
     while c:
@@ -636,17 +675,35 @@ def _lifted_reads(cover, w, m):
 def test_integer_reads_match_the_lifts_and_the_member(family):
     cover = _cover(family)
     words = _pipeline_words(family)
+    reads = [(_read(cover, w), cover.lift(w)) for w in words]
     verdicts = set()
     for m in _MS:
         t = member_triple(family, m) if m <= 16 else None
-        for w in words:
-            got = cover.holds(w, m), cover.word_order(w, m)
-            assert got == _lifted_reads(cover, w, m), (w, m)
+        for w, (r, lift) in zip(words, reads):
+            got = r.holds(m), r.order(m)
+            assert got == _lifted_reads(lift, m), (w, m)
             if t is not None:
                 assert got == (t.group.word_id(w, t.sigma) == 0,
                                t.group.word_order(w, t.sigma)), (w, m)
             verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_every_certificate_read_matches_its_lift(family):
+    # each read's holds and order at m against the lift of the word it
+    # reads, whether or not the pipeline asks for that value: so every
+    # integer of every read is pinned, not only those a report shows.  The
+    # reads are the relators, seed relators included, the mirror witness
+    # and the canonical relations, and the mirror image of each that has one
+    cert, cover = family_certificate(family), _cover(family)
+    reads = [*cert.relators, cert.witness, *cert.relations.values()]
+    reads += [r.image for r in reads if r.image is not None]
+    assert len(reads) == 2 * (len(cert.relators) + 1) + len(cert.relations)
+    for m in _MS:
+        for r in reads:
+            lift = cover.lift(Word(r.root) ** (r.k0 + r.km * m))
+            assert (r.holds(m), r.order(m)) == _lifted_reads(lift, m), (cert.text(r, m), m)
 
 
 def _vectorised_meet(h, k, m):
@@ -664,21 +721,42 @@ def _vectorised_meet(h, k, m):
 def test_residue_meets_match_the_vectorised_count(family):
     # the canonical pairs and U's derived terms, at every m up to 64: P at
     # odd m, where the intersection condition fails, included
-    cover = _cover(family)
-    spans = cover.canonical
-    terms = ([spans[ix] for ix in _CANONICAL]
-             + [cover.derived.term(k) for k in range(4)])
+    spans, series = _terms(family)
+    terms = [*spans.values(), *series]
+    pairs = [(h, k, h._meet(k)) for h, k in itertools.permutations(terms, 2)]
     cert = family_certificate(family)
     fails = set()
     for m in range(1, 65):
-        for h, k in itertools.permutations(terms, 2):
-            assert h.meet_order(k, m) == _vectorised_meet(h, k, m), m
+        for h, k, meet in pairs:
+            assert meet.order(m) == _vectorised_meet(h, k, m), m
         if not _intersection_condition(cert, m):
             fails.add(m % 2)
     assert fails == ({1} if family == "P" else set())
 
 
 # -- the certificate against the lifts and the member ---------------------------
+
+def _plain(x):
+    """Whether ``x`` is made of ints, strings, ``Word``s and None alone, in
+    tuples (records included), dicts and dataclasses."""
+    if dataclasses.is_dataclass(x):
+        return _plain(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
+    if isinstance(x, dict):
+        return _plain(tuple(x.items()))
+    if isinstance(x, tuple):
+        return all(_plain(y) for y in x)
+    return x is None or type(x) in (int, str, Word)
+
+
+@pytest.mark.parametrize("family", ["P", "Q"])
+def test_certificate_holds_no_per_point_data(family):
+    # the certificate holds integers, not arrays, so a member costs the same
+    # at every m; and once it is built the cover keeps G_1's table, the
+    # voltages and the generator lifts alone, none per root or span
+    assert _plain(family_certificate(family))
+    assert not _plain(np.int64(1)) and not _plain((np.zeros(2),))
+    assert sorted(vars(_cover(family))) == ["base", "inverses", "letters", "phi"]
+
 
 def _lifted_report(family, m):
     """What ``verify_member`` reports at m, each value found on the lifts of
@@ -700,15 +778,15 @@ def _lifted_report(family, m):
         return meets(at) == [1, 1, count(spans[2,], at)]
 
     relators = list(presentation_U().relators) + list(subgroup_seed_words(family, m))
-    assert all(_lifted_reads(cover, r, m)[0] for r in relators)
+    assert all(_lifted_reads(cover.lift(r), m)[0] for r in relators)
     order = count(_span(gens, n), m)
     assert order == n * m * m
-    assert all(_lifted_reads(cover, w, m)[0] for _, w in _CANONICAL_RELATIONS)
+    assert all(_lifted_reads(cover.lift(w), m)[0] for _, w in _CANONICAL_RELATIONS)
     r0 = FAMILIES[family].reference
-    series = [count(cover.derived.term(k), m) for k in range(1, 4)]
+    series = [count(term, m) for term in _terms(family)[1][1:]]
     witness = mirror_witness_relator()
-    assert _lifted_reads(cover, witness, m)[0]
-    holds, witness_order = _lifted_reads(cover, _mirror_image(witness), m)
+    assert _lifted_reads(cover.lift(witness), m)[0]
+    holds, witness_order = _lifted_reads(cover.lift(_mirror_image(witness)), m)
     assert not holds
     ic = condition(m)
     return {
